@@ -104,13 +104,22 @@ def _lemma_json(report) -> dict:
 
 
 def _parse_k_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        lo_i, hi_i = int(lo), int(hi)
-        if hi_i < lo_i:
-            raise ValueError(f"empty depth range {text!r}")
-        return list(range(lo_i, hi_i + 1))
-    return [int(text)]
+    """Depths named by --k: one depth like ``2`` or an inclusive range like ``1..3``."""
+    lo, sep, hi = text.partition("..")
+    try:
+        depths = list(range(int(lo), int(hi if sep else lo) + 1))
+    except ValueError:
+        depths = []
+    if not depths or depths[0] < 0:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a depth >= 0 or a nonempty range like 1..3")
+    return depths
+
+
+def _k_arg(text: str) -> str:
+    """argparse type of --k: rejects bad depths as usage errors, keeps the text for reports."""
+    _parse_k_range(text)
+    return text
 
 
 def _select_groups(args, default_filter: str) -> list[PermGroup]:
@@ -363,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="builtin ids or descriptor file paths (default: filtered corpus)")
         p.add_argument("--filter", choices=("all", "soluble", "insoluble", "nilpotent"),
                        help="corpus slice when no groups are given")
-        p.add_argument("--k", default=k_default,
+        p.add_argument("--k", default=k_default, type=_k_arg,
                        help=f"word depth or range, e.g. 2 or 1..3 (default {k_default})")
         p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP,
                        help="element enumeration cap")

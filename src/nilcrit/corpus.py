@@ -12,7 +12,7 @@ Descriptors are line-oriented text:
 
 Image arrays are the canonical form; serialization always writes them.
 Builtins cover cyclic, dihedral and symmetric-type groups plus assorted
-soluble and insoluble groups of order up to 2000, spanning Fitting heights
+soluble and insoluble groups of order up to 360, spanning Fitting heights
 1-3 and derived lengths 1-3, with the larger matrix-type members realized as
 regular permutation representations.
 """

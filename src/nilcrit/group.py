@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .chain import StabilizerChain
 from .errors import DegreeMismatch, NotNormal, OrderCapExceeded
 from .perm import Permutation
+
+if TYPE_CHECKING:
+    from .indexed import IndexedGroup
 
 DEFAULT_ENUM_CAP = 200_000
 DEFAULT_INDEX_CAP = 10_000
@@ -283,27 +286,24 @@ def is_normal(G: PermGroup, N: PermGroup) -> bool:
 class CosetMap:
     """The action of a group on the right cosets of a normal subgroup.
 
-    ``reps[i]`` is the canonical (lexicographically minimal) element of coset
-    number i; calling the map sends a group element to the permutation it
-    induces on coset numbers.
+    Cosets are numbered in order of their minimal elements: ``labels[i]`` is
+    the coset number of element i of the indexed view of the source, and
+    ``reps[c]`` the (lexicographically minimal) element of coset c.  Calling
+    the map sends a group element to the permutation it induces on coset
+    numbers.
     """
 
     source: PermGroup
     kernel: PermGroup
+    view: IndexedGroup = field(repr=False)
+    labels: list[int] = field(repr=False)
     reps: tuple[Permutation, ...]
-    _index: dict[Permutation, int] = field(repr=False, default_factory=dict)
-    _kernel_elements: tuple[Permutation, ...] = field(repr=False, default=())
-
-    def coset_key(self, g: Permutation) -> Permutation:
-        return min(n * g for n in self._kernel_elements)
-
-    def coset_index(self, g: Permutation) -> int:
-        return self._index[self.coset_key(g)]
 
     def __call__(self, g: Permutation) -> Permutation:
         if g.degree != self.source.degree:
             raise DegreeMismatch("element degree differs from group degree")
-        return Permutation(tuple(self.coset_index(r * g) for r in self.reps))
+        index, labels = self.view.index, self.labels
+        return Permutation(tuple(labels[index[r * g]] for r in self.reps))
 
 
 def quotient(G: PermGroup, N: PermGroup, index_cap: int = DEFAULT_INDEX_CAP,
@@ -311,8 +311,11 @@ def quotient(G: PermGroup, N: PermGroup, index_cap: int = DEFAULT_INDEX_CAP,
     """Faithful action of G/N on the right cosets of N.
 
     N must be normal in G; the index must stay under index_cap since it
-    becomes the degree of the quotient group.
+    becomes the degree of the quotient group.  Cosets are labelled on the
+    indexed view of G, so G itself is enumerated under cap.
     """
+    from .indexed import indexed_view
+
     if not N.is_subgroup_of(G):
         raise NotNormal("N is not a subgroup of G")
     if not is_normal(G, N):
@@ -320,31 +323,12 @@ def quotient(G: PermGroup, N: PermGroup, index_cap: int = DEFAULT_INDEX_CAP,
     index = G.order() // N.order()
     if index > index_cap:
         raise OrderCapExceeded(index, index_cap, what="coset space")
-    n_elems = N.elements(cap)
-    kernel_set = tuple(n_elems)
-
-    reps: list[Permutation] = []
-    index_of: dict[Permutation, int] = {}
-
-    def key(g: Permutation) -> Permutation:
-        return min(n * g for n in kernel_set)
-
-    start = key(G.identity)
-    reps.append(start)
-    index_of[start] = 0
-    queue = [start]
-    while queue:
-        r = queue.pop(0)
-        for g in G.generators:
-            k = key(r * g)
-            if k not in index_of:
-                index_of[k] = len(reps)
-                reps.append(k)
-                queue.append(k)
+    iv = indexed_view(G, cap)
+    labels, reps = iv.coset_labels(N)
     if len(reps) != index:
-        raise RuntimeError(f"coset enumeration found {len(reps)} cosets, expected {index}")
+        raise RuntimeError(f"coset labelling found {len(reps)} cosets, expected {index}")
 
-    cmap = CosetMap(G, N, tuple(reps), index_of, kernel_set)
+    cmap = CosetMap(G, N, iv, labels, tuple(iv.perms(reps)))
     Q = PermGroup(index, tuple(cmap(g) for g in G.generators),
                   name=f"{G.name}/{N.name}" if G.name and N.name else None)
     if Q.order() * N.order() != G.order():

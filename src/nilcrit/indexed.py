@@ -28,6 +28,7 @@ class IndexedGroup:
         self.order_of: list[int] = [p.order() for p in elems]
         self.inverse: list[int] = [self.index[p.inverse()] for p in elems]
         self._rows: list[list[int] | None] = [None] * self.size
+        self._cosets: dict[frozenset[int], tuple[list[int], list[int]]] = {}
         # the identity is the lexicographic minimum of any permutation set
         assert elems[0].is_identity()
         self.identity_index = 0
@@ -106,6 +107,34 @@ class IndexedGroup:
             members.extend(fresh)
             frontier = fresh
         return frozenset(closed)
+
+    def coset_labels(self, kernel: PermGroup) -> tuple[list[int], list[int]]:
+        """``(labels, reps)`` of the right cosets N*g, numbered by their minimal elements.
+
+        ``labels[i]`` is the coset of element i, ``reps[c]`` the index of the
+        minimal element of coset c.  N*g is the orbit of g under left
+        multiplication by N's generators, read off their rows.
+        """
+        gens = frozenset(self.index[n] for n in kernel.generators)
+        if gens not in self._cosets:
+            gen_rows = [self.row(n) for n in gens]
+            labels = [-1] * self.size
+            reps: list[int] = []
+            for g in range(self.size):
+                if labels[g] >= 0:
+                    continue
+                labels[g] = len(reps)
+                frontier = [g]
+                while frontier:
+                    x = frontier.pop()
+                    for row in gen_rows:
+                        y = row[x]
+                        if labels[y] < 0:
+                            labels[y] = len(reps)
+                            frontier.append(y)
+                reps.append(g)
+            self._cosets[gens] = (labels, reps)
+        return self._cosets[gens]
 
     def perms(self, indices: Iterable[int]) -> list[Permutation]:
         return [self.elements[i] for i in indices]

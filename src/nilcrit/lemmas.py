@@ -21,8 +21,7 @@ means an implementation bug.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Iterator
 
@@ -41,10 +40,10 @@ from .group import (
     conjugation_closure,
     group_from_elements,
     is_normal,
-    product_set,
     quotient,
     subgroup_generated,
 )
+from .indexed import indexed_view
 from .perm import commutator
 from .primes import p_part, prime_factors
 from .criterion import coprime_product_criterion
@@ -62,11 +61,7 @@ from .words import delta_values
 
 @dataclass
 class LemmaReport:
-    """Outcome of one lemma check on one concrete instance.
-
-    ``elapsed_s`` is wall-clock and deliberately excluded from serialized run
-    reports, which must be byte-identical across runs.
-    """
+    """Outcome of one lemma check on one concrete instance."""
 
     lemma_id: str
     group_id: str | None
@@ -74,7 +69,6 @@ class LemmaReport:
     holds: bool
     witness: dict | None
     checked: int
-    elapsed_s: float = field(default=0.0, compare=False)
 
 
 def normal_subgroups(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> list[PermGroup]:
@@ -141,32 +135,35 @@ def p_power_value_closure(G: PermGroup, depth: int, p: int,
 
 def check_coset_intersection(G: PermGroup, N: PermGroup, p: int, X: ElementSet,
                              cap: int = DEFAULT_ENUM_CAP) -> LemmaReport:
-    """XN cap PN = (X cap P)N for a normal subset X of p-elements."""
-    started = time.perf_counter()
+    """XN cap PN = (X cap P)N for a normal subset X of p-elements.
+
+    Both sides are compared as sets of coset labels; cosets are numbered by
+    their minimal elements, so the smallest stray label names the minimal
+    stray element.
+    """
     _check_prime_divisor(G, p)
     if not is_normal(G, N):
         raise NotNormal("N must be normal in G")
     _require_p_element_normal_set(G, X, p)
 
     P = sylow_subgroup(G, p, cap)
-    n_elems = N.elements(cap)
-    p_elems = P.elements(cap)
-    xn = product_set(X, n_elems)
-    pn = product_set(p_elems, n_elems)
-    lhs = xn & pn
-    x_cap_p = [x for x in X if P.contains(x)]
-    rhs = product_set(x_cap_p, n_elems)
+    iv = indexed_view(G, cap)
+    labels, reps = iv.coset_labels(N)
+    x_idx = {iv.index[x] for x in X}
+    p_idx = {iv.index[g] for g in P.elements(cap)}
+    lhs = {labels[i] for i in x_idx} & {labels[i] for i in p_idx}
+    rhs = {labels[i] for i in x_idx & p_idx}
 
     holds = lhs == rhs
     witness = None
     if not holds:
-        stray = min(lhs.symmetric_difference(rhs))
-        witness = {"element": stray, "in_lhs": stray in lhs, "in_rhs": stray in rhs}
+        stray = min(lhs ^ rhs)
+        witness = {"element": iv.elements[reps[stray]],
+                   "in_lhs": stray in lhs, "in_rhs": stray in rhs}
     return LemmaReport(
         "coset_intersection", G.name,
         {"p": p, "N_order": N.order(), "X_size": len(X)},
-        holds, witness, checked=len(lhs) + len(rhs),
-        elapsed_s=time.perf_counter() - started)
+        holds, witness, checked=N.order() * (len(lhs) + len(rhs)))
 
 
 def check_lifted_generation(G: PermGroup, N: PermGroup, L: PermGroup, p: int,
@@ -177,7 +174,6 @@ def check_lifted_generation(G: PermGroup, N: PermGroup, L: PermGroup, p: int,
     failing it are inadmissible and raise HypothesisNotSatisfied rather than
     producing a verdict.
     """
-    started = time.perf_counter()
     _check_prime_divisor(G, p)
     if not is_normal(G, N) or not is_normal(G, L):
         raise NotNormal("N and L must be normal in G")
@@ -187,9 +183,12 @@ def check_lifted_generation(G: PermGroup, N: PermGroup, L: PermGroup, p: int,
 
     P = sylow_subgroup(G, p, cap)
     Q, cmap = _memo_quotient(G, N, cap)
+    iv, index = cmap.view, cmap.view.index
     p_bar = subgroup_generated(Q.degree, [cmap(g) for g in P.generators])
     l_bar = subgroup_generated(Q.degree, [cmap(g) for g in L.generators])
-    x_bar = {cmap(x) for x in X}
+    x_idx = {index[x] for x in X}
+    one_per_coset = {cmap.labels[i]: i for i in x_idx}
+    x_bar = {cmap(iv.elements[i]) for i in one_per_coset.values()}
     lhs_bar = set(p_bar.elements(cap)) & set(l_bar.elements(cap))
     gen_bar = set(p_bar.elements(cap)) & x_bar
     rhs_bar = set(subgroup_generated(Q.degree, gen_bar).elements(cap))
@@ -197,23 +196,20 @@ def check_lifted_generation(G: PermGroup, N: PermGroup, L: PermGroup, p: int,
         raise HypothesisNotSatisfied(
             "quotient-side generation P-bar cap L-bar = <P-bar cap X-bar> fails")
 
-    p_elems = set(P.elements(cap))
-    lhs = p_elems & set(L.elements(cap))
-    seed = [x for x in X if x in p_elems]
-    seed += [n for n in N.elements(cap) if n in p_elems]
-    rhs_group = subgroup_generated(G.degree, seed)
-    rhs = set(rhs_group.elements(cap))
+    p_idx = {index[g] for g in P.elements(cap)}
+    lhs = p_idx & {index[g] for g in L.elements(cap)}
+    n_idx = {index[n] for n in N.elements(cap)}
+    rhs = iv.closure((x_idx | n_idx) & p_idx)
 
     holds = lhs == rhs
     witness = None
     if not holds:
-        stray = min(lhs.symmetric_difference(rhs))
-        witness = {"element": stray, "in_lhs": stray in lhs, "in_rhs": stray in rhs}
+        stray = min(lhs ^ rhs)
+        witness = {"element": iv.elements[stray], "in_lhs": stray in lhs, "in_rhs": stray in rhs}
     return LemmaReport(
         "lifted_generation", G.name,
         {"p": p, "N_order": N.order(), "L_order": L.order(), "X_size": len(X)},
-        holds, witness, checked=len(lhs) + len(rhs),
-        elapsed_s=time.perf_counter() - started)
+        holds, witness, checked=len(lhs) + len(rhs))
 
 
 def _memo_quotient(G: PermGroup, N: PermGroup, cap: int):
@@ -224,7 +220,6 @@ def _memo_quotient(G: PermGroup, N: PermGroup, cap: int):
 def check_focal_generation(G: PermGroup, depth: int, p: int,
                            cap: int = DEFAULT_ENUM_CAP) -> LemmaReport:
     """P cap G^(depth) is generated by the depth-k values lying in P."""
-    started = time.perf_counter()
     if not is_soluble(G):
         raise NotSoluble("focal generation is checked on soluble groups")
     _check_prime_divisor(G, p)
@@ -243,14 +238,12 @@ def check_focal_generation(G: PermGroup, depth: int, p: int,
     return LemmaReport(
         "focal_generation", G.name,
         {"p": p, "depth": depth, "values_in_P": len(inside)},
-        holds, witness, checked=len(inside),
-        elapsed_s=time.perf_counter() - started)
+        holds, witness, checked=len(inside))
 
 
 def check_fitting_membership(G: PermGroup, p: int,
                              cap: int = DEFAULT_ENUM_CAP) -> LemmaReport:
     """p-elements centralizing the p'-part of the Fitting subgroup lie inside it."""
-    started = time.perf_counter()
     if not is_metanilpotent(G):
         raise NotMetanilpotent("the membership fact assumes a metanilpotent group")
     _check_prime_divisor(G, p)
@@ -272,8 +265,7 @@ def check_fitting_membership(G: PermGroup, p: int,
     return LemmaReport(
         "fitting_membership", G.name,
         {"p": p, "fitting_order": F.order(), "core_order": core.order()},
-        witness is None, witness, checked=qualifying,
-        elapsed_s=time.perf_counter() - started)
+        witness is None, witness, checked=qualifying)
 
 
 def _invariant_subgroup_family(G: PermGroup, cap: int) -> list[PermGroup]:
@@ -312,7 +304,6 @@ def check_coprime_action(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> L
     conjugate to x^-1 (found by explicit search), hence [y, x, x] = 1, and
     finally [N, x] = 1.
     """
-    started = time.perf_counter()
     if not coprime_product_criterion(G, k, "delta", cap).holds:
         raise HypothesisNotSatisfied(
             f"coprime product criterion fails for depth {k}; the action fact does not apply")
@@ -361,8 +352,7 @@ def check_coprime_action(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> L
     return LemmaReport(
         "coprime_action", G.name,
         {"k": k, "family_size": len(family), "value_count": len(value_list)},
-        witness is None, witness, checked=pairs,
-        elapsed_s=time.perf_counter() - started)
+        witness is None, witness, checked=pairs)
 
 
 # instance generators for batch drivers

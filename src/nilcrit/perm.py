@@ -186,7 +186,3 @@ class Permutation:
 def commutator(a: Permutation, b: Permutation) -> Permutation:
     """[a, b] = a^-1 b^-1 a b."""
     return a.inverse() * b.inverse() * a * b
-
-
-def element_order(a: Permutation) -> int:
-    return a.order()

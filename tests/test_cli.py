@@ -81,6 +81,18 @@ class TestErrors:
             main(["criterion", "--kind", "epsilon"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("depth", ["x", "3..1", "-1"])
+    def test_bad_depth_is_usage_error(self, depth, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["criterion", "S3", "--k", depth])
+        assert exc.value.code == 2
+        assert "argument --k" in capsys.readouterr().err
+
+    def test_depth_zero_is_valid(self, capsys):
+        code, out, _ = run(["focal", "S3", "--k", "0"], capsys)
+        assert code == 0
+        assert "depths [0]" in out
+
 
 class TestDescriptorIngestion:
     def test_file_group_through_cli(self, tmp_path, capsys):

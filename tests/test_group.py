@@ -177,6 +177,19 @@ class TestQuotient:
             Q, _ = quotient(s4, N)
             assert Q.order() * N.order() == s4.order()
 
+    def test_reps_are_coset_minima_and_labels_match_membership(self, s4, a4, v4):
+        for N in (trivial_group(4), v4, a4, s4):
+            _, cmap = quotient(s4, N)
+            elems = cmap.view.elements
+            kernel = N.elements()
+            for c, r in enumerate(cmap.reps):
+                assert r == min(n * r for n in kernel)
+                assert cmap.labels[cmap.view.index[r]] == c
+            for g, label_g in zip(elems, cmap.labels):
+                coset = {n * g for n in kernel}
+                for h, label_h in zip(elems, cmap.labels):
+                    assert (label_h == label_g) == (h in coset)
+
 
 class TestElementSet:
     def test_dedup_and_sort(self):

@@ -11,7 +11,8 @@ from nilcrit.errors import (
     NotPElementSet,
     NotSoluble,
 )
-from nilcrit.group import ElementSet, PermGroup, subgroup_generated, trivial_group
+from nilcrit.corpus import load_group
+from nilcrit.group import ElementSet, PermGroup, product_set, subgroup_generated, trivial_group
 from nilcrit.lemmas import (
     check_coprime_action,
     check_coset_intersection,
@@ -23,7 +24,7 @@ from nilcrit.lemmas import (
     normal_subgroups,
     p_power_value_closure,
 )
-from nilcrit.structure import fitting_subgroup, is_metanilpotent
+from nilcrit.structure import fitting_subgroup, is_metanilpotent, sylow_subgroup
 from conftest import perm
 
 
@@ -130,6 +131,95 @@ class TestLiftedGeneration:
                 admissible += 1
                 assert rep.holds
             assert admissible > 0
+
+
+def coset_intersection_oracle(G, N, P, X):
+    """XN cap PN = (X cap P)N on Permutation sets: (holds, checked, minimal stray)."""
+    n_elems = N.elements()
+    lhs = product_set(X, n_elems) & product_set(P.elements(), n_elems)
+    rhs = product_set([x for x in X if P.contains(x)], n_elems)
+    return lhs == rhs, len(lhs) + len(rhs), min(lhs ^ rhs, default=None)
+
+
+def lifted_generation_oracle(G, N, L, P, X):
+    """P cap L = <P cap X, P cap N> on Permutation sets; None when inadmissible.
+
+    The quotient-side hypothesis is read through preimages in G, with no
+    quotient built: P-bar cap L-bar = <P-bar cap X-bar> holds iff
+    PN cap LN = <(PN cap XN) u N>.
+    """
+    n_elems = N.elements()
+    pn = product_set(P.elements(), n_elems)
+    ln = product_set(L.elements(), n_elems)
+    xn = product_set(X, n_elems)
+    generated = subgroup_generated(G.degree, sorted(pn & xn) + list(n_elems))
+    if pn & ln != set(generated.elements()):
+        return None
+    p_elems = set(P.elements())
+    lhs = p_elems & set(L.elements())
+    seed = [x for x in X if x in p_elems] + [n for n in n_elems if n in p_elems]
+    rhs = set(subgroup_generated(G.degree, seed).elements())
+    return lhs == rhs, len(lhs) + len(rhs), min(lhs ^ rhs, default=None)
+
+
+def verdict(rep):
+    return rep.holds, rep.checked, rep.witness and rep.witness["element"]
+
+
+ORACLE_GROUPS = ("S4", "S3xS3", "C3wrC2", "SL2_3")
+
+
+class TestPermutationOracle:
+    """The coset-label checks agree with the Permutation-set formulation."""
+
+    @pytest.mark.parametrize("name", ORACLE_GROUPS)
+    def test_coset_intersection_matches_oracle(self, name):
+        G = load_group(name)
+        for inst in coset_intersection_instances(G):
+            N, p, X = inst["N"], inst["p"], inst["X"]
+            expected = coset_intersection_oracle(G, N, sylow_subgroup(G, p), X)
+            assert verdict(check_coset_intersection(G, N, p, X)) == expected
+
+    @pytest.mark.parametrize("name", ORACLE_GROUPS)
+    def test_lifted_generation_matches_oracle(self, name):
+        G = load_group(name)
+        verdicts = {"admissible": 0, "inadmissible": 0}
+        for inst in lifted_generation_instances(G):
+            N, L, p, X = inst["N"], inst["L"], inst["p"], inst["X"]
+            expected = lifted_generation_oracle(G, N, L, sylow_subgroup(G, p), X)
+            try:
+                rep = check_lifted_generation(G, N, L, p, X)
+            except HypothesisNotSatisfied:
+                assert expected is None, (p, inst["depth"], N.order(), L.order())
+                verdicts["inadmissible"] += 1
+                continue
+            assert verdict(rep) == expected
+            verdicts["admissible"] += 1
+        assert verdicts["admissible"] > 0 and verdicts["inadmissible"] > 0
+
+    def test_failures_report_the_minimal_stray_element(self, monkeypatch):
+        # both identities need P to be a Sylow subgroup; on C3wrC2 this
+        # order-3 subgroup is not one for every instance, and some fail
+        G = load_group("C3wrC2")
+        small = subgroup_generated(6, [perm("(1 3 2)", 6)])
+        monkeypatch.setattr("nilcrit.lemmas.sylow_subgroup", lambda G, p, cap: small)
+        failures = 0
+        for inst in coset_intersection_instances(G):
+            N, p, X = inst["N"], inst["p"], inst["X"]
+            rep = check_coset_intersection(G, N, p, X)
+            assert verdict(rep) == coset_intersection_oracle(G, N, small, X)
+            failures += not rep.holds
+        for inst in lifted_generation_instances(G):
+            N, L, p, X = inst["N"], inst["L"], inst["p"], inst["X"]
+            expected = lifted_generation_oracle(G, N, L, small, X)
+            try:
+                rep = check_lifted_generation(G, N, L, p, X)
+            except HypothesisNotSatisfied:
+                assert expected is None
+                continue
+            assert verdict(rep) == expected
+            failures += not rep.holds
+        assert failures == 3
 
 
 class TestFocalGeneration:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nilcrit.errors import DegreeMismatch, InvalidPermutation
-from nilcrit.perm import Permutation, commutator, element_order
+from nilcrit.perm import Permutation, commutator
 
 from conftest import perm
 
@@ -117,10 +117,10 @@ class TestCommutator:
 
 class TestOrder:
     def test_identity_order(self):
-        assert element_order(Permutation.identity(5)) == 1
+        assert Permutation.identity(5).order() == 1
 
     def test_lcm_of_cycle_lengths(self):
-        assert element_order(perm("(1 2)(3 4 5)", 5)) == 6
+        assert perm("(1 2)(3 4 5)", 5).order() == 6
 
     @given(random_perms())
     def test_order_by_repeated_multiplication(self, a):
