@@ -165,36 +165,29 @@ def trivial_group(degree: int) -> PermGroup:
 def subgroup_generated(degree: int, gens: Iterable[Permutation]) -> PermGroup:
     """Smallest subgroup containing the given elements; empty input gives the trivial group.
 
-    Long generator lists (value sets, element scans) are greedily reduced to
-    a small generating subset before the chain is built.
+    The inputs are walked in order and one is kept only if the group
+    generated by those kept so far does not contain it.  Each kept generator
+    at least doubles the order, so the result H has at most Omega(|H|) <=
+    log2|H| generators, Omega counting prime factors with multiplicity.
     """
-    useful = tuple(g for g in gens if not g.is_identity())
-    if len(useful) > 12:
-        reduced: list[Permutation] = []
-        group = PermGroup(degree, ())
-        for g in sorted(set(useful)):
-            if not group.contains(g):
-                reduced.append(g)
-                group = PermGroup(degree, tuple(reduced))
-        return group
-    return PermGroup(degree, useful)
+    group = trivial_group(degree)
+    kept: list[Permutation] = []
+    for g in gens:
+        if not group.contains(g):
+            kept.append(g)
+            group = PermGroup(degree, kept)
+    return group
 
 
 def group_from_elements(degree: int, elements: Iterable[Permutation]) -> PermGroup:
     """Build a group from its full (closed) element collection, with a reduced generating set."""
     elems = tuple(sorted(set(elements)))
-    gens: list[Permutation] = []
-    group = trivial_group(degree)
-    for x in elems:
-        if not group.contains(x):
-            gens.append(x)
-            group = PermGroup(degree, tuple(gens))
+    group = subgroup_generated(degree, elems)
     if group.order() != len(elems):
         raise ValueError(f"element collection of size {len(elems)} is not closed "
                          f"(generates order {group.order()})")
     group._elements = elems
     return group
-
 
 
 def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> list[ElementSet]:
@@ -240,25 +233,23 @@ def conjugation_closure(G: PermGroup, elems: Iterable[Permutation]) -> ElementSe
 
 
 def normal_closure(G: PermGroup, seed: Iterable[Permutation]) -> PermGroup:
-    """Smallest normal subgroup of G containing the seed elements."""
-    gens = [s for s in seed if not s.is_identity()]
-    for g in gens:
-        if g.degree != G.degree:
-            raise DegreeMismatch("seed degree differs from group degree")
-    group = PermGroup(G.degree, tuple(gens))
-    while True:
-        fresh = []
-        known = set(gens)
-        for n in gens:
-            for g in G.generators:
-                c = n.conjugate(g)
-                if c not in known and not group.contains(c):
-                    known.add(c)
-                    fresh.append(c)
-        if not fresh:
-            return group
-        gens.extend(fresh)
-        group = PermGroup(G.degree, tuple(gens))
+    """Smallest normal subgroup of G containing the seed elements.
+
+    Starts from the subgroup the seed generates and runs a worklist over its
+    generators, adding a conjugate n^g (g a generator of G) only when the
+    group does not yet contain it.  Like subgroup_generated, the result N has
+    at most Omega(|N|) <= log2|N| generators.
+    """
+    group = subgroup_generated(G.degree, seed)
+    work = list(group.generators)
+    while work:
+        n = work.pop()
+        for g in G.generators:
+            c = n.conjugate(g)
+            if not group.contains(c):
+                group = PermGroup(G.degree, group.generators + (c,))
+                work.append(c)
+    return group
 
 
 def centralizer(G: PermGroup, a: Permutation, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:

@@ -42,6 +42,7 @@ from .group import (
     is_normal,
     quotient,
     subgroup_generated,
+    trivial_group,
 )
 from .indexed import indexed_view
 from .perm import commutator
@@ -89,7 +90,6 @@ def normal_subgroups(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> list[PermGrou
             found[key] = H
             return True
 
-        from .group import trivial_group
         add(trivial_group(G.degree))
         for cls in conjugacy_classes(G, cap):
             add(subgroup_generated(G.degree, cls.elements))

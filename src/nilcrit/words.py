@@ -30,10 +30,11 @@ from .group import (
     PermGroup,
     product_set,
     subgroup_generated,
+    trivial_group,
 )
 from .indexed import IndexedGroup, indexed_view
 from .perm import Permutation, commutator
-from .primes import is_prime_power, p_part
+from .primes import is_prime_power
 from .structure import (
     derived_subgroup,
     gamma_infinity,
@@ -266,7 +267,7 @@ def derived_from_closed_set(G: PermGroup, X: ElementSet,
     want = target.order()
     row, inv = iv.row, iv.inverse
     gens: list[Permutation] = []
-    H = subgroup_generated(G.degree, ())
+    H = trivial_group(G.degree)
     # pair commutators always lie in the derived subgroup, so the enumeration
     # may stop as soon as the collected ones cover it
     for a in idxs:
@@ -276,7 +277,7 @@ def derived_from_closed_set(G: PermGroup, X: ElementSet,
             p = iv.elements[c]
             if not H.contains(p):
                 gens.append(p)
-                H = subgroup_generated(G.degree, tuple(gens))
+                H = PermGroup(G.degree, gens)
         if H.order() == want:
             break
     if not H.equals(target):
@@ -315,12 +316,6 @@ class GeneratorTower:
 
     def normalizer_orders(self) -> tuple[int, ...]:
         return tuple(T.order() for T in self.normalizers)
-
-    def prime_slice(self, depth: int, p: int) -> ElementSet:
-        """Members of depth_sets[depth] whose order is a power of p."""
-        return ElementSet.from_iterable(
-            self.group.degree,
-            (x for x in self.depth_sets[depth] if p_part(x.order(), p) == x.order()))
 
 
 def generator_tower(G: PermGroup, seed: int = 0, cap: int = DEFAULT_ENUM_CAP,

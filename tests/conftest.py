@@ -8,6 +8,9 @@ scans, and series terms from all-pairs commutator closures.
 from __future__ import annotations
 
 import itertools
+import signal
+import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -57,6 +60,38 @@ def lower_central_step_oracle(degree: int, term: set[Permutation],
                               whole: set[Permutation]) -> set[Permutation]:
     comms = {commutator(a, g) for a in term for g in whole}
     return closure_oracle(degree, list(comms))
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError in the block once it has run for the given wall time.
+
+    Uses SIGALRM, so it must run in the main thread.  The previous handler
+    and any pending real-time timer are restored on exit, the timer less the
+    time spent in the block.
+    """
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after the {seconds} s deadline")
+
+    started = time.monotonic()
+    previous_handler = signal.signal(signal.SIGALRM, expire)
+    previous_delay, previous_interval = signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous_handler)
+        if previous_delay:
+            remaining = previous_delay - (time.monotonic() - started)
+            signal.setitimer(signal.ITIMER_REAL, max(remaining, 1e-3), previous_interval)
+
+
+@pytest.fixture
+def stall_deadline():
+    """Fail a test that used to hang instead of letting it block the suite."""
+    with deadline(30):
+        yield
 
 
 @pytest.fixture(scope="session")

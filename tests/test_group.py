@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from nilcrit.errors import NotNormal, OrderCapExceeded
+from nilcrit.errors import DegreeMismatch, NotNormal, OrderCapExceeded
 from nilcrit.group import (
     ElementSet,
     PermGroup,
@@ -18,9 +18,29 @@ from nilcrit.group import (
     subgroup_generated,
     trivial_group,
 )
+from nilcrit.lemmas import normal_subgroups
 from nilcrit.perm import Permutation
+from nilcrit.primes import prime_factors
+from nilcrit.structure import (
+    derived_series,
+    fitting_subgroup,
+    lower_central_series,
+    lower_fitting_series,
+    sylow_subgroup,
+)
 
 from conftest import closure_oracle, classes_oracle, perm
+
+
+def big_omega(n: int) -> int:
+    """Number of prime factors of n, counted with multiplicity."""
+    count, d = 0, 2
+    while n > 1:
+        while n % d == 0:
+            n //= d
+            count += 1
+        d += 1
+    return count
 
 
 class TestChainAndOrder:
@@ -92,6 +112,31 @@ class TestSubgroupGenerated:
         with pytest.raises(ValueError):
             group_from_elements(3, [Permutation.identity(3), perm("(1 2 3)", 3)])
 
+    def test_redundant_inputs_are_dropped_in_order(self, s4):
+        a, b = perm("(1 2)", 4), perm("(1 2 3 4)", 4)
+        G = subgroup_generated(4, [Permutation.identity(4), a, a * a, b, a * b, b * a])
+        assert G.generators == (a, b)
+        assert G.equals(s4)
+
+    def test_constructed_subgroups_keep_at_most_omega_generators(self, corpus):
+        """Every kept generator at least doubles the order, so a subgroup H
+        built by the library has at most Omega(|H|) generators."""
+        over = []
+        for name, G in corpus.items():
+            subgroups = {
+                "derived": derived_series(G).terms,
+                "lower central": lower_central_series(G).terms,
+                "lower Fitting": lower_fitting_series(G).terms,
+                "Fitting": (fitting_subgroup(G),),
+                "normal": tuple(normal_subgroups(G)),
+                "Sylow": tuple(sylow_subgroup(G, p) for p in prime_factors(G.order())),
+            }
+            for kind, terms in subgroups.items():
+                for H in terms:
+                    if len(H.generators) > max(1, big_omega(H.order())):
+                        over.append((name, kind, H.order(), len(H.generators)))
+        assert over == []
+
 
 class TestConjugacy:
     def test_s3_class_sizes(self, s3):
@@ -125,6 +170,10 @@ class TestNormalStructure:
         N = normal_closure(s4, [perm("(1 2)(3 4)", 4)])
         assert N.order() == 4
         assert is_normal(s4, N)
+
+    def test_normal_closure_rejects_a_seed_of_another_degree(self, s4):
+        with pytest.raises(DegreeMismatch):
+            normal_closure(s4, [perm("(1 2 3)", 3)])
 
     def test_normalizer_of_whole_group(self, s4):
         assert normalizer(s4, s4).equals(s4)
