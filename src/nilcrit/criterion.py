@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import NotSoluble
-from .group import DEFAULT_ENUM_CAP, PermGroup, conjugacy_classes
+from .group import DEFAULT_ENUM_CAP, PermGroup
 from .indexed import indexed_view
 from .perm import Permutation
 from .structure import derived_term, is_nilpotent, is_soluble, lower_central_term
@@ -75,15 +75,16 @@ def coprime_product_criterion(G: PermGroup, k: int, kind: str = "delta",
     iv = indexed_view(G, cap)
     values = _word_values(G, k, kind, cap)
     val_idx = sorted(iv.index[p] for p in values.values if not p.is_identity())
-    val_set = frozenset(val_idx)
 
     if reduce_by_classes:
+        # val_idx is ascending, so the first value met in a class is its minimum
+        labels = iv.class_labels()[0]
+        seen: set[int] = set()
         firsts = []
-        for cls in conjugacy_classes(G, cap):
-            inside = [iv.index[p] for p in cls.elements if iv.index[p] in val_set]
-            if inside:
-                firsts.append(min(inside))
-        firsts.sort()
+        for a in val_idx:
+            if labels[a] not in seen:
+                seen.add(labels[a])
+                firsts.append(a)
     else:
         firsts = val_idx
 

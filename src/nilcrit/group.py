@@ -191,28 +191,21 @@ def group_from_elements(degree: int, elements: Iterable[Permutation]) -> PermGro
 
 
 def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> list[ElementSet]:
-    """Conjugacy classes as element sets, sorted by their minimal member."""
+    """Conjugacy classes as element sets, sorted by their minimal member.
+
+    The classes are those of the class-label array of G's indexed view, so
+    G is enumerated under cap.
+    """
+    from .indexed import indexed_view
 
     def compute() -> tuple[ElementSet, ...]:
-        elems = G.elements(cap)
-        seen: set[Permutation] = set()
-        classes = []
-        for x in elems:
-            if x in seen:
-                continue
-            orbit = {x}
-            frontier = [x]
-            while frontier:
-                y = frontier.pop()
-                for g in G.generators:
-                    z = y.conjugate(g)
-                    if z not in orbit:
-                        orbit.add(z)
-                        frontier.append(z)
-            seen |= orbit
-            classes.append(ElementSet.from_iterable(G.degree, orbit, conj_closed=True))
-        classes.sort(key=lambda c: c.elements[0].images)
-        return tuple(classes)
+        iv = indexed_view(G, cap)
+        labels, reps = iv.class_labels()
+        members: list[list[Permutation]] = [[] for _ in reps]
+        # index order is canonical order, so each class comes out sorted
+        for x, c in zip(iv.elements, labels):
+            members[c].append(x)
+        return tuple(ElementSet(G.degree, tuple(m), conj_closed=True) for m in members)
 
     return list(G.memo(("classes",), compute))
 

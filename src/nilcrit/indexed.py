@@ -5,6 +5,14 @@ commutator closures) dominate the runtime of every check, and doing them on
 raw image tuples wastes time re-hashing permutations.  This view numbers the
 elements in canonical order and multiplies by table lookup; rows of the
 multiplication table are built on demand so sparse access stays cheap.
+
+Conjugation runs on per-generator tables instead of rows.  For each generator
+s of G the view keeps x -> x*s and x -> x^s, and a breadth-first spanning
+tree of G in which every element is b = parent*s, so r^b = (r^parent)^s and
+all conjugates of one element come out of a single pass of table lookups.
+The tables also give the conjugacy classes, numbered by minimal element.
+Building them costs 2 |G| products per generator, against |G|^2 for the
+full multiplication table.
 """
 
 from __future__ import annotations
@@ -29,6 +37,9 @@ class IndexedGroup:
         self.inverse: list[int] = [self.index[p.inverse()] for p in elems]
         self._rows: list[list[int] | None] = [None] * self.size
         self._cosets: dict[frozenset[int], tuple[list[int], list[int]]] = {}
+        self._gen_tables: tuple[list[list[int]], list[list[int]]] | None = None
+        self._tree: list[tuple[int, int, int]] | None = None
+        self._classes: tuple[list[int], list[int]] | None = None
         # the identity is the lexicographic minimum of any permutation set
         assert elems[0].is_identity()
         self.identity_index = 0
@@ -43,10 +54,6 @@ class IndexedGroup:
 
     def mul(self, i: int, j: int) -> int:
         return self.row(i)[j]
-
-    def conj(self, i: int, j: int) -> int:
-        """index of elements[i] ^ elements[j]."""
-        return self.mul(self.mul(self.inverse[j], i), j)
 
     def comm(self, i: int, j: int) -> int:
         """index of [elements[i], elements[j]]."""
@@ -117,27 +124,95 @@ class IndexedGroup:
         """
         gens = frozenset(self.index[n] for n in kernel.generators)
         if gens not in self._cosets:
-            gen_rows = [self.row(n) for n in gens]
-            labels = [-1] * self.size
-            reps: list[int] = []
-            for g in range(self.size):
-                if labels[g] >= 0:
-                    continue
-                labels[g] = len(reps)
-                frontier = [g]
-                while frontier:
-                    x = frontier.pop()
-                    for row in gen_rows:
-                        y = row[x]
-                        if labels[y] < 0:
-                            labels[y] = len(reps)
-                            frontier.append(y)
-                reps.append(g)
-            self._cosets[gens] = (labels, reps)
+            self._cosets[gens] = _orbit_labels(self.size, [self.row(n) for n in gens])
         return self._cosets[gens]
+
+    def conjugation_tables(self) -> list[list[int]]:
+        """One table per generator s of G: ``table[i]`` is the index of elements[i]^s."""
+        return self._generator_tables()[1]
+
+    def class_labels(self) -> tuple[list[int], list[int]]:
+        """``(labels, reps)`` of the conjugacy classes, numbered by their minimal elements.
+
+        ``labels[i]`` is the class of element i, ``reps[c]`` the index of the
+        minimal element of class c.  A class is the orbit of an element under
+        the generators' conjugation tables.
+        """
+        if self._classes is None:
+            self._classes = _orbit_labels(self.size, self.conjugation_tables())
+        return self._classes
+
+    def conjugates(self, r: int) -> list[int]:
+        """``out[b]`` is the index of elements[r]^elements[b], for every b.
+
+        One table lookup per element: along the spanning tree, b = parent*s
+        gives r^b = (r^parent)^s.
+        """
+        conj = self.conjugation_tables()
+        out = [0] * self.size
+        out[self.identity_index] = r
+        for b, parent, j in self._spanning_tree():
+            out[b] = conj[j][out[parent]]
+        return out
+
+    def _generator_tables(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Per generator s of G, the tables of i -> i*s and of i -> i^s."""
+        if self._gen_tables is None:
+            index = self.index
+            times, conj = [], []
+            for s in self.group.generators:
+                times_s = [index[x * s] for x in self.elements]
+                # x^s = s^-1 * (x*s), read off the row of s^-1
+                row = self.row(self.inverse[index[s]])
+                times.append(times_s)
+                conj.append([row[y] for y in times_s])
+            self._gen_tables = (times, conj)
+        return self._gen_tables
+
+    def _spanning_tree(self) -> list[tuple[int, int, int]]:
+        """Breadth-first tree of G from the identity: ``(b, parent, j)`` with b = parent * generators[j]."""
+        if self._tree is None:
+            times = self._generator_tables()[0]
+            seen = [False] * self.size
+            seen[self.identity_index] = True
+            tree = []
+            order = [self.identity_index]
+            for parent in order:  # grows while it is walked: a breadth-first queue
+                for j, times_s in enumerate(times):
+                    b = times_s[parent]
+                    if not seen[b]:
+                        seen[b] = True
+                        tree.append((b, parent, j))
+                        order.append(b)
+            self._tree = tree
+        return self._tree
 
     def perms(self, indices: Iterable[int]) -> list[Permutation]:
         return [self.elements[i] for i in indices]
+
+
+def _orbit_labels(size: int, maps: list[list[int]]) -> tuple[list[int], list[int]]:
+    """``(labels, reps)`` of the orbits of 0..size-1 under the given index maps.
+
+    Orbits are numbered in order of their minimal members; ``reps[c]`` is the
+    minimal member of orbit c.
+    """
+    labels = [-1] * size
+    reps: list[int] = []
+    for g in range(size):
+        if labels[g] >= 0:
+            continue
+        labels[g] = len(reps)
+        frontier = [g]
+        while frontier:
+            x = frontier.pop()
+            for m in maps:
+                y = m[x]
+                if labels[y] < 0:
+                    labels[y] = len(reps)
+                    frontier.append(y)
+        reps.append(g)
+    return labels, reps
 
 
 def indexed_view(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> IndexedGroup:

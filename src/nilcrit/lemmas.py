@@ -301,8 +301,8 @@ def check_coprime_action(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> L
     otherwise the instance is inadmissible.  For every qualifying pair the
     proof's steps are replayed: the double commutator [y, x, x] is itself a
     depth-k value of order coprime to |x|, the product [y, x, x] x^-1 is
-    conjugate to x^-1 (found by explicit search), hence [y, x, x] = 1, and
-    finally [N, x] = 1.
+    conjugate to x^-1 (the two share a class label on G's indexed view),
+    hence [y, x, x] = 1, and finally [N, x] = 1.
     """
     if not coprime_product_criterion(G, k, "delta", cap).holds:
         raise HypothesisNotSatisfied(
@@ -311,7 +311,8 @@ def check_coprime_action(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> L
     values = delta_values(G, k, cap)
     value_list = list(values.values)
     family = _invariant_subgroup_family(G, cap)
-    elements = G.elements(cap)
+    iv = indexed_view(G, cap)
+    labels = iv.class_labels()[0]
 
     pairs = 0
     witness = None
@@ -336,7 +337,7 @@ def check_coprime_action(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> L
                     witness = {**step, "failure": "double commutator order not coprime to |x|"}
                     break
                 target = double * x_inv
-                if not any(x_inv.conjugate(g) == target for g in elements):
+                if labels[iv.index[target]] != labels[iv.index[x_inv]]:
                     witness = {**step, "failure": "product is not conjugate to x^-1"}
                     break
                 if not double.is_identity():

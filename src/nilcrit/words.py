@@ -1,10 +1,20 @@
 """Iterated-commutator word values and commutator-closed generating sets.
 
 The depth-k derived word takes 2^k arguments and nests commutators over the
-two argument halves; its value set is computed level by level as pairwise
-commutators of the previous level, which agrees with the literal tuple
-evaluation because the argument blocks are independent.  A tuple brute-force
-evaluator is kept purely as a testing oracle.
+two argument halves; its value set is computed level by level as commutators
+of the previous level, which agrees with the literal tuple evaluation because
+the argument blocks are independent.  A tuple brute-force evaluator is kept
+purely as a testing oracle.
+
+Every level is a normal subset of G, since [a, b]^g = [a^g, b^g].  So a level
+is computed from class representatives only: with L the current level and B
+the normal subset the second argument ranges over (L for the derived word, G
+for the left-normed one), the next level is the union of the conjugacy
+classes of the commutators [r, b] = r^-1 * r^b, r a class representative in
+L and b in B.  This is the whole level because [r^h, b] = [r, b^(h^-1)]^h
+and b^(h^-1) lies in B again.  Each representative costs one pass over G's
+spanning tree and one product r^-1 * y per distinct conjugate y = r^b, so a
+level costs at most |L| products instead of the |L| |B| of all pairs.
 
 Also here: the tower construction that writes a soluble group as a product of
 nilpotent system normalizers and extracts from it a commutator-closed
@@ -96,19 +106,27 @@ def _value_levels(G: PermGroup, kind: str, upto: int, cap: int) -> tuple[list[fr
 
     Returns (levels, stable_at).  levels[i] holds the values of depth i for
     "delta" and of depth i+1 for "gamma"; stable_at is the first index whose
-    set equals its successor, or None while undetected.
+    set equals its successor, or None while undetected.  Each next level is
+    the union of the classes of [r, b], r a class representative of the
+    current level and b in B (the current level for "delta", G for "gamma").
     """
     iv = indexed_view(G, cap)
     state = G._cache.setdefault(("word_levels", kind),
                                 {"levels": [frozenset(range(iv.size))], "stable_at": None})
     levels: list[frozenset[int]] = state["levels"]
-    everything = range(iv.size)
+    labels, reps = iv.class_labels()
     while state["stable_at"] is None and len(levels) <= upto:
         prev = levels[-1]
-        if kind == "delta":
-            nxt = frozenset(iv.comm(a, b) for a in prev for b in prev)
-        else:
-            nxt = frozenset(iv.comm(c, g) for c in prev for g in everything)
+        second = prev if kind == "delta" else range(iv.size)
+        hit = set()
+        for c in {labels[a] for a in prev}:
+            r = reps[c]
+            conj_r = iv.conjugates(r)
+            inv_r = iv.elements[iv.inverse[r]]
+            # [r, b] = r^-1 * r^b, one product per distinct conjugate r^b
+            hit.update(labels[iv.index[inv_r * iv.elements[y]]]
+                       for y in {conj_r[b] for b in second})
+        nxt = frozenset(x for x in range(iv.size) if labels[x] in hit)
         if nxt == prev:
             state["stable_at"] = len(levels) - 1
             break
@@ -126,15 +144,20 @@ def _verified_element_set(G: PermGroup, iv: IndexedGroup, idxs: frozenset[int],
                           next_idxs: frozenset[int]) -> ElementSet:
     """Wrap value indices as an ElementSet with all three flags scan-verified."""
     symmetric = all(iv.inverse[i] in idxs for i in idxs)
-    conj_closed = all(iv.conj(i, iv.index[g]) in idxs
-                      for i in idxs for g in G.generators)
+    conj_closed = all(table[i] in idxs for table in iv.conjugation_tables() for i in idxs)
     comm_closed = next_idxs <= idxs
     return ElementSet.from_iterable(G.degree, iv.perms(idxs), symmetric=symmetric,
                                     conj_closed=conj_closed, comm_closed=comm_closed)
 
 
 def delta_values(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> DeltaValueSet:
-    """Values of the depth-k derived word, by pairwise closure over the previous level."""
+    """Values of the depth-k derived word, level by level from class representatives.
+
+    The depth-(i+1) values are the union of the classes of [r, b], r a class
+    representative of the depth-i values and b a depth-i value.  Value sets
+    are normal subsets and [r^h, b] = [r, b^(h^-1)]^h with b^(h^-1) again a
+    depth-i value, so these classes hold every [a, b] with a, b of depth i.
+    """
     if k < 0:
         raise ValueError("depth must be nonnegative")
     iv = indexed_view(G, cap)
@@ -146,7 +169,13 @@ def delta_values(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> DeltaValu
 
 
 def gamma_values(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> DeltaValueSet:
-    """Values of the left-normed word of k arguments (depth k of the lower central chain)."""
+    """Values of the left-normed word of k arguments (depth k of the lower central chain).
+
+    The values of i+1 arguments are the union of the classes of [r, g], r a
+    class representative of the values of i arguments and g in G.  Since
+    [r^h, g] = [r, g^(h^-1)]^h, these classes hold every [c, g] with c a
+    value of i arguments.
+    """
     if k < 1:
         raise ValueError("the left-normed word is indexed from 1")
     iv = indexed_view(G, cap)

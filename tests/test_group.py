@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from nilcrit.corpus import builtin_names
 from nilcrit.errors import DegreeMismatch, NotNormal, OrderCapExceeded
 from nilcrit.group import (
     ElementSet,
@@ -18,6 +19,7 @@ from nilcrit.group import (
     subgroup_generated,
     trivial_group,
 )
+from nilcrit.indexed import indexed_view
 from nilcrit.lemmas import normal_subgroups
 from nilcrit.perm import Permutation
 from nilcrit.primes import prime_factors
@@ -138,7 +140,41 @@ class TestSubgroupGenerated:
         assert over == []
 
 
+def generator_orbit_classes(G: PermGroup) -> list[set[Permutation]]:
+    """The former conjugacy_classes: orbits under conjugation by G's generators."""
+    seen: set[Permutation] = set()
+    classes = []
+    for x in G.elements():
+        if x in seen:
+            continue
+        orbit = {x}
+        frontier = [x]
+        while frontier:
+            y = frontier.pop()
+            for g in G.generators:
+                z = y.conjugate(g)
+                if z not in orbit:
+                    orbit.add(z)
+                    frontier.append(z)
+        seen |= orbit
+        classes.append(orbit)
+    return sorted(classes, key=lambda c: min(c).images)
+
+
 class TestConjugacy:
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_class_labels_match_generator_orbits(self, corpus, name):
+        G = corpus[name]
+        want = generator_orbit_classes(G)
+        iv = indexed_view(G)
+        labels, reps = iv.class_labels()
+        got: list[set[Permutation]] = [set() for _ in reps]
+        for x, c in zip(iv.elements, labels):
+            got[c].add(x)
+        assert got == want
+        assert [iv.elements[r] for r in reps] == [min(c) for c in want]
+        assert [set(c.elements) for c in conjugacy_classes(G)] == want
+
     def test_s3_class_sizes(self, s3):
         classes = conjugacy_classes(s3)
         assert sorted(len(c) for c in classes) == [1, 2, 3]

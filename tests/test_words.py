@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+from nilcrit.corpus import builtin_names, load_group
+from nilcrit.criterion import coprime_product_criterion
 from nilcrit.errors import NotCommutatorClosed, NotGenerating
 from nilcrit.group import ElementSet, PermGroup
+from nilcrit.indexed import IndexedGroup, indexed_view
 from nilcrit.perm import Permutation, commutator
 from nilcrit.structure import derived_series, derived_term, lower_central_term
 from nilcrit.words import (
@@ -27,9 +31,57 @@ from nilcrit.words import (
 
 from conftest import perm
 
+CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
+
 
 def cyclic(n: int) -> PermGroup:
     return PermGroup(n, (Permutation([(i + 1) % n for i in range(n)]),), name=f"C{n}")
+
+
+def pairwise_levels(G: PermGroup, kind: str, upto: int) -> list[set[Permutation]]:
+    """Value levels 0..upto by the former pairwise computation, on a private view.
+
+    Level i+1 holds [a, b] for every a in level i and b in level i ("delta")
+    or in G ("gamma"); "gamma" level i holds the values of depth i+1.
+    """
+    iv = IndexedGroup(G)
+    levels = [frozenset(range(iv.size))]
+    while len(levels) <= upto:
+        prev = levels[-1]
+        second = prev if kind == "delta" else range(iv.size)
+        levels.append(frozenset(iv.comm(a, b) for a in prev for b in second))
+    return [set(iv.perms(level)) for level in levels]
+
+
+def check_levels_against_pairwise(G: PermGroup) -> None:
+    delta = pairwise_levels(G, "delta", 3)
+    for k in range(4):
+        assert set(delta_values(G, k).values) == delta[k], ("delta", k)
+    gamma = pairwise_levels(G, "gamma", 2)
+    for k in (1, 2, 3):
+        assert set(gamma_values(G, k).values) == gamma[k - 1], ("gamma", k)
+
+
+class TestLevelsFromClassRepresentatives:
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_builtin_levels_match_pairwise_oracle(self, corpus, name):
+        check_levels_against_pairwise(corpus[name])
+
+    @pytest.mark.parametrize("name", ["AGammaL1_8", "AGL1_16", "C2wrS4", "PGL2_7"])
+    def test_scale_levels_match_pairwise_oracle(self, name):
+        check_levels_against_pairwise(load_group(str(CORPUS / f"{name}.grp")))
+
+    @pytest.mark.usefixtures("stall_deadline")
+    def test_s4wrc2_levels_and_criterion_build_few_rows(self):
+        # the pairwise levels built all 1152 multiplication rows of S4 wr C2
+        G = load_group(str(CORPUS / "S4wrC2.grp"))
+        for k in (1, 2, 3):
+            delta_values(G, k)
+            gamma_values(G, k)
+            coprime_product_criterion(G, k, "delta")
+            coprime_product_criterion(G, k, "gamma")
+        built = sum(row is not None for row in indexed_view(G)._rows)
+        assert built < G.order() // 8
 
 
 class TestDeltaValues:
