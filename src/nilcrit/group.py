@@ -1,10 +1,10 @@
 """Permutation groups: membership, enumeration, closure and conjugacy machinery.
 
 A :class:`PermGroup` is generators plus a lazily built stabilizer chain; the
-chain answers order and membership questions with no cap, while anything that
-scans elements (conjugacy classes, normalizers, quotients, ...) first
-enumerates under an explicit cap.  Groups and element sets are immutable once
-their caches are built, so sharing them across threads or checks is safe.
+chain answers order and membership questions with no cap.  Centralizers scan
+the element list and the rest (classes, normalizers, cosets) G's indexed
+view, so G is first enumerated under an explicit cap.  Groups and element
+sets are immutable once their caches are built, so sharing them is safe.
 """
 
 from __future__ import annotations
@@ -210,21 +210,6 @@ def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> list[Element
     return list(G.memo(("classes",), compute))
 
 
-def conjugation_closure(G: PermGroup, elems: Iterable[Permutation]) -> ElementSet:
-    """Smallest G-conjugation-closed set (normal subset) containing the elements."""
-    closed: set[Permutation] = set()
-    frontier = [e for e in elems]
-    closed.update(frontier)
-    while frontier:
-        y = frontier.pop()
-        for g in G.generators:
-            z = y.conjugate(g)
-            if z not in closed:
-                closed.add(z)
-                frontier.append(z)
-    return ElementSet.from_iterable(G.degree, closed, conj_closed=True)
-
-
 def normal_closure(G: PermGroup, seed: Iterable[Permutation]) -> PermGroup:
     """Smallest normal subgroup of G containing the seed elements.
 
@@ -253,10 +238,17 @@ def centralizer(G: PermGroup, a: Permutation, cap: int = DEFAULT_ENUM_CAP) -> Pe
 
 
 def normalizer(G: PermGroup, H: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
+    """N_G(H) for H <= G: the g with h^g in H for every generator h, on G's indexed view."""
+    from .indexed import indexed_view
+
     if H.degree != G.degree:
         raise DegreeMismatch("subgroup degree differs from group degree")
-    members = [g for g in G.elements(cap)
-               if all(H.contains(h.conjugate(g)) for h in H.generators)]
+    iv = indexed_view(G, cap)
+    h_idx = {iv.index.get(h) for h in H.elements(cap)}
+    if None in h_idx:
+        raise NotNormal("H is not a subgroup of G")
+    conj = [iv.conjugates(iv.index[h]) for h in H.generators]
+    members = [g for i, g in enumerate(iv.elements) if all(c[i] in h_idx for c in conj)]
     return group_from_elements(G.degree, members)
 
 

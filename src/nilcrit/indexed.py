@@ -69,16 +69,15 @@ class IndexedGroup:
         return table
 
     def closure(self, seed: Iterable[int]) -> frozenset[int]:
-        """Subgroup closure of the seed indices under multiplication."""
-        seed_list = list(set(seed))
-        seen = {self.identity_index, *seed_list}
-        frontier = list(seen)
+        """Subgroup closure of the seed indices, by left multiplication with the seeds' rows."""
+        seed_rows = [self.row(s) for s in set(seed)]
+        seen = {self.identity_index}
+        frontier = [self.identity_index]
         while frontier and len(seen) < self.size:
             nxt = []
             for x in frontier:
-                row = self.row(x)
-                for s in seed_list:
-                    y = row[s]
+                for row in seed_rows:
+                    y = row[x]
                     if y not in seen:
                         seen.add(y)
                         nxt.append(y)

@@ -5,7 +5,9 @@ Five checks, each a conditional verified extensionally on concrete groups:
 * coset_intersection — for a normal subgroup N, a Sylow p-subgroup P and a
   normal subset X of p-elements: XN intersected with PN equals (X cap P)N.
 * lifted_generation — if P-bar cap L-bar is generated by P-bar cap X-bar in
-  G/N, then P cap L is generated by (P cap X) and (P cap N) in G.
+  G/N, then P cap L is generated by (P cap X) and (P cap N) in G.  No
+  quotient group is built: subsets of G/N are sets of coset labels of N, and
+  <P-bar cap X-bar> is read off its preimage <N, one element per coset>.
 * focal_generation — P cap G^(i) is generated by the depth-i word values
   lying in P (soluble G).
 * fitting_membership — in a metanilpotent group, a p-element centralizing
@@ -37,10 +39,8 @@ from .group import (
     ElementSet,
     PermGroup,
     conjugacy_classes,
-    conjugation_closure,
     group_from_elements,
     is_normal,
-    quotient,
     subgroup_generated,
     trivial_group,
 )
@@ -110,27 +110,35 @@ def normal_subgroups(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> list[PermGrou
     return list(G.memo(("normal_subgroups",), compute))
 
 
-def _require_p_element_normal_set(G: PermGroup, X: ElementSet, p: int) -> None:
+def _p_element_normal_indices(G: PermGroup, X: ElementSet, p: int, cap: int) -> set[int]:
+    """Indices of X on G's indexed view, once X is checked to be a normal set of p-elements."""
+    iv = indexed_view(G, cap)
+    x_idx = set()
     for x in X:
-        if p_part(x.order(), p) != x.order():
-            raise NotPElementSet(f"{x} has order {x.order()}, not a power of {p}")
-    for x in X:
-        for g in G.generators:
-            if x.conjugate(g) not in X:
-                raise ValueError("X is not a normal (conjugation-closed) subset")
+        i = iv.index.get(x)
+        if i is None:
+            raise NotNormal(f"{x} is not an element of G")
+        if p_part(iv.order_of[i], p) != iv.order_of[i]:
+            raise NotPElementSet(f"{x} has order {iv.order_of[i]}, not a power of {p}")
+        x_idx.add(i)
+    for table in iv.conjugation_tables():
+        if any(table[i] not in x_idx for i in x_idx):
+            raise NotNormal("X is not a normal (conjugation-closed) subset of G")
+    return x_idx
 
 
 def p_power_value_closure(G: PermGroup, depth: int, p: int,
                           cap: int = DEFAULT_ENUM_CAP) -> ElementSet:
-    """Conjugation closure of the p-power-order depth-i word values.
+    """The p-power-order depth-i word values, a normal subset of G.
 
-    This is the canonical X fed to the coset lemmas: value sets are already
-    closed under conjugation, so this just slices out the p-elements and
-    re-verifies closure.
+    This is the canonical X fed to the coset lemmas.  Value sets are normal
+    subsets and conjugation preserves order, so their p-elements form a
+    normal subset too; they are sliced out by order with no further closure.
     """
-    values = delta_values(G, depth, cap)
-    members = [x for x in values.values if p_part(x.order(), p) == x.order()]
-    return conjugation_closure(G, members)
+    iv = indexed_view(G, cap)
+    members = tuple(x for x in delta_values(G, depth, cap).values
+                    if p_part(n := iv.order_of[iv.index[x]], p) == n)
+    return ElementSet(G.degree, members, conj_closed=True)
 
 
 def check_coset_intersection(G: PermGroup, N: PermGroup, p: int, X: ElementSet,
@@ -144,12 +152,11 @@ def check_coset_intersection(G: PermGroup, N: PermGroup, p: int, X: ElementSet,
     _check_prime_divisor(G, p)
     if not is_normal(G, N):
         raise NotNormal("N must be normal in G")
-    _require_p_element_normal_set(G, X, p)
+    x_idx = _p_element_normal_indices(G, X, p, cap)
 
     P = sylow_subgroup(G, p, cap)
     iv = indexed_view(G, cap)
     labels, reps = iv.coset_labels(N)
-    x_idx = {iv.index[x] for x in X}
     p_idx = {iv.index[g] for g in P.elements(cap)}
     lhs = {labels[i] for i in x_idx} & {labels[i] for i in p_idx}
     rhs = {labels[i] for i in x_idx & p_idx}
@@ -170,35 +177,33 @@ def check_lifted_generation(G: PermGroup, N: PermGroup, L: PermGroup, p: int,
                             X: ElementSet, cap: int = DEFAULT_ENUM_CAP) -> LemmaReport:
     """From generation in G/N, conclude P cap L = <P cap X, P cap N> in G.
 
-    The quotient-side hypothesis is computed and checked first; instances
-    failing it are inadmissible and raise HypothesisNotSatisfied rather than
-    producing a verdict.
+    The G/N hypothesis P-bar cap L-bar = <P-bar cap X-bar> is decided on the
+    coset labels of N: the label set of a subset of G is its image in G/N, and
+    the preimage of <P-bar cap X-bar> is <N, one element per coset in
+    P-bar cap X-bar>.  Instances failing it are inadmissible and raise
+    HypothesisNotSatisfied rather than producing a verdict.
     """
     _check_prime_divisor(G, p)
     if not is_normal(G, N) or not is_normal(G, L):
         raise NotNormal("N and L must be normal in G")
     if not N.is_subgroup_of(L):
         raise NotNormal("N must be contained in L")
-    _require_p_element_normal_set(G, X, p)
+    x_idx = _p_element_normal_indices(G, X, p, cap)
 
     P = sylow_subgroup(G, p, cap)
-    Q, cmap = _memo_quotient(G, N, cap)
-    iv, index = cmap.view, cmap.view.index
-    p_bar = subgroup_generated(Q.degree, [cmap(g) for g in P.generators])
-    l_bar = subgroup_generated(Q.degree, [cmap(g) for g in L.generators])
-    x_idx = {index[x] for x in X}
-    one_per_coset = {cmap.labels[i]: i for i in x_idx}
-    x_bar = {cmap(iv.elements[i]) for i in one_per_coset.values()}
-    lhs_bar = set(p_bar.elements(cap)) & set(l_bar.elements(cap))
-    gen_bar = set(p_bar.elements(cap)) & x_bar
-    rhs_bar = set(subgroup_generated(Q.degree, gen_bar).elements(cap))
-    if lhs_bar != rhs_bar:
+    iv = indexed_view(G, cap)
+    labels, reps = iv.coset_labels(N)
+    p_idx = {iv.index[g] for g in P.elements(cap)}
+    l_idx = {iv.index[g] for g in L.elements(cap)}
+    p_bar = {labels[i] for i in p_idx}
+    gen_bar = p_bar & {labels[i] for i in x_idx}
+    preimage = iv.closure([iv.index[n] for n in N.generators] + [reps[c] for c in gen_bar])
+    if {labels[i] for i in preimage} != p_bar & {labels[i] for i in l_idx}:
         raise HypothesisNotSatisfied(
             "quotient-side generation P-bar cap L-bar = <P-bar cap X-bar> fails")
 
-    p_idx = {index[g] for g in P.elements(cap)}
-    lhs = p_idx & {index[g] for g in L.elements(cap)}
-    n_idx = {index[n] for n in N.elements(cap)}
+    lhs = p_idx & l_idx
+    n_idx = {iv.index[n] for n in N.elements(cap)}
     rhs = iv.closure((x_idx | n_idx) & p_idx)
 
     holds = lhs == rhs
@@ -210,11 +215,6 @@ def check_lifted_generation(G: PermGroup, N: PermGroup, L: PermGroup, p: int,
         "lifted_generation", G.name,
         {"p": p, "N_order": N.order(), "L_order": L.order(), "X_size": len(X)},
         holds, witness, checked=len(lhs) + len(rhs))
-
-
-def _memo_quotient(G: PermGroup, N: PermGroup, cap: int):
-    key = ("quotient", frozenset(N.elements(cap)))
-    return G.memo(key, lambda: quotient(G, N, cap=cap))
 
 
 def check_focal_generation(G: PermGroup, depth: int, p: int,

@@ -4,8 +4,8 @@ Derived, lower central and lower Fitting series; nilpotency, solubility and
 metanilpotency predicates; Sylow subgroups, p-cores, p'-cores and the Fitting
 subgroup; Sylow bases and their (system) normalizers.
 
-Everything here works at desk scale: normalizers and cores scan full element
-lists under the enumeration cap, and the Sylow basis comes from a bounded
+Everything here works at desk scale: normalizers and cores read the indexed
+view, enumerated under the cap, and the Sylow basis comes from a bounded
 deterministic backtracking search over Sylow conjugates.
 """
 
@@ -31,6 +31,7 @@ from .group import (
     product_set,
     subgroup_generated,
 )
+from .indexed import indexed_view
 from .perm import Permutation, commutator
 from .primes import is_prime, p_part, prime_factors
 
@@ -194,17 +195,17 @@ def sylow_subgroup(G: PermGroup, p: int, cap: int = DEFAULT_ENUM_CAP) -> PermGro
 
 
 def p_core(G: PermGroup, p: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
-    """O_p(G): the intersection of all conjugates of one Sylow p-subgroup."""
+    """O_p(G), the intersection of the conjugates of a Sylow P: the classes of G inside P."""
     _check_prime_divisor(G, p)
 
     def compute() -> PermGroup:
         P = sylow_subgroup(G, p, cap)
-        core = set(P.elements(cap))
-        for g in G.elements(cap):
-            core &= {x.conjugate(g) for x in P.elements(cap)}
-            if len(core) == 1:
-                break
-        return group_from_elements(G.degree, core)
+        iv = indexed_view(G, cap)
+        labels = iv.class_labels()[0]
+        p_idx = {iv.index[x] for x in P.elements(cap)}
+        outside = {c for i, c in enumerate(labels) if i not in p_idx}
+        return group_from_elements(G.degree, [iv.elements[i] for i in p_idx
+                                              if labels[i] not in outside])
 
     return G.memo(("p_core", p), compute)
 

@@ -223,6 +223,10 @@ class TestNormalStructure:
                 if all(H.contains(h.conjugate(g)) for h in H.generators)]
         assert set(N.elements()) == set(scan)
 
+    def test_normalizer_rejects_a_non_subgroup(self, a4):
+        with pytest.raises(NotNormal):
+            normalizer(a4, subgroup_generated(4, [perm("(1 2)", 4)]))
+
     def test_centralizer_of_transposition(self, s4):
         C = centralizer(s4, perm("(1 2)", 4))
         assert C.order() == 4

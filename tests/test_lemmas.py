@@ -12,7 +12,14 @@ from nilcrit.errors import (
     NotSoluble,
 )
 from nilcrit.corpus import load_group
-from nilcrit.group import ElementSet, PermGroup, product_set, subgroup_generated, trivial_group
+from nilcrit.group import (
+    ElementSet,
+    PermGroup,
+    product_set,
+    quotient,
+    subgroup_generated,
+    trivial_group,
+)
 from nilcrit.lemmas import (
     check_coprime_action,
     check_coset_intersection,
@@ -84,6 +91,17 @@ class TestCosetIntersection:
         with pytest.raises(NotNormal):
             check_coset_intersection(s4, H, 2, X)
 
+    def test_rejects_x_outside_g(self):
+        G = subgroup_generated(4, [perm("(1 2)", 4)])
+        X = ElementSet.from_iterable(4, [perm("(3 4)", 4)])
+        with pytest.raises(NotNormal):
+            check_coset_intersection(G, trivial_group(4), 2, X)
+
+    def test_rejects_non_normal_x(self, s4, v4):
+        X = ElementSet.from_iterable(4, [perm("(1 2)", 4)])
+        with pytest.raises(NotNormal):
+            check_coset_intersection(s4, v4, 2, X)
+
     def test_generated_instances_all_hold(self, s4, s3, a4):
         for G in (s4, s3, a4):
             for inst in coset_intersection_instances(G):
@@ -118,6 +136,35 @@ class TestLiftedGeneration:
         X = p_power_value_closure(s4, 1, 2)
         with pytest.raises(NotNormal):
             check_lifted_generation(s4, a4, v4, 2, X)
+
+    def test_rejects_x_outside_g(self):
+        G = subgroup_generated(4, [perm("(1 2)", 4)])
+        X = ElementSet.from_iterable(4, [perm("(3 4)", 4)])
+        with pytest.raises(NotNormal):
+            check_lifted_generation(G, trivial_group(4), G, 2, X)
+
+    def test_rejects_non_normal_x(self, s4, v4, a4):
+        X = ElementSet.from_iterable(4, [perm("(1 2)", 4)])
+        with pytest.raises(NotNormal):
+            check_lifted_generation(s4, v4, a4, 2, X)
+
+    def test_builds_no_quotient_group(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the lemma battery built a quotient group")
+
+        monkeypatch.setattr("nilcrit.group.quotient", refuse)
+        monkeypatch.setattr("nilcrit.lemmas.quotient", refuse, raising=False)
+        monkeypatch.setattr("nilcrit.group.CosetMap.__call__", refuse)
+        G = load_group("S4")
+        outcomes = {"admissible": 0, "inadmissible": 0}
+        for inst in lifted_generation_instances(G):
+            try:
+                assert check_lifted_generation(G, inst["N"], inst["L"],
+                                               inst["p"], inst["X"]).holds
+                outcomes["admissible"] += 1
+            except HypothesisNotSatisfied:
+                outcomes["inadmissible"] += 1
+        assert outcomes["admissible"] > 0 and outcomes["inadmissible"] > 0
 
     def test_generated_instances_hold_or_are_inadmissible(self, s4, s3):
         for G in (s4, s3):
@@ -162,6 +209,16 @@ def lifted_generation_oracle(G, N, L, P, X):
     return lhs == rhs, len(lhs) + len(rhs), min(lhs ^ rhs, default=None)
 
 
+def quotient_hypothesis_oracle(G, N, L, P, X):
+    """P-bar cap L-bar = <P-bar cap X-bar>, decided inside the quotient group G/N."""
+    Q, cmap = quotient(G, N)
+    p_bar = set(subgroup_generated(Q.degree, [cmap(g) for g in P.generators]).elements())
+    l_bar = set(subgroup_generated(Q.degree, [cmap(g) for g in L.generators]).elements())
+    x_bar = {cmap(x) for x in X}
+    generated = subgroup_generated(Q.degree, sorted(p_bar & x_bar))
+    return p_bar & l_bar == set(generated.elements())
+
+
 def verdict(rep):
     return rep.holds, rep.checked, rep.witness and rep.witness["element"]
 
@@ -196,6 +253,21 @@ class TestPermutationOracle:
             assert verdict(rep) == expected
             verdicts["admissible"] += 1
         assert verdicts["admissible"] > 0 and verdicts["inadmissible"] > 0
+
+    @pytest.mark.parametrize("name", ORACLE_GROUPS + ("S4xC3", "F20", "A5"))
+    def test_lifted_generation_matches_quotient_oracle(self, name):
+        G = load_group(name)
+        for inst in lifted_generation_instances(G):
+            N, L, p, X = inst["N"], inst["L"], inst["p"], inst["X"]
+            P = sylow_subgroup(G, p)
+            admissible = quotient_hypothesis_oracle(G, N, L, P, X)
+            try:
+                rep = check_lifted_generation(G, N, L, p, X)
+            except HypothesisNotSatisfied:
+                assert not admissible, (p, inst["depth"], N.order(), L.order())
+                continue
+            assert admissible, (p, inst["depth"], N.order(), L.order())
+            assert verdict(rep) == lifted_generation_oracle(G, N, L, P, X)
 
     def test_failures_report_the_minimal_stray_element(self, monkeypatch):
         # both identities need P to be a Sylow subgroup; on C3wrC2 this

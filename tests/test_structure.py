@@ -6,9 +6,11 @@ import itertools
 
 import pytest
 
+from nilcrit.corpus import builtin_names, load_group
 from nilcrit.errors import NotPrimeDivisor, NotSoluble
-from nilcrit.group import PermGroup, product_set, quotient, subgroup_generated
+from nilcrit.group import PermGroup, normalizer, product_set, quotient, subgroup_generated
 from nilcrit.perm import Permutation
+from nilcrit.primes import prime_factors
 from nilcrit.structure import (
     derived_series,
     derived_term,
@@ -189,6 +191,31 @@ class TestSylowSubgroups:
         for G, p in ((s4, 2), (s4, 3), (a5, 2), (a5, 3), (a5, 5)):
             P = sylow_subgroup(G, p)
             assert P.is_subgroup_of(G)
+
+
+def normalizer_scan_oracle(G: PermGroup, H: PermGroup) -> set[Permutation]:
+    """N_G(H) by conjugating H's generators by every element and sifting them through H."""
+    return {g for g in G.elements() if all(H.contains(h.conjugate(g)) for h in H.generators)}
+
+
+def p_core_scan_oracle(G: PermGroup, P: PermGroup) -> set[Permutation]:
+    """The intersection of the conjugates of P by every element of G."""
+    core = set(P.elements())
+    for g in G.elements():
+        core &= {x.conjugate(g) for x in P.elements()}
+    return core
+
+
+class TestIndexedScansAgainstPermutationScans:
+    """normalizer and p_core on the indexed view agree with the Permutation scans."""
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_every_sylow_normalizer_and_p_core(self, name):
+        G = load_group(name)
+        for p in prime_factors(G.order()):
+            P = sylow_subgroup(G, p)
+            assert set(normalizer(G, P).elements()) == normalizer_scan_oracle(G, P)
+            assert set(p_core(G, p).elements()) == p_core_scan_oracle(G, P)
 
 
 class TestCores:
