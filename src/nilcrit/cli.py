@@ -122,6 +122,17 @@ def _k_arg(text: str) -> str:
     return text
 
 
+def _cap_arg(text: str) -> int:
+    """argparse type of --cap: an integer >= 1, so bad caps are usage errors."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return cap
+
+
 def _select_groups(args, default_filter: str) -> list[PermGroup]:
     if args.groups:
         names = list(args.groups)
@@ -374,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="corpus slice when no groups are given")
         p.add_argument("--k", default=k_default, type=_k_arg,
                        help=f"word depth or range, e.g. 2 or 1..3 (default {k_default})")
-        p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP,
+        p.add_argument("--cap", type=_cap_arg, default=DEFAULT_ENUM_CAP,
                        help="element enumeration cap")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
         p.add_argument("--json", help="write a deterministic JSON report here ('-' for stdout)")

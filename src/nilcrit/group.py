@@ -190,6 +190,17 @@ def group_from_elements(degree: int, elements: Iterable[Permutation]) -> PermGro
     return group
 
 
+def group_with_elements(degree: int, generators: Iterable[Permutation],
+                        elements: Iterable[Permutation]) -> PermGroup:
+    """The group the generators generate, given its elements in canonical order.
+
+    The caller vouches for the elements; no chain is built until one is needed.
+    """
+    group = PermGroup(degree, generators)
+    group._elements = tuple(elements)
+    return group
+
+
 def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> list[ElementSet]:
     """Conjugacy classes as element sets, sorted by their minimal member.
 
@@ -244,12 +255,7 @@ def normalizer(G: PermGroup, H: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> PermG
     if H.degree != G.degree:
         raise DegreeMismatch("subgroup degree differs from group degree")
     iv = indexed_view(G, cap)
-    h_idx = {iv.index.get(h) for h in H.elements(cap)}
-    if None in h_idx:
-        raise NotNormal("H is not a subgroup of G")
-    conj = [iv.conjugates(iv.index[h]) for h in H.generators]
-    members = [g for i, g in enumerate(iv.elements) if all(c[i] in h_idx for c in conj)]
-    return group_from_elements(G.degree, members)
+    return group_from_elements(G.degree, iv.perms(iv.normalizing([H], cap=cap)))
 
 
 def is_normal(G: PermGroup, N: PermGroup) -> bool:
@@ -310,9 +316,3 @@ def quotient(G: PermGroup, N: PermGroup, index_cap: int = DEFAULT_INDEX_CAP,
     if Q.order() * N.order() != G.order():
         raise RuntimeError("quotient order mismatch: kernel of the coset action is not N")
     return Q, cmap
-
-
-def product_set(left: Iterable[Permutation], right: Iterable[Permutation]) -> set[Permutation]:
-    right = list(right)
-    return {a * b for a in left for b in right}
-

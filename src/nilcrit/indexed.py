@@ -17,9 +17,9 @@ full multiplication table.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .errors import OrderCapExceeded
+from .errors import NotNormal, OrderCapExceeded
 from .group import DEFAULT_ENUM_CAP, PermGroup
 from .perm import Permutation
 
@@ -153,6 +153,27 @@ class IndexedGroup:
         for b, parent, j in self._spanning_tree():
             out[b] = conj[j][out[parent]]
         return out
+
+    def member_indices(self, H: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> set[int]:
+        """The indices of H's elements; NotNormal if H is not contained in G."""
+        members = {self.index.get(x) for x in H.elements(cap)}
+        if None in members:
+            raise NotNormal("subgroup is not contained in the group")
+        return members
+
+    def normalizing(self, subgroups: Iterable[PermGroup], domain: Iterable[int] | None = None,
+                    cap: int = DEFAULT_ENUM_CAP) -> Iterator[int]:
+        """The g in domain (default all of G, in index order) that normalize every subgroup.
+
+        g is kept when h^g lies in H for every generator h of every subgroup
+        H: one conjugation lookup per pair, against H's index set.
+        """
+        tests = []
+        for H in subgroups:
+            members = self.member_indices(H, cap)
+            tests += [(self.conjugates(self.index[h]), members) for h in H.generators]
+        return (g for g in (range(self.size) if domain is None else domain)
+                if all(conj[g] in members for conj, members in tests))
 
     def _generator_tables(self) -> tuple[list[list[int]], list[list[int]]]:
         """Per generator s of G, the tables of i -> i*s and of i -> i^s."""

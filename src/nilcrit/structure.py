@@ -4,9 +4,16 @@ Derived, lower central and lower Fitting series; nilpotency, solubility and
 metanilpotency predicates; Sylow subgroups, p-cores, p'-cores and the Fitting
 subgroup; Sylow bases and their (system) normalizers.
 
-Everything here works at desk scale: normalizers and cores read the indexed
-view, enumerated under the cap, and the Sylow basis comes from a bounded
-deterministic backtracking search over Sylow conjugates.
+Everything here works at desk scale, on G's indexed view enumerated under
+the cap; PermGroups are built only for results.  A Sylow subgroup grows by
+p-elements whose conjugation lookups keep its index set.  Its conjugates
+are one orbit under the conjugation tables of G's generators, one conjugate
+per right coset of its normalizer, each an index tuple with known
+generators.  The Sylow basis comes from a bounded deterministic backtracking
+search over them, in which two candidates permute when they generate a
+group of order |P| |Q|.  Basis normalizers and intersected bases are index
+sets on the view of the ambient group, and factorizations are checked by
+the order identity |AB| = |A| |B| / |A cap B|.
 """
 
 from __future__ import annotations
@@ -25,10 +32,9 @@ from .group import (
     PermGroup,
     conjugacy_classes,
     group_from_elements,
+    group_with_elements,
     is_normal,
     normal_closure,
-    normalizer,
-    product_set,
     subgroup_generated,
 )
 from .indexed import indexed_view
@@ -166,27 +172,30 @@ def _p_power_part(x: Permutation, p: int) -> Permutation:
 
 
 def sylow_subgroup(G: PermGroup, p: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
-    """A Sylow p-subgroup, grown through normalizers.
+    """A Sylow p-subgroup, grown through normalizers on G's indexed view.
 
-    Starting from the p-part of some element, the current p-subgroup P is
-    enlarged by adjoining a p-element of N_G(P) outside P; such an element
-    always exists while |P| is short of the full p-part, and the extension
-    stays a p-group because the new element normalizes P.
+    Starting from the p-part of the first element of order divisible by p,
+    the current p-subgroup P is enlarged by adjoining the p-part of the first
+    p-element of N_G(P) whose p-part lies outside P; such an element always
+    exists while |P| is short of the full p-part, and the extension stays a
+    p-group because the new element normalizes P.  The scan runs in index
+    order, which is canonical element order, and tests membership in N_G(P)
+    by conjugation lookups against P's index set.
     """
     _check_prime_divisor(G, p)
 
     def compute() -> PermGroup:
+        iv = indexed_view(G, cap)
         target = p_part(G.order(), p)
-        seed = next(x for x in G.elements(cap) if x.order() % p == 0)
-        P = subgroup_generated(G.degree, [_p_power_part(seed, p)])
+        p_elements = [i for i, n in enumerate(iv.order_of) if n % p == 0]
+        P = subgroup_generated(G.degree, [_p_power_part(iv.elements[p_elements[0]], p)])
         while P.order() < target:
-            N = normalizer(G, P, cap)
-            for y in N.elements(cap):
-                if y.order() % p == 0:
-                    z = _p_power_part(y, p)
-                    if not P.contains(z):
-                        P = subgroup_generated(G.degree, P.generators + (z,))
-                        break
+            members = iv.member_indices(P, cap)
+            for y in iv.normalizing([P], p_elements, cap):
+                z = _p_power_part(iv.elements[y], p)
+                if iv.index[z] not in members:
+                    P = subgroup_generated(G.degree, P.generators + (z,))
+                    break
             else:
                 raise RuntimeError("Sylow growth stalled; normalizer scan found no p-element")
         return P
@@ -266,30 +275,63 @@ class SylowBasis:
         return tuple(sorted(self.basis))
 
 
+def product_order(G: PermGroup, A: PermGroup, B: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> int:
+    """|AB| for subgroups A, B of G, as |A| |B| / |A cap B|.
+
+    The identity holds for any two subgroups: ab = a'b' exactly when
+    a'^-1 a = b' b^-1 lies in A cap B, so every product is hit |A cap B|
+    times.  The intersection is read on G's index sets.
+    """
+    iv = indexed_view(G, cap)
+    a, b = iv.member_indices(A, cap), iv.member_indices(B, cap)
+    return len(a) * len(b) // len(a & b)
+
+
 def _permutable(P: PermGroup, Q: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> bool:
-    """PQ is a subgroup iff PQ == QP as element sets."""
-    pe, qe = P.elements(cap), Q.elements(cap)
-    return product_set(pe, qe) == product_set(qe, pe)
+    """PQ == QP, for Sylow subgroups P, Q at distinct primes: |<P, Q>| == |P| |Q|.
+
+    P cap Q = 1 has coprime order, so |PQ| = |P| |Q|.  PQ lies in <P, Q>
+    and is all of it exactly when PQ is a subgroup, that is when PQ == QP.
+    One chain order replaces the 2 |P| |Q| products of comparing PQ and QP.
+    """
+    joined = PermGroup(P.degree, P.generators + Q.generators)
+    return joined.order() == len(P.elements(cap)) * len(Q.elements(cap))
 
 
 def _distinct_conjugates(G: PermGroup, P: PermGroup, cap: int) -> list[PermGroup]:
-    seen: dict[frozenset, PermGroup] = {}
-    base = P.elements(cap)
-    for g in G.elements(cap):
-        key = frozenset(x.conjugate(g) for x in base)
-        if key not in seen:
-            seen[key] = group_from_elements(G.degree, key)
-    return [seen[k] for k in sorted(seen, key=lambda s: sorted(p.images for p in s))]
+    """The conjugates of P in G, in order of their sorted element indices.
+
+    They form one orbit under conjugation by G's generators, since
+    P^(g*s) = (P^g)^s, so each is reached from P by the view's conjugation
+    tables, together with its generators; every conjugate P^g, one per right
+    coset of N_G(P), is found once.  Index order is canonical element order,
+    so sorting index tuples sorts the conjugates by their sorted elements.
+    """
+    iv = indexed_view(G, cap)
+    start = tuple(sorted(iv.member_indices(P, cap)))
+    gens = {start: [iv.index[h] for h in P.generators]}
+    orbit = [start]
+    for members in orbit:  # grows while it is walked
+        for table in iv.conjugation_tables():
+            image = tuple(sorted(table[i] for i in members))
+            if image not in gens:
+                gens[image] = [table[h] for h in gens[members]]
+                orbit.append(image)
+    return [group_with_elements(G.degree, iv.perms(gens[m]), iv.perms(m)) for m in sorted(gens)]
 
 
 def sylow_basis(G: PermGroup, seed: int = 0, cap: int = DEFAULT_ENUM_CAP,
                 max_tests: int = 200_000) -> SylowBasis:
     """Find a Sylow basis by backtracking over Sylow conjugates.
 
-    Candidate lists are in canonical order (shuffled reproducibly when seed is
-    nonzero), so the same inputs always yield the same basis.  Existence is
-    guaranteed for soluble groups; the bounded search raises SearchExhausted
-    if the test budget runs out first.
+    The candidates at each prime are the conjugates of one Sylow subgroup,
+    read off G's conjugation tables, in canonical order (shuffled
+    reproducibly when seed is nonzero), so the same inputs always yield the
+    same basis.  Two candidates permute when they generate a group of order
+    |P| |Q|.  Existence is guaranteed for soluble groups; the bounded search
+    raises SearchExhausted if the test budget runs out first.  The result is
+    checked against G = T * gamma_inf(G) by the order identity
+    |T| |R| == |G| |T cap R|.
     """
     if not is_soluble(G):
         raise NotSoluble("Sylow bases exist exactly for soluble groups")
@@ -335,9 +377,7 @@ def sylow_basis(G: PermGroup, seed: int = 0, cap: int = DEFAULT_ENUM_CAP,
 
         basis = {p: candidates[i][chosen[i]] for i, p in enumerate(primes)}
         T = basis_normalizer(G, basis, cap)
-        residual = gamma_infinity(G)
-        covered = product_set(T.elements(cap), residual.elements(cap))
-        if len(covered) != G.order():
+        if product_order(G, T, gamma_infinity(G), cap) != G.order():
             raise RuntimeError("basis normalizer failed the factorization G = T * gamma_inf(G)")
         return SylowBasis(G, basis, T, seed)
 
@@ -346,11 +386,13 @@ def sylow_basis(G: PermGroup, seed: int = 0, cap: int = DEFAULT_ENUM_CAP,
 
 def basis_normalizer(G: PermGroup, basis: dict[int, PermGroup],
                      cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
-    """Intersection of the G-normalizers of the basis members."""
-    members = set(G.elements(cap))
-    for P in basis.values():
-        members &= set(normalizer(G, P, cap).elements(cap))
-    return group_from_elements(G.degree, members)
+    """Intersection of the G-normalizers of the basis members.
+
+    One pass over G's indexed view: g is kept when every generator of every
+    member conjugates by g into that member's index set.
+    """
+    iv = indexed_view(G, cap)
+    return group_from_elements(G.degree, iv.perms(iv.normalizing(basis.values(), cap=cap)))
 
 
 def intersect_basis(B: SylowBasis, K: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> SylowBasis:
@@ -358,24 +400,27 @@ def intersect_basis(B: SylowBasis, K: PermGroup, cap: int = DEFAULT_ENUM_CAP) ->
 
     Intersections of a Sylow basis with a normal subgroup always form a basis
     of it; a permutability failure here means an internal bug, reported as
-    PermutabilityViolated.  The basis normalizer of K is computed inside K.
+    PermutabilityViolated.  Everything is read on the ambient group's view:
+    the members are intersections of index sets, and the basis normalizer of
+    K is the set of K's indices whose conjugation lookups keep every member,
+    so K needs no view of its own.
     """
     G = B.ambient
     if not is_normal(G, K):
         raise NotNormal("basis intersection requires a normal subgroup")
+    iv = indexed_view(G, cap)
+    k_idx = iv.member_indices(K, cap)
     new_basis: dict[int, PermGroup] = {}
     for p in prime_factors(K.order()):
-        P = B.basis[p]
-        inter = set(P.elements(cap)) & set(K.elements(cap))
-        Pk = group_from_elements(K.degree, inter)
-        if Pk.order() != p_part(K.order(), p):
+        inter = k_idx & iv.member_indices(B.basis[p], cap)
+        if len(inter) != p_part(K.order(), p):
             raise PermutabilityViolated(
                 f"intersection with the normal subgroup is not Sylow at p={p}")
-        new_basis[p] = Pk
+        new_basis[p] = group_from_elements(K.degree, iv.perms(inter))
     for p in new_basis:
         for q in new_basis:
             if p < q and not _permutable(new_basis[p], new_basis[q], cap):
                 raise PermutabilityViolated(
                     f"intersected Sylow subgroups for p={p}, q={q} do not permute")
-    T = basis_normalizer(K, new_basis, cap)
+    T = group_from_elements(K.degree, iv.perms(iv.normalizing(new_basis.values(), k_idx, cap)))
     return SylowBasis(K, new_basis, T, B.seed)

@@ -38,7 +38,6 @@ from .group import (
     DEFAULT_ENUM_CAP,
     ElementSet,
     PermGroup,
-    product_set,
     subgroup_generated,
     trivial_group,
 )
@@ -51,6 +50,7 @@ from .structure import (
     intersect_basis,
     is_soluble,
     lower_fitting_series,
+    product_order,
     sylow_basis,
 )
 
@@ -353,9 +353,14 @@ def generator_tower(G: PermGroup, seed: int = 0, cap: int = DEFAULT_ENUM_CAP,
 
     Requires a soluble group.  All structural claims are re-verified on the
     concrete result before it is returned: the union generates, is
-    commutator-closed, consists of prime-power-order elements, the normalizer
-    product covers the whole group, and earlier normalizers normalize later
-    ones.
+    commutator-closed, consists of prime-power-order elements, earlier
+    normalizers normalize later ones, and the normalizer product covers the
+    whole group.  Coverage is checked by orders.  At each level T K_inf = K
+    when |T| |K_inf| / |T cap K_inf| = |K| (``product_order``).  Once each
+    T_j normalizes every later T_k, the product T_1 ... T_h is the subgroup
+    <T_1, ..., T_h>: by induction from the last factor, T_j normalizes the
+    subgroup T_{j+1} ... T_h, so T_j T_{j+1} ... T_h is again a subgroup.
+    The product covers G exactly when that subgroup has order |G|.
     """
     if not is_soluble(G):
         raise NotSoluble("the tower construction requires a soluble group")
@@ -370,9 +375,7 @@ def generator_tower(G: PermGroup, seed: int = 0, cap: int = DEFAULT_ENUM_CAP,
         for K in chain:
             bK = intersect_basis(basis, K, cap)
             T = bK.normalizer
-            residual = gamma_infinity(K)
-            covered = product_set(T.elements(cap), residual.elements(cap))
-            if len(covered) != K.order():
+            if product_order(G, T, gamma_infinity(K), cap) != K.order():
                 raise RuntimeError("normalizer failed to complement the residual in a tower level")
             normalizers.append(T)
             level_sets.append(ElementSet.from_iterable(
@@ -392,17 +395,16 @@ def generator_tower(G: PermGroup, seed: int = 0, cap: int = DEFAULT_ENUM_CAP,
         span = subgroup_generated(G.degree, X.elements)
         if span.order() != G.order():
             raise RuntimeError("tower union does not generate the group; this is a bug")
-        prod: set[Permutation] = {G.identity}
-        for T in normalizers:
-            prod = product_set(prod, T.elements(cap))
-        if len(prod) != G.order():
-            raise RuntimeError("normalizer product does not cover the group; this is a bug")
         for j, Tj in enumerate(normalizers):
             for Tk in normalizers[j:]:
                 if not all(Tk.contains(a.conjugate(t))
                            for a in Tk.generators for t in Tj.generators):
                     raise RuntimeError("an earlier tower normalizer fails to normalize a "
                                        "later one; this is a bug")
+        # with each T_j normalizing the later T_k, T_1 ... T_h = <T_1, ..., T_h>
+        joined = PermGroup(G.degree, [t for T in normalizers for t in T.generators])
+        if joined.order() != G.order():
+            raise RuntimeError("normalizer product does not cover the group; this is a bug")
 
         X = X.with_flags(comm_closed=True, symmetric=is_symmetric(X))
         depth_sets = [X]

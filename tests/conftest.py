@@ -38,6 +38,12 @@ def closure_oracle(degree: int, gens: list[Permutation]) -> set[Permutation]:
     return seen
 
 
+def product_set(left, right) -> set[Permutation]:
+    """Every product a * b, a in left and b in right."""
+    right = list(right)
+    return {a * b for a in left for b in right}
+
+
 def classes_oracle(degree: int, elements: set[Permutation]) -> list[set[Permutation]]:
     """Conjugacy classes by conjugating with every group element."""
     remaining = set(elements)

@@ -18,7 +18,7 @@ from nilcrit.criterion import (
     probe_insoluble,
 )
 from nilcrit.errors import HypothesisNotSatisfied
-from nilcrit.group import product_set, quotient, subgroup_generated
+from nilcrit.group import quotient, subgroup_generated
 from nilcrit.lemmas import (
     check_coprime_action,
     check_coset_intersection,
@@ -49,6 +49,8 @@ from nilcrit.words import (
     is_commutator_closed,
     random_commutator_closed_generating_set,
 )
+
+from conftest import product_set
 
 
 def _report(line: str) -> None:

@@ -88,6 +88,19 @@ class TestErrors:
         assert exc.value.code == 2
         assert "argument --k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["tower", "series"])
+    @pytest.mark.parametrize("cap", ["0", "-5", "x"])
+    def test_bad_cap_is_usage_error(self, command, cap, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "S4", "--cap", cap])
+        assert exc.value.code == 2
+        assert "argument --cap" in capsys.readouterr().err
+
+    def test_cap_one_is_valid_and_enforced(self, capsys):
+        code, _, err = run(["tower", "S4", "--cap", "1"], capsys)
+        assert code == 1
+        assert "exceeds cap 1" in err
+
     def test_depth_zero_is_valid(self, capsys):
         code, out, _ = run(["focal", "S3", "--k", "0"], capsys)
         assert code == 0

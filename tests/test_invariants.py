@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from nilcrit.criterion import coprime_product_criterion
-from nilcrit.group import product_set, quotient, subgroup_generated
+from nilcrit.group import quotient, subgroup_generated
 from nilcrit.primes import p_part, prime_factors
 from nilcrit.structure import (
     gamma_infinity,
@@ -16,6 +16,8 @@ from nilcrit.structure import (
     sylow_subgroup,
 )
 from nilcrit.words import delta_values, gamma_values, verbal_subgroup
+
+from conftest import product_set
 
 
 class TestSylowExactness:

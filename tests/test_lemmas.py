@@ -15,7 +15,6 @@ from nilcrit.corpus import load_group
 from nilcrit.group import (
     ElementSet,
     PermGroup,
-    product_set,
     quotient,
     subgroup_generated,
     trivial_group,
@@ -32,7 +31,7 @@ from nilcrit.lemmas import (
     p_power_value_closure,
 )
 from nilcrit.structure import fitting_subgroup, is_metanilpotent, sylow_subgroup
-from conftest import perm
+from conftest import perm, product_set
 
 
 @pytest.fixture(scope="module")

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 
-from nilcrit.corpus import builtin_names, load_group
+from nilcrit.corpus import builtin_names, filter_names, load_group
 from nilcrit.errors import NotPrimeDivisor, NotSoluble
-from nilcrit.group import PermGroup, normalizer, product_set, quotient, subgroup_generated
+from nilcrit.group import DEFAULT_ENUM_CAP, PermGroup, normalizer, quotient, subgroup_generated
 from nilcrit.perm import Permutation
-from nilcrit.primes import prime_factors
+from nilcrit.primes import p_part, prime_factors
 from nilcrit.structure import (
+    _distinct_conjugates,
+    _p_power_part,
+    _permutable,
     derived_series,
     derived_term,
     fitting_height,
@@ -25,6 +31,7 @@ from nilcrit.structure import (
     lower_fitting_series,
     p_core,
     p_prime_core,
+    product_order,
     sylow_basis,
     sylow_subgroup,
 )
@@ -33,6 +40,7 @@ from conftest import (
     derived_subgroup_oracle,
     lower_central_step_oracle,
     perm,
+    product_set,
 )
 
 
@@ -326,3 +334,139 @@ class TestIntersectBasis:
         H = subgroup_generated(4, [perm("(1 2 3)", 4)])
         with pytest.raises(NotNormal):
             intersect_basis(B, H)
+
+
+# The Permutation formulations the Sylow layer used before it moved onto the
+# indexed view, kept as oracles.
+
+SCALE_CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
+SOLUBLE_SCALE = ("AGammaL1_8", "AGL1_16", "ASL2_3", "C2wrS4", "AGL2_3", "S4xS4",
+                 "S3wrC3", "S4wrC2")
+SOLUBLE_GROUPS = filter_names("soluble") + list(SOLUBLE_SCALE)
+
+
+@functools.lru_cache(maxsize=None)
+def loaded(name: str) -> PermGroup:
+    """A soluble builtin, or a soluble group of the scale corpus, loaded once."""
+    return load_group(str(SCALE_CORPUS / f"{name}.grp") if name in SOLUBLE_SCALE else name)
+
+
+def sylow_growth_oracle(G: PermGroup, p: int) -> PermGroup:
+    """Sylow growth that builds the normalizer group N_G(P) at every step."""
+    target = p_part(G.order(), p)
+    seed = next(x for x in G.elements() if x.order() % p == 0)
+    P = subgroup_generated(G.degree, [_p_power_part(seed, p)])
+    while P.order() < target:
+        for y in normalizer(G, P).elements():
+            if y.order() % p == 0:
+                z = _p_power_part(y, p)
+                if not P.contains(z):
+                    P = subgroup_generated(G.degree, P.generators + (z,))
+                    break
+        else:
+            raise AssertionError("normalizer scan found no p-element outside P")
+    return P
+
+
+@functools.lru_cache(maxsize=None)
+def conjugates_oracle(name: str, p: int) -> list[frozenset[Permutation]]:
+    """The conjugates of the Sylow p-subgroup by every element of G, sorted by sorted images."""
+    G = loaded(name)
+    base = sylow_subgroup(G, p).elements()
+    found = {frozenset(x.conjugate(g) for x in base) for g in G.elements()}
+    return sorted(found, key=lambda s: sorted(x.images for x in s))
+
+
+def permutable_oracle(P: frozenset[Permutation], Q: frozenset[Permutation]) -> bool:
+    return product_set(P, Q) == product_set(Q, P)
+
+
+def basis_normalizer_oracle(G: PermGroup, basis: list[frozenset[Permutation]]) -> set[Permutation]:
+    """The intersection of the normalizers N_G(P) of the basis members."""
+    members = set(G.elements())
+    for P in basis:
+        members &= set(normalizer(G, subgroup_generated(G.degree, P)).elements())
+    return members
+
+
+def sylow_basis_oracle(name: str, seed: int) -> list[frozenset[Permutation]]:
+    """Backtracking over the oracle candidates, shuffled as sylow_basis shuffles them."""
+    G = loaded(name)
+    candidates = []
+    for p in prime_factors(G.order()):
+        conj = list(conjugates_oracle(name, p))
+        if seed:
+            random.Random((seed, p).__hash__() & 0x7FFFFFFF).shuffle(conj)
+        candidates.append(conj)
+
+    def extend(chosen: list[frozenset[Permutation]]) -> list[frozenset[Permutation]] | None:
+        if len(chosen) == len(candidates):
+            return chosen
+        for P in candidates[len(chosen)]:
+            if all(permutable_oracle(Q, P) for Q in chosen):
+                found = extend(chosen + [P])
+                if found is not None:
+                    return found
+        return None
+
+    return extend([])
+
+
+def intersect_basis_oracle(G: PermGroup, basis: list[frozenset[Permutation]],
+                           K: PermGroup) -> tuple[list[set[Permutation]], set[Permutation]]:
+    """Element-set intersections with K, and their basis normalizer computed inside K."""
+    k_elems = set(K.elements())
+    members = [P & k_elems for P in basis if len(P & k_elems) > 1]
+    return members, basis_normalizer_oracle(K, members)
+
+
+@pytest.mark.parametrize("name", SOLUBLE_GROUPS)
+class TestSylowLayerAgainstPermutationOracles:
+    """Sylow subgroups, candidates, bases and normalizers on the indexed view
+    agree with the Permutation formulations they replaced."""
+
+    def test_sylow_subgroups(self, name):
+        G = loaded(name)
+        for p in prime_factors(G.order()):
+            P, Q = sylow_subgroup(G, p), sylow_growth_oracle(G, p)
+            assert P.elements() == Q.elements()
+            assert P.generators == Q.generators
+
+    def test_candidate_lists(self, name):
+        G = loaded(name)
+        for p in prime_factors(G.order()):
+            conj = _distinct_conjugates(G, sylow_subgroup(G, p), DEFAULT_ENUM_CAP)
+            got = [frozenset(C.elements()) for C in conj]
+            assert got == conjugates_oracle(name, p)
+
+    def test_permutability(self, name):
+        # up to six candidates at each of the first three primes
+        G = loaded(name)
+        primes = prime_factors(G.order())
+        for p, q in itertools.combinations(primes[:3], 2):
+            for P in _distinct_conjugates(G, sylow_subgroup(G, p), DEFAULT_ENUM_CAP)[:6]:
+                for Q in _distinct_conjugates(G, sylow_subgroup(G, q), DEFAULT_ENUM_CAP)[:6]:
+                    assert _permutable(P, Q) == permutable_oracle(frozenset(P.elements()),
+                                                                  frozenset(Q.elements()))
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_bases_and_normalizers(self, name, seed):
+        G = loaded(name)
+        B = sylow_basis(G, seed=seed)
+        want = sylow_basis_oracle(name, seed)
+        assert [frozenset(B.basis[p].elements()) for p in B.primes] == want
+        assert set(B.normalizer.elements()) == basis_normalizer_oracle(G, want)
+        for K in lower_fitting_series(G).terms:
+            BK = intersect_basis(B, K)
+            members, T = intersect_basis_oracle(G, want, K)
+            assert [set(BK.basis[p].elements()) for p in BK.primes] == members
+            assert set(BK.normalizer.elements()) == T
+
+
+class TestProductOrder:
+    def test_matches_product_sets_of_non_normal_subgroups(self, s4):
+        subgroups = _distinct_conjugates(s4, sylow_subgroup(s4, 2), DEFAULT_ENUM_CAP)
+        subgroups += _distinct_conjugates(s4, sylow_subgroup(s4, 3), DEFAULT_ENUM_CAP)
+        subgroups.append(subgroup_generated(4, [perm("(1 2)", 4)]))
+        for A, B in itertools.product(subgroups, repeat=2):
+            assert product_order(s4, A, B) == len(product_set(A.elements(), B.elements()))
