@@ -1,10 +1,10 @@
 """Permutation groups: membership, enumeration, closure and conjugacy machinery.
 
 A :class:`PermGroup` is generators plus a lazily built stabilizer chain; the
-chain answers order and membership questions with no cap.  Centralizers scan
-the element list and the rest (classes, normalizers, cosets) G's indexed
-view, so G is first enumerated under an explicit cap.  Groups and element
-sets are immutable once their caches are built, so sharing them is safe.
+chain answers order and membership questions with no cap.  Classes,
+centralizers, normalizers and cosets are read off G's indexed view, so G is
+first enumerated under an explicit cap.  Groups and element sets are
+immutable once their caches are built, so sharing them is safe.
 """
 
 from __future__ import annotations
@@ -211,12 +211,9 @@ def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> list[Element
 
     def compute() -> tuple[ElementSet, ...]:
         iv = indexed_view(G, cap)
-        labels, reps = iv.class_labels()
-        members: list[list[Permutation]] = [[] for _ in reps]
         # index order is canonical order, so each class comes out sorted
-        for x, c in zip(iv.elements, labels):
-            members[c].append(x)
-        return tuple(ElementSet(G.degree, tuple(m), conj_closed=True) for m in members)
+        return tuple(ElementSet(G.degree, tuple(iv.perms(c)), conj_closed=True)
+                     for c in iv.classes())
 
     return list(G.memo(("classes",), compute))
 
@@ -242,10 +239,17 @@ def normal_closure(G: PermGroup, seed: Iterable[Permutation]) -> PermGroup:
 
 
 def centralizer(G: PermGroup, a: Permutation, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
+    """C_G(a) for a in G: the g with a^g = a, read off a's conjugates on G's indexed view."""
+    from .indexed import indexed_view
+
     if a.degree != G.degree:
         raise DegreeMismatch("element degree differs from group degree")
-    members = [g for g in G.elements(cap) if a * g == g * a]
-    return group_from_elements(G.degree, members)
+    iv = indexed_view(G, cap)
+    r = iv.index.get(a)
+    if r is None:
+        raise NotNormal("element is not in the group")
+    conj = iv.conjugates(r)
+    return group_from_elements(G.degree, iv.perms(g for g in range(iv.size) if conj[g] == r))
 
 
 def normalizer(G: PermGroup, H: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:

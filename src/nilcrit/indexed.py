@@ -13,6 +13,10 @@ all conjugates of one element come out of a single pass of table lookups.
 The tables also give the conjugacy classes, numbered by minimal element.
 Building them costs 2 |G| products per generator, against |G|^2 for the
 full multiplication table.
+
+Subgroups and normal subsets of G are index sets on the view: a subgroup
+closure fetches rows only for the seeds that enlarge it, and a subset is
+normal when every generator's conjugation table maps it into itself.
 """
 
 from __future__ import annotations
@@ -69,21 +73,30 @@ class IndexedGroup:
         return table
 
     def closure(self, seed: Iterable[int]) -> frozenset[int]:
-        """Subgroup closure of the seed indices, by left multiplication with the seeds' rows."""
-        seed_rows = [self.row(s) for s in set(seed)]
+        """Subgroup closure of the seed indices, by left multiplication with kept seeds' rows.
+
+        Seeds are walked in order and one is kept only when the group closed
+        so far does not contain it; the group is then re-closed under left
+        multiplication by the rows of the kept seeds.  Each kept seed at
+        least doubles the group, so the closure H fetches at most log2|H|
+        rows however many seeds it is given.
+        """
         seen = {self.identity_index}
-        frontier = [self.identity_index]
-        while frontier and len(seen) < self.size:
-            nxt = []
-            for x in frontier:
-                for row in seed_rows:
-                    y = row[x]
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        if len(seen) == self.size:
-            return frozenset(range(self.size))
+        rows = []
+        for s in seed:
+            if s in seen:
+                continue
+            rows.append(self.row(s))
+            frontier = list(seen)
+            while frontier:
+                nxt = []
+                for x in frontier:
+                    for row in rows:
+                        y = row[x]
+                        if y not in seen:
+                            seen.add(y)
+                            nxt.append(y)
+                frontier = nxt
         return frozenset(seen)
 
     def commutator_closure(self, seed: Iterable[int]) -> frozenset[int]:
@@ -141,6 +154,14 @@ class IndexedGroup:
             self._classes = _orbit_labels(self.size, self.conjugation_tables())
         return self._classes
 
+    def classes(self) -> list[list[int]]:
+        """The conjugacy classes as increasing index lists, numbered as in class_labels."""
+        labels, reps = self.class_labels()
+        members: list[list[int]] = [[] for _ in reps]
+        for i, c in enumerate(labels):
+            members[c].append(i)
+        return members
+
     def conjugates(self, r: int) -> list[int]:
         """``out[b]`` is the index of elements[r]^elements[b], for every b.
 
@@ -156,9 +177,26 @@ class IndexedGroup:
 
     def member_indices(self, H: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> set[int]:
         """The indices of H's elements; NotNormal if H is not contained in G."""
-        members = {self.index.get(x) for x in H.elements(cap)}
+        return self._indices(H.elements(cap))
+
+    def normal_indices(self, subset: Iterable[Permutation]) -> set[int]:
+        """The index set of a normal subset of G.
+
+        Raises NotNormal when a member lies outside G, and then when some
+        generator's conjugation table maps a member outside the set.  A set
+        closed under conjugation by G's generators is closed under
+        conjugation by all of G, so for a subgroup this decides normality.
+        """
+        members = self._indices(subset)
+        for table in self.conjugation_tables():
+            if any(table[i] not in members for i in members):
+                raise NotNormal("subset is not closed under conjugation in the group")
+        return members
+
+    def _indices(self, subset: Iterable[Permutation]) -> set[int]:
+        members = {self.index.get(x) for x in subset}
         if None in members:
-            raise NotNormal("subgroup is not contained in the group")
+            raise NotNormal("subset is not contained in the group")
         return members
 
     def normalizing(self, subgroups: Iterable[PermGroup], domain: Iterable[int] | None = None,

@@ -16,6 +16,12 @@ Five checks, each a conditional verified extensionally on concrete groups:
   a depth-k value x acts trivially on every x-invariant subgroup of coprime
   order; the proof's commutator gymnastics are replayed literally.
 
+Every subgroup and subset the first four checks meet is an index set on
+G's indexed view: normality is one pass over the generators' conjugation
+tables, generation is ``IndexedGroup.closure``, and the normal subgroups
+are closures of unions of conjugacy classes.  A PermGroup is built only for
+the subgroups ``normal_subgroups`` returns.
+
 Inadmissible inputs raise HypothesisNotSatisfied (or a structural error);
 holds=False is reserved for genuine counter-evidence, which for proven facts
 means an implementation bug.
@@ -38,11 +44,8 @@ from .group import (
     DEFAULT_ENUM_CAP,
     ElementSet,
     PermGroup,
-    conjugacy_classes,
     group_from_elements,
-    is_normal,
     subgroup_generated,
-    trivial_group,
 )
 from .indexed import indexed_view
 from .perm import commutator
@@ -73,58 +76,52 @@ class LemmaReport:
 
 
 def normal_subgroups(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> list[PermGroup]:
-    """All normal subgroups, as joins of conjugacy-class closures.
+    """All normal subgroups, as closures of class unions on G's indexed view.
 
-    Every normal subgroup is the join of the closures of the classes it
-    contains, so closing the class-closure list under pairwise joins finds
-    them all.  Results are sorted by order, then by element list.
+    A normal subgroup is generated by the conjugacy classes it contains, and
+    the closure of a union of classes is normal.  So joining each subgroup
+    found, starting from the trivial one, with each class outside it, as the
+    closure of their union, reaches every normal subgroup.  Results are
+    sorted by order, then by element list, which is the sorted index list
+    since index order is canonical element order; a PermGroup is built only
+    for each result.
     """
 
     def compute() -> tuple[PermGroup, ...]:
-        found: dict[frozenset, PermGroup] = {}
-
-        def add(H: PermGroup) -> bool:
-            key = frozenset(H.elements(cap))
-            if key in found:
-                return False
-            found[key] = H
-            return True
-
-        add(trivial_group(G.degree))
-        for cls in conjugacy_classes(G, cap):
-            add(subgroup_generated(G.degree, cls.elements))
-        grew = True
-        while grew:
-            grew = False
-            current = list(found.values())
-            for i, A in enumerate(current):
-                for B in current[i + 1:]:
-                    if A.is_subgroup_of(B) or B.is_subgroup_of(A):
-                        continue
-                    if add(subgroup_generated(G.degree, A.generators + B.generators)):
-                        grew = True
-        out = sorted(found.values(),
-                     key=lambda H: (H.order(), [p.images for p in H.elements(cap)]))
-        return tuple(out)
+        iv = indexed_view(G, cap)
+        classes = iv.classes()
+        found = {frozenset([iv.identity_index])}
+        work = list(found)
+        while work:
+            S = work.pop()
+            for cls in classes:
+                if cls[0] not in S:
+                    # S first, in index order: its kept seeds, and so the rows
+                    # fetched, are the same in each of its joins
+                    joined = iv.closure(sorted(S) + cls)
+                    if joined not in found:
+                        found.add(joined)
+                        work.append(joined)
+        ordered = sorted((sorted(S) for S in found), key=lambda S: (len(S), S))
+        return tuple(group_from_elements(G.degree, iv.perms(S)) for S in ordered)
 
     return list(G.memo(("normal_subgroups",), compute))
 
 
 def _p_element_normal_indices(G: PermGroup, X: ElementSet, p: int, cap: int) -> set[int]:
-    """Indices of X on G's indexed view, once X is checked to be a normal set of p-elements."""
+    """Indices of X on G's indexed view, once X is checked to be a normal set of p-elements.
+
+    A member outside G raises NotNormal, then a member that is not a
+    p-element NotPElementSet, then a set that is not conjugation-closed
+    NotNormal.
+    """
     iv = indexed_view(G, cap)
-    x_idx = set()
-    for x in X:
-        i = iv.index.get(x)
-        if i is None:
-            raise NotNormal(f"{x} is not an element of G")
-        if p_part(iv.order_of[i], p) != iv.order_of[i]:
-            raise NotPElementSet(f"{x} has order {iv.order_of[i]}, not a power of {p}")
-        x_idx.add(i)
-    for table in iv.conjugation_tables():
-        if any(table[i] not in x_idx for i in x_idx):
-            raise NotNormal("X is not a normal (conjugation-closed) subset of G")
-    return x_idx
+    if all(x in iv.index for x in X):  # else normal_indices raises NotNormal
+        for x in X:
+            n = iv.order_of[iv.index[x]]
+            if p_part(n, p) != n:
+                raise NotPElementSet(f"{x} has order {n}, not a power of {p}")
+    return iv.normal_indices(X)
 
 
 def p_power_value_closure(G: PermGroup, depth: int, p: int,
@@ -150,14 +147,13 @@ def check_coset_intersection(G: PermGroup, N: PermGroup, p: int, X: ElementSet,
     stray element.
     """
     _check_prime_divisor(G, p)
-    if not is_normal(G, N):
-        raise NotNormal("N must be normal in G")
+    iv = indexed_view(G, cap)
+    iv.normal_indices(N.elements(cap))
     x_idx = _p_element_normal_indices(G, X, p, cap)
 
     P = sylow_subgroup(G, p, cap)
-    iv = indexed_view(G, cap)
     labels, reps = iv.coset_labels(N)
-    p_idx = {iv.index[g] for g in P.elements(cap)}
+    p_idx = iv.member_indices(P, cap)
     lhs = {labels[i] for i in x_idx} & {labels[i] for i in p_idx}
     rhs = {labels[i] for i in x_idx & p_idx}
 
@@ -184,17 +180,16 @@ def check_lifted_generation(G: PermGroup, N: PermGroup, L: PermGroup, p: int,
     HypothesisNotSatisfied rather than producing a verdict.
     """
     _check_prime_divisor(G, p)
-    if not is_normal(G, N) or not is_normal(G, L):
-        raise NotNormal("N and L must be normal in G")
-    if not N.is_subgroup_of(L):
+    iv = indexed_view(G, cap)
+    n_idx = iv.normal_indices(N.elements(cap))
+    l_idx = iv.normal_indices(L.elements(cap))
+    if not n_idx <= l_idx:
         raise NotNormal("N must be contained in L")
     x_idx = _p_element_normal_indices(G, X, p, cap)
 
     P = sylow_subgroup(G, p, cap)
-    iv = indexed_view(G, cap)
     labels, reps = iv.coset_labels(N)
-    p_idx = {iv.index[g] for g in P.elements(cap)}
-    l_idx = {iv.index[g] for g in L.elements(cap)}
+    p_idx = iv.member_indices(P, cap)
     p_bar = {labels[i] for i in p_idx}
     gen_bar = p_bar & {labels[i] for i in x_idx}
     preimage = iv.closure([iv.index[n] for n in N.generators] + [reps[c] for c in gen_bar])
@@ -203,7 +198,6 @@ def check_lifted_generation(G: PermGroup, N: PermGroup, L: PermGroup, p: int,
             "quotient-side generation P-bar cap L-bar = <P-bar cap X-bar> fails")
 
     lhs = p_idx & l_idx
-    n_idx = {iv.index[n] for n in N.elements(cap)}
     rhs = iv.closure((x_idx | n_idx) & p_idx)
 
     holds = lhs == rhs
@@ -219,22 +213,26 @@ def check_lifted_generation(G: PermGroup, N: PermGroup, L: PermGroup, p: int,
 
 def check_focal_generation(G: PermGroup, depth: int, p: int,
                            cap: int = DEFAULT_ENUM_CAP) -> LemmaReport:
-    """P cap G^(depth) is generated by the depth-k values lying in P."""
+    """P cap G^(depth) is generated by the depth-k values lying in P.
+
+    Both sides are index sets on G's indexed view: the closure of P's index
+    set cut with the value indices, against P's cut with G^(depth)'s.
+    """
     if not is_soluble(G):
         raise NotSoluble("focal generation is checked on soluble groups")
     _check_prime_divisor(G, p)
 
     P = sylow_subgroup(G, p, cap)
-    values = delta_values(G, depth, cap)
-    inside = [v for v in values.values if P.contains(v)]
-    generated = subgroup_generated(G.degree, inside)
-    target_elems = set(P.elements(cap)) & set(derived_term(G, depth).elements(cap))
-    target = group_from_elements(G.degree, target_elems)
+    iv = indexed_view(G, cap)
+    p_idx = iv.member_indices(P, cap)
+    inside = p_idx & {iv.index[v] for v in delta_values(G, depth, cap).values}
+    generated = iv.closure(inside)
+    target = p_idx & iv.member_indices(derived_term(G, depth), cap)
 
-    holds = generated.order() == target.order() and generated.is_subgroup_of(target)
+    holds = generated == target
     witness = None
     if not holds:
-        witness = {"generated_order": generated.order(), "target_order": target.order()}
+        witness = {"generated_order": len(generated), "target_order": len(target)}
     return LemmaReport(
         "focal_generation", G.name,
         {"p": p, "depth": depth, "values_in_P": len(inside)},
@@ -243,24 +241,31 @@ def check_focal_generation(G: PermGroup, depth: int, p: int,
 
 def check_fitting_membership(G: PermGroup, p: int,
                              cap: int = DEFAULT_ENUM_CAP) -> LemmaReport:
-    """p-elements centralizing the p'-part of the Fitting subgroup lie inside it."""
+    """p-elements centralizing the p'-part of the Fitting subgroup lie inside it.
+
+    The p-elements are scanned in index order on G's indexed view; x
+    centralizes a generator o of the p'-core when o^x = o, one lookup in
+    o's conjugates, and F-membership is a lookup in F's index set.
+    """
     if not is_metanilpotent(G):
         raise NotMetanilpotent("the membership fact assumes a metanilpotent group")
     _check_prime_divisor(G, p)
 
     F = fitting_subgroup(G, cap)
     core = p_prime_core(F, p, cap)
-    core_gens = core.generators
+    iv = indexed_view(G, cap)
+    f_idx = iv.member_indices(F, cap)
+    core_conj = [(iv.index[o], iv.conjugates(iv.index[o])) for o in core.generators]
     qualifying = 0
     witness = None
-    for x in G.elements(cap):
-        if p_part(x.order(), p) != x.order():
+    for x, n in enumerate(iv.order_of):
+        if p_part(n, p) != n:
             continue
-        if not all(commutator(o, x).is_identity() for o in core_gens):
+        if not all(conj[x] == o for o, conj in core_conj):
             continue
         qualifying += 1
-        if not F.contains(x):
-            witness = {"element": x, "order": x.order(), "fitting_order": F.order()}
+        if x not in f_idx:
+            witness = {"element": iv.elements[x], "order": n, "fitting_order": F.order()}
             break
     return LemmaReport(
         "fitting_membership", G.name,

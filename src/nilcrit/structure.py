@@ -21,7 +21,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from .errors import (
-    NotNormal,
     NotPrimeDivisor,
     NotSoluble,
     PermutabilityViolated,
@@ -30,10 +29,8 @@ from .errors import (
 from .group import (
     DEFAULT_ENUM_CAP,
     PermGroup,
-    conjugacy_classes,
     group_from_elements,
     group_with_elements,
-    is_normal,
     normal_closure,
     subgroup_generated,
 )
@@ -211,7 +208,7 @@ def p_core(G: PermGroup, p: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
         P = sylow_subgroup(G, p, cap)
         iv = indexed_view(G, cap)
         labels = iv.class_labels()[0]
-        p_idx = {iv.index[x] for x in P.elements(cap)}
+        p_idx = iv.member_indices(P, cap)
         outside = {c for i, c in enumerate(labels) if i not in p_idx}
         return group_from_elements(G.degree, [iv.elements[i] for i in p_idx
                                               if labels[i] not in outside])
@@ -224,20 +221,20 @@ def p_prime_core(G: PermGroup, p: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup
 
     Every normal p'-subgroup is a union of p'-classes and a join of normal
     p'-subgroups is again one, so the join below is exactly the p'-core.
+    Class closures and their join are index sets on G's indexed view.
     """
     if not is_prime(p):
         raise NotPrimeDivisor(f"{p} is not prime")
 
     def compute() -> PermGroup:
-        gens: list[Permutation] = []
-        for cls in conjugacy_classes(G, cap):
-            rep = cls.elements[-1]
-            if rep.order() % p == 0:
-                continue
-            closed = subgroup_generated(G.degree, cls.elements)
-            if closed.order() % p != 0:
-                gens.extend(closed.generators)
-        return subgroup_generated(G.degree, gens)
+        iv = indexed_view(G, cap)
+        core: set[int] = set()
+        for cls in iv.classes():
+            if iv.order_of[cls[0]] % p:
+                closed = iv.closure(cls)
+                if len(closed) % p:
+                    core |= closed
+        return group_from_elements(G.degree, iv.perms(sorted(iv.closure(core))))
 
     return G.memo(("p_prime_core", p), compute)
 
@@ -401,15 +398,13 @@ def intersect_basis(B: SylowBasis, K: PermGroup, cap: int = DEFAULT_ENUM_CAP) ->
     Intersections of a Sylow basis with a normal subgroup always form a basis
     of it; a permutability failure here means an internal bug, reported as
     PermutabilityViolated.  Everything is read on the ambient group's view:
-    the members are intersections of index sets, and the basis normalizer of
-    K is the set of K's indices whose conjugation lookups keep every member,
+    K's normality is checked on its conjugation tables (NotNormal), the
+    members are intersections of index sets, and the basis normalizer of K
+    is the set of K's indices whose conjugation lookups keep every member,
     so K needs no view of its own.
     """
-    G = B.ambient
-    if not is_normal(G, K):
-        raise NotNormal("basis intersection requires a normal subgroup")
-    iv = indexed_view(G, cap)
-    k_idx = iv.member_indices(K, cap)
+    iv = indexed_view(B.ambient, cap)
+    k_idx = iv.normal_indices(K.elements(cap))
     new_basis: dict[int, PermGroup] = {}
     for p in prime_factors(K.order()):
         inter = k_idx & iv.member_indices(B.basis[p], cap)

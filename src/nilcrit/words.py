@@ -360,7 +360,10 @@ def generator_tower(G: PermGroup, seed: int = 0, cap: int = DEFAULT_ENUM_CAP,
     T_j normalizes every later T_k, the product T_1 ... T_h is the subgroup
     <T_1, ..., T_h>: by induction from the last factor, T_j normalizes the
     subgroup T_{j+1} ... T_h, so T_j T_{j+1} ... T_h is again a subgroup.
-    The product covers G exactly when that subgroup has order |G|.
+    The product covers G exactly when that subgroup has order |G|.  The
+    |X|^2 commutators of the members of X are formed once, in one table:
+    it decides commutator-closure, and as X is closed every depth set lies
+    in X, so each is read off the same table.
     """
     if not is_soluble(G):
         raise NotSoluble("the tower construction requires a soluble group")
@@ -388,7 +391,9 @@ def generator_tower(G: PermGroup, seed: int = 0, cap: int = DEFAULT_ENUM_CAP,
         X = ElementSet.from_iterable(G.degree, union)
 
         # re-verify every structural claim on the concrete sets
-        if not is_commutator_closed(X):
+        position = {x: i for i, x in enumerate(X.elements)}
+        comm = [[position.get(commutator(a, b)) for b in X.elements] for a in X.elements]
+        if any(None in row for row in comm):
             raise RuntimeError("tower union is not commutator-closed; this is a bug")
         if not all(is_prime_power(x.order()) for x in X):
             raise RuntimeError("tower union contains a non-prime-power element; this is a bug")
@@ -408,11 +413,11 @@ def generator_tower(G: PermGroup, seed: int = 0, cap: int = DEFAULT_ENUM_CAP,
 
         X = X.with_flags(comm_closed=True, symmetric=is_symmetric(X))
         depth_sets = [X]
+        level = range(len(X))
         while len(depth_sets) < max_depth:
-            prev = depth_sets[-1]
-            nxt = {commutator(a, b) for a in prev for b in prev}
-            depth_sets.append(ElementSet.from_iterable(G.degree, nxt))
-            if len(nxt) == 1:
+            level = {comm[a][b] for a in level for b in level}
+            depth_sets.append(ElementSet.from_iterable(G.degree, (X.elements[i] for i in level)))
+            if len(level) == 1:
                 break
         return GeneratorTower(G, chain, tuple(normalizers), tuple(level_sets),
                               X, tuple(depth_sets), seed)

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 import pytest
 
 from nilcrit.perm import Permutation, commutator
-from nilcrit.group import PermGroup
+from nilcrit.group import PermGroup, conjugacy_classes, subgroup_generated
 
 
 def perm(cycles: str, degree: int) -> Permutation:
@@ -42,6 +42,18 @@ def product_set(left, right) -> set[Permutation]:
     """Every product a * b, a in left and b in right."""
     right = list(right)
     return {a * b for a in left for b in right}
+
+
+def p_prime_core_oracle(G: PermGroup, p: int) -> PermGroup:
+    """The former p_prime_core: a chain per p'-class closure, joined by generators."""
+    gens: list[Permutation] = []
+    for cls in conjugacy_classes(G):
+        if cls.elements[-1].order() % p == 0:
+            continue
+        closed = subgroup_generated(G.degree, cls.elements)
+        if closed.order() % p != 0:
+            gens.extend(closed.generators)
+    return subgroup_generated(G.degree, gens)
 
 
 def classes_oracle(degree: int, elements: set[Permutation]) -> list[set[Permutation]]:

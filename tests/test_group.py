@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+from pathlib import Path
+
 import pytest
 
-from nilcrit.corpus import builtin_names
+from nilcrit.corpus import builtin_names, load_group
 from nilcrit.errors import DegreeMismatch, NotNormal, OrderCapExceeded
 from nilcrit.group import (
     ElementSet,
@@ -19,7 +22,7 @@ from nilcrit.group import (
     subgroup_generated,
     trivial_group,
 )
-from nilcrit.indexed import indexed_view
+from nilcrit.indexed import IndexedGroup, indexed_view
 from nilcrit.lemmas import normal_subgroups
 from nilcrit.perm import Permutation
 from nilcrit.primes import prime_factors
@@ -195,6 +198,55 @@ class TestConjugacy:
         for c in conjugacy_classes(s4):
             x = c.elements[0]
             assert centralizer(s4, x).order() * len(c) == s4.order()
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_centralizers_match_product_scan(self, corpus, name):
+        # the former centralizer: a * g == g * a for every g in G
+        G = corpus[name]
+        for c in conjugacy_classes(G):
+            a = c.elements[0]
+            want = [g for g in G.elements() if a * g == g * a]
+            assert centralizer(G, a).elements() == tuple(want)
+
+    def test_centralizer_forms_no_product_per_element(self, monkeypatch):
+        # the former scan formed a * g and g * a for every g in G
+        G = load_group(str(Path(__file__).resolve().parents[1] / "bench" / "corpus"
+                           / "AGL1_16.grp"))
+        indexed_view(G).conjugation_tables()
+        a = next(x for x in G.elements() if x.order() == 15)
+        calls = 0
+        mul = Permutation.__mul__
+
+        def counted(x, y):
+            nonlocal calls
+            calls += 1
+            return mul(x, y)
+
+        monkeypatch.setattr(Permutation, "__mul__", counted)
+        assert centralizer(G, a).order() == 15
+        assert calls < G.order()
+
+    def test_centralizer_rejects_an_element_outside_the_group(self, a4):
+        with pytest.raises(NotNormal):
+            centralizer(a4, perm("(1 2)", 4))
+
+
+class TestIndexedClosure:
+    def test_closure_of_every_element_builds_at_most_log2_rows(self):
+        # one row per seed was 1152 rows here; each kept seed doubles the group
+        G = load_group(str(Path(__file__).resolve().parents[1] / "bench" / "corpus"
+                           / "S4wrC2.grp"))
+        iv = IndexedGroup(G)
+        assert iv.closure(range(iv.size)) == frozenset(range(iv.size))
+        assert sum(row is not None for row in iv._rows) <= 10  # floor(log2 1152)
+
+    def test_random_seed_subsets_of_s4(self, s4):
+        iv = indexed_view(s4)
+        rng = random.Random(5)
+        for _ in range(300):
+            seed = rng.sample(range(iv.size), rng.randrange(5))
+            want = iv.member_indices(subgroup_generated(4, iv.perms(seed)))
+            assert iv.closure(seed) == want, seed
 
 
 class TestNormalStructure:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from nilcrit.errors import (
@@ -11,15 +13,18 @@ from nilcrit.errors import (
     NotPElementSet,
     NotSoluble,
 )
-from nilcrit.corpus import load_group
+from nilcrit.corpus import builtin_names, load_group
 from nilcrit.group import (
     ElementSet,
     PermGroup,
+    conjugacy_classes,
+    group_from_elements,
     quotient,
     subgroup_generated,
     trivial_group,
 )
 from nilcrit.lemmas import (
+    LemmaReport,
     check_coprime_action,
     check_coset_intersection,
     check_fitting_membership,
@@ -30,8 +35,20 @@ from nilcrit.lemmas import (
     normal_subgroups,
     p_power_value_closure,
 )
-from nilcrit.structure import fitting_subgroup, is_metanilpotent, sylow_subgroup
-from conftest import perm, product_set
+from nilcrit.perm import commutator
+from nilcrit.primes import p_part, prime_factors
+from nilcrit.structure import (
+    derived_term,
+    fitting_subgroup,
+    is_metanilpotent,
+    is_soluble,
+    sylow_subgroup,
+)
+from nilcrit.words import delta_values
+from conftest import p_prime_core_oracle, perm, product_set
+
+SCALE_CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
+SCALE_NAMES = tuple(sorted(path.stem for path in SCALE_CORPUS.glob("*.grp")))
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +118,19 @@ class TestCosetIntersection:
         with pytest.raises(NotNormal):
             check_coset_intersection(s4, v4, 2, X)
 
+    def test_rejects_n_outside_g(self, v4):
+        X = ElementSet.from_iterable(4, [perm("(1 2)(3 4)", 4)])
+        with pytest.raises(NotNormal):
+            check_coset_intersection(v4, subgroup_generated(4, [perm("(1 2)", 4)]), 2, X)
+
+    def test_x_outside_g_that_is_not_a_p_set_is_not_normal(self):
+        G = subgroup_generated(4, [perm("(1 2)", 4)])
+        X = ElementSet.from_iterable(4, [perm("(1 2 3)", 4)])
+        with pytest.raises(NotNormal):
+            check_coset_intersection(G, trivial_group(4), 2, X)
+        with pytest.raises(NotNormal):
+            check_lifted_generation(G, trivial_group(4), G, 2, X)
+
     def test_generated_instances_all_hold(self, s4, s3, a4):
         for G in (s4, s3, a4):
             for inst in coset_intersection_instances(G):
@@ -146,6 +176,12 @@ class TestLiftedGeneration:
         X = ElementSet.from_iterable(4, [perm("(1 2)", 4)])
         with pytest.raises(NotNormal):
             check_lifted_generation(s4, v4, a4, 2, X)
+
+    def test_rejects_non_normal_l(self, s4):
+        X = p_power_value_closure(s4, 1, 2)
+        L = subgroup_generated(4, [perm("(1 2 3)", 4)])
+        with pytest.raises(NotNormal):
+            check_lifted_generation(s4, trivial_group(4), L, 2, X)
 
     def test_builds_no_quotient_group(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -382,3 +418,124 @@ class TestValueClosureHelper:
         X = p_power_value_closure(s4, 0, 2)
         expected = [x for x in s4.elements() if x.order() in (1, 2, 4)]
         assert set(X) == set(expected)
+
+
+# The former Permutation- and chain-level implementations, kept as oracles.
+
+def normal_subgroups_oracle(G: PermGroup) -> list[PermGroup]:
+    """Class closures, closed under pairwise joins of chains."""
+    found: dict[frozenset, PermGroup] = {}
+
+    def add(H: PermGroup) -> bool:
+        key = frozenset(H.elements())
+        if key in found:
+            return False
+        found[key] = H
+        return True
+
+    add(trivial_group(G.degree))
+    for cls in conjugacy_classes(G):
+        add(subgroup_generated(G.degree, cls.elements))
+    grew = True
+    while grew:
+        grew = False
+        current = list(found.values())
+        for i, A in enumerate(current):
+            for B in current[i + 1:]:
+                if A.is_subgroup_of(B) or B.is_subgroup_of(A):
+                    continue
+                if add(subgroup_generated(G.degree, A.generators + B.generators)):
+                    grew = True
+    return sorted(found.values(), key=lambda H: (H.order(), [p.images for p in H.elements()]))
+
+
+def focal_generation_oracle(G: PermGroup, depth: int, p: int) -> LemmaReport:
+    """Values sifted through P's chain one by one; the target built as a group."""
+    P = sylow_subgroup(G, p)
+    inside = [v for v in delta_values(G, depth).values if P.contains(v)]
+    generated = subgroup_generated(G.degree, inside)
+    target = group_from_elements(
+        G.degree, set(P.elements()) & set(derived_term(G, depth).elements()))
+    holds = generated.order() == target.order() and generated.is_subgroup_of(target)
+    witness = None
+    if not holds:
+        witness = {"generated_order": generated.order(), "target_order": target.order()}
+    return LemmaReport("focal_generation", G.name,
+                       {"p": p, "depth": depth, "values_in_P": len(inside)},
+                       holds, witness, checked=len(inside))
+
+
+def fitting_membership_oracle(G: PermGroup, p: int) -> LemmaReport:
+    """Permutation commutators with the p'-core's generators, per element of G."""
+    F = fitting_subgroup(G)
+    core = p_prime_core_oracle(F, p)
+    qualifying = 0
+    witness = None
+    for x in G.elements():
+        if p_part(x.order(), p) != x.order():
+            continue
+        if not all(commutator(o, x).is_identity() for o in core.generators):
+            continue
+        qualifying += 1
+        if not F.contains(x):
+            witness = {"element": x, "order": x.order(), "fitting_order": F.order()}
+            break
+    return LemmaReport("fitting_membership", G.name,
+                       {"p": p, "fitting_order": F.order(), "core_order": core.order()},
+                       witness is None, witness, checked=qualifying)
+
+
+def battery_group(name: str) -> PermGroup:
+    return load_group(str(SCALE_CORPUS / f"{name}.grp") if name in SCALE_NAMES else name)
+
+
+class TestIndexSetsAgainstPermutationOracles:
+    """The battery on G's index sets agrees with the former implementations."""
+
+    @pytest.mark.parametrize("name", builtin_names() + list(SCALE_NAMES))
+    def test_normal_subgroups_focal_and_fitting_reports(self, name):
+        G = battery_group(name)
+        got = [N.elements() for N in normal_subgroups(G)]
+        assert got == [N.elements() for N in normal_subgroups_oracle(G)]
+        primes = prime_factors(G.order())
+        if is_soluble(G):
+            for depth in range(4):
+                for p in primes:
+                    assert check_focal_generation(G, depth, p) == \
+                        focal_generation_oracle(G, depth, p), (depth, p)
+        if is_metanilpotent(G):
+            for p in primes:
+                assert check_fitting_membership(G, p) == fitting_membership_oracle(G, p), p
+
+    def test_normal_subgroups_build_one_group_per_result(self, monkeypatch):
+        G = battery_group("S4xS4")
+        built = []
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("normal_subgroups built a chain for a class or a pair")
+
+        monkeypatch.setattr("nilcrit.lemmas.subgroup_generated", refuse)
+        monkeypatch.setattr(PermGroup, "is_subgroup_of", refuse)
+        monkeypatch.setattr("nilcrit.lemmas.group_from_elements",
+                            lambda *args: built.append(args) or group_from_elements(*args))
+        assert len(normal_subgroups(G)) == len(built) == 17
+
+    def test_focal_generation_sifts_no_value(self, monkeypatch):
+        G = battery_group("C2wrS4")
+        want = check_focal_generation(G, 1, 2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a value was sifted through a chain")
+
+        monkeypatch.setattr(PermGroup, "contains", refuse)
+        assert check_focal_generation(G, 1, 2) == want
+
+    def test_fitting_membership_forms_no_commutator_per_element(self, monkeypatch):
+        G = battery_group("AGL1_16")
+        want = check_fitting_membership(G, 2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Permutation commutator was formed")
+
+        monkeypatch.setattr("nilcrit.lemmas.commutator", refuse)
+        assert check_fitting_membership(G, 2) == want

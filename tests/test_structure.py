@@ -11,7 +11,14 @@ import pytest
 
 from nilcrit.corpus import builtin_names, filter_names, load_group
 from nilcrit.errors import NotPrimeDivisor, NotSoluble
-from nilcrit.group import DEFAULT_ENUM_CAP, PermGroup, normalizer, quotient, subgroup_generated
+from nilcrit.group import (
+    DEFAULT_ENUM_CAP,
+    PermGroup,
+    group_from_elements,
+    normalizer,
+    quotient,
+    subgroup_generated,
+)
 from nilcrit.perm import Permutation
 from nilcrit.primes import p_part, prime_factors
 from nilcrit.structure import (
@@ -39,6 +46,7 @@ from nilcrit.structure import (
 from conftest import (
     derived_subgroup_oracle,
     lower_central_step_oracle,
+    p_prime_core_oracle,
     perm,
     product_set,
 )
@@ -343,12 +351,13 @@ SCALE_CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
 SOLUBLE_SCALE = ("AGammaL1_8", "AGL1_16", "ASL2_3", "C2wrS4", "AGL2_3", "S4xS4",
                  "S3wrC3", "S4wrC2")
 SOLUBLE_GROUPS = filter_names("soluble") + list(SOLUBLE_SCALE)
+SCALE_NAMES = tuple(sorted(path.stem for path in SCALE_CORPUS.glob("*.grp")))
 
 
 @functools.lru_cache(maxsize=None)
 def loaded(name: str) -> PermGroup:
-    """A soluble builtin, or a soluble group of the scale corpus, loaded once."""
-    return load_group(str(SCALE_CORPUS / f"{name}.grp") if name in SOLUBLE_SCALE else name)
+    """A builtin, or a group of the scale corpus, loaded once."""
+    return load_group(str(SCALE_CORPUS / f"{name}.grp") if name in SCALE_NAMES else name)
 
 
 def sylow_growth_oracle(G: PermGroup, p: int) -> PermGroup:
@@ -461,6 +470,31 @@ class TestSylowLayerAgainstPermutationOracles:
             members, T = intersect_basis_oracle(G, want, K)
             assert [set(BK.basis[p].elements()) for p in BK.primes] == members
             assert set(BK.normalizer.elements()) == T
+
+
+class TestPPrimeCoreAgainstChainOracle:
+    """p_prime_core on index sets agrees with the former chain per class closure."""
+
+    @pytest.mark.parametrize("name", builtin_names() + list(SCALE_NAMES))
+    def test_p_prime_cores_of_the_group_and_its_fitting_subgroup(self, name):
+        G = loaded(name)
+        for H in (G, fitting_subgroup(G)):
+            for p in prime_factors(G.order()):
+                assert p_prime_core(H, p).elements() == p_prime_core_oracle(H, p).elements(), p
+
+    def test_builds_one_group_and_no_chain_per_class(self, monkeypatch):
+        G = load_group(str(SCALE_CORPUS / "S4xS4.grp"))
+        built = []
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("p_prime_core built a chain for a class closure")
+
+        monkeypatch.setattr("nilcrit.structure.subgroup_generated", refuse)
+        monkeypatch.setattr(PermGroup, "is_subgroup_of", refuse)
+        monkeypatch.setattr("nilcrit.structure.group_from_elements",
+                            lambda *args: built.append(args) or group_from_elements(*args))
+        assert p_prime_core(G, 3).order() == 16
+        assert len(built) == 1
 
 
 class TestProductOrder:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from nilcrit.corpus import load_group
-from nilcrit.perm import Permutation
+from nilcrit.perm import Permutation, commutator
 from nilcrit.structure import sylow_basis
 from nilcrit.words import generator_tower
 
@@ -47,3 +47,18 @@ def test_sylow_basis_conjugates_few_permutations(monkeypatch):
     monkeypatch.setattr(Permutation, "conjugate", counted)
     sylow_basis(G)
     assert calls < 2 * G.order()
+
+
+def test_tower_forms_each_member_commutator_once(monkeypatch):
+    # the closure check and every depth set used to form their own commutators
+    G = load_group(str(CORPUS / "S4wrC2.grp"))
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return commutator(a, b)
+
+    monkeypatch.setattr("nilcrit.words.commutator", counted)
+    tower = generator_tower(G)
+    assert calls <= len(tower.generating_set) ** 2

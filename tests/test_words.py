@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from nilcrit.corpus import builtin_names, load_group
+from nilcrit.corpus import builtin_names, filter_names, load_group
 from nilcrit.criterion import coprime_product_criterion
 from nilcrit.errors import NotCommutatorClosed, NotGenerating
 from nilcrit.group import ElementSet, PermGroup
@@ -235,6 +235,15 @@ class TestGeneratorTower:
         from nilcrit.errors import NotSoluble
         with pytest.raises(NotSoluble):
             generator_tower(a5)
+
+    @pytest.mark.parametrize("name", filter_names("soluble"))
+    def test_depth_sets_match_pairwise_commutators(self, corpus, name):
+        # the former depth sets: all commutators of the previous set's members
+        tower = generator_tower(corpus[name])
+        for prev, nxt in zip(tower.depth_sets, tower.depth_sets[1:]):
+            assert set(nxt) == {commutator(a, b) for a in prev for b in prev}
+        last = tower.depth_sets[-1]
+        assert len(last) == 1 or len(tower.depth_sets) == 12
 
 
 class TestDerivedFromClosedSet:
