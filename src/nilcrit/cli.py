@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import Sequence
 
 from . import __version__
@@ -131,6 +132,17 @@ def _cap_arg(text: str) -> int:
     if cap < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
     return cap
+
+
+def _json_arg(text: str) -> str:
+    """argparse type of --json: '-' or a file path in an existing directory.
+
+    A report path that cannot be written is a usage error before any check
+    runs, not an OSError after all of them.
+    """
+    if text == "-" or Path(text).parent.is_dir() and not Path(text).is_dir():
+        return text
+    raise argparse.ArgumentTypeError(f"{text!r} is not '-' or a file in an existing directory")
 
 
 def _select_groups(args, default_filter: str) -> list[PermGroup]:
@@ -388,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=_cap_arg, default=DEFAULT_ENUM_CAP,
                        help="element enumeration cap")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
-        p.add_argument("--json", help="write a deterministic JSON report here ('-' for stdout)")
+        p.add_argument("--json", type=_json_arg,
+                       help="write a deterministic JSON report here ('-' for stdout)")
         p.add_argument("--strict", action="store_true",
                        help="treat inadmissible (hypothesis-failing) instances as errors")
 

@@ -314,10 +314,14 @@ def load_group(name_or_path: str, verify: bool = True) -> PermGroup:
         desc = BUILTINS[name_or_path]
     else:
         path = Path(name_or_path)
-        if not path.exists():
+        try:
+            text = path.read_text(encoding="utf-8")
+        except FileNotFoundError:
             raise ParseError(f"{name_or_path!r} is neither a builtin id nor a file; "
-                             f"builtins: {', '.join(builtin_names())}")
-        desc = parse_descriptor(path.read_text(encoding="utf-8"), source=str(path))
+                             f"builtins: {', '.join(builtin_names())}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read descriptor {name_or_path!r}: {exc}") from exc
+        desc = parse_descriptor(text, source=str(path))
     G = desc.build()
     if verify:
         verify_descriptor(desc, G)

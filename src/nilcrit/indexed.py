@@ -56,12 +56,17 @@ class IndexedGroup:
             self._rows[i] = r
         return r
 
-    def mul(self, i: int, j: int) -> int:
-        return self.row(i)[j]
+    def times(self, s: int) -> list[int]:
+        """``out[z]`` is the index of elements[z] * elements[s], for every z.
+
+        Read off the row of s^-1, since z*s = (s^-1 * z^-1)^-1.
+        """
+        row = self.row(self.inverse[s])
+        return [self.inverse[row[z_inv]] for z_inv in self.inverse]
 
     def comm(self, i: int, j: int) -> int:
         """index of [elements[i], elements[j]]."""
-        return self.mul(self.mul(self.mul(self.inverse[i], self.inverse[j]), i), j)
+        return self.row(self.row(self.row(self.inverse[i])[self.inverse[j]])[i])[j]
 
     def commutator_table(self) -> list[list[int]]:
         """Full table of [a, b] indices; forces all multiplication rows."""
@@ -69,7 +74,7 @@ class IndexedGroup:
         table = []
         for i in range(self.size):
             row_invi = self.row(inv[i])
-            table.append([self.mul(self.mul(row_invi[inv[j]], i), j) for j in range(self.size)])
+            table.append([self.row(self.row(row_invi[inv[j]])[i])[j] for j in range(self.size)])
         return table
 
     def closure(self, seed: Iterable[int]) -> frozenset[int]:
@@ -216,15 +221,11 @@ class IndexedGroup:
     def _generator_tables(self) -> tuple[list[list[int]], list[list[int]]]:
         """Per generator s of G, the tables of i -> i*s and of i -> i^s."""
         if self._gen_tables is None:
-            index = self.index
-            times, conj = [], []
-            for s in self.group.generators:
-                times_s = [index[x * s] for x in self.elements]
-                # x^s = s^-1 * (x*s), read off the row of s^-1
-                row = self.row(self.inverse[index[s]])
-                times.append(times_s)
-                conj.append([row[y] for y in times_s])
-            self._gen_tables = (times, conj)
+            gens = [self.index[s] for s in self.group.generators]
+            times = [self.times(s) for s in gens]
+            # x^s = s^-1 * (x*s), read off the row of s^-1
+            rows = [self.row(self.inverse[s]) for s in gens]
+            self._gen_tables = (times, [[row[y] for y in t] for row, t in zip(rows, times)])
         return self._gen_tables
 
     def _spanning_tree(self) -> list[tuple[int, int, int]]:

@@ -16,11 +16,12 @@ Five checks, each a conditional verified extensionally on concrete groups:
   a depth-k value x acts trivially on every x-invariant subgroup of coprime
   order; the proof's commutator gymnastics are replayed literally.
 
-Every subgroup and subset the first four checks meet is an index set on
-G's indexed view: normality is one pass over the generators' conjugation
-tables, generation is ``IndexedGroup.closure``, and the normal subgroups
-are closures of unions of conjugacy classes.  A PermGroup is built only for
-the subgroups ``normal_subgroups`` returns.
+Every subgroup and subset the five checks meet is an index set on G's
+indexed view: normality is one pass over the generators' conjugation
+tables, generation is ``IndexedGroup.closure``, the normal subgroups are
+closures of unions of conjugacy classes, and the coprime-action check reads
+every commutator off table lookups.  A PermGroup is built only for the
+subgroups ``normal_subgroups`` returns.
 
 Inadmissible inputs raise HypothesisNotSatisfied (or a structural error);
 holds=False is reserved for genuine counter-evidence, which for proven facts
@@ -45,10 +46,8 @@ from .group import (
     ElementSet,
     PermGroup,
     group_from_elements,
-    subgroup_generated,
 )
 from .indexed import indexed_view
-from .perm import commutator
 from .primes import p_part, prime_factors
 from .criterion import coprime_product_criterion
 from .structure import (
@@ -273,28 +272,33 @@ def check_fitting_membership(G: PermGroup, p: int,
         witness is None, witness, checked=qualifying)
 
 
-def _invariant_subgroup_family(G: PermGroup, cap: int) -> list[PermGroup]:
-    """Subgroups tested for coprime action: cyclics, Sylows of normals, p'-cores of F.
+def _invariant_subgroup_family(G: PermGroup, cap: int) -> list[frozenset[int]]:
+    """Subgroups tested for coprime action, as index sets on G's indexed view.
 
-    The full subgroup lattice would explode; this family covers every
-    subgroup the coprime-action argument is ever applied to.
+    The family is every cyclic subgroup, the Sylow subgroups of every
+    normal subgroup and the p'-cores of the Fitting subgroup; the full
+    subgroup lattice would explode, and this family covers every subgroup
+    the coprime-action argument is ever applied to.  <y> is the power orbit
+    of y, |y| products; the other members are index sets of the subgroups
+    ``sylow_subgroup`` and ``p_prime_core`` return.  Members are ordered by
+    size, then by sorted index list.
     """
 
-    def compute() -> tuple[PermGroup, ...]:
-        family: dict[frozenset, PermGroup] = {}
-
-        def add(H: PermGroup) -> None:
-            family.setdefault(frozenset(H.elements(cap)), H)
-
-        for y in G.elements(cap):
-            add(subgroup_generated(G.degree, [y]))
-        for M in normal_subgroups(G, cap):
-            for q in prime_factors(M.order()):
-                add(sylow_subgroup(M, q, cap))
+    def compute() -> tuple[frozenset[int], ...]:
+        iv = indexed_view(G, cap)
+        family = set()
+        for y in iv.elements:
+            powers, p = {iv.identity_index}, y
+            while (i := iv.index[p]) not in powers:
+                powers.add(i)
+                p = p * y
+            family.add(frozenset(powers))
+        subgroups = [sylow_subgroup(M, q, cap) for M in normal_subgroups(G, cap)
+                     for q in prime_factors(M.order())]
         F = fitting_subgroup(G, cap)
-        for q in prime_factors(G.order()):
-            add(p_prime_core(F, q, cap))
-        return tuple(sorted(family.values(), key=lambda H: (H.order(), [g.images for g in H.generators])))
+        subgroups += [p_prime_core(F, q, cap) for q in prime_factors(G.order())]
+        family.update(frozenset(iv.member_indices(H, cap)) for H in subgroups)
+        return tuple(sorted(family, key=lambda S: (len(S), sorted(S))))
 
     return list(G.memo(("invariant_family",), compute))
 
@@ -308,53 +312,59 @@ def check_coprime_action(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> L
     depth-k value of order coprime to |x|, the product [y, x, x] x^-1 is
     conjugate to x^-1 (the two share a class label on G's indexed view),
     hence [y, x, x] = 1, and finally [N, x] = 1.
+
+    Every product is a lookup on G's indexed view, in maps built once per
+    value x: z*x from the row of x^-1 (``IndexedGroup.times``), so that
+    z^x = x^-1 (z*x); [y, x] = (x^-1)^y x, with (x^-1)^y among the
+    conjugates of x^-1; and [y, x, x] x^-1 from the row of x.  x normalizes
+    N when z^x lies in N's index set for every z in N.
     """
     if not coprime_product_criterion(G, k, "delta", cap).holds:
         raise HypothesisNotSatisfied(
             f"coprime product criterion fails for depth {k}; the action fact does not apply")
 
-    values = delta_values(G, k, cap)
-    value_list = list(values.values)
-    family = _invariant_subgroup_family(G, cap)
     iv = indexed_view(G, cap)
+    inv, order_of, e = iv.inverse, iv.order_of, iv.identity_index
     labels = iv.class_labels()[0]
-
+    value_list = [iv.index[v] for v in delta_values(G, k, cap).values]
+    values = set(value_list)
+    family = _invariant_subgroup_family(G, cap)
+    maps: dict[int, tuple[list[int], ...]] = {}  # per value x, built once
     pairs = 0
-    witness = None
-    for N in family:
-        n_order = N.order()
-        n_gens = N.generators
-        n_elems = N.elements(cap)
-        for x in value_list:
-            if gcd(n_order, x.order()) != 1:
-                continue
-            if not all(N.contains(n.conjugate(x)) for n in n_gens):
-                continue
-            pairs += 1
-            x_inv = x.inverse()
-            for y in n_elems:
-                double = commutator(commutator(y, x), x)
-                step = {"N_order": n_order, "x": x, "y": y}
-                if double not in values.values:
-                    witness = {**step, "failure": "double commutator left the value set"}
-                    break
-                if gcd(double.order(), x.order()) != 1:
-                    witness = {**step, "failure": "double commutator order not coprime to |x|"}
-                    break
-                target = double * x_inv
-                if labels[iv.index[target]] != labels[iv.index[x_inv]]:
-                    witness = {**step, "failure": "product is not conjugate to x^-1"}
-                    break
-                if not double.is_identity():
-                    witness = {**step, "failure": "double commutator is not trivial"}
-                    break
-                if not commutator(y, x).is_identity():
-                    witness = {**step, "failure": "x does not centralize N"}
-                    break
-            if witness:
-                break
-        if witness:
-            break
+
+    def failures() -> Iterator[dict]:
+        """Witnesses of failed steps; the caller stops at the first."""
+        nonlocal pairs
+        for N in family:
+            members = sorted(N)
+            for x in value_list:
+                if gcd(len(N), order_of[x]) != 1:
+                    continue
+                if x not in maps:
+                    maps[x] = iv.row(inv[x]), iv.times(x), iv.times(inv[x]), iv.conjugates(inv[x])
+                row_x_inv, times_x, times_x_inv, conj_x_inv = maps[x]
+                if any(row_x_inv[times_x[z]] not in N for z in members):
+                    continue
+                pairs += 1
+                for y in members:
+                    comm = times_x[conj_x_inv[y]]
+                    double = times_x[conj_x_inv[comm]]
+                    if double not in values:
+                        fail = "double commutator left the value set"
+                    elif gcd(order_of[double], order_of[x]) != 1:
+                        fail = "double commutator order not coprime to |x|"
+                    elif labels[times_x_inv[double]] != labels[inv[x]]:
+                        fail = "product is not conjugate to x^-1"
+                    elif double != e:
+                        fail = "double commutator is not trivial"
+                    elif comm != e:
+                        fail = "x does not centralize N"
+                    else:
+                        continue
+                    yield {"N_order": len(N), "x": iv.elements[x], "y": iv.elements[y],
+                           "failure": fail}
+
+    witness = next(failures(), None)
     return LemmaReport(
         "coprime_action", G.name,
         {"k": k, "family_size": len(family), "value_count": len(value_list)},

@@ -244,15 +244,6 @@ def is_commutator_closed(X: Iterable[Permutation]) -> bool:
     return all(commutator(a, b) in elems for a in elems for b in elems)
 
 
-def commutator_closure(G: PermGroup, seed: Iterable[Permutation],
-                       cap: int = DEFAULT_ENUM_CAP) -> ElementSet:
-    """Close a subset of G under commutators of members (identity included)."""
-    iv = indexed_view(G, cap)
-    closed = iv.commutator_closure(iv.index[p] for p in seed)
-    return ElementSet.from_iterable(G.degree, iv.perms(closed),
-                                    comm_closed=True)
-
-
 def random_commutator_closed_generating_set(G: PermGroup, rng: random.Random,
                                             cap: int = DEFAULT_ENUM_CAP) -> ElementSet:
     """A random generating set of G, closed under commutators.

@@ -76,6 +76,25 @@ class TestErrors:
         assert code == 2
         assert "InvalidPermutation" in err
 
+    def test_directory_as_descriptor_exit_two(self, tmp_path, capsys):
+        code, _, err = run(["series", str(tmp_path)], capsys)
+        assert code == 2
+        assert "ParseError" in err and str(tmp_path) in err
+
+    def test_undecodable_descriptor_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "binary.grp"
+        path.write_bytes(b"degree: 3\n\xff\n")
+        code, _, err = run(["series", str(path)], capsys)
+        assert code == 2
+        assert "ParseError" in err and str(path) in err
+
+    @pytest.mark.parametrize("target", ["missing/r.json", "."])
+    def test_unwritable_json_path_is_usage_error(self, target, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lemmas", "S3", "--json", str(tmp_path / target)])
+        assert exc.value.code == 2
+        assert "argument --json" in capsys.readouterr().err
+
     def test_usage_error_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["criterion", "--kind", "epsilon"])

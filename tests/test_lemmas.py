@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from math import gcd
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,7 +16,10 @@ from nilcrit.errors import (
     NotSoluble,
 )
 from nilcrit.corpus import builtin_names, load_group
+from nilcrit.criterion import coprime_product_criterion
+import nilcrit.group as group_module
 from nilcrit.group import (
+    DEFAULT_ENUM_CAP,
     ElementSet,
     PermGroup,
     conjugacy_classes,
@@ -23,8 +28,10 @@ from nilcrit.group import (
     subgroup_generated,
     trivial_group,
 )
+from nilcrit.indexed import indexed_view
 from nilcrit.lemmas import (
     LemmaReport,
+    _invariant_subgroup_family,
     check_coprime_action,
     check_coset_intersection,
     check_fitting_membership,
@@ -35,13 +42,14 @@ from nilcrit.lemmas import (
     normal_subgroups,
     p_power_value_closure,
 )
-from nilcrit.perm import commutator
+from nilcrit.perm import Permutation, commutator
 from nilcrit.primes import p_part, prime_factors
 from nilcrit.structure import (
     derived_term,
     fitting_subgroup,
     is_metanilpotent,
     is_soluble,
+    p_prime_core,
     sylow_subgroup,
 )
 from nilcrit.words import delta_values
@@ -485,6 +493,76 @@ def fitting_membership_oracle(G: PermGroup, p: int) -> LemmaReport:
                        witness is None, witness, checked=qualifying)
 
 
+def invariant_subgroup_family_oracle(G: PermGroup) -> list[PermGroup]:
+    """A chain per cyclic subgroup <y>, deduplicated by element frozensets."""
+    family: dict[frozenset, PermGroup] = {}
+
+    def add(H: PermGroup) -> None:
+        family.setdefault(frozenset(H.elements()), H)
+
+    for y in G.elements():
+        add(subgroup_generated(G.degree, [y]))
+    for M in normal_subgroups(G):
+        for q in prime_factors(M.order()):
+            add(sylow_subgroup(M, q))
+    F = fitting_subgroup(G)
+    for q in prime_factors(G.order()):
+        add(p_prime_core(F, q))
+    return sorted(family.values(), key=lambda H: (H.order(), [g.images for g in H.generators]))
+
+
+def coprime_action_oracle(G: PermGroup, k: int, values_of=delta_values) -> LemmaReport:
+    """Permutation commutators per (N, x, y), each sifted through N's chain."""
+    if not coprime_product_criterion(G, k, "delta").holds:
+        raise HypothesisNotSatisfied(f"coprime product criterion fails for depth {k}")
+    values = values_of(G, k)
+    value_list = list(values.values)
+    family = invariant_subgroup_family_oracle(G)
+    iv = indexed_view(G)
+    labels = iv.class_labels()[0]
+    pairs = 0
+    witness = None
+    for N in family:
+        for x in value_list:
+            if gcd(N.order(), x.order()) != 1:
+                continue
+            if not all(N.contains(n.conjugate(x)) for n in N.generators):
+                continue
+            pairs += 1
+            for y in N.elements():
+                double = commutator(commutator(y, x), x)
+                step = {"N_order": N.order(), "x": x, "y": y}
+                if double not in values.values:
+                    witness = {**step, "failure": "double commutator left the value set"}
+                elif gcd(double.order(), x.order()) != 1:
+                    witness = {**step, "failure": "double commutator order not coprime to |x|"}
+                elif labels[iv.index[double * x.inverse()]] != labels[iv.index[x.inverse()]]:
+                    witness = {**step, "failure": "product is not conjugate to x^-1"}
+                elif not double.is_identity():
+                    witness = {**step, "failure": "double commutator is not trivial"}
+                elif not commutator(y, x).is_identity():
+                    witness = {**step, "failure": "x does not centralize N"}
+                if witness:
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    return LemmaReport("coprime_action", G.name,
+                       {"k": k, "family_size": len(family), "value_count": len(value_list)},
+                       witness is None, witness, checked=pairs)
+
+
+def refuse_permutation_arithmetic(monkeypatch) -> None:
+    """Make every Permutation product, inverse and conjugate raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Permutation product, inverse or conjugate was formed")
+
+    for name in ("__mul__", "inverse", "conjugate"):
+        monkeypatch.setattr(Permutation, name, refuse)
+
+
 def battery_group(name: str) -> PermGroup:
     return load_group(str(SCALE_CORPUS / f"{name}.grp") if name in SCALE_NAMES else name)
 
@@ -509,15 +587,27 @@ class TestIndexSetsAgainstPermutationOracles:
 
     def test_normal_subgroups_build_one_group_per_result(self, monkeypatch):
         G = battery_group("S4xS4")
-        built = []
+        indexed_view(G)
+        built, inside = [], []
+        chain_class = group_module.StabilizerChain
 
         def refuse(*args, **kwargs):
             raise AssertionError("normal_subgroups built a chain for a class or a pair")
 
-        monkeypatch.setattr("nilcrit.lemmas.subgroup_generated", refuse)
+        def result_chain(*args):
+            return chain_class(*args) if inside else refuse()
+
+        def build_result(*args):
+            built.append(args)
+            inside.append(args)
+            try:
+                return group_from_elements(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(group_module, "StabilizerChain", result_chain)
         monkeypatch.setattr(PermGroup, "is_subgroup_of", refuse)
-        monkeypatch.setattr("nilcrit.lemmas.group_from_elements",
-                            lambda *args: built.append(args) or group_from_elements(*args))
+        monkeypatch.setattr("nilcrit.lemmas.group_from_elements", build_result)
         assert len(normal_subgroups(G)) == len(built) == 17
 
     def test_focal_generation_sifts_no_value(self, monkeypatch):
@@ -533,9 +623,50 @@ class TestIndexSetsAgainstPermutationOracles:
     def test_fitting_membership_forms_no_commutator_per_element(self, monkeypatch):
         G = battery_group("AGL1_16")
         want = check_fitting_membership(G, 2)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a Permutation commutator was formed")
-
-        monkeypatch.setattr("nilcrit.lemmas.commutator", refuse)
+        refuse_permutation_arithmetic(monkeypatch)
         assert check_fitting_membership(G, 2) == want
+
+    @pytest.mark.parametrize("name", builtin_names() + list(SCALE_NAMES))
+    def test_coprime_action_reports(self, name):
+        G = battery_group(name)
+        for k in range(1, 5):
+            try:
+                want = coprime_action_oracle(G, k)
+            except HypothesisNotSatisfied:
+                with pytest.raises(HypothesisNotSatisfied):
+                    check_coprime_action(G, k)
+            else:
+                assert check_coprime_action(G, k) == want, k
+
+    def test_coprime_action_failure_reports_the_oracle_witness(self, monkeypatch):
+        # without the identity among the values, the first replayed step fails
+        def values_without_identity(G, k, cap=DEFAULT_ENUM_CAP):
+            return SimpleNamespace(values=tuple(v for v in delta_values(G, k, cap).values
+                                                if not v.is_identity()))
+
+        G = battery_group("S3wrC3")
+        want = coprime_action_oracle(G, 2, values_without_identity)
+        monkeypatch.setattr("nilcrit.lemmas.delta_values", values_without_identity)
+        got = check_coprime_action(G, 2)
+        assert not got.holds and got.witness["failure"] == "double commutator left the value set"
+        assert got == want
+
+    def test_invariant_family_builds_no_chain_per_element(self, monkeypatch):
+        G = battery_group("S4wrC2")
+        # the normal subgroups and F are the family's inputs, shared with other checks
+        normal_subgroups(G)
+        fitting_subgroup(G)
+        built = []
+        chain_class = group_module.StabilizerChain
+        monkeypatch.setattr(group_module, "StabilizerChain",
+                            lambda *args: built.append(args) or chain_class(*args))
+        family = _invariant_subgroup_family(G, DEFAULT_ENUM_CAP)
+        assert len(built) < G.order() // 4
+        assert len(family) == len(invariant_subgroup_family_oracle(battery_group("S4wrC2")))
+
+    def test_coprime_action_forms_no_permutation_conjugate(self, monkeypatch):
+        G = battery_group("C2wrS4")
+        want = check_coprime_action(G, 2)
+        assert want.checked > 0
+        refuse_permutation_arithmetic(monkeypatch)
+        assert check_coprime_action(G, 2) == want
