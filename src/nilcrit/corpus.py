@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .errors import OrderMismatch, ParseError, TagMismatch
 from .group import PermGroup
-from .perm import Permutation
+from .perm import MAX_DEGREE, Permutation
 from .structure import is_nilpotent, is_soluble
 
 KNOWN_TAGS = ("nilpotent", "soluble", "insoluble")
@@ -274,6 +274,8 @@ def parse_descriptor(text: str, source: str = "file") -> GroupDescriptor:
         raise ParseError(f"degree must be an integer, got {fields['degree']!r}")
     if degree < 1:
         raise ParseError("degree must be at least 1")
+    if degree > MAX_DEGREE:
+        raise ParseError(f"degree {degree} exceeds the limit of {MAX_DEGREE} points")
     if not gen_specs:
         raise ParseError("descriptor has no 'gen:' lines")
 

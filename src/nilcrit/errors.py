@@ -8,7 +8,7 @@ class NilcritError(Exception):
 
 
 class InvalidPermutation(NilcritError):
-    """Image array is not a bijection of the stated point set."""
+    """Image array is not a bijection of the stated point set, or has more than 256 points."""
 
 
 class DegreeMismatch(NilcritError):

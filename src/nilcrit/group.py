@@ -15,13 +15,14 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .chain import StabilizerChain
 from .errors import DegreeMismatch, NotNormal, OrderCapExceeded
-from .perm import Permutation
+from .perm import MAX_DEGREE, Permutation
 
 if TYPE_CHECKING:
     from .indexed import IndexedGroup
 
 DEFAULT_ENUM_CAP = 200_000
-DEFAULT_INDEX_CAP = 10_000
+# a quotient acts on its cosets, so its index is a permutation degree
+DEFAULT_INDEX_CAP = MAX_DEGREE
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Pair-enumeration loops (word value closures, coprime product scans, random
 commutator closures) dominate the runtime of every check, and doing them on
-raw image tuples wastes time re-hashing permutations.  This view numbers the
+Permutations wastes time re-hashing them.  This view numbers the
 elements in canonical order and multiplies by table lookup; rows of the
 multiplication table are built on demand so sparse access stays cheap.
 
@@ -16,7 +16,8 @@ full multiplication table.
 
 Subgroups and normal subsets of G are index sets on the view: a subgroup
 closure fetches rows only for the seeds that enlarge it, and a subset is
-normal when every generator's conjugation table maps it into itself.
+normal when every generator's conjugation table maps it into itself.  The
+index set of a normal subgroup is kept, keyed by its generators' indices.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ class IndexedGroup:
         self.inverse: list[int] = [self.index[p.inverse()] for p in elems]
         self._rows: list[list[int] | None] = [None] * self.size
         self._cosets: dict[frozenset[int], tuple[list[int], list[int]]] = {}
+        self._normal: dict[frozenset[int], frozenset[int]] = {}
         self._gen_tables: tuple[list[list[int]], list[list[int]]] | None = None
         self._tree: list[tuple[int, int, int]] | None = None
         self._classes: tuple[list[int], list[int]] | None = None
@@ -196,6 +198,20 @@ class IndexedGroup:
         for table in self.conjugation_tables():
             if any(table[i] not in members for i in members):
                 raise NotNormal("subset is not closed under conjugation in the group")
+        return members
+
+    def normal_subgroup_indices(self, H: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> frozenset[int]:
+        """The index set of a normal subgroup H of G, memoised by H's generator indices.
+
+        The first call for H's generators runs ``normal_indices`` on H's
+        elements.  Only successes are kept, so a subgroup that is not normal
+        in G raises the same NotNormal on every call.
+        """
+        key = frozenset(self.index.get(h) for h in H.generators)
+        members = self._normal.get(key)
+        if members is None:
+            members = frozenset(self.normal_indices(H.elements(cap)))
+            self._normal[key] = members
         return members
 
     def _indices(self, subset: Iterable[Permutation]) -> set[int]:

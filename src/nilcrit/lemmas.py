@@ -18,9 +18,10 @@ Five checks, each a conditional verified extensionally on concrete groups:
 
 Every subgroup and subset the five checks meet is an index set on G's
 indexed view: normality is one pass over the generators' conjugation
-tables, generation is ``IndexedGroup.closure``, the normal subgroups are
-closures of unions of conjugacy classes, and the coprime-action check reads
-every commutator off table lookups.  A PermGroup is built only for the
+tables, made once per normal subgroup and kept on the view, generation is
+``IndexedGroup.closure``, the normal subgroups are closures of unions of
+conjugacy classes, and the coprime-action check reads every commutator off
+table lookups.  A PermGroup is built only for the
 subgroups ``normal_subgroups`` returns.
 
 Inadmissible inputs raise HypothesisNotSatisfied (or a structural error);
@@ -147,7 +148,7 @@ def check_coset_intersection(G: PermGroup, N: PermGroup, p: int, X: ElementSet,
     """
     _check_prime_divisor(G, p)
     iv = indexed_view(G, cap)
-    iv.normal_indices(N.elements(cap))
+    iv.normal_subgroup_indices(N, cap)
     x_idx = _p_element_normal_indices(G, X, p, cap)
 
     P = sylow_subgroup(G, p, cap)
@@ -180,8 +181,8 @@ def check_lifted_generation(G: PermGroup, N: PermGroup, L: PermGroup, p: int,
     """
     _check_prime_divisor(G, p)
     iv = indexed_view(G, cap)
-    n_idx = iv.normal_indices(N.elements(cap))
-    l_idx = iv.normal_indices(L.elements(cap))
+    n_idx = iv.normal_subgroup_indices(N, cap)
+    l_idx = iv.normal_subgroup_indices(L, cap)
     if not n_idx <= l_idx:
         raise NotNormal("N must be contained in L")
     x_idx = _p_element_normal_indices(G, X, p, cap)

@@ -3,8 +3,22 @@
 Products are read left to right: ``(a * b)`` means "apply ``a`` first, then
 ``b``", so ``x^(a*b) = b(a(x))``.  Conjugation is ``y^x = x^-1 * y * x`` and
 the commutator is ``[a, b] = a^-1 * b^-1 * a * b``, which makes the identity
-``y^x = y * [y, x]`` hold verbatim.  Points are 1-based in all I/O; the
-internal image tuple is 0-based.
+``y^x = y * [y, x]`` hold verbatim.  Points are 1-based in all I/O.
+
+Internally a permutation of degree n is the ``bytes`` object of its 0-based
+images, so the degree is at most ``MAX_DEGREE`` = 256 and larger degrees are
+refused at construction.  The hot operations are single C calls on bytes:
+
+* ``a * b`` is ``a.images.translate(b's pad)``, the pad being b's images
+  followed by the identity on n..255, a 256-byte translation table built the
+  first time b is a right operand and kept on b;
+* ``inverse`` is ``bytes.maketrans(images, identity)``, whose first n bytes
+  are the inverse's images and whose whole table is the inverse's pad;
+* ``is_identity`` is a prefix test against the identity on 0..255.
+
+Indexing bytes yields ints and bytes compare lexicographically like int
+tuples, so element order is the order of image lists; bytes also cache their
+hash.
 """
 
 from __future__ import annotations
@@ -17,33 +31,39 @@ from .errors import DegreeMismatch, InvalidPermutation
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
+MAX_DEGREE = 256
+_IDENTITY = bytes(range(MAX_DEGREE))
+
 
 class Permutation:
-    """An element of the symmetric group on {1..n}, stored as a 0-based image tuple."""
+    """An element of the symmetric group on {1..n}, n <= 256, stored as the bytes of its 0-based images.
 
-    __slots__ = ("images",)
+    ``_pad`` is None until the permutation is first the right operand of a
+    product; from then on it holds the 256-byte translation table.
+    """
+
+    __slots__ = ("images", "_pad")
 
     def __init__(self, images: Iterable[int]):
         imgs = tuple(images)
         n = len(imgs)
-        if n < 1:
-            raise InvalidPermutation("degree must be at least 1")
-        seen = [False] * n
-        for x in imgs:
-            if not isinstance(x, int) or x < 0 or x >= n or seen[x]:
-                raise InvalidPermutation(f"images {imgs!r} are not a bijection of 0..{n - 1}")
-            seen[x] = True
-        self.images = imgs
+        _check_degree(n)
+        if not all(isinstance(x, int) and 0 <= x < n for x in imgs) or len(set(imgs)) != n:
+            raise InvalidPermutation(f"images {imgs!r} are not a bijection of 0..{n - 1}")
+        self.images = bytes(imgs)
+        self._pad = None
 
     # construction helpers
 
     @classmethod
     def identity(cls, degree: int) -> Permutation:
-        return cls(range(degree))
+        _check_degree(degree)
+        return _wrap(_IDENTITY[:degree])
 
     @classmethod
     def from_one_based(cls, images: Sequence[int]) -> Permutation:
         """Build from a 1-based image array, the external descriptor form."""
+        _check_degree(len(images))
         try:
             return cls(x - 1 for x in images)
         except InvalidPermutation:
@@ -116,18 +136,18 @@ class Permutation:
             return NotImplemented
         if len(self.images) != len(other.images):
             raise DegreeMismatch(f"degrees {self.degree} and {other.degree} differ")
-        b = other.images
-        out = Permutation.__new__(Permutation)
-        out.images = tuple(b[x] for x in self.images)
+        pad = other._pad
+        if pad is None:
+            pad = other._pad = other.images + _IDENTITY[len(other.images):]
+        out = _new(Permutation)
+        out.images = self.images.translate(pad)
+        out._pad = None
         return out
 
     def inverse(self) -> Permutation:
-        inv = [0] * len(self.images)
-        for i, x in enumerate(self.images):
-            inv[x] = i
-        out = Permutation.__new__(Permutation)
-        out.images = tuple(inv)
-        return out
+        # maps images[i] -> i and fixes n..255: the inverse's images, then its identity tail
+        table = bytes.maketrans(self.images, _IDENTITY[:len(self.images)])
+        return _wrap(table[:len(self.images)], table)
 
     def __pow__(self, n: int) -> Permutation:
         if n < 0:
@@ -146,7 +166,7 @@ class Permutation:
         return by.inverse() * self * by
 
     def is_identity(self) -> bool:
-        return all(x == i for i, x in enumerate(self.images))
+        return _IDENTITY.startswith(self.images)
 
     # cycle structure
 
@@ -181,6 +201,24 @@ class Permutation:
 
     def one_based(self) -> list[int]:
         return [x + 1 for x in self.images]
+
+
+_new = object.__new__
+
+
+def _wrap(images: bytes, pad: bytes | None = None) -> Permutation:
+    """A Permutation around images already known to be a bijection."""
+    out = _new(Permutation)
+    out.images = images
+    out._pad = pad
+    return out
+
+
+def _check_degree(n: int) -> None:
+    if n < 1:
+        raise InvalidPermutation("degree must be at least 1")
+    if n > MAX_DEGREE:
+        raise InvalidPermutation(f"degree {n} exceeds the limit of {MAX_DEGREE} points")
 
 
 def commutator(a: Permutation, b: Permutation) -> Permutation:

@@ -404,7 +404,7 @@ def intersect_basis(B: SylowBasis, K: PermGroup, cap: int = DEFAULT_ENUM_CAP) ->
     so K needs no view of its own.
     """
     iv = indexed_view(B.ambient, cap)
-    k_idx = iv.normal_indices(K.elements(cap))
+    k_idx = iv.normal_subgroup_indices(K, cap)
     new_basis: dict[int, PermGroup] = {}
     for p in prime_factors(K.order()):
         inter = k_idx & iv.member_indices(B.basis[p], cap)

@@ -8,6 +8,7 @@ scans, and series terms from all-pairs commutator closures.
 from __future__ import annotations
 
 import itertools
+import math
 import signal
 import time
 from contextlib import contextmanager
@@ -20,6 +21,81 @@ from nilcrit.group import PermGroup, conjugacy_classes, subgroup_generated
 
 def perm(cycles: str, degree: int) -> Permutation:
     return Permutation.parse_cycles(cycles, degree)
+
+
+class TuplePermutation:
+    """The former tuple-backed permutation arithmetic, an oracle for nilcrit.perm.
+
+    Images are a tuple of 0-based ints, and every operation is a Python
+    loop over them, as the library computed before images became bytes.
+    """
+
+    __slots__ = ("images",)
+
+    def __init__(self, images):
+        self.images = tuple(images)
+
+    def __eq__(self, other):
+        return isinstance(other, TuplePermutation) and self.images == other.images
+
+    def __lt__(self, other):
+        return self.images < other.images
+
+    def __le__(self, other):
+        return self.images <= other.images
+
+    def __hash__(self):
+        return hash(self.images)
+
+    def __mul__(self, other):
+        b = other.images
+        return TuplePermutation(b[x] for x in self.images)
+
+    def inverse(self):
+        inv = [0] * len(self.images)
+        for i, x in enumerate(self.images):
+            inv[x] = i
+        return TuplePermutation(inv)
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = TuplePermutation(range(len(self.images)))
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def conjugate(self, by):
+        return by.inverse() * self * by
+
+    def is_identity(self):
+        return all(x == i for i, x in enumerate(self.images))
+
+    def cycles(self, with_fixed=False):
+        seen = [False] * len(self.images)
+        out = []
+        for start in range(len(self.images)):
+            if seen[start]:
+                continue
+            cur, cycle = start, []
+            while not seen[cur]:
+                seen[cur] = True
+                cycle.append(cur + 1)
+                cur = self.images[cur]
+            if len(cycle) > 1 or with_fixed:
+                out.append(tuple(cycle))
+        return out
+
+    def order(self):
+        return math.lcm(*(len(c) for c in self.cycles(with_fixed=True)))
+
+
+def tuple_commutator(a: TuplePermutation, b: TuplePermutation) -> TuplePermutation:
+    return a.inverse() * b.inverse() * a * b
 
 
 def closure_oracle(degree: int, gens: list[Permutation]) -> set[Permutation]:

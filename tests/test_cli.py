@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nilcrit
 from nilcrit.cli import main
+
+SRC = Path(nilcrit.__file__).resolve().parents[1]
+SCALE_CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
 
 
 def run(argv, capsys):
@@ -76,6 +84,13 @@ class TestErrors:
         assert code == 2
         assert "InvalidPermutation" in err
 
+    def test_degree_above_256_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "wide.grp"
+        path.write_text("degree: 257\ngen: (1 2)\n")
+        code, _, err = run(["series", str(path)], capsys)
+        assert code == 2
+        assert "ParseError" in err and "limit of 256 points" in err
+
     def test_directory_as_descriptor_exit_two(self, tmp_path, capsys):
         code, _, err = run(["series", str(tmp_path)], capsys)
         assert code == 2
@@ -135,6 +150,13 @@ class TestDescriptorIngestion:
         assert code == 0
         assert "[4, 1]" in out
 
+    def test_degree_256_group_through_cli(self, tmp_path, capsys):
+        path = tmp_path / "v4_256.grp"
+        path.write_text("degree: 256\norder: 4\ngen: (1 256)(2 255)\ngen: (1 2)(255 256)\n")
+        code, out, _ = run(["series", str(path)], capsys)
+        assert code == 0
+        assert "[4, 1]" in out
+
 
 class TestReportDeterminism:
     def test_identical_reports_across_runs(self, tmp_path, capsys):
@@ -151,6 +173,23 @@ class TestReportDeterminism:
             code, _, _ = run(["lemmas", "S4", "--k", "1..2", "--json", str(p)], capsys)
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["lemmas", "S4xC3", "--k", "1..3"],
+        ["criterion", str(SCALE_CORPUS / "S4wrC2.grp"), "--k", "1..3"],
+        ["tower", "S3xS3"],
+    ])
+    def test_reports_identical_across_hash_seeds(self, argv):
+        # bytes hashes are salted per process, so set iteration orders differ
+        reports = []
+        for seed in ("0", "4242"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(SRC)}
+            proc = subprocess.run([sys.executable, "-m", "nilcrit.cli", *argv, "--json", "-"],
+                                  env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            reports.append(proc.stdout)
+        assert b'"records"' in reports[0]
+        assert reports[0] == reports[1]
 
     def test_report_shape(self, tmp_path, capsys):
         path = tmp_path / "report.json"

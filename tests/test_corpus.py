@@ -104,6 +104,22 @@ class TestDescriptorParsing:
             parse_descriptor("degree: 3\nnot a field line\n")
         assert err.value.line == 2
 
+    def test_degree_256_parses_and_builds(self):
+        desc = parse_descriptor("degree: 256\norder: 4\ngen: (1 256)(2 255)\n"
+                                "gen: [" + ", ".join(map(str, [2, 1] + list(range(3, 255)) + [256, 255])) + "]\n")
+        G = desc.build()
+        verify_descriptor(desc, G)
+        assert G.degree == 256 and G.order() == 4
+
+    def test_degree_above_256_fails_before_any_generator_is_built(self, monkeypatch):
+        class NoPermutations:
+            def __getattr__(self, name):
+                raise AssertionError(f"Permutation.{name} reached")
+
+        monkeypatch.setattr("nilcrit.corpus.Permutation", NoPermutations())
+        with pytest.raises(ParseError, match="degree 257 exceeds the limit of 256 points"):
+            parse_descriptor("degree: 257\ngen: (1 2)\n")
+
     def test_missing_degree(self):
         with pytest.raises(ParseError):
             parse_descriptor("gen: [2, 1, 3]\n")

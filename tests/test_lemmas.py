@@ -670,3 +670,46 @@ class TestIndexSetsAgainstPermutationOracles:
         assert want.checked > 0
         refuse_permutation_arithmetic(monkeypatch)
         assert check_coprime_action(G, 2) == want
+
+
+class TestNormalSubgroupIndexSets:
+    def test_lemmas_make_one_normality_pass_per_subgroup(self, monkeypatch, capsys):
+        from nilcrit.cli import main
+        from nilcrit.indexed import IndexedGroup
+
+        passes: dict[frozenset, int] = {}
+        normal_indices = IndexedGroup.normal_indices
+
+        def counted(self, subset):
+            # the value sets X are normal subsets, not subgroups, and are not memoised
+            if not isinstance(subset, ElementSet):
+                key = frozenset(subset)
+                passes[key] = passes.get(key, 0) + 1
+            return normal_indices(self, subset)
+
+        monkeypatch.setattr(IndexedGroup, "normal_indices", counted)
+        assert main(["lemmas", str(SCALE_CORPUS / "S4xS4.grp"), "--k", "1..3"]) == 0
+        capsys.readouterr()
+        assert len(passes) > 1
+        assert max(passes.values()) == 1
+
+    def test_non_normal_subgroup_fails_on_every_call(self, s4):
+        iv = indexed_view(s4)
+        H = subgroup_generated(4, [perm("(1 2 3)", 4)])
+        X = p_power_value_closure(s4, 1, 2)
+        for _ in range(3):
+            with pytest.raises(NotNormal, match="not closed under conjugation"):
+                iv.normal_subgroup_indices(H)
+            with pytest.raises(NotNormal, match="not closed under conjugation"):
+                check_lifted_generation(s4, trivial_group(4), H, 2, X)
+        outside = subgroup_generated(5, [perm("(1 5)", 5)])
+        for _ in range(2):
+            with pytest.raises(NotNormal, match="not contained"):
+                iv.normal_subgroup_indices(outside)
+
+    def test_memoised_index_set_is_the_subgroup(self, s4, a4, v4):
+        iv = indexed_view(s4)
+        for H in (a4, v4, s4, trivial_group(4)):
+            want = frozenset(iv.index[h] for h in H.elements())
+            assert iv.normal_subgroup_indices(H) == want
+            assert iv.normal_subgroup_indices(H) is iv.normal_subgroup_indices(H)

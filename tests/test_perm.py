@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from nilcrit.errors import DegreeMismatch, InvalidPermutation
-from nilcrit.perm import Permutation, commutator
+from nilcrit.group import quotient
+from nilcrit.perm import MAX_DEGREE, Permutation, commutator
 
-from conftest import perm
+from conftest import TuplePermutation, perm, tuple_commutator
 
 
 def random_perms(max_degree: int = 8):
@@ -140,3 +142,86 @@ class TestOrder:
         m = a.order()
         assert (a ** m).is_identity()
         assert a ** -1 == a.inverse()
+
+
+def oracle_cases():
+    """(images of a, images of b, exponent) on 1..256 points; b is sometimes a or the identity."""
+    return st.integers(1, MAX_DEGREE).flatmap(lambda n: st.tuples(
+        st.permutations(range(n)),
+        st.one_of(st.permutations(range(n)), st.just(None), st.just(list(range(n)))),
+        st.integers(-300, 300)))
+
+
+class TestTupleOracle:
+    @given(oracle_cases())
+    @example((list(range(MAX_DEGREE - 1, -1, -1)), list(range(1, MAX_DEGREE)) + [0], -257))
+    @example(([0], None, -1))
+    def test_matches_tuple_arithmetic(self, case):
+        a_imgs, b_imgs, k = case
+        if b_imgs is None:
+            b_imgs = a_imgs
+        a, b = Permutation(a_imgs), Permutation(b_imgs)
+        ta, tb = TuplePermutation(a_imgs), TuplePermutation(b_imgs)
+        pairs = [
+            (a, ta), (b, tb), (a * b, ta * tb), (b * a, tb * ta),
+            (a.inverse(), ta.inverse()), (a ** k, ta ** k), (b ** -k, tb ** -k),
+            (a.conjugate(b), ta.conjugate(tb)), (commutator(a, b), tuple_commutator(ta, tb)),
+            # an inverse as right operand multiplies by the table maketrans built
+            (a * b.inverse() * b, ta * tb.inverse() * tb),
+        ]
+        for p, t in pairs:
+            assert tuple(p.images) == t.images
+            assert p.is_identity() == t.is_identity()
+            assert p.order() == t.order()
+            assert p.cycles() == t.cycles()
+            assert p.cycles(with_fixed=True) == t.cycles(with_fixed=True)
+        for (p, t), (q, u) in itertools.product(pairs, repeat=2):
+            assert (p == q) == (t == u)
+            assert (p < q) == (t < u)
+            assert (p <= q) == (t <= u)
+            if p == q:
+                assert hash(p) == hash(q)
+
+
+class TestRepresentation:
+    def test_every_constructor_and_operation_stores_bytes(self, s4, v4):
+        a, b = perm("(1 2 3)", 4), perm("(1 4)(2 3)", 4)
+        built = [
+            Permutation([1, 0, 2, 3]), Permutation.identity(4),
+            Permutation.from_one_based([2, 1, 3, 4]), Permutation.from_cycles(4, [(1, 2, 3)]),
+            Permutation.parse_cycles("(1 2)(3 4)", 4), Permutation.parse_cycles("()", 4),
+            a * b, a.inverse(), a ** 0, a ** 2, a ** -2, a.conjugate(b), commutator(a, b),
+        ]
+        Q, cmap = quotient(s4, v4)
+        built += [cmap(g) for g in s4.elements()] + list(Q.generators) + list(Q.elements())
+        for p in built:
+            assert type(p.images) is bytes, p
+        assert Permutation.from_one_based([2, 1, 3, 4]) == perm("(1 2)", 4)
+
+
+class TestDegreeLimit:
+    def test_degree_256_works(self):
+        n = MAX_DEGREE
+        shift = Permutation([(i + 1) % n for i in range(n)])
+        assert shift.degree == n
+        assert shift.order() == n
+        assert (shift ** n).is_identity() and not (shift ** (n - 1)).is_identity()
+        assert shift.inverse() == shift ** -1 == Permutation.from_one_based([n] + list(range(1, n)))
+        assert Permutation.parse_cycles(f"(1 {n})", n) * Permutation.identity(n) == \
+            Permutation.from_cycles(n, [(n, 1)])
+
+    @pytest.mark.parametrize("build", [
+        lambda: Permutation(range(MAX_DEGREE + 1)),
+        lambda: Permutation.identity(MAX_DEGREE + 1),
+        lambda: Permutation.from_one_based(list(range(1, MAX_DEGREE + 2))),
+        lambda: Permutation.from_cycles(MAX_DEGREE + 1, [(1, 2)]),
+        lambda: Permutation.parse_cycles("(1 2)", MAX_DEGREE + 1),
+    ])
+    def test_degree_257_is_a_typed_error(self, build):
+        with pytest.raises(InvalidPermutation, match="exceeds the limit of 256 points"):
+            build()
+
+    @pytest.mark.parametrize("images", [[0, 300], [0, -1], [0, 1.0], [1, 1]])
+    def test_out_of_range_images_are_a_typed_error(self, images):
+        with pytest.raises(InvalidPermutation, match="not a bijection"):
+            Permutation(images)
