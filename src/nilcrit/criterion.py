@@ -74,7 +74,7 @@ def coprime_product_criterion(G: PermGroup, k: int, kind: str = "delta",
     """
     iv = indexed_view(G, cap)
     values = _word_values(G, k, kind, cap)
-    val_idx = sorted(iv.index[p] for p in values.values if not p.is_identity())
+    val_idx = sorted(iv.index[p.images] for p in values.values if not p.is_identity())
 
     if reduce_by_classes:
         # val_idx is ascending, so the first value met in a class is its minimum

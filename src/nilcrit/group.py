@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .chain import StabilizerChain
 from .errors import DegreeMismatch, NotNormal, OrderCapExceeded
-from .perm import MAX_DEGREE, Permutation
+from .perm import MAX_DEGREE, Permutation, pad, wrap_images
 
 if TYPE_CHECKING:
     from .indexed import IndexedGroup
@@ -23,6 +24,8 @@ if TYPE_CHECKING:
 DEFAULT_ENUM_CAP = 200_000
 # a quotient acts on its cosets, so its index is a permutation degree
 DEFAULT_INDEX_CAP = MAX_DEGREE
+
+_images = attrgetter("images")
 
 
 @dataclass(frozen=True)
@@ -41,7 +44,7 @@ class ElementSet:
 
     @classmethod
     def from_iterable(cls, degree: int, elems: Iterable[Permutation], **flags) -> ElementSet:
-        unique = sorted(set(elems))
+        unique = sorted(set(elems), key=_images)
         for e in unique:
             if e.degree != degree:
                 raise DegreeMismatch(f"element of degree {e.degree} in a degree-{degree} set")
@@ -124,7 +127,7 @@ class PermGroup:
         if n > cap:
             raise OrderCapExceeded(n, cap)
         if self._elements is None:
-            self._elements = tuple(sorted(self.chain().elements()))
+            self._elements = tuple(map(wrap_images, sorted(self.chain().elements())))
         return self._elements
 
     def element_set(self, cap: int = DEFAULT_ENUM_CAP) -> ElementSet:
@@ -182,7 +185,7 @@ def subgroup_generated(degree: int, gens: Iterable[Permutation]) -> PermGroup:
 
 def group_from_elements(degree: int, elements: Iterable[Permutation]) -> PermGroup:
     """Build a group from its full (closed) element collection, with a reduced generating set."""
-    elems = tuple(sorted(set(elements)))
+    elems = tuple(sorted(set(elements), key=_images))
     group = subgroup_generated(degree, elems)
     if group.order() != len(elems):
         raise ValueError(f"element collection of size {len(elems)} is not closed "
@@ -246,7 +249,7 @@ def centralizer(G: PermGroup, a: Permutation, cap: int = DEFAULT_ENUM_CAP) -> Pe
     if a.degree != G.degree:
         raise DegreeMismatch("element degree differs from group degree")
     iv = indexed_view(G, cap)
-    r = iv.index.get(a)
+    r = iv.index.get(a.images)
     if r is None:
         raise NotNormal("element is not in the group")
     conj = iv.conjugates(r)
@@ -289,8 +292,8 @@ class CosetMap:
     def __call__(self, g: Permutation) -> Permutation:
         if g.degree != self.source.degree:
             raise DegreeMismatch("element degree differs from group degree")
-        index, labels = self.view.index, self.labels
-        return Permutation(tuple(labels[index[r * g]] for r in self.reps))
+        index, labels, table = self.view.index, self.labels, pad(g)
+        return Permutation(tuple(labels[index[r.images.translate(table)]] for r in self.reps))
 
 
 def quotient(G: PermGroup, N: PermGroup, index_cap: int = DEFAULT_INDEX_CAP,

@@ -5,6 +5,9 @@ commutator closures) dominate the runtime of every check, and doing them on
 Permutations wastes time re-hashing them.  This view numbers the
 elements in canonical order and multiplies by table lookup; rows of the
 multiplication table are built on demand so sparse access stays cheap.
+Rows, columns, inverses and orders are computed on the elements' image
+bytes against ``index``, a dict keyed by images, so no Permutation is made
+per product: a row entry is one ``bytes.translate`` and one lookup.
 
 Conjugation runs on per-generator tables instead of rows.  For each generator
 s of G the view keeps x -> x*s and x -> x^s, and a breadth-first spanning
@@ -26,7 +29,7 @@ from typing import Iterable, Iterator
 
 from .errors import NotNormal, OrderCapExceeded
 from .group import DEFAULT_ENUM_CAP, PermGroup
-from .perm import Permutation
+from .perm import Permutation, image_order, inverse_table, pad
 
 
 class IndexedGroup:
@@ -37,9 +40,12 @@ class IndexedGroup:
         self.group = group
         self.elements: tuple[Permutation, ...] = elems
         self.size = len(elems)
-        self.index: dict[Permutation, int] = {p: i for i, p in enumerate(elems)}
-        self.order_of: list[int] = [p.order() for p in elems]
-        self.inverse: list[int] = [self.index[p.inverse()] for p in elems]
+        self.images: list[bytes] = [p.images for p in elems]
+        self.pads: list[bytes] = [pad(p) for p in elems]
+        # keyed by images: look a Permutation p up as index[p.images]
+        self.index: dict[bytes, int] = {b: i for i, b in enumerate(self.images)}
+        self.order_of: list[int] = [image_order(b) for b in self.images]
+        self.inverse: list[int] = [self.index[inverse_table(b)[:len(b)]] for b in self.images]
         self._rows: list[list[int] | None] = [None] * self.size
         self._cosets: dict[frozenset[int], tuple[list[int], list[int]]] = {}
         self._normal: dict[frozenset[int], frozenset[int]] = {}
@@ -53,18 +59,15 @@ class IndexedGroup:
     def row(self, i: int) -> list[int]:
         r = self._rows[i]
         if r is None:
-            a = self.elements[i]
-            r = [self.index[a * b] for b in self.elements]
+            a, key = self.images[i], self.index
+            r = [key[a.translate(t)] for t in self.pads]
             self._rows[i] = r
         return r
 
     def times(self, s: int) -> list[int]:
-        """``out[z]`` is the index of elements[z] * elements[s], for every z.
-
-        Read off the row of s^-1, since z*s = (s^-1 * z^-1)^-1.
-        """
-        row = self.row(self.inverse[s])
-        return [self.inverse[row[z_inv]] for z_inv in self.inverse]
+        """``out[z]`` is the index of elements[z] * elements[s], for every z: one column of the table."""
+        t, key = self.pads[s], self.index
+        return [key[z.translate(t)] for z in self.images]
 
     def comm(self, i: int, j: int) -> int:
         """index of [elements[i], elements[j]]."""
@@ -141,7 +144,7 @@ class IndexedGroup:
         minimal element of coset c.  N*g is the orbit of g under left
         multiplication by N's generators, read off their rows.
         """
-        gens = frozenset(self.index[n] for n in kernel.generators)
+        gens = frozenset(self.index[n.images] for n in kernel.generators)
         if gens not in self._cosets:
             self._cosets[gens] = _orbit_labels(self.size, [self.row(n) for n in gens])
         return self._cosets[gens]
@@ -207,7 +210,7 @@ class IndexedGroup:
         elements.  Only successes are kept, so a subgroup that is not normal
         in G raises the same NotNormal on every call.
         """
-        key = frozenset(self.index.get(h) for h in H.generators)
+        key = frozenset(self.index.get(h.images) for h in H.generators)
         members = self._normal.get(key)
         if members is None:
             members = frozenset(self.normal_indices(H.elements(cap)))
@@ -215,7 +218,7 @@ class IndexedGroup:
         return members
 
     def _indices(self, subset: Iterable[Permutation]) -> set[int]:
-        members = {self.index.get(x) for x in subset}
+        members = {self.index.get(x.images) for x in subset}
         if None in members:
             raise NotNormal("subset is not contained in the group")
         return members
@@ -230,14 +233,14 @@ class IndexedGroup:
         tests = []
         for H in subgroups:
             members = self.member_indices(H, cap)
-            tests += [(self.conjugates(self.index[h]), members) for h in H.generators]
+            tests += [(self.conjugates(self.index[h.images]), members) for h in H.generators]
         return (g for g in (range(self.size) if domain is None else domain)
                 if all(conj[g] in members for conj, members in tests))
 
     def _generator_tables(self) -> tuple[list[list[int]], list[list[int]]]:
         """Per generator s of G, the tables of i -> i*s and of i -> i^s."""
         if self._gen_tables is None:
-            gens = [self.index[s] for s in self.group.generators]
+            gens = [self.index[s.images] for s in self.group.generators]
             times = [self.times(s) for s in gens]
             # x^s = s^-1 * (x*s), read off the row of s^-1
             rows = [self.row(self.inverse[s]) for s in gens]

@@ -108,20 +108,29 @@ def normal_subgroups(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> list[PermGrou
     return list(G.memo(("normal_subgroups",), compute))
 
 
-def _p_element_normal_indices(G: PermGroup, X: ElementSet, p: int, cap: int) -> set[int]:
+def _p_element_normal_indices(G: PermGroup, X: ElementSet, p: int, cap: int) -> frozenset[int]:
     """Indices of X on G's indexed view, once X is checked to be a normal set of p-elements.
 
     A member outside G raises NotNormal, then a member that is not a
     p-element NotPElementSet, then a set that is not conjugation-closed
-    NotNormal.
+    NotNormal.  The instance generators pass one X per (depth, p) to every
+    (N, L), so a checked X is kept on G, keyed by p and the identity of X
+    (held alongside, so the key cannot be reused; X is immutable).  Only
+    successes are kept, so a bad X raises the same error on every call.
     """
+    checked = G._cache.setdefault(("p_element_sets",), {})
+    hit = checked.get((p, id(X)))
+    if hit is not None:
+        return hit[1]
     iv = indexed_view(G, cap)
-    if all(x in iv.index for x in X):  # else normal_indices raises NotNormal
+    if all(x.images in iv.index for x in X):  # else normal_indices raises NotNormal
         for x in X:
-            n = iv.order_of[iv.index[x]]
+            n = iv.order_of[iv.index[x.images]]
             if p_part(n, p) != n:
                 raise NotPElementSet(f"{x} has order {n}, not a power of {p}")
-    return iv.normal_indices(X)
+    members = frozenset(iv.normal_indices(X))
+    checked[(p, id(X))] = (X, members)
+    return members
 
 
 def p_power_value_closure(G: PermGroup, depth: int, p: int,
@@ -134,7 +143,7 @@ def p_power_value_closure(G: PermGroup, depth: int, p: int,
     """
     iv = indexed_view(G, cap)
     members = tuple(x for x in delta_values(G, depth, cap).values
-                    if p_part(n := iv.order_of[iv.index[x]], p) == n)
+                    if p_part(n := iv.order_of[iv.index[x.images]], p) == n)
     return ElementSet(G.degree, members, conj_closed=True)
 
 
@@ -192,7 +201,7 @@ def check_lifted_generation(G: PermGroup, N: PermGroup, L: PermGroup, p: int,
     p_idx = iv.member_indices(P, cap)
     p_bar = {labels[i] for i in p_idx}
     gen_bar = p_bar & {labels[i] for i in x_idx}
-    preimage = iv.closure([iv.index[n] for n in N.generators] + [reps[c] for c in gen_bar])
+    preimage = iv.closure([iv.index[n.images] for n in N.generators] + [reps[c] for c in gen_bar])
     if {labels[i] for i in preimage} != p_bar & {labels[i] for i in l_idx}:
         raise HypothesisNotSatisfied(
             "quotient-side generation P-bar cap L-bar = <P-bar cap X-bar> fails")
@@ -225,7 +234,7 @@ def check_focal_generation(G: PermGroup, depth: int, p: int,
     P = sylow_subgroup(G, p, cap)
     iv = indexed_view(G, cap)
     p_idx = iv.member_indices(P, cap)
-    inside = p_idx & {iv.index[v] for v in delta_values(G, depth, cap).values}
+    inside = p_idx & {iv.index[v.images] for v in delta_values(G, depth, cap).values}
     generated = iv.closure(inside)
     target = p_idx & iv.member_indices(derived_term(G, depth), cap)
 
@@ -255,7 +264,7 @@ def check_fitting_membership(G: PermGroup, p: int,
     core = p_prime_core(F, p, cap)
     iv = indexed_view(G, cap)
     f_idx = iv.member_indices(F, cap)
-    core_conj = [(iv.index[o], iv.conjugates(iv.index[o])) for o in core.generators]
+    core_conj = [(iv.index[o.images], iv.conjugates(iv.index[o.images])) for o in core.generators]
     qualifying = 0
     witness = None
     for x, n in enumerate(iv.order_of):
@@ -288,11 +297,12 @@ def _invariant_subgroup_family(G: PermGroup, cap: int) -> list[frozenset[int]]:
     def compute() -> tuple[frozenset[int], ...]:
         iv = indexed_view(G, cap)
         family = set()
-        for y in iv.elements:
+        key = iv.index
+        for y, table in zip(iv.images, iv.pads):
             powers, p = {iv.identity_index}, y
-            while (i := iv.index[p]) not in powers:
+            while (i := key[p]) not in powers:
                 powers.add(i)
-                p = p * y
+                p = p.translate(table)
             family.add(frozenset(powers))
         subgroups = [sylow_subgroup(M, q, cap) for M in normal_subgroups(G, cap)
                      for q in prime_factors(M.order())]
@@ -327,7 +337,7 @@ def check_coprime_action(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> L
     iv = indexed_view(G, cap)
     inv, order_of, e = iv.inverse, iv.order_of, iv.identity_index
     labels = iv.class_labels()[0]
-    value_list = [iv.index[v] for v in delta_values(G, k, cap).values]
+    value_list = [iv.index[v.images] for v in delta_values(G, k, cap).values]
     values = set(value_list)
     family = _invariant_subgroup_family(G, cap)
     maps: dict[int, tuple[list[int], ...]] = {}  # per value x, built once

@@ -14,7 +14,12 @@ refused at construction.  The hot operations are single C calls on bytes:
   first time b is a right operand and kept on b;
 * ``inverse`` is ``bytes.maketrans(images, identity)``, whose first n bytes
   are the inverse's images and whose whole table is the inverse's pad;
-* ``is_identity`` is a prefix test against the identity on 0..255.
+* ``is_identity`` is a prefix test against the identity on 0..255;
+* ``order`` counts cycle lengths on the bytes (``image_order``).
+
+Hot loops elsewhere (the indexed view, element enumeration, chain sifts)
+work on the bytes directly: ``pad`` gives any permutation's translation
+table, ``wrap_images`` wraps bytes known to be a bijection.
 
 Indexing bytes yields ints and bytes compare lexicographically like int
 tuples, so element order is the order of image lists; bytes also cache their
@@ -58,7 +63,7 @@ class Permutation:
     @classmethod
     def identity(cls, degree: int) -> Permutation:
         _check_degree(degree)
-        return _wrap(_IDENTITY[:degree])
+        return wrap_images(_IDENTITY[:degree])
 
     @classmethod
     def from_one_based(cls, images: Sequence[int]) -> Permutation:
@@ -136,18 +141,14 @@ class Permutation:
             return NotImplemented
         if len(self.images) != len(other.images):
             raise DegreeMismatch(f"degrees {self.degree} and {other.degree} differ")
-        pad = other._pad
-        if pad is None:
-            pad = other._pad = other.images + _IDENTITY[len(other.images):]
         out = _new(Permutation)
-        out.images = self.images.translate(pad)
+        out.images = self.images.translate(pad(other))
         out._pad = None
         return out
 
     def inverse(self) -> Permutation:
-        # maps images[i] -> i and fixes n..255: the inverse's images, then its identity tail
-        table = bytes.maketrans(self.images, _IDENTITY[:len(self.images)])
-        return _wrap(table[:len(self.images)], table)
+        table = inverse_table(self.images)
+        return wrap_images(table[:len(self.images)], table)
 
     def __pow__(self, n: int) -> Permutation:
         if n < 0:
@@ -193,7 +194,7 @@ class Permutation:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles(with_fixed=True)))
+        return image_order(self.images)
 
     def moved_points(self) -> Iterator[int]:
         """0-based points not fixed by the permutation."""
@@ -206,12 +207,49 @@ class Permutation:
 _new = object.__new__
 
 
-def _wrap(images: bytes, pad: bytes | None = None) -> Permutation:
-    """A Permutation around images already known to be a bijection."""
+def wrap_images(images: bytes, table: bytes | None = None) -> Permutation:
+    """A Permutation around images already known to be a bijection (and its pad, if known)."""
     out = _new(Permutation)
     out.images = images
-    out._pad = pad
+    out._pad = table
     return out
+
+
+def pad(p: Permutation) -> bytes:
+    """p's 256-byte translation table: its images, then the identity on n..255.
+
+    ``images.translate(pad(p))`` is the images of the product with p on the
+    right.  Built the first time it is asked for and kept on p.
+    """
+    table = p._pad
+    if table is None:
+        table = p._pad = p.images + _IDENTITY[len(p.images):]
+    return table
+
+
+def inverse_table(images: bytes) -> bytes:
+    """The pad of the inverse of a permutation given by its images.
+
+    It maps images[i] to i and fixes n..255, so its first n bytes are the
+    inverse's images and translating by it multiplies by the inverse.
+    """
+    return bytes.maketrans(images, _IDENTITY[:len(images)])
+
+
+def image_order(images: bytes) -> int:
+    """The order of the permutation with these images: the lcm of its cycle lengths."""
+    seen = bytearray(len(images))
+    lengths = set()
+    for start, x in enumerate(images):
+        if seen[start] or x == start:
+            continue
+        length = 1
+        while x != start:  # start itself is never looked at again
+            seen[x] = 1
+            x = images[x]
+            length += 1
+        lengths.add(length)
+    return math.lcm(*lengths)
 
 
 def _check_degree(n: int) -> None:

@@ -190,7 +190,7 @@ def sylow_subgroup(G: PermGroup, p: int, cap: int = DEFAULT_ENUM_CAP) -> PermGro
             members = iv.member_indices(P, cap)
             for y in iv.normalizing([P], p_elements, cap):
                 z = _p_power_part(iv.elements[y], p)
-                if iv.index[z] not in members:
+                if iv.index[z.images] not in members:
                     P = subgroup_generated(G.degree, P.generators + (z,))
                     break
             else:
@@ -306,7 +306,7 @@ def _distinct_conjugates(G: PermGroup, P: PermGroup, cap: int) -> list[PermGroup
     """
     iv = indexed_view(G, cap)
     start = tuple(sorted(iv.member_indices(P, cap)))
-    gens = {start: [iv.index[h] for h in P.generators]}
+    gens = {start: [iv.index[h.images] for h in P.generators]}
     orbit = [start]
     for members in orbit:  # grows while it is walked
         for table in iv.conjugation_tables():

@@ -115,6 +115,7 @@ def _value_levels(G: PermGroup, kind: str, upto: int, cap: int) -> tuple[list[fr
                                 {"levels": [frozenset(range(iv.size))], "stable_at": None})
     levels: list[frozenset[int]] = state["levels"]
     labels, reps = iv.class_labels()
+    key, pads = iv.index, iv.pads
     while state["stable_at"] is None and len(levels) <= upto:
         prev = levels[-1]
         second = prev if kind == "delta" else range(iv.size)
@@ -122,9 +123,9 @@ def _value_levels(G: PermGroup, kind: str, upto: int, cap: int) -> tuple[list[fr
         for c in {labels[a] for a in prev}:
             r = reps[c]
             conj_r = iv.conjugates(r)
-            inv_r = iv.elements[iv.inverse[r]]
+            inv_r = iv.images[iv.inverse[r]]
             # [r, b] = r^-1 * r^b, one product per distinct conjugate r^b
-            hit.update(labels[iv.index[inv_r * iv.elements[y]]]
+            hit.update(labels[key[inv_r.translate(pads[y])]]
                        for y in {conj_r[b] for b in second})
         nxt = frozenset(x for x in range(iv.size) if labels[x] in hit)
         if nxt == prev:
@@ -272,7 +273,7 @@ def derived_from_closed_set(G: PermGroup, X: ElementSet,
     """
     iv = indexed_view(G, cap)
     try:
-        idxs = sorted(iv.index[x] for x in X)
+        idxs = sorted(iv.index[x.images] for x in X)
     except KeyError:
         raise NotGenerating("input set is not contained in the group")
     if X.comm_closed is not True:

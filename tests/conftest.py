@@ -98,6 +98,134 @@ def tuple_commutator(a: TuplePermutation, b: TuplePermutation) -> TuplePermutati
     return a.inverse() * b.inverse() * a * b
 
 
+class PermutationView:
+    """The former Permutation-object indexed view, an oracle for nilcrit.indexed.
+
+    Elements are looked up by Permutation, rows are ``index[a * b]``,
+    inverses come from ``inverse()``, orders from ``cycles``, and the
+    conjugation table of a generator s maps x to s^-1 * x * s through rows.
+    """
+
+    def __init__(self, group: PermGroup):
+        chain = PermutationChain(group.degree, list(group.generators))
+        self.elements = tuple(sorted(chain.elements()))
+        self.size = len(self.elements)
+        self.index = {p: i for i, p in enumerate(self.elements)}
+        self.order_of = [math.lcm(*(len(c) for c in p.cycles(with_fixed=True)))
+                         for p in self.elements]
+        self.inverse = [self.index[p.inverse()] for p in self.elements]
+        self.generators = [self.index[s] for s in group.generators]
+        self._rows: dict[int, list[int]] = {}
+
+    def row(self, i: int) -> list[int]:
+        if i not in self._rows:
+            a = self.elements[i]
+            self._rows[i] = [self.index[a * b] for b in self.elements]
+        return self._rows[i]
+
+    def times(self, s: int) -> list[int]:
+        return [self.row(z)[s] for z in range(self.size)]
+
+    def conjugation_tables(self) -> list[list[int]]:
+        return [[self.row(self.row(self.inverse[s])[x])[s] for x in range(self.size)]
+                for s in self.generators]
+
+
+class PermutationChain:
+    """The former Schreier-Sims on Permutation objects, an oracle for nilcrit.chain.
+
+    Every product and inverse is a Permutation; sifts call ``inverse()`` at
+    every level.  Base points, strong generators and transversals come out
+    in the same deterministic order as the library's chain.
+    """
+
+    def __init__(self, degree: int, generators: list[Permutation]):
+        self.degree = degree
+        self.base: list[int] = []
+        self.strong: list[Permutation] = []
+        self.transversals: list[dict[int, Permutation]] = []
+        self._identity = Permutation.identity(degree)
+        dirty = False
+        for g in generators:
+            residue, level = self._sift(g, 0)
+            if not (residue.is_identity() and level == len(self.base)):
+                self._add_strong_generator(residue, level)
+                dirty = True
+        if dirty:
+            self._close()
+
+    def order(self) -> int:
+        return math.prod(len(t) for t in self.transversals)
+
+    def elements(self) -> list[Permutation]:
+        out = [self._identity]
+        for level in range(len(self.base) - 1, -1, -1):
+            reps = list(self.transversals[level].values())
+            out = [deep * u for deep in out for u in reps]
+        return out
+
+    def _level_gens(self, level: int) -> list[Permutation]:
+        pts = self.base[:level]
+        return [g for g in self.strong if all(g.images[b] == b for b in pts)]
+
+    def _sift(self, g: Permutation, start: int) -> tuple[Permutation, int]:
+        for i in range(start, len(self.base)):
+            u = self.transversals[i].get(g.images[self.base[i]])
+            if u is None:
+                return g, i
+            g = g * u.inverse()
+        return g, len(self.base)
+
+    def _rebuild_transversal(self, level: int) -> None:
+        b = self.base[level]
+        gens = self._level_gens(level)
+        trans = {b: self._identity}
+        queue = [b]
+        while queue:
+            x = queue.pop(0)
+            for s in gens:
+                y = s.images[x]
+                if y not in trans:
+                    trans[y] = trans[x] * s
+                    queue.append(y)
+        self.transversals[level] = trans
+
+    def _add_strong_generator(self, g: Permutation, level: int) -> None:
+        if level == len(self.base):
+            b = min(g.moved_points())
+            self.base.append(b)
+            self.transversals.append({b: self._identity})
+        self.strong.append(g)
+        for i in range(level + 1):
+            self._rebuild_transversal(i)
+
+    def _close(self) -> None:
+        i = len(self.base) - 1
+        while i >= 0:
+            inserted_at = self._verify_level(i)
+            if inserted_at is None:
+                i -= 1
+            else:
+                i = min(inserted_at, len(self.base) - 1)
+        for level in range(len(self.base)):
+            self._rebuild_transversal(level)
+
+    def _verify_level(self, level: int) -> int | None:
+        self._rebuild_transversal(level)
+        gens = self._level_gens(level)
+        trans = self.transversals[level]
+        for x in sorted(trans):
+            for s in gens:
+                schreier = trans[x] * s * trans[s.images[x]].inverse()
+                if schreier.is_identity():
+                    continue
+                residue, lvl = self._sift(schreier, level + 1)
+                if not (residue.is_identity() and lvl == len(self.base)):
+                    self._add_strong_generator(residue, lvl)
+                    return lvl
+        return None
+
+
 def closure_oracle(degree: int, gens: list[Permutation]) -> set[Permutation]:
     """Breadth-first closure under multiplication, no chains involved."""
     seen = {Permutation.identity(degree)}

@@ -177,6 +177,8 @@ class TestReportDeterminism:
     @pytest.mark.parametrize("argv", [
         ["lemmas", "S4xC3", "--k", "1..3"],
         ["criterion", str(SCALE_CORPUS / "S4wrC2.grp"), "--k", "1..3"],
+        ["focal", str(SCALE_CORPUS / "S4xS4.grp"), "--k", "1..3"],
+        ["probe", str(SCALE_CORPUS / "PSL2_11.grp"), "--k", "1..3"],
         ["tower", "S3xS3"],
     ])
     def test_reports_identical_across_hash_seeds(self, argv):

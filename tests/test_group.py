@@ -325,7 +325,7 @@ class TestQuotient:
             kernel = N.elements()
             for c, r in enumerate(cmap.reps):
                 assert r == min(n * r for n in kernel)
-                assert cmap.labels[cmap.view.index[r]] == c
+                assert cmap.labels[cmap.view.index[r.images]] == c
             for g, label_g in zip(elems, cmap.labels):
                 coset = {n * g for n in kernel}
                 for h, label_h in zip(elems, cmap.labels):

@@ -32,6 +32,7 @@ from nilcrit.indexed import indexed_view
 from nilcrit.lemmas import (
     LemmaReport,
     _invariant_subgroup_family,
+    _p_element_normal_indices,
     check_coprime_action,
     check_coset_intersection,
     check_fitting_membership,
@@ -422,6 +423,49 @@ class TestValueClosureHelper:
             for g in s4.generators:
                 assert x.conjugate(g) in X
 
+    def test_a_checked_value_set_makes_no_second_table_pass(self, monkeypatch):
+        from nilcrit.indexed import IndexedGroup
+
+        G = load_group("S4")
+        X = p_power_value_closure(G, 1, 2)
+        passes = 0
+        normal_indices = IndexedGroup.normal_indices
+
+        def counted(self, subset):
+            nonlocal passes
+            passes += subset is X
+            return normal_indices(self, subset)
+
+        monkeypatch.setattr(IndexedGroup, "normal_indices", counted)
+        first = _p_element_normal_indices(G, X, 2, DEFAULT_ENUM_CAP)
+        assert passes == 1
+        assert first == frozenset(indexed_view(G).index[x.images] for x in X)
+        assert _p_element_normal_indices(G, X, 2, DEFAULT_ENUM_CAP) is first
+        for N in normal_subgroups(G):
+            check_coset_intersection(G, N, 2, X)
+            try:
+                check_lifted_generation(G, N, G, 2, X)
+            except HypothesisNotSatisfied:
+                pass
+        assert passes == 1
+        # another prime checks the same set afresh
+        with pytest.raises(NotPElementSet):
+            _p_element_normal_indices(G, X, 3, DEFAULT_ENUM_CAP)
+        assert passes == 1
+
+    @pytest.mark.parametrize("members, error, match", [
+        (["(1 5)"], NotNormal, "not contained"),
+        (["(1 2)", "(1 5)"], NotNormal, "not contained"),
+        (["(1 2 3)", "(1 2)"], NotPElementSet, "not a power of 2"),
+        (["(1 2)"], NotNormal, "not closed under conjugation"),
+    ])
+    def test_a_bad_value_set_fails_the_same_way_on_every_call(self, members, error, match):
+        G = PermGroup(5, [perm("(1 2)", 5), perm("(1 2 3 4)", 5)])  # S4, fixing the point 5
+        X = ElementSet.from_iterable(5, [perm(m, 5) for m in members])
+        for _ in range(3):
+            with pytest.raises(error, match=match):
+                _p_element_normal_indices(G, X, 2, DEFAULT_ENUM_CAP)
+
     def test_depth0_is_all_p_elements(self, s4):
         X = p_power_value_closure(s4, 0, 2)
         expected = [x for x in s4.elements() if x.order() in (1, 2, 4)]
@@ -536,7 +580,7 @@ def coprime_action_oracle(G: PermGroup, k: int, values_of=delta_values) -> Lemma
                     witness = {**step, "failure": "double commutator left the value set"}
                 elif gcd(double.order(), x.order()) != 1:
                     witness = {**step, "failure": "double commutator order not coprime to |x|"}
-                elif labels[iv.index[double * x.inverse()]] != labels[iv.index[x.inverse()]]:
+                elif labels[iv.index[(double * x.inverse()).images]] != labels[iv.index[x.inverse().images]]:
                     witness = {**step, "failure": "product is not conjugate to x^-1"}
                 elif not double.is_identity():
                     witness = {**step, "failure": "double commutator is not trivial"}
@@ -681,7 +725,7 @@ class TestNormalSubgroupIndexSets:
         normal_indices = IndexedGroup.normal_indices
 
         def counted(self, subset):
-            # the value sets X are normal subsets, not subgroups, and are not memoised
+            # the value sets X are normal subsets, not subgroups, memoised per (p, X)
             if not isinstance(subset, ElementSet):
                 key = frozenset(subset)
                 passes[key] = passes.get(key, 0) + 1
@@ -710,6 +754,6 @@ class TestNormalSubgroupIndexSets:
     def test_memoised_index_set_is_the_subgroup(self, s4, a4, v4):
         iv = indexed_view(s4)
         for H in (a4, v4, s4, trivial_group(4)):
-            want = frozenset(iv.index[h] for h in H.elements())
+            want = frozenset(iv.index[h.images] for h in H.elements())
             assert iv.normal_subgroup_indices(H) == want
             assert iv.normal_subgroup_indices(H) is iv.normal_subgroup_indices(H)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -136,6 +137,14 @@ class TestOrder:
         for d in range(1, m):
             if m % d == 0 and d < m:
                 assert not (a ** d).is_identity()
+
+    @given(st.integers(1, MAX_DEGREE).flatmap(lambda n: st.permutations(range(n)).map(Permutation)))
+    @example(Permutation(range(MAX_DEGREE)))
+    @example(Permutation([(x + 1) % MAX_DEGREE for x in range(MAX_DEGREE)]))
+    @example(Permutation([0]))
+    def test_order_matches_lcm_of_cycle_lengths(self, a):
+        # the former order(): the lcm over the 1-based cycle tuples, fixed points included
+        assert a.order() == math.lcm(*(len(c) for c in a.cycles(with_fixed=True)))
 
     @given(random_perms())
     def test_power_consistency(self, a):
