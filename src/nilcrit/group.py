@@ -110,6 +110,8 @@ class PermGroup:
         return self._chain
 
     def order(self) -> int:
+        if self._elements is not None:
+            return len(self._elements)
         return self.chain().order()
 
     def contains(self, p: Permutation) -> bool:
@@ -253,7 +255,7 @@ def centralizer(G: PermGroup, a: Permutation, cap: int = DEFAULT_ENUM_CAP) -> Pe
     if r is None:
         raise NotNormal("element is not in the group")
     conj = iv.conjugates(r)
-    return group_from_elements(G.degree, iv.perms(g for g in range(iv.size) if conj[g] == r))
+    return iv.subgroup(g for g in range(iv.size) if conj[g] == r)
 
 
 def normalizer(G: PermGroup, H: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
@@ -263,7 +265,7 @@ def normalizer(G: PermGroup, H: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> PermG
     if H.degree != G.degree:
         raise DegreeMismatch("subgroup degree differs from group degree")
     iv = indexed_view(G, cap)
-    return group_from_elements(G.degree, iv.perms(iv.normalizing([H], cap=cap)))
+    return iv.subgroup(iv.normalizing([H], cap=cap))
 
 
 def is_normal(G: PermGroup, N: PermGroup) -> bool:

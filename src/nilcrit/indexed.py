@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .errors import NotNormal, OrderCapExceeded
-from .group import DEFAULT_ENUM_CAP, PermGroup
+from .group import DEFAULT_ENUM_CAP, PermGroup, group_with_elements
 from .perm import Permutation, image_order, inverse_table, pad
 
 
@@ -83,7 +83,16 @@ class IndexedGroup:
         return table
 
     def closure(self, seed: Iterable[int]) -> frozenset[int]:
-        """Subgroup closure of the seed indices, by left multiplication with kept seeds' rows.
+        """Subgroup closure of the seed indices, by left multiplication with kept seeds' rows."""
+        return frozenset(self._close(seed)[0])
+
+    def subgroup(self, seed: Iterable[int]) -> PermGroup:
+        """The subgroup of the seeds, on the generators ``subgroup_generated`` keeps; no chain."""
+        members, kept = self._close(seed)
+        return group_with_elements(self.group.degree, self.perms(kept), self.perms(sorted(members)))
+
+    def _close(self, seed: Iterable[int]) -> tuple[set[int], list[int]]:
+        """``(members, kept)``: the closure of the seeds and the seeds kept for it.
 
         Seeds are walked in order and one is kept only when the group closed
         so far does not contain it; the group is then re-closed under left
@@ -92,10 +101,11 @@ class IndexedGroup:
         rows however many seeds it is given.
         """
         seen = {self.identity_index}
-        rows = []
+        kept, rows = [], []
         for s in seed:
             if s in seen:
                 continue
+            kept.append(s)
             rows.append(self.row(s))
             frontier = list(seen)
             while frontier:
@@ -107,7 +117,7 @@ class IndexedGroup:
                             seen.add(y)
                             nxt.append(y)
                 frontier = nxt
-        return frozenset(seen)
+        return seen, kept
 
     def commutator_closure(self, seed: Iterable[int]) -> frozenset[int]:
         """Close a set of indices under taking commutators of members."""

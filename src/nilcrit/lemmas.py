@@ -21,8 +21,8 @@ indexed view: normality is one pass over the generators' conjugation
 tables, made once per normal subgroup and kept on the view, generation is
 ``IndexedGroup.closure``, the normal subgroups are closures of unions of
 conjugacy classes, and the coprime-action check reads every commutator off
-table lookups.  A PermGroup is built only for the
-subgroups ``normal_subgroups`` returns.
+table lookups.  G's view is the only one built, and a PermGroup only wraps
+an index set, with no chain built for it.
 
 Inadmissible inputs raise HypothesisNotSatisfied (or a structural error);
 holds=False is reserved for genuine counter-evidence, which for proven facts
@@ -42,12 +42,7 @@ from .errors import (
     NotPElementSet,
     NotSoluble,
 )
-from .group import (
-    DEFAULT_ENUM_CAP,
-    ElementSet,
-    PermGroup,
-    group_from_elements,
-)
+from .group import DEFAULT_ENUM_CAP, ElementSet, PermGroup
 from .indexed import indexed_view
 from .primes import p_part, prime_factors
 from .criterion import coprime_product_criterion
@@ -56,9 +51,9 @@ from .structure import (
     fitting_subgroup,
     is_metanilpotent,
     is_soluble,
-    p_prime_core,
     sylow_subgroup,
     _check_prime_divisor,
+    _sylow_indices,
 )
 from .words import delta_values
 
@@ -83,8 +78,8 @@ def normal_subgroups(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> list[PermGrou
     found, starting from the trivial one, with each class outside it, as the
     closure of their union, reaches every normal subgroup.  Results are
     sorted by order, then by element list, which is the sorted index list
-    since index order is canonical element order; a PermGroup is built only
-    for each result.
+    since index order is canonical element order; each result wraps its
+    index list.
     """
 
     def compute() -> tuple[PermGroup, ...]:
@@ -103,7 +98,7 @@ def normal_subgroups(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> list[PermGrou
                         found.add(joined)
                         work.append(joined)
         ordered = sorted((sorted(S) for S in found), key=lambda S: (len(S), S))
-        return tuple(group_from_elements(G.degree, iv.perms(S)) for S in ordered)
+        return tuple(iv.subgroup(S) for S in ordered)
 
     return list(G.memo(("normal_subgroups",), compute))
 
@@ -252,18 +247,18 @@ def check_fitting_membership(G: PermGroup, p: int,
                              cap: int = DEFAULT_ENUM_CAP) -> LemmaReport:
     """p-elements centralizing the p'-part of the Fitting subgroup lie inside it.
 
-    The p-elements are scanned in index order on G's indexed view; x
-    centralizes a generator o of the p'-core when o^x = o, one lookup in
-    o's conjugates, and F-membership is a lookup in F's index set.
+    F is nilpotent, so its p'-core is its set of p'-elements.  A p-element x,
+    in index order, centralizes the core when o^x = o for each generator o,
+    one lookup in o's conjugates; F-membership is a lookup in F's index set.
     """
     if not is_metanilpotent(G):
         raise NotMetanilpotent("the membership fact assumes a metanilpotent group")
     _check_prime_divisor(G, p)
 
     F = fitting_subgroup(G, cap)
-    core = p_prime_core(F, p, cap)
     iv = indexed_view(G, cap)
     f_idx = iv.member_indices(F, cap)
+    core = iv.subgroup(sorted(i for i in f_idx if iv.order_of[i] % p))
     core_conj = [(iv.index[o.images], iv.conjugates(iv.index[o.images])) for o in core.generators]
     qualifying = 0
     witness = None
@@ -289,9 +284,9 @@ def _invariant_subgroup_family(G: PermGroup, cap: int) -> list[frozenset[int]]:
     normal subgroup and the p'-cores of the Fitting subgroup; the full
     subgroup lattice would explode, and this family covers every subgroup
     the coprime-action argument is ever applied to.  <y> is the power orbit
-    of y, |y| products; the other members are index sets of the subgroups
-    ``sylow_subgroup`` and ``p_prime_core`` return.  Members are ordered by
-    size, then by sorted index list.
+    of y, |y| products; a Sylow subgroup of M grows on M's index list, and
+    the p'-core of the nilpotent F is its set of p'-elements.  Members are
+    ordered by size, then by sorted index list.
     """
 
     def compute() -> tuple[frozenset[int], ...]:
@@ -304,11 +299,12 @@ def _invariant_subgroup_family(G: PermGroup, cap: int) -> list[frozenset[int]]:
                 powers.add(i)
                 p = p.translate(table)
             family.add(frozenset(powers))
-        subgroups = [sylow_subgroup(M, q, cap) for M in normal_subgroups(G, cap)
-                     for q in prime_factors(M.order())]
-        F = fitting_subgroup(G, cap)
-        subgroups += [p_prime_core(F, q, cap) for q in prime_factors(G.order())]
-        family.update(frozenset(iv.member_indices(H, cap)) for H in subgroups)
+        for M in normal_subgroups(G, cap):
+            domain = sorted(iv.member_indices(M, cap))
+            family.update(_sylow_indices(iv, q, domain)[0] for q in prime_factors(len(domain)))
+        f_idx = iv.member_indices(fitting_subgroup(G, cap), cap)
+        family.update(frozenset(i for i in f_idx if iv.order_of[i] % q)
+                      for q in prime_factors(G.order()))
         return tuple(sorted(family, key=lambda S: (len(S), sorted(S))))
 
     return list(G.memo(("invariant_family",), compute))
@@ -395,11 +391,12 @@ def coset_intersection_instances(G: PermGroup, depths: tuple[int, ...] = (0, 1, 
 
 def lifted_generation_instances(G: PermGroup, depths: tuple[int, ...] = (0, 1, 2),
                                 cap: int = DEFAULT_ENUM_CAP) -> Iterator[dict]:
-    normals = normal_subgroups(G, cap)
+    iv = indexed_view(G, cap)
+    normals = [(M, iv.member_indices(M, cap)) for M in normal_subgroups(G, cap)]
     for p in prime_factors(G.order()):
         for depth in depths:
             X = p_power_value_closure(G, depth, p, cap)
-            for N in normals:
-                for L in normals:
-                    if N.order() <= L.order() and N.is_subgroup_of(L):
+            for N, n_idx in normals:
+                for L, l_idx in normals:
+                    if n_idx <= l_idx:
                         yield {"N": N, "L": L, "p": p, "X": X, "depth": depth}

@@ -5,8 +5,9 @@ metanilpotency predicates; Sylow subgroups, p-cores, p'-cores and the Fitting
 subgroup; Sylow bases and their (system) normalizers.
 
 Everything here works at desk scale, on G's indexed view enumerated under
-the cap; PermGroups are built only for results.  A Sylow subgroup grows by
-p-elements whose conjugation lookups keep its index set.  Its conjugates
+the cap; a result wraps an index set, with no chain built for it.  A Sylow
+subgroup, of G or of a subgroup's index list, grows by p-elements whose
+conjugation lookups keep its index set.  Its conjugates
 are one orbit under the conjugation tables of G's generators, one conjugate
 per right coset of its normalizer, each an index tuple with known
 generators.  The Sylow basis comes from a bounded deterministic backtracking
@@ -29,12 +30,10 @@ from .errors import (
 from .group import (
     DEFAULT_ENUM_CAP,
     PermGroup,
-    group_from_elements,
     group_with_elements,
     normal_closure,
-    subgroup_generated,
 )
-from .indexed import indexed_view
+from .indexed import IndexedGroup, indexed_view
 from .perm import Permutation, commutator
 from .primes import is_prime, p_part, prime_factors
 
@@ -92,6 +91,8 @@ def derived_series(G: PermGroup) -> SeriesReport:
 
 def derived_term(G: PermGroup, k: int) -> PermGroup:
     """kth derived subgroup; indices past stabilization return the last term."""
+    if k < 0:
+        raise ValueError("derived terms are indexed from 0")
     series = derived_series(G)
     return series.terms[min(k, len(series.terms) - 1)]
 
@@ -168,34 +169,41 @@ def _p_power_part(x: Permutation, p: int) -> Permutation:
     return x ** (n // p_part(n, p))
 
 
-def sylow_subgroup(G: PermGroup, p: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
-    """A Sylow p-subgroup, grown through normalizers on G's indexed view.
+def _sylow_indices(iv: IndexedGroup, p: int, domain: range | list[int]) -> tuple[frozenset[int], list[int]]:
+    """``(members, generators)`` of a Sylow p-subgroup of the subgroup M with index list domain.
 
-    Starting from the p-part of the first element of order divisible by p,
-    the current p-subgroup P is enlarged by adjoining the p-part of the first
-    p-element of N_G(P) whose p-part lies outside P; such an element always
-    exists while |P| is short of the full p-part, and the extension stays a
-    p-group because the new element normalizes P.  The scan runs in index
-    order, which is canonical element order, and tests membership in N_G(P)
-    by conjugation lookups against P's index set.
+    Starting from the trivial group, the current p-subgroup P is enlarged by
+    adjoining the p-part of the first p-element of N_M(P) whose p-part lies
+    outside P; such an element always exists while |P| is short of the full
+    p-part, and the extension stays a p-group because the new element
+    normalizes P.  The scan runs in index order, which is canonical element
+    order as on M's own view, and tests membership in N_M(P) by conjugation
+    lookups against P's index set.
     """
+    target = p_part(len(domain), p)
+    p_elements = [i for i in domain if iv.order_of[i] % p == 0]
+    members, gens, conj = frozenset([iv.identity_index]), [], []
+    while len(members) < target:
+        for y in p_elements:
+            if all(c[y] in members for c in conj):
+                z = iv.index[_p_power_part(iv.elements[y], p).images]
+                if z not in members:
+                    break
+        else:
+            raise RuntimeError("Sylow growth stalled; normalizer scan found no p-element")
+        gens.append(z)
+        conj.append(iv.conjugates(z))
+        members = iv.closure(gens)
+    return members, gens
+
+
+def sylow_subgroup(G: PermGroup, p: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
+    """A Sylow p-subgroup, grown through normalizers on G's indexed view (see ``_sylow_indices``)."""
     _check_prime_divisor(G, p)
 
     def compute() -> PermGroup:
         iv = indexed_view(G, cap)
-        target = p_part(G.order(), p)
-        p_elements = [i for i, n in enumerate(iv.order_of) if n % p == 0]
-        P = subgroup_generated(G.degree, [_p_power_part(iv.elements[p_elements[0]], p)])
-        while P.order() < target:
-            members = iv.member_indices(P, cap)
-            for y in iv.normalizing([P], p_elements, cap):
-                z = _p_power_part(iv.elements[y], p)
-                if iv.index[z.images] not in members:
-                    P = subgroup_generated(G.degree, P.generators + (z,))
-                    break
-            else:
-                raise RuntimeError("Sylow growth stalled; normalizer scan found no p-element")
-        return P
+        return iv.subgroup(_sylow_indices(iv, p, range(iv.size))[1])
 
     return G.memo(("sylow", p), compute)
 
@@ -210,8 +218,7 @@ def p_core(G: PermGroup, p: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
         labels = iv.class_labels()[0]
         p_idx = iv.member_indices(P, cap)
         outside = {c for i, c in enumerate(labels) if i not in p_idx}
-        return group_from_elements(G.degree, [iv.elements[i] for i in p_idx
-                                              if labels[i] not in outside])
+        return iv.subgroup(sorted(i for i in p_idx if labels[i] not in outside))
 
     return G.memo(("p_core", p), compute)
 
@@ -234,7 +241,7 @@ def p_prime_core(G: PermGroup, p: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup
                 closed = iv.closure(cls)
                 if len(closed) % p:
                     core |= closed
-        return group_from_elements(G.degree, iv.perms(sorted(iv.closure(core))))
+        return iv.subgroup(sorted(iv.closure(core)))
 
     return G.memo(("p_prime_core", p), compute)
 
@@ -243,10 +250,9 @@ def fitting_subgroup(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
     """F(G): the product of the p-cores over primes dividing |G|."""
 
     def compute() -> PermGroup:
-        gens: list[Permutation] = []
-        for p in prime_factors(G.order()):
-            gens.extend(p_core(G, p, cap).generators)
-        return subgroup_generated(G.degree, gens)
+        iv = indexed_view(G, cap)
+        return iv.subgroup(iv.index[g.images] for p in prime_factors(G.order())
+                           for g in p_core(G, p, cap).generators)
 
     return G.memo(("fitting",), compute)
 
@@ -389,7 +395,7 @@ def basis_normalizer(G: PermGroup, basis: dict[int, PermGroup],
     member conjugates by g into that member's index set.
     """
     iv = indexed_view(G, cap)
-    return group_from_elements(G.degree, iv.perms(iv.normalizing(basis.values(), cap=cap)))
+    return iv.subgroup(iv.normalizing(basis.values(), cap=cap))
 
 
 def intersect_basis(B: SylowBasis, K: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> SylowBasis:
@@ -411,11 +417,11 @@ def intersect_basis(B: SylowBasis, K: PermGroup, cap: int = DEFAULT_ENUM_CAP) ->
         if len(inter) != p_part(K.order(), p):
             raise PermutabilityViolated(
                 f"intersection with the normal subgroup is not Sylow at p={p}")
-        new_basis[p] = group_from_elements(K.degree, iv.perms(inter))
+        new_basis[p] = iv.subgroup(sorted(inter))
     for p in new_basis:
         for q in new_basis:
             if p < q and not _permutable(new_basis[p], new_basis[q], cap):
                 raise PermutabilityViolated(
                     f"intersected Sylow subgroups for p={p}, q={q} do not permute")
-    T = group_from_elements(K.degree, iv.perms(iv.normalizing(new_basis.values(), k_idx, cap)))
+    T = iv.subgroup(iv.normalizing(new_basis.values(), sorted(k_idx), cap))
     return SylowBasis(K, new_basis, T, B.seed)

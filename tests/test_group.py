@@ -31,6 +31,8 @@ from nilcrit.structure import (
     fitting_subgroup,
     lower_central_series,
     lower_fitting_series,
+    p_core,
+    p_prime_core,
     sylow_subgroup,
 )
 
@@ -128,13 +130,18 @@ class TestSubgroupGenerated:
         built by the library has at most Omega(|H|) generators."""
         over = []
         for name, G in corpus.items():
+            primes = prime_factors(G.order())
             subgroups = {
                 "derived": derived_series(G).terms,
                 "lower central": lower_central_series(G).terms,
                 "lower Fitting": lower_fitting_series(G).terms,
                 "Fitting": (fitting_subgroup(G),),
                 "normal": tuple(normal_subgroups(G)),
-                "Sylow": tuple(sylow_subgroup(G, p) for p in prime_factors(G.order())),
+                "Sylow": tuple(sylow_subgroup(G, p) for p in primes),
+                "p-core": tuple(p_core(G, p) for p in primes),
+                "p'-core": tuple(p_prime_core(G, p) for p in primes),
+                "centralizer": tuple(centralizer(G, g) for g in G.generators),
+                "normalizer": tuple(normalizer(G, sylow_subgroup(G, p)) for p in primes),
             }
             for kind, terms in subgroups.items():
                 for H in terms:

@@ -52,6 +52,7 @@ from nilcrit.structure import (
     is_soluble,
     p_prime_core,
     sylow_subgroup,
+    _sylow_indices,
 )
 from nilcrit.words import delta_values
 from conftest import p_prime_core_oracle, perm, product_set
@@ -607,6 +608,15 @@ def refuse_permutation_arithmetic(monkeypatch) -> None:
         monkeypatch.setattr(Permutation, name, refuse)
 
 
+def refuse_chain_construction(monkeypatch) -> None:
+    """Make every StabilizerChain construction raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stabilizer chain was built")
+
+    monkeypatch.setattr(group_module, "StabilizerChain", refuse)
+
+
 def battery_group(name: str) -> PermGroup:
     return load_group(str(SCALE_CORPUS / f"{name}.grp") if name in SCALE_NAMES else name)
 
@@ -629,30 +639,33 @@ class TestIndexSetsAgainstPermutationOracles:
             for p in primes:
                 assert check_fitting_membership(G, p) == fitting_membership_oracle(G, p), p
 
-    def test_normal_subgroups_build_one_group_per_result(self, monkeypatch):
+    def test_normal_subgroups_build_no_chain_once_the_view_exists(self, monkeypatch):
         G = battery_group("S4xS4")
-        indexed_view(G)
-        built, inside = [], []
-        chain_class = group_module.StabilizerChain
+        indexed_view(G)  # builds G's chain and view
+        refuse_chain_construction(monkeypatch)
+        assert len(normal_subgroups(G)) == 17
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("normal_subgroups built a chain for a class or a pair")
-
-        def result_chain(*args):
-            return chain_class(*args) if inside else refuse()
-
-        def build_result(*args):
-            built.append(args)
-            inside.append(args)
-            try:
-                return group_from_elements(*args)
-            finally:
-                inside.pop()
-
-        monkeypatch.setattr(group_module, "StabilizerChain", result_chain)
-        monkeypatch.setattr(PermGroup, "is_subgroup_of", refuse)
-        monkeypatch.setattr("nilcrit.lemmas.group_from_elements", build_result)
-        assert len(normal_subgroups(G)) == len(built) == 17
+    @pytest.mark.parametrize("name", builtin_names() + list(SCALE_NAMES))
+    def test_sylow_growth_on_index_lists_and_fitting_p_prime_elements(self, name):
+        """The family's Sylow subgroups of a normal M, grown on M's index list,
+        are those sylow_subgroup grows on M's own view; and the p'-elements of
+        the nilpotent F form its p'-core."""
+        G = battery_group(name)
+        iv = indexed_view(G)
+        for M in normal_subgroups(G):
+            domain = sorted(iv.member_indices(M))
+            own = group_from_elements(G.degree, M.elements())  # a fresh group with its own view
+            for q in prime_factors(M.order()):
+                members, gens = _sylow_indices(iv, q, domain)
+                P = sylow_subgroup(own, q)
+                assert indexed_view(own) is not iv
+                assert members == iv.member_indices(P), (M.order(), q)
+                assert tuple(iv.perms(gens)) == P.generators, (M.order(), q)
+        F = fitting_subgroup(G)
+        f_idx = iv.member_indices(F)
+        for q in prime_factors(G.order()):
+            want = iv.member_indices(p_prime_core(F, q))
+            assert {i for i in f_idx if iv.order_of[i] % q} == want, q
 
     def test_focal_generation_sifts_no_value(self, monkeypatch):
         G = battery_group("C2wrS4")
@@ -700,12 +713,9 @@ class TestIndexSetsAgainstPermutationOracles:
         # the normal subgroups and F are the family's inputs, shared with other checks
         normal_subgroups(G)
         fitting_subgroup(G)
-        built = []
-        chain_class = group_module.StabilizerChain
-        monkeypatch.setattr(group_module, "StabilizerChain",
-                            lambda *args: built.append(args) or chain_class(*args))
+        refuse_chain_construction(monkeypatch)
         family = _invariant_subgroup_family(G, DEFAULT_ENUM_CAP)
-        assert len(built) < G.order() // 4
+        monkeypatch.undo()  # the oracle loads and sifts a fresh copy of G
         assert len(family) == len(invariant_subgroup_family_oracle(battery_group("S4wrC2")))
 
     def test_coprime_action_forms_no_permutation_conjugate(self, monkeypatch):
@@ -736,6 +746,23 @@ class TestNormalSubgroupIndexSets:
         capsys.readouterr()
         assert len(passes) > 1
         assert max(passes.values()) == 1
+
+    @pytest.mark.parametrize("name", ["S4wrC2", "S4xS4", "C2wrS4"])
+    def test_lemmas_build_one_view_per_group(self, name, monkeypatch, capsys):
+        from nilcrit.cli import main
+        from nilcrit.indexed import IndexedGroup
+
+        views = []
+        init = IndexedGroup.__init__
+
+        def counted(self, *args, **kwargs):
+            views.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(IndexedGroup, "__init__", counted)
+        assert main(["lemmas", str(SCALE_CORPUS / f"{name}.grp"), "--k", "1..3"]) == 0
+        capsys.readouterr()
+        assert len(views) == 1
 
     def test_non_normal_subgroup_fails_on_every_call(self, s4):
         iv = indexed_view(s4)

@@ -19,6 +19,7 @@ from nilcrit.group import (
     quotient,
     subgroup_generated,
 )
+from nilcrit.indexed import indexed_view
 from nilcrit.perm import Permutation
 from nilcrit.primes import p_part, prime_factors
 from nilcrit.structure import (
@@ -106,6 +107,10 @@ class TestDerivedSeries:
     def test_derived_term_past_stabilization(self, s4, a5):
         assert derived_term(s4, 4).order() == 1
         assert derived_term(a5, 7).order() == 60
+
+    def test_derived_term_rejects_negative_depth(self, s4):
+        with pytest.raises(ValueError, match="indexed from 0"):
+            derived_term(s4, -1)
 
 
 class TestLowerCentralSeries:
@@ -482,19 +487,15 @@ class TestPPrimeCoreAgainstChainOracle:
             for p in prime_factors(G.order()):
                 assert p_prime_core(H, p).elements() == p_prime_core_oracle(H, p).elements(), p
 
-    def test_builds_one_group_and_no_chain_per_class(self, monkeypatch):
+    def test_builds_no_chain_once_the_view_exists(self, monkeypatch):
         G = load_group(str(SCALE_CORPUS / "S4xS4.grp"))
-        built = []
+        indexed_view(G)  # builds G's chain and view
 
         def refuse(*args, **kwargs):
-            raise AssertionError("p_prime_core built a chain for a class closure")
+            raise AssertionError("p_prime_core built a stabilizer chain")
 
-        monkeypatch.setattr("nilcrit.structure.subgroup_generated", refuse)
-        monkeypatch.setattr(PermGroup, "is_subgroup_of", refuse)
-        monkeypatch.setattr("nilcrit.structure.group_from_elements",
-                            lambda *args: built.append(args) or group_from_elements(*args))
+        monkeypatch.setattr("nilcrit.group.StabilizerChain", refuse)
         assert p_prime_core(G, 3).order() == 16
-        assert len(built) == 1
 
 
 class TestProductOrder:
