@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Sequence
 
@@ -153,6 +154,59 @@ def _select_groups(args, default_filter: str) -> list[PermGroup]:
     return [load_group(name) for name in names]
 
 
+def _json_chunks(value, newline: str, out: list[str]) -> None:
+    """Append to ``out`` the text ``json.dumps(value, sort_keys=True, indent=2)`` gives.
+
+    ``newline`` is a line break followed by the indent of the line the value
+    starts on.  Strings, ints, bools, None, and nonempty lists, tuples and
+    dicts with string keys are written here, a list of ints in one join;
+    anything else, such as a float, an int or str subclass or a dict with
+    other keys, is handed to ``json.dumps``, so it serializes, or raises,
+    exactly as there.  Reports are trees, so no cycle check is made.
+    """
+    kind = type(value)
+    if kind is str:
+        out.append(_json_str(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif (kind is list or kind is tuple) and value:
+        inner = newline + "  "
+        if all(type(v) is int for v in value):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value))
+                       + newline + "]")
+            return
+        sep = "[" + inner
+        for v in value:
+            out.append(sep)
+            _json_chunks(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is dict and value and all(type(k) is str for k in value):
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + _json_str(key) + ": ")
+            _json_chunks(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
+
+
+def report_text(report) -> str:
+    """The report as ``json.dumps(report, sort_keys=True, indent=2) + "\\n"`` writes it."""
+    chunks: list[str] = []
+    _json_chunks(report, "\n", chunks)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
 def _emit(args, command: str, groups: list[PermGroup], records: list[dict],
           aggregate: dict, flags: dict) -> None:
     if not args.json:
@@ -167,7 +221,7 @@ def _emit(args, command: str, groups: list[PermGroup], records: list[dict],
         "records": records,
         "aggregate": aggregate,
     }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = report_text(report)
     if args.json == "-":
         sys.stdout.write(text)
     else:
@@ -382,62 +436,79 @@ def _cmd_lemmas(args) -> int:
     return 0 if bad == 0 else 1
 
 
+# name -> (help, default --k, driver); corpus takes no group arguments
+_COMMANDS = {
+    "criterion": ("criterion vs nilpotency consistency", "1..3", _cmd_criterion),
+    "probe": ("criterion scan on insoluble groups", "1..3", _cmd_probe),
+    "focal": ("Sylow-intersection generation checks", "1..3", _cmd_focal),
+    "lemmas": ("full supporting-fact battery", "1..3", _cmd_lemmas),
+    "tower": ("normalizer tower / prime-power generating set", "1", _cmd_tower),
+    "series": ("structural series order profiles", "1", _cmd_series),
+    "corpus": ("list builtin groups", None, _cmd_corpus),
+}
+
+
+def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
+    """Give the parser of subcommand ``name`` its arguments and its driver."""
+    _, k_default, driver = _COMMANDS[name]
+    p.set_defaults(func=driver)
+    if k_default is None:
+        return
+    p.add_argument("groups", nargs="*",
+                   help="builtin ids or descriptor file paths (default: filtered corpus)")
+    p.add_argument("--filter", choices=("all", "soluble", "insoluble", "nilpotent"),
+                   help="corpus slice when no groups are given")
+    p.add_argument("--k", default=k_default, type=_k_arg,
+                   help=f"word depth or range, e.g. 2 or 1..3 (default {k_default})")
+    p.add_argument("--cap", type=_cap_arg, default=DEFAULT_ENUM_CAP,
+                   help="element enumeration cap")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
+    p.add_argument("--json", type=_json_arg,
+                   help="write a deterministic JSON report here ('-' for stdout)")
+    p.add_argument("--strict", action="store_true",
+                   help="treat inadmissible (hypothesis-failing) instances as errors")
+    if name == "criterion":
+        p.add_argument("--kind", choices=("delta", "gamma"), default="delta")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser, every subcommand included: for help, version and usage errors."""
     parser = argparse.ArgumentParser(
         prog="nilcrit",
         description="verify nilpotency criteria for commutator-word subgroups "
                     "on concrete permutation groups")
     parser.add_argument("--version", action="version", version=f"nilcrit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, k_default: str):
-        p.add_argument("groups", nargs="*",
-                       help="builtin ids or descriptor file paths (default: filtered corpus)")
-        p.add_argument("--filter", choices=("all", "soluble", "insoluble", "nilpotent"),
-                       help="corpus slice when no groups are given")
-        p.add_argument("--k", default=k_default, type=_k_arg,
-                       help=f"word depth or range, e.g. 2 or 1..3 (default {k_default})")
-        p.add_argument("--cap", type=_cap_arg, default=DEFAULT_ENUM_CAP,
-                       help="element enumeration cap")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
-        p.add_argument("--json", type=_json_arg,
-                       help="write a deterministic JSON report here ('-' for stdout)")
-        p.add_argument("--strict", action="store_true",
-                       help="treat inadmissible (hypothesis-failing) instances as errors")
-
-    p = sub.add_parser("criterion", help="criterion vs nilpotency consistency")
-    common(p, "1..3")
-    p.add_argument("--kind", choices=("delta", "gamma"), default="delta")
-    p.set_defaults(func=_cmd_criterion)
-
-    p = sub.add_parser("probe", help="criterion scan on insoluble groups")
-    common(p, "1..3")
-    p.set_defaults(func=_cmd_probe)
-
-    p = sub.add_parser("focal", help="Sylow-intersection generation checks")
-    common(p, "1..3")
-    p.set_defaults(func=_cmd_focal)
-
-    p = sub.add_parser("lemmas", help="full supporting-fact battery")
-    common(p, "1..3")
-    p.set_defaults(func=_cmd_lemmas)
-
-    p = sub.add_parser("tower", help="normalizer tower / prime-power generating set")
-    common(p, "1")
-    p.set_defaults(func=_cmd_tower)
-
-    p = sub.add_parser("series", help="structural series order profiles")
-    common(p, "1")
-    p.set_defaults(func=_cmd_series)
-
-    p = sub.add_parser("corpus", help="list builtin groups")
-    p.set_defaults(func=_cmd_corpus)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def _subcommand_parser(name: str) -> argparse.ArgumentParser:
+    """Subcommand ``name``'s parser alone, built as ``build_parser`` builds its subparser."""
+    parser = argparse.ArgumentParser(prog=f"nilcrit {name}")
+    _add_arguments(parser, name)
+    parser.set_defaults(command=name)
+    return parser
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building one subcommand's parser when that suffices.
+
+    When ``argv`` starts with a subcommand that parses the rest cleanly, the
+    result is the Namespace the full parser gives, and the subcommand's help
+    and usage errors are the full parser's too.  Arguments it leaves over
+    are reported by the full parser, which names itself in that message.
+    """
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _subcommand_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (ParseError, InvalidPermutation, OrderMismatch, TagMismatch) as exc:

@@ -173,6 +173,34 @@ def check_coset_intersection(G: PermGroup, N: PermGroup, p: int, X: ElementSet,
         holds, witness, checked=N.order() * (len(lhs) + len(rhs)))
 
 
+def _lifted_generation_sides(G: PermGroup, N: PermGroup, n_idx: frozenset[int], p: int,
+                             X: ElementSet, cap: int
+                             ) -> tuple[set[int], set[int], set[int], frozenset[int]]:
+    """``(P, P-bar, <P-bar cap X-bar>, <(X cup N) cap P>)``: the lifted check's parts free of L.
+
+    P and the last are index sets on G's view.  P-bar and the generated
+    subgroup are sets of coset labels of N, the generated subgroup read off
+    its preimage <N, one element per coset of P-bar cap X-bar>.  The
+    instance generators pair each (N, p, X) with every L above N, so these
+    are kept on G, keyed by N's index set, p and the identity of X (held
+    alongside, so the key cannot be reused).  X is checked on a miss.
+    """
+    kept = G._cache.setdefault(("lifted_generation_sides",), {})
+    hit = kept.get((n_idx, p, id(X)))
+    if hit is not None:
+        return hit[1]
+    x_idx = _p_element_normal_indices(G, X, p, cap)
+    iv = indexed_view(G, cap)
+    labels, reps = iv.coset_labels(N)
+    p_idx = iv.member_indices(sylow_subgroup(G, p, cap), cap)
+    p_bar = {labels[i] for i in p_idx}
+    gen_bar = p_bar & {labels[i] for i in x_idx}
+    preimage = iv.closure([iv.index[n.images] for n in N.generators] + [reps[c] for c in gen_bar])
+    sides = p_idx, p_bar, {labels[i] for i in preimage}, iv.closure((x_idx | n_idx) & p_idx)
+    kept[(n_idx, p, id(X))] = (X, sides)
+    return sides
+
+
 def check_lifted_generation(G: PermGroup, N: PermGroup, L: PermGroup, p: int,
                             X: ElementSet, cap: int = DEFAULT_ENUM_CAP) -> LemmaReport:
     """From generation in G/N, conclude P cap L = <P cap X, P cap N> in G.
@@ -189,21 +217,13 @@ def check_lifted_generation(G: PermGroup, N: PermGroup, L: PermGroup, p: int,
     l_idx = iv.normal_subgroup_indices(L, cap)
     if not n_idx <= l_idx:
         raise NotNormal("N must be contained in L")
-    x_idx = _p_element_normal_indices(G, X, p, cap)
-
-    P = sylow_subgroup(G, p, cap)
-    labels, reps = iv.coset_labels(N)
-    p_idx = iv.member_indices(P, cap)
-    p_bar = {labels[i] for i in p_idx}
-    gen_bar = p_bar & {labels[i] for i in x_idx}
-    preimage = iv.closure([iv.index[n.images] for n in N.generators] + [reps[c] for c in gen_bar])
-    if {labels[i] for i in preimage} != p_bar & {labels[i] for i in l_idx}:
+    p_idx, p_bar, generated_bar, rhs = _lifted_generation_sides(G, N, n_idx, p, X, cap)
+    labels = iv.coset_labels(N)[0]
+    if generated_bar != p_bar & {labels[i] for i in l_idx}:
         raise HypothesisNotSatisfied(
             "quotient-side generation P-bar cap L-bar = <P-bar cap X-bar> fails")
 
     lhs = p_idx & l_idx
-    rhs = iv.closure((x_idx | n_idx) & p_idx)
-
     holds = lhs == rhs
     witness = None
     if not holds:

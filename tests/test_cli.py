@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import argparse
+import enum
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import nilcrit
-from nilcrit.cli import main
+import nilcrit.cli as cli
+from nilcrit.cli import build_parser, main, report_text
 
 SRC = Path(nilcrit.__file__).resolve().parents[1]
 SCALE_CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
@@ -216,3 +222,127 @@ class TestReportDeterminism:
         assert a.order() == w["order_a"]
         assert b.order() == w["order_b"]
         assert (a * b).order() == w["order_ab"] != a.order() * b.order()
+
+
+def parse_outcome(parse, argv):
+    """The Namespace parsed, or the exit code and the text written on the way out."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return parse(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+SUBCOMMAND_ARGVS = [
+    [],
+    ["S4", "S3", "--k", "2", "--cap", "500", "--seed", "3", "--json", "-", "--strict",
+     "--filter", "soluble"],
+    ["--k=1..4", "--kind", "gamma"],
+    ["--k", "x"], ["--k", "3..1"], ["--k", "-1"],
+    ["--cap", "0"], ["--cap", "x"],
+    ["--kind", "epsilon"],
+    ["--json", "no/such/dir/r.json"], ["--json", "."],
+    ["--filter", "odd"],
+    ["--bogus"], ["S4", "--bogus", "1"], ["--bogus", "--k", "x"],
+    ["--version"], ["-h"], ["S4", "--help"],
+    ["--stri"], ["--s"],
+    ["--", "S4", "--k"],
+]
+
+
+class TestSubcommandParser:
+    """One subcommand's own parser against the full parser of every subcommand."""
+
+    @staticmethod
+    def full_subparser(name):
+        action = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        return action.choices[name]
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_help_is_the_full_parsers(self, name):
+        own = cli._subcommand_parser(name).format_help()
+        assert own == self.full_subparser(name).format_help()
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    @pytest.mark.parametrize("rest", SUBCOMMAND_ARGVS, ids=" ".join)
+    def test_parses_and_fails_as_the_full_parser(self, name, rest):
+        argv = [name, *rest]
+        expected = parse_outcome(build_parser().parse_args, argv)
+        assert parse_outcome(cli._parse_args, argv) == expected
+
+    @pytest.mark.parametrize("argv", [[], ["--version"], ["-h"], ["nosuch"], ["seri"],
+                                      ["--bogus", "series"]])
+    def test_other_argvs_go_to_the_full_parser(self, argv):
+        assert parse_outcome(cli._parse_args, argv) == parse_outcome(
+            build_parser().parse_args, argv)
+
+    def test_leftover_arguments_are_reported_by_the_full_parser(self):
+        code, _, err = parse_outcome(cli._parse_args, ["lemmas", "S4", "--bogus"])
+        assert code == 2
+        assert "nilcrit: error: unrecognized arguments: --bogus" in err
+
+    def test_a_subcommand_runs_without_the_full_parser(self, monkeypatch, capsys):
+        def refuse():
+            raise AssertionError("the full parser was built")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        code, out, _ = run(["series", "S4"], capsys)
+        assert code == 0
+        assert "[24, 12, 4, 1]" in out
+
+
+def oracle_text(value):
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+json_scalars = (st.none() | st.booleans() | st.integers()
+                | st.integers(min_value=-2**200, max_value=2**200)
+                | st.floats(allow_nan=True, allow_infinity=True) | st.text())
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.lists(st.integers()) | st.dictionaries(st.text(), inner)
+                   | st.dictionaries(st.integers(), inner)),
+    max_leaves=25)
+
+
+class TestReportText:
+    """The report writer against ``json.dumps(sort_keys=True, indent=2)``."""
+
+    @given(json_values)
+    @example({})
+    @example([])
+    @example({"a": [], "b": {}, "c": [[], [{}]], "d": ()})
+    @example({'"\\\n\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600': 'q"\t\u00ff\U0001f600'})
+    @example([-1, 0, 10**30, -10**30, True, False, None, 1.5, float("nan"), float("-inf")])
+    @example({"images": list(range(1, 257)), "nested": [[3, 1, 2], (4, 5)]})
+    @example({"e": Colour.RED, "f": [Colour.RED, 2], "g": 2.0, "h": -0.0})
+    @example({1: "int key", 2: [1]})
+    def test_matches_json_dumps(self, value):
+        assert report_text(value) == oracle_text(value)
+
+    @pytest.mark.parametrize("value", [
+        {"a": [1, object()]},
+        {"a": {1, 2}},
+        [{"k": {(1, 2): 3}}],
+        {"mixed": {1: 0, "a": 0}},
+    ])
+    def test_rejects_what_json_dumps_rejects(self, value):
+        with pytest.raises(TypeError) as expected:
+            oracle_text(value)
+        with pytest.raises(TypeError) as got:
+            report_text(value)
+        assert str(got.value) == str(expected.value)
+
+    def test_cli_reports_match_json_dumps(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        code, _, _ = run(["probe", "A5", "--k", "1", "--json", str(path)], capsys)
+        assert code == 0
+        text = path.read_text()
+        assert text == oracle_text(json.loads(text))

@@ -28,7 +28,7 @@ from nilcrit.group import (
     subgroup_generated,
     trivial_group,
 )
-from nilcrit.indexed import indexed_view
+from nilcrit.indexed import IndexedGroup, indexed_view
 from nilcrit.lemmas import (
     LemmaReport,
     _invariant_subgroup_family,
@@ -210,6 +210,34 @@ class TestLiftedGeneration:
             except HypothesisNotSatisfied:
                 outcomes["inadmissible"] += 1
         assert outcomes["admissible"] > 0 and outcomes["inadmissible"] > 0
+
+    @pytest.mark.parametrize("name", ["S4", "S4xC3", "S3xS3"])
+    def test_closes_at_most_twice_per_kernel_prime_and_value_set(self, name, monkeypatch):
+        # the preimage of <P-bar cap X-bar> and <(X cup N) cap P> do not
+        # depend on L, so each is closed once per (N, p, X), for every L above N
+        G = load_group(name)
+        iv = indexed_view(G)
+        instances = list(lifted_generation_instances(G))
+        for p in prime_factors(G.order()):
+            sylow_subgroup(G, p)  # grown by closures of its own, before counting
+        closes = 0
+        close = IndexedGroup._close
+
+        def counted(self, seed):
+            nonlocal closes
+            closes += 1
+            return close(self, seed)
+
+        monkeypatch.setattr(IndexedGroup, "_close", counted)
+        keys = set()
+        for inst in instances:
+            keys.add((frozenset(iv.member_indices(inst["N"])), inst["p"], id(inst["X"])))
+            try:
+                check_lifted_generation(G, inst["N"], inst["L"], inst["p"], inst["X"])
+            except HypothesisNotSatisfied:
+                pass
+        assert len(instances) > len(keys)  # some (N, p, X) meets several L
+        assert 0 < closes <= 2 * len(keys)
 
     def test_generated_instances_hold_or_are_inadmissible(self, s4, s3):
         for G in (s4, s3):
