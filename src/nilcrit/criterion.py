@@ -74,7 +74,7 @@ def coprime_product_criterion(G: PermGroup, k: int, kind: str = "delta",
     """
     iv = indexed_view(G, cap)
     values = _word_values(G, k, kind, cap)
-    val_idx = sorted(iv.index[p.images] for p in values.values if not p.is_identity())
+    val_idx = sorted(values.indices - {iv.identity_index})
 
     if reduce_by_classes:
         # val_idx is ascending, so the first value met in a class is its minimum
@@ -119,27 +119,26 @@ class NilpotencyCheck:
         return self.criterion.holds == self.subgroup_nilpotent
 
 
-def derived_nilpotency_check(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP,
-                             reduce_by_classes: bool = True) -> NilpotencyCheck:
+def derived_nilpotency_check(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> NilpotencyCheck:
     """Criterion on depth-k derived-word values vs nilpotency of the kth derived subgroup.
 
     Requires a soluble group; insoluble input belongs to probe_insoluble.
     """
     if not is_soluble(G):
         raise NotSoluble("equivalence check requires a soluble group; use probe_insoluble")
-    report = coprime_product_criterion(G, k, "delta", cap, reduce_by_classes)
+    report = coprime_product_criterion(G, k, "delta", cap)
     H = derived_term(G, k)
     return NilpotencyCheck(report, H.order(), is_nilpotent(H))
 
 
-def lower_central_nilpotency_check(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP,
-                                   reduce_by_classes: bool = True) -> NilpotencyCheck:
+def lower_central_nilpotency_check(G: PermGroup, k: int,
+                                   cap: int = DEFAULT_ENUM_CAP) -> NilpotencyCheck:
     """Criterion on left-normed word values vs nilpotency of the kth lower central term.
 
     No solubility requirement: this equivalence is expected on every finite
     group (at k = 1 it is the classical coprime-product nilpotency condition).
     """
-    report = coprime_product_criterion(G, k, "gamma", cap, reduce_by_classes)
+    report = coprime_product_criterion(G, k, "gamma", cap)
     H = lower_central_term(G, k)
     return NilpotencyCheck(report, H.order(), is_nilpotent(H))
 
@@ -158,8 +157,7 @@ class ProbeReport:
     is_candidate_counterexample: bool
 
 
-def probe_insoluble(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP,
-                    reduce_by_classes: bool = True) -> ProbeReport:
-    report = coprime_product_criterion(G, k, "delta", cap, reduce_by_classes)
+def probe_insoluble(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> ProbeReport:
+    report = coprime_product_criterion(G, k, "delta", cap)
     soluble = is_soluble(G)
     return ProbeReport(report, soluble, report.holds and not soluble)

@@ -10,7 +10,7 @@ immutable once their caches are built, so sharing them is safe.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -30,25 +30,18 @@ _images = attrgetter("images")
 
 @dataclass(frozen=True)
 class ElementSet:
-    """A canonically ordered, duplicate-free set of same-degree permutations.
-
-    The closure flags are tri-state: True/False once verified by scan, None
-    while unknown.
-    """
+    """A canonically ordered, duplicate-free set of same-degree permutations."""
 
     degree: int
     elements: tuple[Permutation, ...]
-    symmetric: bool | None = None
-    conj_closed: bool | None = None
-    comm_closed: bool | None = None
 
     @classmethod
-    def from_iterable(cls, degree: int, elems: Iterable[Permutation], **flags) -> ElementSet:
+    def from_iterable(cls, degree: int, elems: Iterable[Permutation]) -> ElementSet:
         unique = sorted(set(elems), key=_images)
         for e in unique:
             if e.degree != degree:
                 raise DegreeMismatch(f"element of degree {e.degree} in a degree-{degree} set")
-        return cls(degree, tuple(unique), **flags)
+        return cls(degree, tuple(unique))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -69,9 +62,6 @@ class ElementSet:
     def intersection(self, other: Iterable[Permutation]) -> ElementSet:
         mine = set(self.elements)
         return ElementSet.from_iterable(self.degree, (p for p in other if p in mine))
-
-    def with_flags(self, **flags) -> ElementSet:
-        return replace(self, **flags)
 
 
 class PermGroup:
@@ -133,8 +123,7 @@ class PermGroup:
         return self._elements
 
     def element_set(self, cap: int = DEFAULT_ENUM_CAP) -> ElementSet:
-        return ElementSet(self.degree, self.elements(cap), symmetric=True,
-                          comm_closed=True)
+        return ElementSet(self.degree, self.elements(cap))
 
     def random_element(self, rng: random.Random) -> Permutation:
         """Uniformly random element via independent transversal choices."""
@@ -218,8 +207,7 @@ def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> list[Element
     def compute() -> tuple[ElementSet, ...]:
         iv = indexed_view(G, cap)
         # index order is canonical order, so each class comes out sorted
-        return tuple(ElementSet(G.degree, tuple(iv.perms(c)), conj_closed=True)
-                     for c in iv.classes())
+        return tuple(ElementSet(G.degree, tuple(iv.perms(c))) for c in iv.classes())
 
     return list(G.memo(("classes",), compute))
 

@@ -132,9 +132,9 @@ class IndexedGroup:
             for x in frontier:
                 row_invx = row(inv[x])
                 for y in members:
-                    # [x, y] and [y, x]
+                    # [x, y], and [y, x] = [x, y]^-1
                     c1 = row(row(row_invx[inv[y]])[x])[y]
-                    c2 = row(row(row(inv[y])[inv[x]])[y])[x]
+                    c2 = inv[c1]
                     if c1 not in closed:
                         closed.add(c1)
                         fresh.append(c1)

@@ -137,9 +137,9 @@ def p_power_value_closure(G: PermGroup, depth: int, p: int,
     normal subset too; they are sliced out by order with no further closure.
     """
     iv = indexed_view(G, cap)
-    members = tuple(x for x in delta_values(G, depth, cap).values
-                    if p_part(n := iv.order_of[iv.index[x.images]], p) == n)
-    return ElementSet(G.degree, members, conj_closed=True)
+    members = iv.perms(i for i in sorted(delta_values(G, depth, cap).indices)
+                       if p_part(n := iv.order_of[i], p) == n)
+    return ElementSet(G.degree, tuple(members))
 
 
 def check_coset_intersection(G: PermGroup, N: PermGroup, p: int, X: ElementSet,
@@ -249,7 +249,7 @@ def check_focal_generation(G: PermGroup, depth: int, p: int,
     P = sylow_subgroup(G, p, cap)
     iv = indexed_view(G, cap)
     p_idx = iv.member_indices(P, cap)
-    inside = p_idx & {iv.index[v.images] for v in delta_values(G, depth, cap).values}
+    inside = p_idx & delta_values(G, depth, cap).indices
     generated = iv.closure(inside)
     target = p_idx & iv.member_indices(derived_term(G, depth), cap)
 
@@ -353,8 +353,8 @@ def check_coprime_action(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> L
     iv = indexed_view(G, cap)
     inv, order_of, e = iv.inverse, iv.order_of, iv.identity_index
     labels = iv.class_labels()[0]
-    value_list = [iv.index[v.images] for v in delta_values(G, k, cap).values]
-    values = set(value_list)
+    values = delta_values(G, k, cap).indices
+    value_list = sorted(values)
     family = _invariant_subgroup_family(G, cap)
     maps: dict[int, tuple[list[int], ...]] = {}  # per value x, built once
     pairs = 0

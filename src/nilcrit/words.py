@@ -62,15 +62,17 @@ class DeltaValueSet:
     """The set of depth-k word values of a group.
 
     kind is "delta" (derived word, 2^k arguments) or "gamma" (left-normed
-    word, k arguments).  ``stabilized`` is set when the requested depth lies
-    at or past the point where the level sets stop shrinking, in which case
-    the stable set is returned rather than an error.
+    word, k arguments).  ``indices`` is the value set on G's indexed view and
+    ``values`` the same set as Permutations, in the same (canonical) order.
+    ``stabilized`` is set when the requested depth lies at or past the point
+    where the level sets stop shrinking, in which case the stable set is
+    returned rather than an error.
     """
 
     kind: str
     k: int
     values: ElementSet
-    method: str
+    indices: frozenset[int]
     stabilized: bool
 
     def __len__(self) -> int:
@@ -141,14 +143,11 @@ def _level_at(levels: list[frozenset[int]], stable_at: int | None, i: int) -> tu
     return levels[-1], True
 
 
-def _verified_element_set(G: PermGroup, iv: IndexedGroup, idxs: frozenset[int],
-                          next_idxs: frozenset[int]) -> ElementSet:
-    """Wrap value indices as an ElementSet with all three flags scan-verified."""
-    symmetric = all(iv.inverse[i] in idxs for i in idxs)
-    conj_closed = all(table[i] in idxs for table in iv.conjugation_tables() for i in idxs)
-    comm_closed = next_idxs <= idxs
-    return ElementSet.from_iterable(G.degree, iv.perms(idxs), symmetric=symmetric,
-                                    conj_closed=conj_closed, comm_closed=comm_closed)
+def _value_set(iv: IndexedGroup, kind: str, k: int, idxs: frozenset[int],
+               stabilized: bool) -> DeltaValueSet:
+    # index order is canonical element order, so the sorted indices give a sorted set
+    values = ElementSet(iv.group.degree, tuple(iv.perms(sorted(idxs))))
+    return DeltaValueSet(kind, k, values, idxs, stabilized)
 
 
 def delta_values(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> DeltaValueSet:
@@ -161,12 +160,10 @@ def delta_values(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> DeltaValu
     """
     if k < 0:
         raise ValueError("depth must be nonnegative")
-    iv = indexed_view(G, cap)
+    # one level past k, so that stabilization at k is detected
     levels, stable_at = _value_levels(G, "delta", k + 1, cap)
     idxs, stabilized = _level_at(levels, stable_at, k)
-    next_idxs, _ = _level_at(levels, stable_at, k + 1)
-    return DeltaValueSet("delta", k, _verified_element_set(G, iv, idxs, next_idxs),
-                         "full_closure", stabilized)
+    return _value_set(indexed_view(G, cap), "delta", k, idxs, stabilized)
 
 
 def gamma_values(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> DeltaValueSet:
@@ -179,12 +176,10 @@ def gamma_values(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> DeltaValu
     """
     if k < 1:
         raise ValueError("the left-normed word is indexed from 1")
-    iv = indexed_view(G, cap)
+    # one level past k, so that stabilization at k is detected
     levels, stable_at = _value_levels(G, "gamma", k, cap)
     idxs, stabilized = _level_at(levels, stable_at, k - 1)
-    next_idxs, _ = _level_at(levels, stable_at, k)
-    return DeltaValueSet("gamma", k, _verified_element_set(G, iv, idxs, next_idxs),
-                         "full_closure", stabilized)
+    return _value_set(indexed_view(G, cap), "gamma", k, idxs, stabilized)
 
 
 def delta_values_bruteforce(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> DeltaValueSet:
@@ -226,8 +221,7 @@ def delta_values_bruteforce(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -
             return ct[word(tup[:half])][word(tup[half:])]
 
         idxs = {word(t) for t in itertools.product(range(n), repeat=2 ** k)}
-    values = ElementSet.from_iterable(G.degree, iv.perms(idxs))
-    return DeltaValueSet("delta", k, values, "tuple_bruteforce", False)
+    return _value_set(iv, "delta", k, frozenset(idxs), False)
 
 
 def verbal_subgroup(values: DeltaValueSet) -> PermGroup:
@@ -260,7 +254,7 @@ def random_commutator_closed_generating_set(G: PermGroup, rng: random.Random,
         if len(iv.closure(picks)) == iv.size:
             break
     closed = iv.commutator_closure(picks)
-    return ElementSet.from_iterable(G.degree, iv.perms(closed), comm_closed=True)
+    return ElementSet.from_iterable(G.degree, iv.perms(closed))
 
 
 def derived_from_closed_set(G: PermGroup, X: ElementSet,
@@ -276,11 +270,9 @@ def derived_from_closed_set(G: PermGroup, X: ElementSet,
         idxs = sorted(iv.index[x.images] for x in X)
     except KeyError:
         raise NotGenerating("input set is not contained in the group")
-    if X.comm_closed is not True:
-        # flags verified at construction are trusted; anything else gets the scan
-        idx_set = frozenset(idxs)
-        if any(iv.comm(a, b) not in idx_set for a in idxs for b in idxs):
-            raise NotCommutatorClosed("input set is not closed under commutators")
+    idx_set = frozenset(idxs)
+    if any(iv.comm(a, b) not in idx_set for a in idxs for b in idxs):
+        raise NotCommutatorClosed("input set is not closed under commutators")
     if len(iv.closure(idxs)) != iv.size:
         raise NotGenerating("input set does not generate the group")
 
@@ -339,8 +331,7 @@ class GeneratorTower:
         return tuple(T.order() for T in self.normalizers)
 
 
-def generator_tower(G: PermGroup, seed: int = 0, cap: int = DEFAULT_ENUM_CAP,
-                    max_depth: int = 12) -> GeneratorTower:
+def generator_tower(G: PermGroup, seed: int = 0, cap: int = DEFAULT_ENUM_CAP) -> GeneratorTower:
     """Build the normalizer tower and its prime-power generating set.
 
     Requires a soluble group.  All structural claims are re-verified on the
@@ -403,10 +394,10 @@ def generator_tower(G: PermGroup, seed: int = 0, cap: int = DEFAULT_ENUM_CAP,
         if joined.order() != G.order():
             raise RuntimeError("normalizer product does not cover the group; this is a bug")
 
-        X = X.with_flags(comm_closed=True, symmetric=is_symmetric(X))
+        # the depth sets shrink to {1}: G is soluble and depth set i lies in G^(i)
         depth_sets = [X]
         level = range(len(X))
-        while len(depth_sets) < max_depth:
+        while True:
             level = {comm[a][b] for a in level for b in level}
             depth_sets.append(ElementSet.from_iterable(G.degree, (X.elements[i] for i in level)))
             if len(level) == 1:

@@ -102,7 +102,7 @@ class TestCosetIntersection:
         for r in (1, 2, len(classes)):
             for combo in itertools.combinations(classes, r):
                 members = [x for c in combo for x in c]
-                X = ElementSet.from_iterable(4, members, conj_closed=True)
+                X = ElementSet.from_iterable(4, members)
                 rep = check_coset_intersection(s4, a4, 2, X)
                 assert rep.holds
 
@@ -726,8 +726,10 @@ class TestIndexSetsAgainstPermutationOracles:
     def test_coprime_action_failure_reports_the_oracle_witness(self, monkeypatch):
         # without the identity among the values, the first replayed step fails
         def values_without_identity(G, k, cap=DEFAULT_ENUM_CAP):
-            return SimpleNamespace(values=tuple(v for v in delta_values(G, k, cap).values
-                                                if not v.is_identity()))
+            values = delta_values(G, k, cap)
+            return SimpleNamespace(
+                values=tuple(v for v in values.values if not v.is_identity()),
+                indices=values.indices - {indexed_view(G, cap).identity_index})
 
         G = battery_group("S3wrC3")
         want = coprime_action_oracle(G, 2, values_without_identity)
