@@ -310,8 +310,8 @@ def parse_descriptor(text: str, source: str = "file") -> GroupDescriptor:
     return GroupDescriptor(name, degree, tuple(generators), expected, tags, source)
 
 
-def load_group(name_or_path: str, verify: bool = True) -> PermGroup:
-    """Load a builtin by id, or parse a descriptor file by path."""
+def load_group(name_or_path: str) -> PermGroup:
+    """Load a builtin by id, or parse a descriptor file by path; its order and tags are verified."""
     if name_or_path in BUILTINS:
         desc = BUILTINS[name_or_path]
     else:
@@ -325,8 +325,7 @@ def load_group(name_or_path: str, verify: bool = True) -> PermGroup:
             raise ParseError(f"cannot read descriptor {name_or_path!r}: {exc}") from exc
         desc = parse_descriptor(text, source=str(path))
     G = desc.build()
-    if verify:
-        verify_descriptor(desc, G)
+    verify_descriptor(desc, G)
     return G
 
 

@@ -22,8 +22,6 @@ if TYPE_CHECKING:
     from .indexed import IndexedGroup
 
 DEFAULT_ENUM_CAP = 200_000
-# a quotient acts on its cosets, so its index is a permutation degree
-DEFAULT_INDEX_CAP = MAX_DEGREE
 
 _images = attrgetter("images")
 
@@ -286,11 +284,11 @@ class CosetMap:
         return Permutation(tuple(labels[index[r.images.translate(table)]] for r in self.reps))
 
 
-def quotient(G: PermGroup, N: PermGroup, index_cap: int = DEFAULT_INDEX_CAP,
+def quotient(G: PermGroup, N: PermGroup,
              cap: int = DEFAULT_ENUM_CAP) -> tuple[PermGroup, CosetMap]:
     """Faithful action of G/N on the right cosets of N.
 
-    N must be normal in G; the index must stay under index_cap since it
+    N must be normal in G; the index must stay within MAX_DEGREE since it
     becomes the degree of the quotient group.  Cosets are labelled on the
     indexed view of G, so G itself is enumerated under cap.
     """
@@ -301,8 +299,8 @@ def quotient(G: PermGroup, N: PermGroup, index_cap: int = DEFAULT_INDEX_CAP,
     if not is_normal(G, N):
         raise NotNormal("N is not normal in G")
     index = G.order() // N.order()
-    if index > index_cap:
-        raise OrderCapExceeded(index, index_cap, what="coset space")
+    if index > MAX_DEGREE:
+        raise OrderCapExceeded(index, MAX_DEGREE, what="coset space")
     iv = indexed_view(G, cap)
     labels, reps = iv.coset_labels(N)
     if len(reps) != index:

@@ -5,9 +5,10 @@ commutator closures) dominate the runtime of every check, and doing them on
 Permutations wastes time re-hashing them.  This view numbers the
 elements in canonical order and multiplies by table lookup; rows of the
 multiplication table are built on demand so sparse access stays cheap.
-Rows, columns, inverses and orders are computed on the elements' image
-bytes against ``index``, a dict keyed by images, so no Permutation is made
-per product: a row entry is one ``bytes.translate`` and one lookup.
+Rows, columns, inverses, orders and single commutators and conjugates are
+computed on the elements' image bytes against ``index``, a dict keyed by
+images, so no Permutation is made per product: a row entry is one
+``bytes.translate`` and one lookup, and ``comm`` and ``conj`` force no row.
 
 Conjugation runs on per-generator tables instead of rows.  For each generator
 s of G the view keeps x -> x*s and x -> x^s, and a breadth-first spanning
@@ -70,8 +71,15 @@ class IndexedGroup:
         return [key[z.translate(t)] for z in self.images]
 
     def comm(self, i: int, j: int) -> int:
-        """index of [elements[i], elements[j]]."""
-        return self.row(self.row(self.row(self.inverse[i])[self.inverse[j]])[i])[j]
+        """index of [elements[i], elements[j]] = i^-1 j^-1 i j, from image bytes; forces no row."""
+        inv, pads = self.inverse, self.pads
+        images = self.images[inv[i]].translate(pads[inv[j]]).translate(pads[i]).translate(pads[j])
+        return self.index[images]
+
+    def conj(self, i: int, j: int) -> int:
+        """index of elements[i]^elements[j] = j^-1 i j, from image bytes; forces no row."""
+        pads = self.pads
+        return self.index[self.images[self.inverse[j]].translate(pads[i]).translate(pads[j])]
 
     def commutator_table(self) -> list[list[int]]:
         """Full table of [a, b] indices; forces all multiplication rows."""
@@ -121,8 +129,7 @@ class IndexedGroup:
 
     def commutator_closure(self, seed: Iterable[int]) -> frozenset[int]:
         """Close a set of indices under taking commutators of members."""
-        inv = self.inverse
-        row = self.row
+        inv, comm = self.inverse, self.comm
         closed = set(seed)
         closed.add(self.identity_index)
         members = list(closed)
@@ -130,10 +137,9 @@ class IndexedGroup:
         while frontier and len(closed) < self.size:
             fresh = []
             for x in frontier:
-                row_invx = row(inv[x])
                 for y in members:
                     # [x, y], and [y, x] = [x, y]^-1
-                    c1 = row(row(row_invx[inv[y]])[x])[y]
+                    c1 = comm(x, y)
                     c2 = inv[c1]
                     if c1 not in closed:
                         closed.add(c1)

@@ -37,6 +37,9 @@ from .indexed import IndexedGroup, indexed_view
 from .perm import Permutation, commutator
 from .primes import is_prime, p_part, prime_factors
 
+# permutability tests the Sylow basis backtracking may run before giving up
+SYLOW_BASIS_MAX_TESTS = 200_000
+
 
 @dataclass(frozen=True)
 class SeriesReport:
@@ -323,8 +326,7 @@ def _distinct_conjugates(G: PermGroup, P: PermGroup, cap: int) -> list[PermGroup
     return [group_with_elements(G.degree, iv.perms(gens[m]), iv.perms(m)) for m in sorted(gens)]
 
 
-def sylow_basis(G: PermGroup, seed: int = 0, cap: int = DEFAULT_ENUM_CAP,
-                max_tests: int = 200_000) -> SylowBasis:
+def sylow_basis(G: PermGroup, seed: int = 0, cap: int = DEFAULT_ENUM_CAP) -> SylowBasis:
     """Find a Sylow basis by backtracking over Sylow conjugates.
 
     The candidates at each prime are the conjugates of one Sylow subgroup,
@@ -332,7 +334,7 @@ def sylow_basis(G: PermGroup, seed: int = 0, cap: int = DEFAULT_ENUM_CAP,
     reproducibly when seed is nonzero), so the same inputs always yield the
     same basis.  Two candidates permute when they generate a group of order
     |P| |Q|.  Existence is guaranteed for soluble groups; the bounded search
-    raises SearchExhausted if the test budget runs out first.  The result is
+    raises SearchExhausted if SYLOW_BASIS_MAX_TESTS tests run out first.  The result is
     checked against G = T * gamma_inf(G) by the order identity
     |T| |R| == |G| |T cap R|.
     """
@@ -356,9 +358,9 @@ def sylow_basis(G: PermGroup, seed: int = 0, cap: int = DEFAULT_ENUM_CAP,
             key = (i, a, j, b)
             if key not in memo:
                 tests += 1
-                if tests > max_tests:
-                    raise SearchExhausted(
-                        f"no pairwise permutable Sylow family within {max_tests} tests")
+                if tests > SYLOW_BASIS_MAX_TESTS:
+                    raise SearchExhausted(f"no pairwise permutable Sylow family within "
+                                          f"{SYLOW_BASIS_MAX_TESTS} tests")
                 memo[key] = _permutable(candidates[i][a], candidates[j][b], cap)
             return memo[key]
 

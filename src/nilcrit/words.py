@@ -34,13 +34,7 @@ from .errors import (
     NotSoluble,
     OrderCapExceeded,
 )
-from .group import (
-    DEFAULT_ENUM_CAP,
-    ElementSet,
-    PermGroup,
-    subgroup_generated,
-    trivial_group,
-)
+from .group import DEFAULT_ENUM_CAP, ElementSet, PermGroup, subgroup_generated
 from .indexed import IndexedGroup, indexed_view
 from .perm import Permutation, commutator
 from .primes import is_prime_power
@@ -143,11 +137,14 @@ def _level_at(levels: list[frozenset[int]], stable_at: int | None, i: int) -> tu
     return levels[-1], True
 
 
+def _element_set(iv: IndexedGroup, idxs: Iterable[int]) -> ElementSet:
+    # index order is canonical element order, so the sorted indices give a sorted set
+    return ElementSet(iv.group.degree, tuple(iv.perms(sorted(idxs))))
+
+
 def _value_set(iv: IndexedGroup, kind: str, k: int, idxs: frozenset[int],
                stabilized: bool) -> DeltaValueSet:
-    # index order is canonical element order, so the sorted indices give a sorted set
-    values = ElementSet(iv.group.degree, tuple(iv.perms(sorted(idxs))))
-    return DeltaValueSet(kind, k, values, idxs, stabilized)
+    return DeltaValueSet(kind, k, _element_set(iv, idxs), idxs, stabilized)
 
 
 def delta_values(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> DeltaValueSet:
@@ -253,8 +250,7 @@ def random_commutator_closed_generating_set(G: PermGroup, rng: random.Random,
         picks.append(rng.randrange(iv.size))
         if len(iv.closure(picks)) == iv.size:
             break
-    closed = iv.commutator_closure(picks)
-    return ElementSet.from_iterable(G.degree, iv.perms(closed))
+    return _element_set(iv, iv.commutator_closure(picks))
 
 
 def derived_from_closed_set(G: PermGroup, X: ElementSet,
@@ -263,37 +259,22 @@ def derived_from_closed_set(G: PermGroup, X: ElementSet,
 
     Checks both preconditions, generates H from the commutators [x1, x2] with
     x1, x2 in X, and verifies H against the derived subgroup computed the
-    ordinary way before returning it.
+    ordinary way before returning it.  The pair commutators are formed once,
+    as indices on G's view: they decide closure and seed H, which keeps the
+    same generators as ``subgroup_generated`` would from the same list.
     """
     iv = indexed_view(G, cap)
     try:
         idxs = sorted(iv.index[x.images] for x in X)
     except KeyError:
         raise NotGenerating("input set is not contained in the group")
-    idx_set = frozenset(idxs)
-    if any(iv.comm(a, b) not in idx_set for a in idxs for b in idxs):
+    comms = [iv.comm(a, b) for a in idxs for b in idxs]
+    if not frozenset(idxs).issuperset(comms):
         raise NotCommutatorClosed("input set is not closed under commutators")
     if len(iv.closure(idxs)) != iv.size:
         raise NotGenerating("input set does not generate the group")
-
-    target = derived_subgroup(G)
-    want = target.order()
-    row, inv = iv.row, iv.inverse
-    gens: list[Permutation] = []
-    H = trivial_group(G.degree)
-    # pair commutators always lie in the derived subgroup, so the enumeration
-    # may stop as soon as the collected ones cover it
-    for a in idxs:
-        row_inva = row(inv[a])
-        for b in idxs:
-            c = row(row(row_inva[inv[b]])[a])[b]
-            p = iv.elements[c]
-            if not H.contains(p):
-                gens.append(p)
-                H = PermGroup(G.degree, gens)
-        if H.order() == want:
-            break
-    if not H.equals(target):
+    H = iv.subgroup(comms)
+    if not H.equals(derived_subgroup(G)):
         raise RuntimeError("pair commutators of a closed generating set missed "
                            "the derived subgroup; this is a bug")
     return H
@@ -343,10 +324,11 @@ def generator_tower(G: PermGroup, seed: int = 0, cap: int = DEFAULT_ENUM_CAP) ->
     T_j normalizes every later T_k, the product T_1 ... T_h is the subgroup
     <T_1, ..., T_h>: by induction from the last factor, T_j normalizes the
     subgroup T_{j+1} ... T_h, so T_j T_{j+1} ... T_h is again a subgroup.
-    The product covers G exactly when that subgroup has order |G|.  The
-    |X|^2 commutators of the members of X are formed once, in one table:
-    it decides commutator-closure, and as X is closed every depth set lies
-    in X, so each is read off the same table.
+    The product covers G exactly when that subgroup is all of G.  Every check
+    runs on index sets of G's indexed view, with subgroups generated by its
+    closures.  The |X|^2 commutators of the members of X are formed once, in
+    one table: it decides commutator-closure, and as X is closed every depth
+    set lies in X, so each is read off the same table.
     """
     if not is_soluble(G):
         raise NotSoluble("the tower construction requires a soluble group")
@@ -355,54 +337,48 @@ def generator_tower(G: PermGroup, seed: int = 0, cap: int = DEFAULT_ENUM_CAP) ->
         fitting_chain = lower_fitting_series(G).terms
         chain = tuple(K for K in fitting_chain if K.order() > 1)
         basis = sylow_basis(G, seed=seed, cap=cap)
+        iv = indexed_view(G, cap)
 
-        normalizers = []
-        level_sets = []
+        normalizers, members, levels = [], [], []
         for K in chain:
-            bK = intersect_basis(basis, K, cap)
-            T = bK.normalizer
+            T = intersect_basis(basis, K, cap).normalizer
             if product_order(G, T, gamma_infinity(K), cap) != K.order():
                 raise RuntimeError("normalizer failed to complement the residual in a tower level")
             normalizers.append(T)
-            level_sets.append(ElementSet.from_iterable(
-                G.degree, (x for x in T.elements(cap) if is_prime_power(x.order()))))
-
-        union = set()
-        for xs in level_sets:
-            union.update(xs.elements)
-        union.add(G.identity)
-        X = ElementSet.from_iterable(G.degree, union)
+            members.append(iv.member_indices(T, cap))
+            levels.append({i for i in members[-1] if is_prime_power(iv.order_of[i])})
+        X = sorted({iv.identity_index}.union(*levels))
 
         # re-verify every structural claim on the concrete sets
-        position = {x: i for i, x in enumerate(X.elements)}
-        comm = [[position.get(commutator(a, b)) for b in X.elements] for a in X.elements]
+        position = {x: i for i, x in enumerate(X)}
+        comm = [[position.get(iv.comm(a, b)) for b in X] for a in X]
         if any(None in row for row in comm):
             raise RuntimeError("tower union is not commutator-closed; this is a bug")
-        if not all(is_prime_power(x.order()) for x in X):
+        if not all(is_prime_power(iv.order_of[x]) for x in X):
             raise RuntimeError("tower union contains a non-prime-power element; this is a bug")
-        span = subgroup_generated(G.degree, X.elements)
-        if span.order() != G.order():
+        if len(iv.closure(X)) != iv.size:
             raise RuntimeError("tower union does not generate the group; this is a bug")
-        for j, Tj in enumerate(normalizers):
-            for Tk in normalizers[j:]:
-                if not all(Tk.contains(a.conjugate(t))
-                           for a in Tk.generators for t in Tj.generators):
+        gens = [[iv.index[t.images] for t in T.generators] for T in normalizers]
+        for j, gens_j in enumerate(gens):
+            for gens_k, members_k in zip(gens[j:], members[j:]):
+                if not all(iv.conj(a, t) in members_k for a in gens_k for t in gens_j):
                     raise RuntimeError("an earlier tower normalizer fails to normalize a "
                                        "later one; this is a bug")
         # with each T_j normalizing the later T_k, T_1 ... T_h = <T_1, ..., T_h>
-        joined = PermGroup(G.degree, [t for T in normalizers for t in T.generators])
-        if joined.order() != G.order():
+        if len(iv.closure(t for gens_j in gens for t in gens_j)) != iv.size:
             raise RuntimeError("normalizer product does not cover the group; this is a bug")
 
         # the depth sets shrink to {1}: G is soluble and depth set i lies in G^(i)
-        depth_sets = [X]
+        generating_set = _element_set(iv, X)
+        depth_sets = [generating_set]
         level = range(len(X))
         while True:
             level = {comm[a][b] for a in level for b in level}
-            depth_sets.append(ElementSet.from_iterable(G.degree, (X.elements[i] for i in level)))
+            depth_sets.append(_element_set(iv, (X[a] for a in level)))
             if len(level) == 1:
                 break
-        return GeneratorTower(G, chain, tuple(normalizers), tuple(level_sets),
-                              X, tuple(depth_sets), seed)
+        return GeneratorTower(G, chain, tuple(normalizers),
+                              tuple(_element_set(iv, idxs) for idxs in levels),
+                              generating_set, tuple(depth_sets), seed)
 
     return G.memo(("generator_tower", seed), compute)

@@ -16,7 +16,7 @@ from nilcrit.chain import StabilizerChain
 from nilcrit.corpus import builtin_names, load_group
 from nilcrit.group import PermGroup
 from nilcrit.indexed import indexed_view
-from nilcrit.perm import MAX_DEGREE, Permutation
+from nilcrit.perm import MAX_DEGREE, Permutation, commutator
 
 from conftest import PermutationChain, PermutationView
 
@@ -102,6 +102,18 @@ def test_view_and_chain_at_the_degree_limits(G):
         assert max(iv.order_of) == (MAX_DEGREE if G.name == "C256" else 2)
         outside = Permutation([1, 0] + list(range(2, G.degree)))
         assert not G.contains(outside)
+
+
+@pytest.mark.parametrize("name", ["S3", "Q8", "S4", "SL2_3", "C3wrC2", "A5"])
+def test_comm_and_conj_match_permutations_and_force_no_row(name):
+    G = load_group(name)
+    iv = indexed_view(G)
+    elems = iv.elements
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            assert iv.comm(i, j) == iv.index[commutator(a, b).images], (i, j)
+            assert iv.conj(i, j) == iv.index[a.conjugate(b).images], (i, j)
+    assert all(row is None for row in iv._rows)
 
 
 def test_view_makes_no_permutation_product(monkeypatch):

@@ -294,12 +294,13 @@ class TestSylowBasis:
         with pytest.raises(NotSoluble):
             sylow_basis(a5)
 
-    def test_exhausted_search_budget(self):
+    def test_exhausted_search_budget(self, monkeypatch):
         from nilcrit.errors import SearchExhausted
         from conftest import perm
+        monkeypatch.setattr("nilcrit.structure.SYLOW_BASIS_MAX_TESTS", 0)
         G = PermGroup(4, (perm("(1 2)", 4), perm("(1 2 3 4)", 4)))
         with pytest.raises(SearchExhausted):
-            sylow_basis(G, max_tests=0)
+            sylow_basis(G)
 
     def test_pairwise_permutability(self, s4):
         B = sylow_basis(s4)

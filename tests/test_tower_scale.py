@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 from nilcrit.corpus import load_group
-from nilcrit.perm import Permutation, commutator
+from nilcrit.group import PermGroup
+from nilcrit.indexed import IndexedGroup
+from nilcrit.perm import Permutation
 from nilcrit.structure import sylow_basis
 from nilcrit.words import generator_tower
 
@@ -31,6 +33,24 @@ def test_pinned_tower(name, chain, normalizers, size):
     assert tower.chain_orders() == chain
     assert tower.normalizer_orders() == normalizers
     assert len(tower.generating_set) == size
+
+
+@pytest.mark.usefixtures("stall_deadline")
+@pytest.mark.parametrize("degree, generators, chain, normalizers, depth_sizes", [
+    # S3 wr S3
+    (9, ["(1 2)", "(1 2 3)", "(1 4)(2 5)(3 6)", "(1 4 7)(2 5 8)(3 6 9)"],
+     (1296, 324, 108, 27), (4, 3, 4, 27), [35, 32, 24, 19, 1]),
+    # C3 wr S4
+    (12, ["(1 2 3)", "(1 4)(2 5)(3 6)", "(1 4 7 10)(2 5 8 11)(3 6 9 12)"],
+     (1944, 324, 108, 27), (6, 3, 4, 27), [35, 26, 24, 19, 1]),
+])
+def test_pinned_wreath_tower(degree, generators, chain, normalizers, depth_sizes):
+    G = PermGroup(degree, [Permutation.parse_cycles(g, degree) for g in generators])
+    tower = generator_tower(G)
+    assert tower.chain_orders() == chain
+    assert tower.normalizer_orders() == normalizers
+    assert len(tower.generating_set) == depth_sizes[0]
+    assert [len(d) for d in tower.depth_sets] == depth_sizes
 
 
 def test_sylow_basis_conjugates_few_permutations(monkeypatch):
@@ -53,12 +73,13 @@ def test_tower_forms_each_member_commutator_once(monkeypatch):
     # the closure check and every depth set used to form their own commutators
     G = load_group(str(CORPUS / "S4wrC2.grp"))
     calls = 0
+    comm = IndexedGroup.comm
 
-    def counted(a, b):
+    def counted(self, i, j):
         nonlocal calls
         calls += 1
-        return commutator(a, b)
+        return comm(self, i, j)
 
-    monkeypatch.setattr("nilcrit.words.commutator", counted)
+    monkeypatch.setattr(IndexedGroup, "comm", counted)
     tower = generator_tower(G)
-    assert calls <= len(tower.generating_set) ** 2
+    assert 0 < calls <= len(tower.generating_set) ** 2

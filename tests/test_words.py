@@ -11,7 +11,7 @@ import pytest
 from nilcrit.corpus import builtin_names, filter_names, load_group
 from nilcrit.criterion import coprime_product_criterion
 from nilcrit.errors import NotCommutatorClosed, NotGenerating
-from nilcrit.group import ElementSet, PermGroup
+from nilcrit.group import ElementSet, PermGroup, subgroup_generated
 from nilcrit.indexed import IndexedGroup, indexed_view
 from nilcrit.perm import Permutation, commutator
 from nilcrit.structure import derived_series, derived_term, lower_central_term
@@ -289,6 +289,17 @@ class TestDerivedFromClosedSet:
     def test_rejects_non_generating_set(self, s4, v4):
         with pytest.raises(NotGenerating):
             derived_from_closed_set(s4, v4.element_set())
+
+    def test_keeps_the_generators_subgroup_generated_keeps(self, s4, s3, d8):
+        # H is generated by the pair commutators in X's canonical order
+        for G in (s4, s3, d8):
+            sets = [G.element_set(), generator_tower(G).generating_set]
+            sets += [random_commutator_closed_generating_set(G, random.Random(trial))
+                     for trial in range(5)]
+            for X in sets:
+                comms = [commutator(a, b) for a in X for b in X]
+                want = subgroup_generated(G.degree, comms).generators
+                assert derived_from_closed_set(G, X).generators == want
 
     def test_fifty_random_closed_sets(self, s4, s3, d8):
         for G in (s4, s3, d8):
