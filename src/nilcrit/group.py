@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -60,6 +61,14 @@ class ElementSet:
     def intersection(self, other: Iterable[Permutation]) -> ElementSet:
         mine = set(self.elements)
         return ElementSet.from_iterable(self.degree, (p for p in other if p in mine))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # hashed once: a value set keys the memo of every check it is passed to
+        return hash((self.degree, self.elements))
 
 
 class PermGroup:
@@ -145,7 +154,7 @@ class PermGroup:
         return PermGroup(self.degree, tuple(g.conjugate(by) for g in self.generators))
 
     def memo(self, key, compute: Callable):
-        """Cache structural results on the group; results must be immutable."""
+        """Cache a result that is immutable or only grows; a compute that raises stores nothing."""
         if key not in self._cache:
             self._cache[key] = compute()
         return self._cache[key]
@@ -251,7 +260,7 @@ def normalizer(G: PermGroup, H: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> PermG
     if H.degree != G.degree:
         raise DegreeMismatch("subgroup degree differs from group degree")
     iv = indexed_view(G, cap)
-    return iv.subgroup(iv.normalizing([H], cap=cap))
+    return iv.subgroup(iv.normalizing([H]))
 
 
 def is_normal(G: PermGroup, N: PermGroup) -> bool:

@@ -21,12 +21,14 @@ full multiplication table.
 Subgroups and normal subsets of G are index sets on the view: a subgroup
 closure fetches rows only for the seeds that enlarge it, and a subset is
 normal when every generator's conjugation table maps it into itself.  The
-index set of a normal subgroup is kept, keyed by its generators' indices.
+index set of a subgroup H is kept in one dict, keyed by the indices of its
+generators: they are looked up first, so an H outside G fails before it is
+enumerated, and an H inside G has |H| <= |G|, under G's cap.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .errors import NotNormal, OrderCapExceeded
 from .group import DEFAULT_ENUM_CAP, PermGroup, group_with_elements
@@ -48,8 +50,10 @@ class IndexedGroup:
         self.order_of: list[int] = [image_order(b) for b in self.images]
         self.inverse: list[int] = [self.index[inverse_table(b)[:len(b)]] for b in self.images]
         self._rows: list[list[int] | None] = [None] * self.size
+        # keyed by a subgroup's generator indices (``_generator_key``)
+        self._subgroups: dict[frozenset[int], frozenset[int]] = {}
+        self._normal: set[frozenset[int]] = set()  # index sets checked to be normal
         self._cosets: dict[frozenset[int], tuple[list[int], list[int]]] = {}
-        self._normal: dict[frozenset[int], frozenset[int]] = {}
         self._gen_tables: tuple[list[list[int]], list[list[int]]] | None = None
         self._tree: list[tuple[int, int, int]] | None = None
         self._classes: tuple[list[int], list[int]] | None = None
@@ -160,7 +164,7 @@ class IndexedGroup:
         minimal element of coset c.  N*g is the orbit of g under left
         multiplication by N's generators, read off their rows.
         """
-        gens = frozenset(self.index[n.images] for n in kernel.generators)
+        gens = self._generator_key(kernel)
         if gens not in self._cosets:
             self._cosets[gens] = _orbit_labels(self.size, [self.row(n) for n in gens])
         return self._cosets[gens]
@@ -201,46 +205,52 @@ class IndexedGroup:
             out[b] = conj[j][out[parent]]
         return out
 
-    def member_indices(self, H: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> set[int]:
-        """The indices of H's elements; NotNormal if H is not contained in G."""
-        return self._indices(H.elements(cap))
+    def _generator_key(self, H: PermGroup) -> frozenset[int]:
+        """The indices of H's generators; NotNormal if one lies outside G."""
+        key = frozenset(self.index.get(h.images) for h in H.generators)
+        if None in key:
+            raise NotNormal("subgroup is not contained in the group")
+        return key
+
+    def member_indices(self, H: PermGroup) -> frozenset[int]:
+        """The index set of a subgroup H of G, kept per generator key; H <= G is checked first."""
+        key = self._generator_key(H)
+        if key not in self._subgroups:
+            self._subgroups[key] = frozenset(self.index[h.images] for h in H.elements(self.size))
+        return self._subgroups[key]
 
     def normal_indices(self, subset: Iterable[Permutation]) -> set[int]:
         """The index set of a normal subset of G.
 
         Raises NotNormal when a member lies outside G, and then when some
-        generator's conjugation table maps a member outside the set.  A set
-        closed under conjugation by G's generators is closed under
-        conjugation by all of G, so for a subgroup this decides normality.
+        generator's conjugation table maps a member outside the set.
         """
-        members = self._indices(subset)
-        for table in self.conjugation_tables():
-            if any(table[i] not in members for i in members):
-                raise NotNormal("subset is not closed under conjugation in the group")
-        return members
-
-    def normal_subgroup_indices(self, H: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> frozenset[int]:
-        """The index set of a normal subgroup H of G, memoised by H's generator indices.
-
-        The first call for H's generators runs ``normal_indices`` on H's
-        elements.  Only successes are kept, so a subgroup that is not normal
-        in G raises the same NotNormal on every call.
-        """
-        key = frozenset(self.index.get(h.images) for h in H.generators)
-        members = self._normal.get(key)
-        if members is None:
-            members = frozenset(self.normal_indices(H.elements(cap)))
-            self._normal[key] = members
-        return members
-
-    def _indices(self, subset: Iterable[Permutation]) -> set[int]:
         members = {self.index.get(x.images) for x in subset}
         if None in members:
             raise NotNormal("subset is not contained in the group")
+        self._require_normal(members, members)
         return members
 
-    def normalizing(self, subgroups: Iterable[PermGroup], domain: Iterable[int] | None = None,
-                    cap: int = DEFAULT_ENUM_CAP) -> Iterator[int]:
+    def normal_subgroup_indices(self, H: PermGroup) -> frozenset[int]:
+        """``member_indices`` of a normal subgroup H, its generators' conjugates checked once per set.
+
+        Only successes are kept, so a subgroup that is not normal in G raises
+        the same NotNormal on every call.
+        """
+        members = self.member_indices(H)
+        if members not in self._normal:
+            self._require_normal([self.index[h.images] for h in H.generators], members)
+            self._normal.add(members)
+        return members
+
+    def _require_normal(self, seeds: Collection[int], members: set[int] | frozenset[int]) -> None:
+        """NotNormal unless every generator's conjugation table maps each seed into members."""
+        for table in self.conjugation_tables():
+            if any(table[i] not in members for i in seeds):
+                raise NotNormal("subset is not closed under conjugation in the group")
+
+    def normalizing(self, subgroups: Iterable[PermGroup],
+                    domain: Iterable[int] | None = None) -> Iterator[int]:
         """The g in domain (default all of G, in index order) that normalize every subgroup.
 
         g is kept when h^g lies in H for every generator h of every subgroup
@@ -248,7 +258,7 @@ class IndexedGroup:
         """
         tests = []
         for H in subgroups:
-            members = self.member_indices(H, cap)
+            members = self.member_indices(H)
             tests += [(self.conjugates(self.index[h.images]), members) for h in H.generators]
         return (g for g in (range(self.size) if domain is None else domain)
                 if all(conj[g] in members for conj, members in tests))

@@ -108,24 +108,21 @@ def _p_element_normal_indices(G: PermGroup, X: ElementSet, p: int, cap: int) -> 
 
     A member outside G raises NotNormal, then a member that is not a
     p-element NotPElementSet, then a set that is not conjugation-closed
-    NotNormal.  The instance generators pass one X per (depth, p) to every
-    (N, L), so a checked X is kept on G, keyed by p and the identity of X
-    (held alongside, so the key cannot be reused; X is immutable).  Only
-    successes are kept, so a bad X raises the same error on every call.
+    NotNormal.  A checked X is kept on G, keyed by p and the value of X, so
+    equal sets built apart share one check.  Only successes are kept, so a
+    bad X raises the same error on every call.
     """
-    checked = G._cache.setdefault(("p_element_sets",), {})
-    hit = checked.get((p, id(X)))
-    if hit is not None:
-        return hit[1]
-    iv = indexed_view(G, cap)
-    if all(x.images in iv.index for x in X):  # else normal_indices raises NotNormal
-        for x in X:
-            n = iv.order_of[iv.index[x.images]]
-            if p_part(n, p) != n:
-                raise NotPElementSet(f"{x} has order {n}, not a power of {p}")
-    members = frozenset(iv.normal_indices(X))
-    checked[(p, id(X))] = (X, members)
-    return members
+
+    def compute() -> frozenset[int]:
+        iv = indexed_view(G, cap)
+        if all(x.images in iv.index for x in X):  # else normal_indices raises NotNormal
+            for x in X:
+                n = iv.order_of[iv.index[x.images]]
+                if p_part(n, p) != n:
+                    raise NotPElementSet(f"{x} has order {n}, not a power of {p}")
+        return frozenset(iv.normal_indices(X))
+
+    return G.memo(("p_element_set", p, X), compute)
 
 
 def p_power_value_closure(G: PermGroup, depth: int, p: int,
@@ -152,12 +149,11 @@ def check_coset_intersection(G: PermGroup, N: PermGroup, p: int, X: ElementSet,
     """
     _check_prime_divisor(G, p)
     iv = indexed_view(G, cap)
-    iv.normal_subgroup_indices(N, cap)
+    iv.normal_subgroup_indices(N)
     x_idx = _p_element_normal_indices(G, X, p, cap)
 
-    P = sylow_subgroup(G, p, cap)
     labels, reps = iv.coset_labels(N)
-    p_idx = iv.member_indices(P, cap)
+    p_idx = iv.member_indices(sylow_subgroup(G, p, cap))
     lhs = {labels[i] for i in x_idx} & {labels[i] for i in p_idx}
     rhs = {labels[i] for i in x_idx & p_idx}
 
@@ -173,34 +169,6 @@ def check_coset_intersection(G: PermGroup, N: PermGroup, p: int, X: ElementSet,
         holds, witness, checked=N.order() * (len(lhs) + len(rhs)))
 
 
-def _lifted_generation_sides(G: PermGroup, N: PermGroup, n_idx: frozenset[int], p: int,
-                             X: ElementSet, cap: int
-                             ) -> tuple[set[int], set[int], set[int], frozenset[int]]:
-    """``(P, P-bar, <P-bar cap X-bar>, <(X cup N) cap P>)``: the lifted check's parts free of L.
-
-    P and the last are index sets on G's view.  P-bar and the generated
-    subgroup are sets of coset labels of N, the generated subgroup read off
-    its preimage <N, one element per coset of P-bar cap X-bar>.  The
-    instance generators pair each (N, p, X) with every L above N, so these
-    are kept on G, keyed by N's index set, p and the identity of X (held
-    alongside, so the key cannot be reused).  X is checked on a miss.
-    """
-    kept = G._cache.setdefault(("lifted_generation_sides",), {})
-    hit = kept.get((n_idx, p, id(X)))
-    if hit is not None:
-        return hit[1]
-    x_idx = _p_element_normal_indices(G, X, p, cap)
-    iv = indexed_view(G, cap)
-    labels, reps = iv.coset_labels(N)
-    p_idx = iv.member_indices(sylow_subgroup(G, p, cap), cap)
-    p_bar = {labels[i] for i in p_idx}
-    gen_bar = p_bar & {labels[i] for i in x_idx}
-    preimage = iv.closure([iv.index[n.images] for n in N.generators] + [reps[c] for c in gen_bar])
-    sides = p_idx, p_bar, {labels[i] for i in preimage}, iv.closure((x_idx | n_idx) & p_idx)
-    kept[(n_idx, p, id(X))] = (X, sides)
-    return sides
-
-
 def check_lifted_generation(G: PermGroup, N: PermGroup, L: PermGroup, p: int,
                             X: ElementSet, cap: int = DEFAULT_ENUM_CAP) -> LemmaReport:
     """From generation in G/N, conclude P cap L = <P cap X, P cap N> in G.
@@ -209,16 +177,28 @@ def check_lifted_generation(G: PermGroup, N: PermGroup, L: PermGroup, p: int,
     coset labels of N: the label set of a subset of G is its image in G/N, and
     the preimage of <P-bar cap X-bar> is <N, one element per coset in
     P-bar cap X-bar>.  Instances failing it are inadmissible and raise
-    HypothesisNotSatisfied rather than producing a verdict.
+    HypothesisNotSatisfied rather than producing a verdict.  The parts free
+    of L are kept on G per (N, p, X), as the instance generators pair each
+    (N, p, X) with every L above N; X is checked when they are first built.
     """
     _check_prime_divisor(G, p)
     iv = indexed_view(G, cap)
-    n_idx = iv.normal_subgroup_indices(N, cap)
-    l_idx = iv.normal_subgroup_indices(L, cap)
+    n_idx = iv.normal_subgroup_indices(N)
+    l_idx = iv.normal_subgroup_indices(L)
     if not n_idx <= l_idx:
         raise NotNormal("N must be contained in L")
-    p_idx, p_bar, generated_bar, rhs = _lifted_generation_sides(G, N, n_idx, p, X, cap)
-    labels = iv.coset_labels(N)[0]
+    labels, reps = iv.coset_labels(N)
+
+    def sides() -> tuple[frozenset[int], set[int], set[int], frozenset[int]]:
+        """``(P, P-bar, <P-bar cap X-bar>, <(X cup N) cap P>)``, bars as sets of coset labels."""
+        x_idx = _p_element_normal_indices(G, X, p, cap)
+        p_idx = iv.member_indices(sylow_subgroup(G, p, cap))
+        p_bar = {labels[i] for i in p_idx}
+        preimage = iv.closure([iv.index[n.images] for n in N.generators]
+                              + [reps[c] for c in p_bar & {labels[i] for i in x_idx}])
+        return p_idx, p_bar, {labels[i] for i in preimage}, iv.closure((x_idx | n_idx) & p_idx)
+
+    p_idx, p_bar, generated_bar, rhs = G.memo(("lifted_generation_sides", n_idx, p, X), sides)
     if generated_bar != p_bar & {labels[i] for i in l_idx}:
         raise HypothesisNotSatisfied(
             "quotient-side generation P-bar cap L-bar = <P-bar cap X-bar> fails")
@@ -248,10 +228,10 @@ def check_focal_generation(G: PermGroup, depth: int, p: int,
 
     P = sylow_subgroup(G, p, cap)
     iv = indexed_view(G, cap)
-    p_idx = iv.member_indices(P, cap)
+    p_idx = iv.member_indices(P)
     inside = p_idx & delta_values(G, depth, cap).indices
     generated = iv.closure(inside)
-    target = p_idx & iv.member_indices(derived_term(G, depth), cap)
+    target = p_idx & iv.member_indices(derived_term(G, depth))
 
     holds = generated == target
     witness = None
@@ -277,7 +257,7 @@ def check_fitting_membership(G: PermGroup, p: int,
 
     F = fitting_subgroup(G, cap)
     iv = indexed_view(G, cap)
-    f_idx = iv.member_indices(F, cap)
+    f_idx = iv.member_indices(F)
     core = iv.subgroup(sorted(i for i in f_idx if iv.order_of[i] % p))
     core_conj = [(iv.index[o.images], iv.conjugates(iv.index[o.images])) for o in core.generators]
     qualifying = 0
@@ -320,9 +300,9 @@ def _invariant_subgroup_family(G: PermGroup, cap: int) -> list[frozenset[int]]:
                 p = p.translate(table)
             family.add(frozenset(powers))
         for M in normal_subgroups(G, cap):
-            domain = sorted(iv.member_indices(M, cap))
+            domain = sorted(iv.member_indices(M))
             family.update(_sylow_indices(iv, q, domain)[0] for q in prime_factors(len(domain)))
-        f_idx = iv.member_indices(fitting_subgroup(G, cap), cap)
+        f_idx = iv.member_indices(fitting_subgroup(G, cap))
         family.update(frozenset(i for i in f_idx if iv.order_of[i] % q)
                       for q in prime_factors(G.order()))
         return tuple(sorted(family, key=lambda S: (len(S), sorted(S))))
@@ -412,7 +392,7 @@ def coset_intersection_instances(G: PermGroup, depths: tuple[int, ...] = (0, 1, 
 def lifted_generation_instances(G: PermGroup, depths: tuple[int, ...] = (0, 1, 2),
                                 cap: int = DEFAULT_ENUM_CAP) -> Iterator[dict]:
     iv = indexed_view(G, cap)
-    normals = [(M, iv.member_indices(M, cap)) for M in normal_subgroups(G, cap)]
+    normals = [(M, iv.member_indices(M)) for M in normal_subgroups(G, cap)]
     for p in prime_factors(G.order()):
         for depth in depths:
             X = p_power_value_closure(G, depth, p, cap)

@@ -4,17 +4,17 @@ Derived, lower central and lower Fitting series; nilpotency, solubility and
 metanilpotency predicates; Sylow subgroups, p-cores, p'-cores and the Fitting
 subgroup; Sylow bases and their (system) normalizers.
 
-Everything here works at desk scale, on G's indexed view enumerated under
-the cap; a result wraps an index set, with no chain built for it.  A Sylow
+The series and the nilpotency and solubility predicates run on stabilizer
+chains, with no cap.  The subgroups are index sets on G's indexed view,
+enumerated under the cap, each wrapped with no chain built for it.  A Sylow
 subgroup, of G or of a subgroup's index list, grows by p-elements whose
-conjugation lookups keep its index set.  Its conjugates
-are one orbit under the conjugation tables of G's generators, one conjugate
-per right coset of its normalizer, each an index tuple with known
-generators.  The Sylow basis comes from a bounded deterministic backtracking
-search over them, in which two candidates permute when they generate a
-group of order |P| |Q|.  Basis normalizers and intersected bases are index
-sets on the view of the ambient group, and factorizations are checked by
-the order identity |AB| = |A| |B| / |A cap B|.
+conjugation lookups keep its index set.  Its conjugates are one orbit under
+the conjugation tables of G's generators, one per right coset of its
+normalizer, each an index tuple with known generators.  A Sylow basis comes
+from a bounded deterministic backtracking search over them, in which two
+candidates permute when a chain finds <P, Q> of order |P| |Q|.  Basis
+normalizers and intersected bases are index sets on the ambient group's
+view, and factorizations are checked by |AB| = |A| |B| / |A cap B|.
 """
 
 from __future__ import annotations
@@ -219,7 +219,7 @@ def p_core(G: PermGroup, p: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
         P = sylow_subgroup(G, p, cap)
         iv = indexed_view(G, cap)
         labels = iv.class_labels()[0]
-        p_idx = iv.member_indices(P, cap)
+        p_idx = iv.member_indices(P)
         outside = {c for i, c in enumerate(labels) if i not in p_idx}
         return iv.subgroup(sorted(i for i in p_idx if labels[i] not in outside))
 
@@ -289,11 +289,11 @@ def product_order(G: PermGroup, A: PermGroup, B: PermGroup, cap: int = DEFAULT_E
     times.  The intersection is read on G's index sets.
     """
     iv = indexed_view(G, cap)
-    a, b = iv.member_indices(A, cap), iv.member_indices(B, cap)
+    a, b = iv.member_indices(A), iv.member_indices(B)
     return len(a) * len(b) // len(a & b)
 
 
-def _permutable(P: PermGroup, Q: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> bool:
+def _permutable(P: PermGroup, Q: PermGroup) -> bool:
     """PQ == QP, for Sylow subgroups P, Q at distinct primes: |<P, Q>| == |P| |Q|.
 
     P cap Q = 1 has coprime order, so |PQ| = |P| |Q|.  PQ lies in <P, Q>
@@ -301,7 +301,7 @@ def _permutable(P: PermGroup, Q: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> bool
     One chain order replaces the 2 |P| |Q| products of comparing PQ and QP.
     """
     joined = PermGroup(P.degree, P.generators + Q.generators)
-    return joined.order() == len(P.elements(cap)) * len(Q.elements(cap))
+    return joined.order() == P.order() * Q.order()
 
 
 def _distinct_conjugates(G: PermGroup, P: PermGroup, cap: int) -> list[PermGroup]:
@@ -314,7 +314,7 @@ def _distinct_conjugates(G: PermGroup, P: PermGroup, cap: int) -> list[PermGroup
     so sorting index tuples sorts the conjugates by their sorted elements.
     """
     iv = indexed_view(G, cap)
-    start = tuple(sorted(iv.member_indices(P, cap)))
+    start = tuple(sorted(iv.member_indices(P)))
     gens = {start: [iv.index[h.images] for h in P.generators]}
     orbit = [start]
     for members in orbit:  # grows while it is walked
@@ -361,7 +361,7 @@ def sylow_basis(G: PermGroup, seed: int = 0, cap: int = DEFAULT_ENUM_CAP) -> Syl
                 if tests > SYLOW_BASIS_MAX_TESTS:
                     raise SearchExhausted(f"no pairwise permutable Sylow family within "
                                           f"{SYLOW_BASIS_MAX_TESTS} tests")
-                memo[key] = _permutable(candidates[i][a], candidates[j][b], cap)
+                memo[key] = _permutable(candidates[i][a], candidates[j][b])
             return memo[key]
 
         chosen: list[int] = []
@@ -397,7 +397,7 @@ def basis_normalizer(G: PermGroup, basis: dict[int, PermGroup],
     member conjugates by g into that member's index set.
     """
     iv = indexed_view(G, cap)
-    return iv.subgroup(iv.normalizing(basis.values(), cap=cap))
+    return iv.subgroup(iv.normalizing(basis.values()))
 
 
 def intersect_basis(B: SylowBasis, K: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> SylowBasis:
@@ -412,18 +412,18 @@ def intersect_basis(B: SylowBasis, K: PermGroup, cap: int = DEFAULT_ENUM_CAP) ->
     so K needs no view of its own.
     """
     iv = indexed_view(B.ambient, cap)
-    k_idx = iv.normal_subgroup_indices(K, cap)
+    k_idx = iv.normal_subgroup_indices(K)
     new_basis: dict[int, PermGroup] = {}
     for p in prime_factors(K.order()):
-        inter = k_idx & iv.member_indices(B.basis[p], cap)
+        inter = k_idx & iv.member_indices(B.basis[p])
         if len(inter) != p_part(K.order(), p):
             raise PermutabilityViolated(
                 f"intersection with the normal subgroup is not Sylow at p={p}")
         new_basis[p] = iv.subgroup(sorted(inter))
     for p in new_basis:
         for q in new_basis:
-            if p < q and not _permutable(new_basis[p], new_basis[q], cap):
+            if p < q and not _permutable(new_basis[p], new_basis[q]):
                 raise PermutabilityViolated(
                     f"intersected Sylow subgroups for p={p}, q={q} do not permute")
-    T = iv.subgroup(iv.normalizing(new_basis.values(), sorted(k_idx), cap))
+    T = iv.subgroup(iv.normalizing(new_basis.values(), sorted(k_idx)))
     return SylowBasis(K, new_basis, T, B.seed)

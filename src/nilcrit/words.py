@@ -107,8 +107,8 @@ def _value_levels(G: PermGroup, kind: str, upto: int, cap: int) -> tuple[list[fr
     current level and b in B (the current level for "delta", G for "gamma").
     """
     iv = indexed_view(G, cap)
-    state = G._cache.setdefault(("word_levels", kind),
-                                {"levels": [frozenset(range(iv.size))], "stable_at": None})
+    state = G.memo(("word_levels", kind),
+                   lambda: {"levels": [frozenset(range(iv.size))], "stable_at": None})
     levels: list[frozenset[int]] = state["levels"]
     labels, reps = iv.class_labels()
     key, pads = iv.index, iv.pads
@@ -345,7 +345,7 @@ def generator_tower(G: PermGroup, seed: int = 0, cap: int = DEFAULT_ENUM_CAP) ->
             if product_order(G, T, gamma_infinity(K), cap) != K.order():
                 raise RuntimeError("normalizer failed to complement the residual in a tower level")
             normalizers.append(T)
-            members.append(iv.member_indices(T, cap))
+            members.append(iv.member_indices(T))
             levels.append({i for i in members[-1] if is_prime_power(iv.order_of[i])})
         X = sorted({iv.identity_index}.union(*levels))
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import nilcrit
 from nilcrit.corpus import builtin_names, load_group
 from nilcrit.errors import DegreeMismatch, NotNormal, OrderCapExceeded
 from nilcrit.group import (
@@ -356,3 +357,11 @@ class TestElementSet:
     def test_intersection(self, s4, v4):
         es = v4.element_set().intersection(s4.elements())
         assert len(es) == 4
+
+
+def test_only_the_group_module_touches_the_group_cache():
+    # other modules cache through PermGroup.memo, which stores only successes
+    package = Path(nilcrit.__file__).resolve().parent
+    touching = sorted(path.name for path in package.glob("*.py")
+                      if path.name != "group.py" and "._cache" in path.read_text(encoding="utf-8"))
+    assert touching == []

@@ -231,7 +231,7 @@ class TestLiftedGeneration:
         monkeypatch.setattr(IndexedGroup, "_close", counted)
         keys = set()
         for inst in instances:
-            keys.add((frozenset(iv.member_indices(inst["N"])), inst["p"], id(inst["X"])))
+            keys.add((iv.member_indices(inst["N"]), inst["p"], inst["X"]))
             try:
                 check_lifted_generation(G, inst["N"], inst["L"], inst["p"], inst["X"])
             except HypothesisNotSatisfied:
@@ -481,6 +481,33 @@ class TestValueClosureHelper:
         with pytest.raises(NotPElementSet):
             _p_element_normal_indices(G, X, 3, DEFAULT_ENUM_CAP)
         assert passes == 1
+
+    def test_equal_value_sets_share_one_check(self, monkeypatch):
+        # both instance generators build their own X per (p, depth); equal
+        # sets, whichever object carries them, are checked once per prime
+        G = load_group("S4")
+        scans = []
+        normal_indices = IndexedGroup.normal_indices
+
+        def counted(self, subset):
+            scans.append(subset)
+            return normal_indices(self, subset)
+
+        monkeypatch.setattr(IndexedGroup, "normal_indices", counted)
+        coset = list(coset_intersection_instances(G))
+        lifted = list(lifted_generation_instances(G))
+        for inst in coset:
+            check_coset_intersection(G, inst["N"], inst["p"], inst["X"])
+        for inst in lifted:
+            try:
+                check_lifted_generation(G, inst["N"], inst["L"], inst["p"], inst["X"])
+            except HypothesisNotSatisfied:
+                pass
+        depths = {(inst["p"], inst["depth"]) for inst in coset + lifted}
+        values = {(inst["p"], inst["X"]) for inst in coset + lifted}
+        assert len({id(inst["X"]) for inst in coset + lifted}) == 2 * len(depths)
+        assert len(scans) == len(values) <= len(depths)
+        assert sorted(map(len, scans)) == sorted(len(X) for _, X in values)
 
     @pytest.mark.parametrize("members, error, match", [
         (["(1 5)"], NotNormal, "not contained"),
@@ -761,17 +788,28 @@ class TestNormalSubgroupIndexSets:
         from nilcrit.cli import main
         from nilcrit.indexed import IndexedGroup
 
+        # the value sets X are normal subsets, not subgroups, checked through
+        # normal_indices; only the passes made for subgroups are counted
         passes: dict[frozenset, int] = {}
-        normal_indices = IndexedGroup.normal_indices
+        inside: list[PermGroup] = []
+        normal_subgroup_indices = IndexedGroup.normal_subgroup_indices
+        require_normal = IndexedGroup._require_normal
 
-        def counted(self, subset):
-            # the value sets X are normal subsets, not subgroups, memoised per (p, X)
-            if not isinstance(subset, ElementSet):
-                key = frozenset(subset)
+        def counted_subgroup(self, H):
+            inside.append(H)
+            try:
+                return normal_subgroup_indices(self, H)
+            finally:
+                inside.pop()
+
+        def counted_pass(self, seeds, members):
+            if inside:
+                key = frozenset(members)
                 passes[key] = passes.get(key, 0) + 1
-            return normal_indices(self, subset)
+            return require_normal(self, seeds, members)
 
-        monkeypatch.setattr(IndexedGroup, "normal_indices", counted)
+        monkeypatch.setattr(IndexedGroup, "normal_subgroup_indices", counted_subgroup)
+        monkeypatch.setattr(IndexedGroup, "_require_normal", counted_pass)
         assert main(["lemmas", str(SCALE_CORPUS / "S4xS4.grp"), "--k", "1..3"]) == 0
         capsys.readouterr()
         assert len(passes) > 1
@@ -810,7 +848,30 @@ class TestNormalSubgroupIndexSets:
 
     def test_memoised_index_set_is_the_subgroup(self, s4, a4, v4):
         iv = indexed_view(s4)
-        for H in (a4, v4, s4, trivial_group(4)):
+        for H in (a4, v4, s4, trivial_group(4), derived_term(s4, 1)):
             want = frozenset(iv.index[h.images] for h in H.elements())
             assert iv.normal_subgroup_indices(H) == want
             assert iv.normal_subgroup_indices(H) is iv.normal_subgroup_indices(H)
+            assert iv.member_indices(H) is iv.normal_subgroup_indices(H)
+        for H in (sylow_subgroup(s4, 2), subgroup_generated(4, [perm("(1 2 3)", 4)])):
+            want = frozenset(iv.index[h.images] for h in H.elements())
+            assert iv.member_indices(H) == want
+            assert iv.member_indices(H) is iv.member_indices(H)
+
+    @pytest.mark.parametrize("degree", [8, 9])
+    def test_kernel_outside_g_fails_before_it_is_enumerated(self, s4, degree):
+        # S9 lies above the default cap and S8 below it: neither is enumerated
+        N = PermGroup(degree, [perm("(1 2)", degree),
+                               perm("(" + " ".join(map(str, range(1, degree + 1))) + ")", degree)])
+        X = p_power_value_closure(s4, 1, 2)
+        with pytest.raises(NotNormal, match="not contained"):
+            check_coset_intersection(s4, N, 2, X)
+        with pytest.raises(NotNormal, match="not contained"):
+            check_lifted_generation(s4, N, s4, 2, X)
+        assert N._elements is None
+
+    def test_subgroup_outside_g_of_the_same_degree_is_not_enumerated(self, a4):
+        H = subgroup_generated(4, [perm("(1 2)", 4)])
+        with pytest.raises(NotNormal, match="not contained"):
+            indexed_view(a4).member_indices(H)
+        assert H._elements is None
