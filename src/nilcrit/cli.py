@@ -40,6 +40,7 @@ from .errors import (
     TagMismatch,
 )
 from .group import DEFAULT_ENUM_CAP, PermGroup
+from .indexed import indexed_view
 from .lemmas import (
     check_coprime_action,
     check_coset_intersection,
@@ -264,12 +265,13 @@ def _cmd_criterion(args) -> int:
     bad = 0
     for G in groups:
         for k in ks:
+            if args.kind == "gamma" and k < 1:
+                continue
+            indexed_view(G, args.cap)
             if args.kind == "gamma":
-                if k < 1:
-                    continue
-                chk = lower_central_nilpotency_check(G, k, args.cap)
+                chk = lower_central_nilpotency_check(G, k)
             elif not is_soluble(G):
-                probe = probe_insoluble(G, k, args.cap)
+                probe = probe_insoluble(G, k)
                 records.append({
                     "group": G.name, "k": k, "routed_to_probe": True,
                     "criterion": _criterion_json(probe.criterion),
@@ -279,7 +281,7 @@ def _cmd_criterion(args) -> int:
                       f"criterion={'holds' if probe.criterion.holds else 'fails'}")
                 continue
             else:
-                chk = derived_nilpotency_check(G, k, args.cap)
+                chk = derived_nilpotency_check(G, k)
             records.append({
                 "group": G.name, "k": k, "routed_to_probe": False,
                 "criterion": _criterion_json(chk.criterion),
@@ -305,8 +307,9 @@ def _cmd_probe(args) -> int:
     records = []
     candidates = 0
     for G in groups:
+        indexed_view(G, args.cap)
         for k in ks:
-            probe = probe_insoluble(G, k, args.cap)
+            probe = probe_insoluble(G, k)
             records.append({
                 "group": G.name, "k": k,
                 "soluble": probe.soluble,
@@ -335,9 +338,10 @@ def _cmd_focal(args) -> int:
         if not is_soluble(G):
             print(f"{G.name}: skipped (insoluble)")
             continue
+        indexed_view(G, args.cap)
         for depth in ks:
             for p in prime_factors(G.order()):
-                rep = check_focal_generation(G, depth, p, args.cap)
+                rep = check_focal_generation(G, depth, p)
                 records.append(_lemma_json(rep))
                 if not rep.holds:
                     bad += 1
@@ -356,7 +360,8 @@ def _cmd_tower(args) -> int:
         if not is_soluble(G):
             print(f"{G.name}: skipped (insoluble)")
             continue
-        tower = generator_tower(G, seed=args.seed, cap=args.cap)
+        indexed_view(G, args.cap)
+        tower = generator_tower(G, seed=args.seed)
         records.append({
             "group": G.name,
             "height": tower.height,
@@ -381,15 +386,15 @@ def _cmd_lemmas(args) -> int:
     bad = 0
     skipped = 0
     for G in groups:
-        for inst in coset_intersection_instances(G, cap=args.cap):
-            rep = check_coset_intersection(G, inst["N"], inst["p"], inst["X"], args.cap)
+        indexed_view(G, args.cap)
+        for inst in coset_intersection_instances(G):
+            rep = check_coset_intersection(G, inst["N"], inst["p"], inst["X"])
             rep.params["depth"] = inst["depth"]
             records.append(_lemma_json(rep))
             bad += 0 if rep.holds else 1
-        for inst in lifted_generation_instances(G, cap=args.cap):
+        for inst in lifted_generation_instances(G):
             try:
-                rep = check_lifted_generation(G, inst["N"], inst["L"], inst["p"],
-                                              inst["X"], args.cap)
+                rep = check_lifted_generation(G, inst["N"], inst["L"], inst["p"], inst["X"])
             except HypothesisNotSatisfied as exc:
                 skipped += 1
                 records.append({"lemma": "lifted_generation", "group": G.name,
@@ -404,17 +409,17 @@ def _cmd_lemmas(args) -> int:
         if is_soluble(G):
             for depth in ks:
                 for p in prime_factors(G.order()):
-                    rep = check_focal_generation(G, depth, p, args.cap)
+                    rep = check_focal_generation(G, depth, p)
                     records.append(_lemma_json(rep))
                     bad += 0 if rep.holds else 1
         if is_metanilpotent(G):
             for p in prime_factors(G.order()):
-                rep = check_fitting_membership(G, p, args.cap)
+                rep = check_fitting_membership(G, p)
                 records.append(_lemma_json(rep))
                 bad += 0 if rep.holds else 1
         for k in ks:
             try:
-                rep = check_coprime_action(G, k, args.cap)
+                rep = check_coprime_action(G, k)
             except HypothesisNotSatisfied as exc:
                 skipped += 1
                 records.append({"lemma": "coprime_action", "group": G.name,
@@ -460,7 +465,7 @@ def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
     p.add_argument("--k", default=k_default, type=_k_arg,
                    help=f"word depth or range, e.g. 2 or 1..3 (default {k_default})")
     p.add_argument("--cap", type=_cap_arg, default=DEFAULT_ENUM_CAP,
-                   help="element enumeration cap")
+                   help=f"largest group order to enumerate (default {DEFAULT_ENUM_CAP})")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
     p.add_argument("--json", type=_json_arg,
                    help="write a deterministic JSON report here ('-' for stdout)")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import NotSoluble
-from .group import DEFAULT_ENUM_CAP, PermGroup
+from .group import PermGroup
 from .indexed import indexed_view
 from .perm import Permutation
 from .structure import derived_term, is_nilpotent, is_soluble, lower_central_term
@@ -54,16 +54,15 @@ class CriterionReport:
     value_count: int
 
 
-def _word_values(G: PermGroup, k: int, kind: str, cap: int):
+def _word_values(G: PermGroup, k: int, kind: str):
     if kind == "delta":
-        return delta_values(G, k, cap)
+        return delta_values(G, k)
     if kind == "gamma":
-        return gamma_values(G, k, cap)
+        return gamma_values(G, k)
     raise ValueError(f"unknown word kind {kind!r}")
 
 
 def coprime_product_criterion(G: PermGroup, k: int, kind: str = "delta",
-                              cap: int = DEFAULT_ENUM_CAP,
                               reduce_by_classes: bool = True) -> CriterionReport:
     """Scan coprime-order value pairs for |ab| = |a||b|.
 
@@ -72,8 +71,8 @@ def coprime_product_criterion(G: PermGroup, k: int, kind: str = "delta",
     the verdict is unchanged and the witness is the first violation in the
     scan's canonical order.  The scan stops at the first violation.
     """
-    iv = indexed_view(G, cap)
-    values = _word_values(G, k, kind, cap)
+    iv = indexed_view(G)
+    values = _word_values(G, k, kind)
     val_idx = sorted(values.indices - {iv.identity_index})
 
     if reduce_by_classes:
@@ -119,26 +118,25 @@ class NilpotencyCheck:
         return self.criterion.holds == self.subgroup_nilpotent
 
 
-def derived_nilpotency_check(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> NilpotencyCheck:
+def derived_nilpotency_check(G: PermGroup, k: int) -> NilpotencyCheck:
     """Criterion on depth-k derived-word values vs nilpotency of the kth derived subgroup.
 
     Requires a soluble group; insoluble input belongs to probe_insoluble.
     """
     if not is_soluble(G):
         raise NotSoluble("equivalence check requires a soluble group; use probe_insoluble")
-    report = coprime_product_criterion(G, k, "delta", cap)
+    report = coprime_product_criterion(G, k, "delta")
     H = derived_term(G, k)
     return NilpotencyCheck(report, H.order(), is_nilpotent(H))
 
 
-def lower_central_nilpotency_check(G: PermGroup, k: int,
-                                   cap: int = DEFAULT_ENUM_CAP) -> NilpotencyCheck:
+def lower_central_nilpotency_check(G: PermGroup, k: int) -> NilpotencyCheck:
     """Criterion on left-normed word values vs nilpotency of the kth lower central term.
 
     No solubility requirement: this equivalence is expected on every finite
     group (at k = 1 it is the classical coprime-product nilpotency condition).
     """
-    report = coprime_product_criterion(G, k, "gamma", cap)
+    report = coprime_product_criterion(G, k, "gamma")
     H = lower_central_term(G, k)
     return NilpotencyCheck(report, H.order(), is_nilpotent(H))
 
@@ -157,7 +155,7 @@ class ProbeReport:
     is_candidate_counterexample: bool
 
 
-def probe_insoluble(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> ProbeReport:
-    report = coprime_product_criterion(G, k, "delta", cap)
+def probe_insoluble(G: PermGroup, k: int) -> ProbeReport:
+    report = coprime_product_criterion(G, k, "delta")
     soluble = is_soluble(G)
     return ProbeReport(report, soluble, report.holds and not soluble)

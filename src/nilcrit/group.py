@@ -2,9 +2,9 @@
 
 A :class:`PermGroup` is generators plus a lazily built stabilizer chain; the
 chain answers order and membership questions with no cap.  Classes,
-centralizers, normalizers and cosets are read off G's indexed view, so G is
-first enumerated under an explicit cap.  Groups and element sets are
-immutable once their caches are built, so sharing them is safe.
+centralizers, normalizers and cosets are read off G's indexed view, which
+``indexed_view`` builds under the enumeration cap.  Groups and element sets
+are immutable once their caches are built, so sharing them is safe.
 """
 
 from __future__ import annotations
@@ -203,16 +203,15 @@ def group_with_elements(degree: int, generators: Iterable[Permutation],
     return group
 
 
-def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> list[ElementSet]:
+def conjugacy_classes(G: PermGroup) -> list[ElementSet]:
     """Conjugacy classes as element sets, sorted by their minimal member.
 
-    The classes are those of the class-label array of G's indexed view, so
-    G is enumerated under cap.
+    The classes are those of the class-label array of G's indexed view.
     """
     from .indexed import indexed_view
 
     def compute() -> tuple[ElementSet, ...]:
-        iv = indexed_view(G, cap)
+        iv = indexed_view(G)
         # index order is canonical order, so each class comes out sorted
         return tuple(ElementSet(G.degree, tuple(iv.perms(c))) for c in iv.classes())
 
@@ -239,13 +238,13 @@ def normal_closure(G: PermGroup, seed: Iterable[Permutation]) -> PermGroup:
     return group
 
 
-def centralizer(G: PermGroup, a: Permutation, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
+def centralizer(G: PermGroup, a: Permutation) -> PermGroup:
     """C_G(a) for a in G: the g with a^g = a, read off a's conjugates on G's indexed view."""
     from .indexed import indexed_view
 
     if a.degree != G.degree:
         raise DegreeMismatch("element degree differs from group degree")
-    iv = indexed_view(G, cap)
+    iv = indexed_view(G)
     r = iv.index.get(a.images)
     if r is None:
         raise NotNormal("element is not in the group")
@@ -253,13 +252,13 @@ def centralizer(G: PermGroup, a: Permutation, cap: int = DEFAULT_ENUM_CAP) -> Pe
     return iv.subgroup(g for g in range(iv.size) if conj[g] == r)
 
 
-def normalizer(G: PermGroup, H: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
+def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
     """N_G(H) for H <= G: the g with h^g in H for every generator h, on G's indexed view."""
     from .indexed import indexed_view
 
     if H.degree != G.degree:
         raise DegreeMismatch("subgroup degree differs from group degree")
-    iv = indexed_view(G, cap)
+    iv = indexed_view(G)
     return iv.subgroup(iv.normalizing([H]))
 
 
@@ -293,13 +292,12 @@ class CosetMap:
         return Permutation(tuple(labels[index[r.images.translate(table)]] for r in self.reps))
 
 
-def quotient(G: PermGroup, N: PermGroup,
-             cap: int = DEFAULT_ENUM_CAP) -> tuple[PermGroup, CosetMap]:
+def quotient(G: PermGroup, N: PermGroup) -> tuple[PermGroup, CosetMap]:
     """Faithful action of G/N on the right cosets of N.
 
     N must be normal in G; the index must stay within MAX_DEGREE since it
     becomes the degree of the quotient group.  Cosets are labelled on the
-    indexed view of G, so G itself is enumerated under cap.
+    indexed view of G.
     """
     from .indexed import indexed_view
 
@@ -310,7 +308,7 @@ def quotient(G: PermGroup, N: PermGroup,
     index = G.order() // N.order()
     if index > MAX_DEGREE:
         raise OrderCapExceeded(index, MAX_DEGREE, what="coset space")
-    iv = indexed_view(G, cap)
+    iv = indexed_view(G)
     labels, reps = iv.coset_labels(N)
     if len(reps) != index:
         raise RuntimeError(f"coset labelling found {len(reps)} cosets, expected {index}")

@@ -23,7 +23,8 @@ closure fetches rows only for the seeds that enlarge it, and a subset is
 normal when every generator's conjugation table maps it into itself.  The
 index set of a subgroup H is kept in one dict, keyed by the indices of its
 generators: they are looked up first, so an H outside G fails before it is
-enumerated, and an H inside G has |H| <= |G|, under G's cap.
+enumerated, and an H inside G has |H| <= |G|.  The enumeration cap is
+checked once per group, by ``indexed_view``, when G's view is built.
 """
 
 from __future__ import annotations
@@ -319,9 +320,13 @@ def _orbit_labels(size: int, maps: list[list[int]]) -> tuple[list[int], list[int
     return labels, reps
 
 
-def indexed_view(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> IndexedGroup:
-    """Cached indexed view of G; raises OrderCapExceeded when G is too big."""
-    n = G.order()
-    if n > cap:
-        raise OrderCapExceeded(n, cap)
-    return G.memo(("indexed",), lambda: IndexedGroup(G, cap))
+def indexed_view(G: PermGroup, cap: int | None = None) -> IndexedGroup:
+    """G's indexed view, built once and kept on G.
+
+    An explicit cap raises OrderCapExceeded whenever |G| > cap, even once the
+    view is kept; with none, the kept view is returned, or one is built under
+    DEFAULT_ENUM_CAP.
+    """
+    if cap is not None and G.order() > cap:
+        raise OrderCapExceeded(G.order(), cap)
+    return G.memo(("indexed",), lambda: IndexedGroup(G, DEFAULT_ENUM_CAP if cap is None else cap))

@@ -42,7 +42,7 @@ from .errors import (
     NotPElementSet,
     NotSoluble,
 )
-from .group import DEFAULT_ENUM_CAP, ElementSet, PermGroup
+from .group import ElementSet, PermGroup
 from .indexed import indexed_view
 from .primes import p_part, prime_factors
 from .criterion import coprime_product_criterion
@@ -70,7 +70,7 @@ class LemmaReport:
     checked: int
 
 
-def normal_subgroups(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> list[PermGroup]:
+def normal_subgroups(G: PermGroup) -> list[PermGroup]:
     """All normal subgroups, as closures of class unions on G's indexed view.
 
     A normal subgroup is generated by the conjugacy classes it contains, and
@@ -83,7 +83,7 @@ def normal_subgroups(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> list[PermGrou
     """
 
     def compute() -> tuple[PermGroup, ...]:
-        iv = indexed_view(G, cap)
+        iv = indexed_view(G)
         classes = iv.classes()
         found = {frozenset([iv.identity_index])}
         work = list(found)
@@ -103,7 +103,7 @@ def normal_subgroups(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> list[PermGrou
     return list(G.memo(("normal_subgroups",), compute))
 
 
-def _p_element_normal_indices(G: PermGroup, X: ElementSet, p: int, cap: int) -> frozenset[int]:
+def _p_element_normal_indices(G: PermGroup, X: ElementSet, p: int) -> frozenset[int]:
     """Indices of X on G's indexed view, once X is checked to be a normal set of p-elements.
 
     A member outside G raises NotNormal, then a member that is not a
@@ -114,7 +114,7 @@ def _p_element_normal_indices(G: PermGroup, X: ElementSet, p: int, cap: int) -> 
     """
 
     def compute() -> frozenset[int]:
-        iv = indexed_view(G, cap)
+        iv = indexed_view(G)
         if all(x.images in iv.index for x in X):  # else normal_indices raises NotNormal
             for x in X:
                 n = iv.order_of[iv.index[x.images]]
@@ -125,22 +125,25 @@ def _p_element_normal_indices(G: PermGroup, X: ElementSet, p: int, cap: int) -> 
     return G.memo(("p_element_set", p, X), compute)
 
 
-def p_power_value_closure(G: PermGroup, depth: int, p: int,
-                          cap: int = DEFAULT_ENUM_CAP) -> ElementSet:
+def p_power_value_closure(G: PermGroup, depth: int, p: int) -> ElementSet:
     """The p-power-order depth-i word values, a normal subset of G.
 
     This is the canonical X fed to the coset lemmas.  Value sets are normal
     subsets and conjugation preserves order, so their p-elements form a
     normal subset too; they are sliced out by order with no further closure.
+    Kept on G per (depth, p): both instance generators share one X object.
     """
-    iv = indexed_view(G, cap)
-    members = iv.perms(i for i in sorted(delta_values(G, depth, cap).indices)
-                       if p_part(n := iv.order_of[i], p) == n)
-    return ElementSet(G.degree, tuple(members))
+
+    def compute() -> ElementSet:
+        iv = indexed_view(G)
+        members = iv.perms(i for i in sorted(delta_values(G, depth).indices)
+                           if p_part(n := iv.order_of[i], p) == n)
+        return ElementSet(G.degree, tuple(members))
+
+    return G.memo(("p_power_values", depth, p), compute)
 
 
-def check_coset_intersection(G: PermGroup, N: PermGroup, p: int, X: ElementSet,
-                             cap: int = DEFAULT_ENUM_CAP) -> LemmaReport:
+def check_coset_intersection(G: PermGroup, N: PermGroup, p: int, X: ElementSet) -> LemmaReport:
     """XN cap PN = (X cap P)N for a normal subset X of p-elements.
 
     Both sides are compared as sets of coset labels; cosets are numbered by
@@ -148,12 +151,12 @@ def check_coset_intersection(G: PermGroup, N: PermGroup, p: int, X: ElementSet,
     stray element.
     """
     _check_prime_divisor(G, p)
-    iv = indexed_view(G, cap)
+    iv = indexed_view(G)
     iv.normal_subgroup_indices(N)
-    x_idx = _p_element_normal_indices(G, X, p, cap)
+    x_idx = _p_element_normal_indices(G, X, p)
 
     labels, reps = iv.coset_labels(N)
-    p_idx = iv.member_indices(sylow_subgroup(G, p, cap))
+    p_idx = iv.member_indices(sylow_subgroup(G, p))
     lhs = {labels[i] for i in x_idx} & {labels[i] for i in p_idx}
     rhs = {labels[i] for i in x_idx & p_idx}
 
@@ -170,7 +173,7 @@ def check_coset_intersection(G: PermGroup, N: PermGroup, p: int, X: ElementSet,
 
 
 def check_lifted_generation(G: PermGroup, N: PermGroup, L: PermGroup, p: int,
-                            X: ElementSet, cap: int = DEFAULT_ENUM_CAP) -> LemmaReport:
+                            X: ElementSet) -> LemmaReport:
     """From generation in G/N, conclude P cap L = <P cap X, P cap N> in G.
 
     The G/N hypothesis P-bar cap L-bar = <P-bar cap X-bar> is decided on the
@@ -182,7 +185,7 @@ def check_lifted_generation(G: PermGroup, N: PermGroup, L: PermGroup, p: int,
     (N, p, X) with every L above N; X is checked when they are first built.
     """
     _check_prime_divisor(G, p)
-    iv = indexed_view(G, cap)
+    iv = indexed_view(G)
     n_idx = iv.normal_subgroup_indices(N)
     l_idx = iv.normal_subgroup_indices(L)
     if not n_idx <= l_idx:
@@ -191,8 +194,8 @@ def check_lifted_generation(G: PermGroup, N: PermGroup, L: PermGroup, p: int,
 
     def sides() -> tuple[frozenset[int], set[int], set[int], frozenset[int]]:
         """``(P, P-bar, <P-bar cap X-bar>, <(X cup N) cap P>)``, bars as sets of coset labels."""
-        x_idx = _p_element_normal_indices(G, X, p, cap)
-        p_idx = iv.member_indices(sylow_subgroup(G, p, cap))
+        x_idx = _p_element_normal_indices(G, X, p)
+        p_idx = iv.member_indices(sylow_subgroup(G, p))
         p_bar = {labels[i] for i in p_idx}
         preimage = iv.closure([iv.index[n.images] for n in N.generators]
                               + [reps[c] for c in p_bar & {labels[i] for i in x_idx}])
@@ -215,8 +218,7 @@ def check_lifted_generation(G: PermGroup, N: PermGroup, L: PermGroup, p: int,
         holds, witness, checked=len(lhs) + len(rhs))
 
 
-def check_focal_generation(G: PermGroup, depth: int, p: int,
-                           cap: int = DEFAULT_ENUM_CAP) -> LemmaReport:
+def check_focal_generation(G: PermGroup, depth: int, p: int) -> LemmaReport:
     """P cap G^(depth) is generated by the depth-k values lying in P.
 
     Both sides are index sets on G's indexed view: the closure of P's index
@@ -226,10 +228,10 @@ def check_focal_generation(G: PermGroup, depth: int, p: int,
         raise NotSoluble("focal generation is checked on soluble groups")
     _check_prime_divisor(G, p)
 
-    P = sylow_subgroup(G, p, cap)
-    iv = indexed_view(G, cap)
+    P = sylow_subgroup(G, p)
+    iv = indexed_view(G)
     p_idx = iv.member_indices(P)
-    inside = p_idx & delta_values(G, depth, cap).indices
+    inside = p_idx & delta_values(G, depth).indices
     generated = iv.closure(inside)
     target = p_idx & iv.member_indices(derived_term(G, depth))
 
@@ -243,8 +245,7 @@ def check_focal_generation(G: PermGroup, depth: int, p: int,
         holds, witness, checked=len(inside))
 
 
-def check_fitting_membership(G: PermGroup, p: int,
-                             cap: int = DEFAULT_ENUM_CAP) -> LemmaReport:
+def check_fitting_membership(G: PermGroup, p: int) -> LemmaReport:
     """p-elements centralizing the p'-part of the Fitting subgroup lie inside it.
 
     F is nilpotent, so its p'-core is its set of p'-elements.  A p-element x,
@@ -255,8 +256,8 @@ def check_fitting_membership(G: PermGroup, p: int,
         raise NotMetanilpotent("the membership fact assumes a metanilpotent group")
     _check_prime_divisor(G, p)
 
-    F = fitting_subgroup(G, cap)
-    iv = indexed_view(G, cap)
+    F = fitting_subgroup(G)
+    iv = indexed_view(G)
     f_idx = iv.member_indices(F)
     core = iv.subgroup(sorted(i for i in f_idx if iv.order_of[i] % p))
     core_conj = [(iv.index[o.images], iv.conjugates(iv.index[o.images])) for o in core.generators]
@@ -277,7 +278,7 @@ def check_fitting_membership(G: PermGroup, p: int,
         witness is None, witness, checked=qualifying)
 
 
-def _invariant_subgroup_family(G: PermGroup, cap: int) -> list[frozenset[int]]:
+def _invariant_subgroup_family(G: PermGroup) -> list[frozenset[int]]:
     """Subgroups tested for coprime action, as index sets on G's indexed view.
 
     The family is every cyclic subgroup, the Sylow subgroups of every
@@ -290,7 +291,7 @@ def _invariant_subgroup_family(G: PermGroup, cap: int) -> list[frozenset[int]]:
     """
 
     def compute() -> tuple[frozenset[int], ...]:
-        iv = indexed_view(G, cap)
+        iv = indexed_view(G)
         family = set()
         key = iv.index
         for y, table in zip(iv.images, iv.pads):
@@ -299,10 +300,10 @@ def _invariant_subgroup_family(G: PermGroup, cap: int) -> list[frozenset[int]]:
                 powers.add(i)
                 p = p.translate(table)
             family.add(frozenset(powers))
-        for M in normal_subgroups(G, cap):
+        for M in normal_subgroups(G):
             domain = sorted(iv.member_indices(M))
             family.update(_sylow_indices(iv, q, domain)[0] for q in prime_factors(len(domain)))
-        f_idx = iv.member_indices(fitting_subgroup(G, cap))
+        f_idx = iv.member_indices(fitting_subgroup(G))
         family.update(frozenset(i for i in f_idx if iv.order_of[i] % q)
                       for q in prime_factors(G.order()))
         return tuple(sorted(family, key=lambda S: (len(S), sorted(S))))
@@ -310,7 +311,7 @@ def _invariant_subgroup_family(G: PermGroup, cap: int) -> list[frozenset[int]]:
     return list(G.memo(("invariant_family",), compute))
 
 
-def check_coprime_action(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> LemmaReport:
+def check_coprime_action(G: PermGroup, k: int) -> LemmaReport:
     """Depth-k values act trivially on invariant subgroups of coprime order.
 
     Standing hypothesis: the coprime product criterion holds for (G, k);
@@ -326,16 +327,16 @@ def check_coprime_action(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> L
     conjugates of x^-1; and [y, x, x] x^-1 from the row of x.  x normalizes
     N when z^x lies in N's index set for every z in N.
     """
-    if not coprime_product_criterion(G, k, "delta", cap).holds:
+    if not coprime_product_criterion(G, k, "delta").holds:
         raise HypothesisNotSatisfied(
             f"coprime product criterion fails for depth {k}; the action fact does not apply")
 
-    iv = indexed_view(G, cap)
+    iv = indexed_view(G)
     inv, order_of, e = iv.inverse, iv.order_of, iv.identity_index
     labels = iv.class_labels()[0]
-    values = delta_values(G, k, cap).indices
+    values = delta_values(G, k).indices
     value_list = sorted(values)
-    family = _invariant_subgroup_family(G, cap)
+    family = _invariant_subgroup_family(G)
     maps: dict[int, tuple[list[int], ...]] = {}  # per value x, built once
     pairs = 0
 
@@ -380,22 +381,22 @@ def check_coprime_action(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> L
 
 # instance generators for batch drivers
 
-def coset_intersection_instances(G: PermGroup, depths: tuple[int, ...] = (0, 1, 2),
-                                 cap: int = DEFAULT_ENUM_CAP) -> Iterator[dict]:
+def coset_intersection_instances(G: PermGroup,
+                                 depths: tuple[int, ...] = (0, 1, 2)) -> Iterator[dict]:
     for p in prime_factors(G.order()):
         for depth in depths:
-            X = p_power_value_closure(G, depth, p, cap)
-            for N in normal_subgroups(G, cap):
+            X = p_power_value_closure(G, depth, p)
+            for N in normal_subgroups(G):
                 yield {"N": N, "p": p, "X": X, "depth": depth}
 
 
-def lifted_generation_instances(G: PermGroup, depths: tuple[int, ...] = (0, 1, 2),
-                                cap: int = DEFAULT_ENUM_CAP) -> Iterator[dict]:
-    iv = indexed_view(G, cap)
-    normals = [(M, iv.member_indices(M)) for M in normal_subgroups(G, cap)]
+def lifted_generation_instances(G: PermGroup,
+                                depths: tuple[int, ...] = (0, 1, 2)) -> Iterator[dict]:
+    iv = indexed_view(G)
+    normals = [(M, iv.member_indices(M)) for M in normal_subgroups(G)]
     for p in prime_factors(G.order()):
         for depth in depths:
-            X = p_power_value_closure(G, depth, p, cap)
+            X = p_power_value_closure(G, depth, p)
             for N, n_idx in normals:
                 for L, l_idx in normals:
                     if n_idx <= l_idx:

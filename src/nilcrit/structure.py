@@ -5,8 +5,8 @@ metanilpotency predicates; Sylow subgroups, p-cores, p'-cores and the Fitting
 subgroup; Sylow bases and their (system) normalizers.
 
 The series and the nilpotency and solubility predicates run on stabilizer
-chains, with no cap.  The subgroups are index sets on G's indexed view,
-enumerated under the cap, each wrapped with no chain built for it.  A Sylow
+chains, and never enumerate G.  The subgroups are index sets on G's indexed
+view, the only enumeration, each wrapped with no chain built for it.  A Sylow
 subgroup, of G or of a subgroup's index list, grows by p-elements whose
 conjugation lookups keep its index set.  Its conjugates are one orbit under
 the conjugation tables of G's generators, one per right coset of its
@@ -27,12 +27,7 @@ from .errors import (
     PermutabilityViolated,
     SearchExhausted,
 )
-from .group import (
-    DEFAULT_ENUM_CAP,
-    PermGroup,
-    group_with_elements,
-    normal_closure,
-)
+from .group import PermGroup, group_with_elements, normal_closure
 from .indexed import IndexedGroup, indexed_view
 from .perm import Permutation, commutator
 from .primes import is_prime, p_part, prime_factors
@@ -200,24 +195,24 @@ def _sylow_indices(iv: IndexedGroup, p: int, domain: range | list[int]) -> tuple
     return members, gens
 
 
-def sylow_subgroup(G: PermGroup, p: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
+def sylow_subgroup(G: PermGroup, p: int) -> PermGroup:
     """A Sylow p-subgroup, grown through normalizers on G's indexed view (see ``_sylow_indices``)."""
     _check_prime_divisor(G, p)
 
     def compute() -> PermGroup:
-        iv = indexed_view(G, cap)
+        iv = indexed_view(G)
         return iv.subgroup(_sylow_indices(iv, p, range(iv.size))[1])
 
     return G.memo(("sylow", p), compute)
 
 
-def p_core(G: PermGroup, p: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
+def p_core(G: PermGroup, p: int) -> PermGroup:
     """O_p(G), the intersection of the conjugates of a Sylow P: the classes of G inside P."""
     _check_prime_divisor(G, p)
 
     def compute() -> PermGroup:
-        P = sylow_subgroup(G, p, cap)
-        iv = indexed_view(G, cap)
+        P = sylow_subgroup(G, p)
+        iv = indexed_view(G)
         labels = iv.class_labels()[0]
         p_idx = iv.member_indices(P)
         outside = {c for i, c in enumerate(labels) if i not in p_idx}
@@ -226,7 +221,7 @@ def p_core(G: PermGroup, p: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
     return G.memo(("p_core", p), compute)
 
 
-def p_prime_core(G: PermGroup, p: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
+def p_prime_core(G: PermGroup, p: int) -> PermGroup:
     """O_{p'}(G): join of the class closures that turn out to be p'-groups.
 
     Every normal p'-subgroup is a union of p'-classes and a join of normal
@@ -237,7 +232,7 @@ def p_prime_core(G: PermGroup, p: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup
         raise NotPrimeDivisor(f"{p} is not prime")
 
     def compute() -> PermGroup:
-        iv = indexed_view(G, cap)
+        iv = indexed_view(G)
         core: set[int] = set()
         for cls in iv.classes():
             if iv.order_of[cls[0]] % p:
@@ -249,13 +244,13 @@ def p_prime_core(G: PermGroup, p: int, cap: int = DEFAULT_ENUM_CAP) -> PermGroup
     return G.memo(("p_prime_core", p), compute)
 
 
-def fitting_subgroup(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
+def fitting_subgroup(G: PermGroup) -> PermGroup:
     """F(G): the product of the p-cores over primes dividing |G|."""
 
     def compute() -> PermGroup:
-        iv = indexed_view(G, cap)
+        iv = indexed_view(G)
         return iv.subgroup(iv.index[g.images] for p in prime_factors(G.order())
-                           for g in p_core(G, p, cap).generators)
+                           for g in p_core(G, p).generators)
 
     return G.memo(("fitting",), compute)
 
@@ -281,14 +276,14 @@ class SylowBasis:
         return tuple(sorted(self.basis))
 
 
-def product_order(G: PermGroup, A: PermGroup, B: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> int:
+def product_order(G: PermGroup, A: PermGroup, B: PermGroup) -> int:
     """|AB| for subgroups A, B of G, as |A| |B| / |A cap B|.
 
     The identity holds for any two subgroups: ab = a'b' exactly when
     a'^-1 a = b' b^-1 lies in A cap B, so every product is hit |A cap B|
     times.  The intersection is read on G's index sets.
     """
-    iv = indexed_view(G, cap)
+    iv = indexed_view(G)
     a, b = iv.member_indices(A), iv.member_indices(B)
     return len(a) * len(b) // len(a & b)
 
@@ -304,7 +299,7 @@ def _permutable(P: PermGroup, Q: PermGroup) -> bool:
     return joined.order() == P.order() * Q.order()
 
 
-def _distinct_conjugates(G: PermGroup, P: PermGroup, cap: int) -> list[PermGroup]:
+def _distinct_conjugates(G: PermGroup, P: PermGroup) -> list[PermGroup]:
     """The conjugates of P in G, in order of their sorted element indices.
 
     They form one orbit under conjugation by G's generators, since
@@ -313,7 +308,7 @@ def _distinct_conjugates(G: PermGroup, P: PermGroup, cap: int) -> list[PermGroup
     coset of N_G(P), is found once.  Index order is canonical element order,
     so sorting index tuples sorts the conjugates by their sorted elements.
     """
-    iv = indexed_view(G, cap)
+    iv = indexed_view(G)
     start = tuple(sorted(iv.member_indices(P)))
     gens = {start: [iv.index[h.images] for h in P.generators]}
     orbit = [start]
@@ -326,7 +321,7 @@ def _distinct_conjugates(G: PermGroup, P: PermGroup, cap: int) -> list[PermGroup
     return [group_with_elements(G.degree, iv.perms(gens[m]), iv.perms(m)) for m in sorted(gens)]
 
 
-def sylow_basis(G: PermGroup, seed: int = 0, cap: int = DEFAULT_ENUM_CAP) -> SylowBasis:
+def sylow_basis(G: PermGroup, seed: int = 0) -> SylowBasis:
     """Find a Sylow basis by backtracking over Sylow conjugates.
 
     The candidates at each prime are the conjugates of one Sylow subgroup,
@@ -345,7 +340,7 @@ def sylow_basis(G: PermGroup, seed: int = 0, cap: int = DEFAULT_ENUM_CAP) -> Syl
         primes = prime_factors(G.order())
         candidates = []
         for p in primes:
-            conj = _distinct_conjugates(G, sylow_subgroup(G, p, cap), cap)
+            conj = _distinct_conjugates(G, sylow_subgroup(G, p))
             if seed:
                 random.Random((seed, p).__hash__() & 0x7FFFFFFF).shuffle(conj)
             candidates.append(conj)
@@ -381,26 +376,25 @@ def sylow_basis(G: PermGroup, seed: int = 0, cap: int = DEFAULT_ENUM_CAP) -> Syl
             raise SearchExhausted("backtracking exhausted all Sylow conjugate families")
 
         basis = {p: candidates[i][chosen[i]] for i, p in enumerate(primes)}
-        T = basis_normalizer(G, basis, cap)
-        if product_order(G, T, gamma_infinity(G), cap) != G.order():
+        T = basis_normalizer(G, basis)
+        if product_order(G, T, gamma_infinity(G)) != G.order():
             raise RuntimeError("basis normalizer failed the factorization G = T * gamma_inf(G)")
         return SylowBasis(G, basis, T, seed)
 
     return G.memo(("sylow_basis", seed), compute)
 
 
-def basis_normalizer(G: PermGroup, basis: dict[int, PermGroup],
-                     cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
+def basis_normalizer(G: PermGroup, basis: dict[int, PermGroup]) -> PermGroup:
     """Intersection of the G-normalizers of the basis members.
 
     One pass over G's indexed view: g is kept when every generator of every
     member conjugates by g into that member's index set.
     """
-    iv = indexed_view(G, cap)
+    iv = indexed_view(G)
     return iv.subgroup(iv.normalizing(basis.values()))
 
 
-def intersect_basis(B: SylowBasis, K: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> SylowBasis:
+def intersect_basis(B: SylowBasis, K: PermGroup) -> SylowBasis:
     """Sylow basis of a normal subgroup K, by intersecting the ambient basis.
 
     Intersections of a Sylow basis with a normal subgroup always form a basis
@@ -411,7 +405,7 @@ def intersect_basis(B: SylowBasis, K: PermGroup, cap: int = DEFAULT_ENUM_CAP) ->
     is the set of K's indices whose conjugation lookups keep every member,
     so K needs no view of its own.
     """
-    iv = indexed_view(B.ambient, cap)
+    iv = indexed_view(B.ambient)
     k_idx = iv.normal_subgroup_indices(K)
     new_basis: dict[int, PermGroup] = {}
     for p in prime_factors(K.order()):

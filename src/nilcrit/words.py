@@ -34,7 +34,7 @@ from .errors import (
     NotSoluble,
     OrderCapExceeded,
 )
-from .group import DEFAULT_ENUM_CAP, ElementSet, PermGroup, subgroup_generated
+from .group import ElementSet, PermGroup, subgroup_generated
 from .indexed import IndexedGroup, indexed_view
 from .perm import Permutation, commutator
 from .primes import is_prime_power
@@ -97,7 +97,7 @@ def evaluate_gamma(args: Sequence[Permutation]) -> Permutation:
     return acc
 
 
-def _value_levels(G: PermGroup, kind: str, upto: int, cap: int) -> tuple[list[frozenset[int]], int | None]:
+def _value_levels(G: PermGroup, kind: str, upto: int) -> tuple[list[frozenset[int]], int | None]:
     """Index-level value sets, computed incrementally and cached on the group.
 
     Returns (levels, stable_at).  levels[i] holds the values of depth i for
@@ -106,7 +106,7 @@ def _value_levels(G: PermGroup, kind: str, upto: int, cap: int) -> tuple[list[fr
     the union of the classes of [r, b], r a class representative of the
     current level and b in B (the current level for "delta", G for "gamma").
     """
-    iv = indexed_view(G, cap)
+    iv = indexed_view(G)
     state = G.memo(("word_levels", kind),
                    lambda: {"levels": [frozenset(range(iv.size))], "stable_at": None})
     levels: list[frozenset[int]] = state["levels"]
@@ -147,7 +147,7 @@ def _value_set(iv: IndexedGroup, kind: str, k: int, idxs: frozenset[int],
     return DeltaValueSet(kind, k, _element_set(iv, idxs), idxs, stabilized)
 
 
-def delta_values(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> DeltaValueSet:
+def delta_values(G: PermGroup, k: int) -> DeltaValueSet:
     """Values of the depth-k derived word, level by level from class representatives.
 
     The depth-(i+1) values are the union of the classes of [r, b], r a class
@@ -158,12 +158,12 @@ def delta_values(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> DeltaValu
     if k < 0:
         raise ValueError("depth must be nonnegative")
     # one level past k, so that stabilization at k is detected
-    levels, stable_at = _value_levels(G, "delta", k + 1, cap)
+    levels, stable_at = _value_levels(G, "delta", k + 1)
     idxs, stabilized = _level_at(levels, stable_at, k)
-    return _value_set(indexed_view(G, cap), "delta", k, idxs, stabilized)
+    return _value_set(indexed_view(G), "delta", k, idxs, stabilized)
 
 
-def gamma_values(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> DeltaValueSet:
+def gamma_values(G: PermGroup, k: int) -> DeltaValueSet:
     """Values of the left-normed word of k arguments (depth k of the lower central chain).
 
     The values of i+1 arguments are the union of the classes of [r, g], r a
@@ -174,12 +174,12 @@ def gamma_values(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> DeltaValu
     if k < 1:
         raise ValueError("the left-normed word is indexed from 1")
     # one level past k, so that stabilization at k is detected
-    levels, stable_at = _value_levels(G, "gamma", k, cap)
+    levels, stable_at = _value_levels(G, "gamma", k)
     idxs, stabilized = _level_at(levels, stable_at, k - 1)
-    return _value_set(indexed_view(G, cap), "gamma", k, idxs, stabilized)
+    return _value_set(indexed_view(G), "gamma", k, idxs, stabilized)
 
 
-def delta_values_bruteforce(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -> DeltaValueSet:
+def delta_values_bruteforce(G: PermGroup, k: int) -> DeltaValueSet:
     """Tuple-enumeration oracle: evaluates the word on every 2^k argument tuple.
 
     Exponential in |G|; intended for cross-checking delta_values on small
@@ -187,7 +187,7 @@ def delta_values_bruteforce(G: PermGroup, k: int, cap: int = DEFAULT_ENUM_CAP) -
     """
     if k < 0:
         raise ValueError("depth must be nonnegative")
-    iv = indexed_view(G, cap)
+    iv = indexed_view(G)
     n = iv.size
     if n ** (2 ** k) > _TUPLE_BUDGET:
         raise OrderCapExceeded(n ** (2 ** k), _TUPLE_BUDGET, what="argument tuple space")
@@ -236,15 +236,14 @@ def is_commutator_closed(X: Iterable[Permutation]) -> bool:
     return all(commutator(a, b) in elems for a in elems for b in elems)
 
 
-def random_commutator_closed_generating_set(G: PermGroup, rng: random.Random,
-                                            cap: int = DEFAULT_ENUM_CAP) -> ElementSet:
+def random_commutator_closed_generating_set(G: PermGroup, rng: random.Random) -> ElementSet:
     """A random generating set of G, closed under commutators.
 
     Draws uniform elements until they generate, then closes; the result both
     generates G and is commutator-closed, as the construction for the derived
     subgroup generation check requires.
     """
-    iv = indexed_view(G, cap)
+    iv = indexed_view(G)
     picks: list[int] = []
     while True:
         picks.append(rng.randrange(iv.size))
@@ -253,8 +252,7 @@ def random_commutator_closed_generating_set(G: PermGroup, rng: random.Random,
     return _element_set(iv, iv.commutator_closure(picks))
 
 
-def derived_from_closed_set(G: PermGroup, X: ElementSet,
-                            cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
+def derived_from_closed_set(G: PermGroup, X: ElementSet) -> PermGroup:
     """Derived subgroup from pair commutators of a commutator-closed generating set.
 
     Checks both preconditions, generates H from the commutators [x1, x2] with
@@ -263,7 +261,7 @@ def derived_from_closed_set(G: PermGroup, X: ElementSet,
     as indices on G's view: they decide closure and seed H, which keeps the
     same generators as ``subgroup_generated`` would from the same list.
     """
-    iv = indexed_view(G, cap)
+    iv = indexed_view(G)
     try:
         idxs = sorted(iv.index[x.images] for x in X)
     except KeyError:
@@ -312,7 +310,7 @@ class GeneratorTower:
         return tuple(T.order() for T in self.normalizers)
 
 
-def generator_tower(G: PermGroup, seed: int = 0, cap: int = DEFAULT_ENUM_CAP) -> GeneratorTower:
+def generator_tower(G: PermGroup, seed: int = 0) -> GeneratorTower:
     """Build the normalizer tower and its prime-power generating set.
 
     Requires a soluble group.  All structural claims are re-verified on the
@@ -336,13 +334,13 @@ def generator_tower(G: PermGroup, seed: int = 0, cap: int = DEFAULT_ENUM_CAP) ->
     def compute() -> GeneratorTower:
         fitting_chain = lower_fitting_series(G).terms
         chain = tuple(K for K in fitting_chain if K.order() > 1)
-        basis = sylow_basis(G, seed=seed, cap=cap)
-        iv = indexed_view(G, cap)
+        basis = sylow_basis(G, seed=seed)
+        iv = indexed_view(G)
 
         normalizers, members, levels = [], [], []
         for K in chain:
-            T = intersect_basis(basis, K, cap).normalizer
-            if product_order(G, T, gamma_infinity(K), cap) != K.order():
+            T = intersect_basis(basis, K).normalizer
+            if product_order(G, T, gamma_infinity(K)) != K.order():
                 raise RuntimeError("normalizer failed to complement the residual in a tower level")
             normalizers.append(T)
             members.append(iv.member_indices(T))

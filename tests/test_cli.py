@@ -136,10 +136,25 @@ class TestErrors:
         assert exc.value.code == 2
         assert "argument --cap" in capsys.readouterr().err
 
-    def test_cap_one_is_valid_and_enforced(self, capsys):
-        code, _, err = run(["tower", "S4", "--cap", "1"], capsys)
+    @pytest.mark.parametrize("command", ["criterion", "probe", "focal", "tower", "lemmas"])
+    @pytest.mark.parametrize("cap", ["1", "10"])
+    def test_cap_is_valid_from_one_and_enforced_by_each_enumerating_command(self, command, cap,
+                                                                             capsys):
+        code, _, err = run([command, "S4", "--cap", cap], capsys)
         assert code == 1
-        assert "exceeds cap 1" in err
+        assert err == f"error: OrderCapExceeded: group order 24 exceeds cap {cap}\n"
+
+    @pytest.mark.parametrize("command", ["focal", "tower"])
+    def test_insoluble_groups_are_skipped_before_the_cap(self, command, capsys):
+        code, out, err = run([command, "A5", "--cap", "1"], capsys)
+        assert (code, err) == (0, "")
+        assert "A5: skipped (insoluble)" in out
+
+    @pytest.mark.parametrize("argv", [["series", "S4"],
+                                      ["criterion", "S4", "--kind", "gamma", "--k", "0"]])
+    def test_commands_that_enumerate_nothing_pass_any_cap(self, argv, capsys):
+        code, _, err = run(argv + ["--cap", "1"], capsys)
+        assert (code, err) == (0, "")
 
     def test_depth_zero_is_valid(self, capsys):
         code, out, _ = run(["focal", "S3", "--k", "0"], capsys)

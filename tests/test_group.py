@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 from pathlib import Path
 
 import pytest
 
 import nilcrit
+import nilcrit.criterion
+import nilcrit.group
+import nilcrit.indexed
+import nilcrit.lemmas
+import nilcrit.structure
+import nilcrit.words
 from nilcrit.corpus import builtin_names, load_group
 from nilcrit.errors import DegreeMismatch, NotNormal, OrderCapExceeded
 from nilcrit.group import (
+    DEFAULT_ENUM_CAP,
     ElementSet,
     PermGroup,
     centralizer,
@@ -36,6 +44,7 @@ from nilcrit.structure import (
     p_prime_core,
     sylow_subgroup,
 )
+from nilcrit.words import delta_values
 
 from conftest import closure_oracle, classes_oracle, perm
 
@@ -365,3 +374,57 @@ def test_only_the_group_module_touches_the_group_cache():
     touching = sorted(path.name for path in package.glob("*.py")
                       if path.name != "group.py" and "._cache" in path.read_text(encoding="utf-8"))
     assert touching == []
+
+
+def fresh_s4() -> PermGroup:
+    return PermGroup(4, (perm("(1 2)", 4), perm("(1 2 3 4)", 4)), name="S4")
+
+
+class TestEnumerationCap:
+    """The cap is checked where G's indexed view is built, and nowhere else."""
+
+    # the only functions that enumerate a group: the view and the element list under it
+    CAP_TAKERS = {"PermGroup.elements", "PermGroup.element_set",
+                  "IndexedGroup.__init__", "indexed_view"}
+
+    def test_only_the_view_builders_take_a_cap(self):
+        takers = set()
+        for module in (nilcrit.group, nilcrit.indexed, nilcrit.structure,
+                       nilcrit.words, nilcrit.criterion, nilcrit.lemmas):
+            for obj in vars(module).values():
+                if getattr(obj, "__module__", None) != module.__name__:
+                    continue
+                for f in vars(obj).values() if inspect.isclass(obj) else [obj]:
+                    f = getattr(f, "__func__", f)  # classmethods and staticmethods
+                    if inspect.isfunction(f) and "cap" in inspect.signature(f).parameters:
+                        takers.add(f.__qualname__)
+        assert takers == self.CAP_TAKERS
+
+    def test_an_explicit_cap_is_checked_on_every_call(self, monkeypatch):
+        G = fresh_s4()
+        builds = []
+        init = IndexedGroup.__init__
+
+        def counted(self, group, cap=DEFAULT_ENUM_CAP):
+            builds.append(cap)
+            init(self, group, cap)
+
+        monkeypatch.setattr(IndexedGroup, "__init__", counted)
+        with pytest.raises(OrderCapExceeded, match="group order 24 exceeds cap 10"):
+            indexed_view(G, 10)
+        assert builds == []
+        view = indexed_view(G)  # nothing was kept, so this builds
+        assert builds == [DEFAULT_ENUM_CAP]
+        with pytest.raises(OrderCapExceeded, match="group order 24 exceeds cap 10"):
+            indexed_view(G, 10)
+        assert indexed_view(G, 24) is view
+        assert indexed_view(G) is view
+        assert builds == [DEFAULT_ENUM_CAP]
+
+    def test_checks_read_the_same_view_however_it_was_built(self):
+        cold, warm = fresh_s4(), fresh_s4()
+        indexed_view(warm, 24)
+        assert sylow_subgroup(cold, 2).elements() == sylow_subgroup(warm, 2).elements()
+        assert fitting_subgroup(cold).elements() == fitting_subgroup(warm).elements()
+        assert delta_values(cold, 1).indices == delta_values(warm, 1).indices
+        assert indexed_view(cold).elements == indexed_view(warm).elements

@@ -19,7 +19,6 @@ from nilcrit.corpus import builtin_names, load_group
 from nilcrit.criterion import coprime_product_criterion
 import nilcrit.group as group_module
 from nilcrit.group import (
-    DEFAULT_ENUM_CAP,
     ElementSet,
     PermGroup,
     conjugacy_classes,
@@ -347,7 +346,7 @@ class TestPermutationOracle:
         # order-3 subgroup is not one for every instance, and some fail
         G = load_group("C3wrC2")
         small = subgroup_generated(6, [perm("(1 3 2)", 6)])
-        monkeypatch.setattr("nilcrit.lemmas.sylow_subgroup", lambda G, p, cap: small)
+        monkeypatch.setattr("nilcrit.lemmas.sylow_subgroup", lambda G, p: small)
         failures = 0
         for inst in coset_intersection_instances(G):
             N, p, X = inst["N"], inst["p"], inst["X"]
@@ -466,10 +465,10 @@ class TestValueClosureHelper:
             return normal_indices(self, subset)
 
         monkeypatch.setattr(IndexedGroup, "normal_indices", counted)
-        first = _p_element_normal_indices(G, X, 2, DEFAULT_ENUM_CAP)
+        first = _p_element_normal_indices(G, X, 2)
         assert passes == 1
         assert first == frozenset(indexed_view(G).index[x.images] for x in X)
-        assert _p_element_normal_indices(G, X, 2, DEFAULT_ENUM_CAP) is first
+        assert _p_element_normal_indices(G, X, 2) is first
         for N in normal_subgroups(G):
             check_coset_intersection(G, N, 2, X)
             try:
@@ -479,12 +478,12 @@ class TestValueClosureHelper:
         assert passes == 1
         # another prime checks the same set afresh
         with pytest.raises(NotPElementSet):
-            _p_element_normal_indices(G, X, 3, DEFAULT_ENUM_CAP)
+            _p_element_normal_indices(G, X, 3)
         assert passes == 1
 
     def test_equal_value_sets_share_one_check(self, monkeypatch):
-        # both instance generators build their own X per (p, depth); equal
-        # sets, whichever object carries them, are checked once per prime
+        # both instance generators share one X per (p, depth); equal sets,
+        # whichever object carries them, are checked once per prime
         G = load_group("S4")
         scans = []
         normal_indices = IndexedGroup.normal_indices
@@ -505,7 +504,7 @@ class TestValueClosureHelper:
                 pass
         depths = {(inst["p"], inst["depth"]) for inst in coset + lifted}
         values = {(inst["p"], inst["X"]) for inst in coset + lifted}
-        assert len({id(inst["X"]) for inst in coset + lifted}) == 2 * len(depths)
+        assert len({id(inst["X"]) for inst in coset + lifted}) == len(depths)
         assert len(scans) == len(values) <= len(depths)
         assert sorted(map(len, scans)) == sorted(len(X) for _, X in values)
 
@@ -520,7 +519,22 @@ class TestValueClosureHelper:
         X = ElementSet.from_iterable(5, [perm(m, 5) for m in members])
         for _ in range(3):
             with pytest.raises(error, match=match):
-                _p_element_normal_indices(G, X, 2, DEFAULT_ENUM_CAP)
+                _p_element_normal_indices(G, X, 2)
+
+    def test_instance_generators_build_one_value_set_per_prime_and_depth(self, monkeypatch):
+        G = load_group("S4")
+        builds = []
+
+        def counted(G, k):
+            builds.append(k)
+            return delta_values(G, k)
+
+        monkeypatch.setattr("nilcrit.lemmas.delta_values", counted)
+        coset = {(inst["p"], inst["depth"]): inst["X"] for inst in coset_intersection_instances(G)}
+        lifted = list(lifted_generation_instances(G))
+        assert len(builds) == len(coset) == 6  # primes 2, 3 at depths 0, 1, 2
+        assert all(inst["X"] is coset[inst["p"], inst["depth"]] for inst in lifted)
+        assert {(inst["p"], inst["depth"]) for inst in lifted} == set(coset)
 
     def test_depth0_is_all_p_elements(self, s4):
         X = p_power_value_closure(s4, 0, 2)
@@ -752,11 +766,11 @@ class TestIndexSetsAgainstPermutationOracles:
 
     def test_coprime_action_failure_reports_the_oracle_witness(self, monkeypatch):
         # without the identity among the values, the first replayed step fails
-        def values_without_identity(G, k, cap=DEFAULT_ENUM_CAP):
-            values = delta_values(G, k, cap)
+        def values_without_identity(G, k):
+            values = delta_values(G, k)
             return SimpleNamespace(
                 values=tuple(v for v in values.values if not v.is_identity()),
-                indices=values.indices - {indexed_view(G, cap).identity_index})
+                indices=values.indices - {indexed_view(G).identity_index})
 
         G = battery_group("S3wrC3")
         want = coprime_action_oracle(G, 2, values_without_identity)
@@ -771,7 +785,7 @@ class TestIndexSetsAgainstPermutationOracles:
         normal_subgroups(G)
         fitting_subgroup(G)
         refuse_chain_construction(monkeypatch)
-        family = _invariant_subgroup_family(G, DEFAULT_ENUM_CAP)
+        family = _invariant_subgroup_family(G)
         monkeypatch.undo()  # the oracle loads and sifts a fresh copy of G
         assert len(family) == len(invariant_subgroup_family_oracle(battery_group("S4wrC2")))
 

@@ -12,7 +12,6 @@ import pytest
 from nilcrit.corpus import builtin_names, filter_names, load_group
 from nilcrit.errors import NotPrimeDivisor, NotSoluble
 from nilcrit.group import (
-    DEFAULT_ENUM_CAP,
     PermGroup,
     group_from_elements,
     normalizer,
@@ -450,7 +449,7 @@ class TestSylowLayerAgainstPermutationOracles:
     def test_candidate_lists(self, name):
         G = loaded(name)
         for p in prime_factors(G.order()):
-            conj = _distinct_conjugates(G, sylow_subgroup(G, p), DEFAULT_ENUM_CAP)
+            conj = _distinct_conjugates(G, sylow_subgroup(G, p))
             got = [frozenset(C.elements()) for C in conj]
             assert got == conjugates_oracle(name, p)
 
@@ -459,8 +458,8 @@ class TestSylowLayerAgainstPermutationOracles:
         G = loaded(name)
         primes = prime_factors(G.order())
         for p, q in itertools.combinations(primes[:3], 2):
-            for P in _distinct_conjugates(G, sylow_subgroup(G, p), DEFAULT_ENUM_CAP)[:6]:
-                for Q in _distinct_conjugates(G, sylow_subgroup(G, q), DEFAULT_ENUM_CAP)[:6]:
+            for P in _distinct_conjugates(G, sylow_subgroup(G, p))[:6]:
+                for Q in _distinct_conjugates(G, sylow_subgroup(G, q))[:6]:
                     assert _permutable(P, Q) == permutable_oracle(frozenset(P.elements()),
                                                                   frozenset(Q.elements()))
 
@@ -501,8 +500,8 @@ class TestPPrimeCoreAgainstChainOracle:
 
 class TestProductOrder:
     def test_matches_product_sets_of_non_normal_subgroups(self, s4):
-        subgroups = _distinct_conjugates(s4, sylow_subgroup(s4, 2), DEFAULT_ENUM_CAP)
-        subgroups += _distinct_conjugates(s4, sylow_subgroup(s4, 3), DEFAULT_ENUM_CAP)
+        subgroups = _distinct_conjugates(s4, sylow_subgroup(s4, 2))
+        subgroups += _distinct_conjugates(s4, sylow_subgroup(s4, 3))
         subgroups.append(subgroup_generated(4, [perm("(1 2)", 4)]))
         for A, B in itertools.product(subgroups, repeat=2):
             assert product_order(s4, A, B) == len(product_set(A.elements(), B.elements()))
