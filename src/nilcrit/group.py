@@ -1,7 +1,9 @@
 """Permutation groups: membership, enumeration, closure and conjugacy machinery.
 
 A :class:`PermGroup` is generators plus a lazily built stabilizer chain; the
-chain answers order and membership questions with no cap.  Classes,
+chain answers order and membership questions with no cap.  A closure
+(``subgroup_generated``, ``normal_closure``) grows one chain over its
+candidates and hands it to the group it returns.  Classes,
 centralizers, normalizers and cosets are read off G's indexed view, which
 ``indexed_view`` builds under the enumeration cap.  Groups and element sets
 are immutable once their caches are built, so sharing them is safe.
@@ -134,10 +136,9 @@ class PermGroup:
 
     def random_element(self, rng: random.Random) -> Permutation:
         """Uniformly random element via independent transversal choices."""
-        chain = self.chain()
         g = self.identity
-        for level in range(len(chain.base) - 1, -1, -1):
-            reps = list(chain.transversals[level].values())
+        for transversal in reversed(self.chain().transversals):
+            reps = list(transversal.values())
             g = g * reps[rng.randrange(len(reps))]
         return g
 
@@ -167,17 +168,21 @@ def trivial_group(degree: int) -> PermGroup:
 def subgroup_generated(degree: int, gens: Iterable[Permutation]) -> PermGroup:
     """Smallest subgroup containing the given elements; empty input gives the trivial group.
 
-    The inputs are walked in order and one is kept only if the group
-    generated by those kept so far does not contain it.  Each kept generator
+    One stabilizer chain is grown over the inputs, in order: ``add`` sifts
+    each one and extends the chain only when the group so far does not
+    contain it, and those inputs are kept as generators.  Each kept generator
     at least doubles the order, so the result H has at most Omega(|H|) <=
-    log2|H| generators, Omega counting prime factors with multiplicity.
+    log2|H| generators, Omega counting prime factors with multiplicity.  H
+    keeps the chain, so it builds no other.
     """
-    group = trivial_group(degree)
-    kept: list[Permutation] = []
-    for g in gens:
-        if not group.contains(g):
-            kept.append(g)
-            group = PermGroup(degree, kept)
+    chain = StabilizerChain(degree)
+    return _group_on_chain(chain, [g for g in gens if chain.add(g)])
+
+
+def _group_on_chain(chain: StabilizerChain, generators: list[Permutation]) -> PermGroup:
+    """The group the generators generate, given a complete chain of it built from them."""
+    group = PermGroup(chain.degree, generators)
+    group._chain = chain
     return group
 
 
@@ -221,21 +226,23 @@ def conjugacy_classes(G: PermGroup) -> list[ElementSet]:
 def normal_closure(G: PermGroup, seed: Iterable[Permutation]) -> PermGroup:
     """Smallest normal subgroup of G containing the seed elements.
 
-    Starts from the subgroup the seed generates and runs a worklist over its
-    generators, adding a conjugate n^g (g a generator of G) only when the
-    group does not yet contain it.  Like subgroup_generated, the result N has
-    at most Omega(|N|) <= log2|N| generators.
+    One stabilizer chain is grown as in subgroup_generated: first over the
+    seed, then over a worklist of the generators kept, adding each conjugate
+    n^g (g a generator of G) and keeping it only when ``add`` extends the
+    chain.  Like subgroup_generated, the result N has at most Omega(|N|) <=
+    log2|N| generators, and N keeps the one chain built.
     """
-    group = subgroup_generated(G.degree, seed)
-    work = list(group.generators)
+    chain = StabilizerChain(G.degree)
+    kept = [n for n in seed if chain.add(n)]
+    work = list(kept)
     while work:
         n = work.pop()
         for g in G.generators:
             c = n.conjugate(g)
-            if not group.contains(c):
-                group = PermGroup(G.degree, group.generators + (c,))
+            if chain.add(c):
+                kept.append(c)
                 work.append(c)
-    return group
+    return _group_on_chain(chain, kept)
 
 
 def centralizer(G: PermGroup, a: Permutation) -> PermGroup:

@@ -22,14 +22,16 @@ Subgroups and normal subsets of G are index sets on the view: a subgroup
 closure fetches rows only for the seeds that enlarge it, and a subset is
 normal when every generator's conjugation table maps it into itself.  The
 index set of a subgroup H is kept in one dict, keyed by the indices of its
-generators: they are looked up first, so an H outside G fails before it is
-enumerated, and an H inside G has |H| <= |G|.  The enumeration cap is
-checked once per group, by ``indexed_view``, when G's view is built.
+generators: they are looked up first, once per H object, so an H outside G
+fails before it is enumerated, and an H inside G has |H| <= |G|.  The
+enumeration cap is checked once per group, by ``indexed_view``, when G's
+view is built.
 """
 
 from __future__ import annotations
 
 from typing import Collection, Iterable, Iterator
+from weakref import WeakKeyDictionary
 
 from .errors import NotNormal, OrderCapExceeded
 from .group import DEFAULT_ENUM_CAP, PermGroup, group_with_elements
@@ -51,7 +53,9 @@ class IndexedGroup:
         self.order_of: list[int] = [image_order(b) for b in self.images]
         self.inverse: list[int] = [self.index[inverse_table(b)[:len(b)]] for b in self.images]
         self._rows: list[list[int] | None] = [None] * self.size
-        # keyed by a subgroup's generator indices (``_generator_key``)
+        # keyed by a subgroup's generator indices (``_generator_key``), which
+        # are kept per subgroup object for as long as it lives
+        self._generator_keys: WeakKeyDictionary[PermGroup, frozenset[int]] = WeakKeyDictionary()
         self._subgroups: dict[frozenset[int], frozenset[int]] = {}
         self._normal: set[frozenset[int]] = set()  # index sets checked to be normal
         self._cosets: dict[frozenset[int], tuple[list[int], list[int]]] = {}
@@ -207,10 +211,13 @@ class IndexedGroup:
         return out
 
     def _generator_key(self, H: PermGroup) -> frozenset[int]:
-        """The indices of H's generators; NotNormal if one lies outside G."""
-        key = frozenset(self.index.get(h.images) for h in H.generators)
-        if None in key:
-            raise NotNormal("subgroup is not contained in the group")
+        """The indices of H's generators, looked up once per H; NotNormal if one lies outside G."""
+        key = self._generator_keys.get(H)
+        if key is None:
+            key = frozenset(self.index.get(h.images) for h in H.generators)
+            if None in key:
+                raise NotNormal("subgroup is not contained in the group")
+            self._generator_keys[H] = key
         return key
 
     def member_indices(self, H: PermGroup) -> frozenset[int]:
@@ -240,7 +247,7 @@ class IndexedGroup:
         """
         members = self.member_indices(H)
         if members not in self._normal:
-            self._require_normal([self.index[h.images] for h in H.generators], members)
+            self._require_normal(self._generator_key(H), members)
             self._normal.add(members)
         return members
 

@@ -109,8 +109,10 @@ def _p_element_normal_indices(G: PermGroup, X: ElementSet, p: int) -> frozenset[
     A member outside G raises NotNormal, then a member that is not a
     p-element NotPElementSet, then a set that is not conjugation-closed
     NotNormal.  A checked X is kept on G, keyed by p and the value of X, so
-    equal sets built apart share one check.  Only successes are kept, so a
-    bad X raises the same error on every call.
+    equal sets built apart share one check; ``p_power_value_closure`` keeps
+    its X there with the index set it was built from, so that X is not
+    checked at all.  Only successes are kept, so a bad X raises the same
+    error on every call.
     """
 
     def compute() -> frozenset[int]:
@@ -132,13 +134,17 @@ def p_power_value_closure(G: PermGroup, depth: int, p: int) -> ElementSet:
     subsets and conjugation preserves order, so their p-elements form a
     normal subset too; they are sliced out by order with no further closure.
     Kept on G per (depth, p): both instance generators share one X object.
+    Being a normal set of p-elements by construction, X is kept on G as
+    checked for p, with its index set, which the coset checks then read.
     """
 
     def compute() -> ElementSet:
         iv = indexed_view(G)
-        members = iv.perms(i for i in sorted(delta_values(G, depth).indices)
-                           if p_part(n := iv.order_of[i], p) == n)
-        return ElementSet(G.degree, tuple(members))
+        indices = [i for i in sorted(delta_values(G, depth).indices)
+                   if p_part(n := iv.order_of[i], p) == n]
+        X = ElementSet(G.degree, tuple(iv.perms(indices)))
+        G.memo(("p_element_set", p, X), lambda: frozenset(indices))
+        return X
 
     return G.memo(("p_power_values", depth, p), compute)
 

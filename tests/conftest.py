@@ -132,11 +132,17 @@ class PermutationView:
 
 
 class PermutationChain:
-    """The former Schreier-Sims on Permutation objects, an oracle for nilcrit.chain.
+    """Incremental Schreier-Sims on Permutation objects, an oracle for nilcrit.chain.
 
     Every product and inverse is a Permutation; sifts call ``inverse()`` at
-    every level.  Base points, strong generators and transversals come out
-    in the same deterministic order as the library's chain.
+    every level.  It follows the same rules as the library's chain, so base
+    points, strong generators and transversals come out in the same order:
+    a generator is added only when its sift leaves a residue; the residue
+    joins levels 0..level, opening a new level at its smallest moved point;
+    each orbit grows breadth-first, the new generator on the old points and
+    then every level generator on the new ones; every Schreier pair that does
+    not define a transversal element is queued once, and the queues are
+    emptied deepest level first, last pair first.
     """
 
     def __init__(self, degree: int, generators: list[Permutation]):
@@ -144,18 +150,16 @@ class PermutationChain:
         self.base: list[int] = []
         self.strong: list[Permutation] = []
         self.transversals: list[dict[int, Permutation]] = []
+        self._level_gens: list[list[Permutation]] = []
         self._identity = Permutation.identity(degree)
-        dirty = False
         for g in generators:
-            residue, level = self._sift(g, 0)
-            if not (residue.is_identity() and level == len(self.base)):
-                self._add_strong_generator(residue, level)
-                dirty = True
-        if dirty:
-            self._close()
+            self.add(g)
 
     def order(self) -> int:
         return math.prod(len(t) for t in self.transversals)
+
+    def contains(self, g: Permutation) -> bool:
+        return self._sift(g, 0)[0].is_identity()
 
     def elements(self) -> list[Permutation]:
         out = [self._identity]
@@ -164,9 +168,21 @@ class PermutationChain:
             out = [deep * u for deep in out for u in reps]
         return out
 
-    def _level_gens(self, level: int) -> list[Permutation]:
-        pts = self.base[:level]
-        return [g for g in self.strong if all(g.images[b] == b for b in pts)]
+    def add(self, g: Permutation) -> bool:
+        residue, level = self._sift(g, 0)
+        if residue.is_identity():
+            return False
+        queues: list[list[tuple[int, Permutation]]] = []
+        self._extend(residue, level, queues)
+        while any(queues):
+            i = max(j for j, q in enumerate(queues) if q)
+            x, s = queues[i].pop()
+            trans = self.transversals[i]
+            schreier = trans[x] * s * trans[s.images[x]].inverse()
+            residue, deeper = self._sift(schreier, i + 1)
+            if not residue.is_identity():
+                self._extend(residue, deeper, queues)
+        return True
 
     def _sift(self, g: Permutation, start: int) -> tuple[Permutation, int]:
         for i in range(start, len(self.base)):
@@ -176,54 +192,31 @@ class PermutationChain:
             g = g * u.inverse()
         return g, len(self.base)
 
-    def _rebuild_transversal(self, level: int) -> None:
-        b = self.base[level]
-        gens = self._level_gens(level)
-        trans = {b: self._identity}
-        queue = [b]
-        while queue:
-            x = queue.pop(0)
-            for s in gens:
-                y = s.images[x]
-                if y not in trans:
-                    trans[y] = trans[x] * s
-                    queue.append(y)
-        self.transversals[level] = trans
-
-    def _add_strong_generator(self, g: Permutation, level: int) -> None:
+    def _extend(self, h: Permutation, level: int, queues: list) -> None:
         if level == len(self.base):
-            b = min(g.moved_points())
+            b = min(h.moved_points())
             self.base.append(b)
             self.transversals.append({b: self._identity})
-        self.strong.append(g)
+            self._level_gens.append([])
+        while len(queues) < len(self.base):
+            queues.append([])
+        self.strong.append(h)
         for i in range(level + 1):
-            self._rebuild_transversal(i)
-
-    def _close(self) -> None:
-        i = len(self.base) - 1
-        while i >= 0:
-            inserted_at = self._verify_level(i)
-            if inserted_at is None:
-                i -= 1
-            else:
-                i = min(inserted_at, len(self.base) - 1)
-        for level in range(len(self.base)):
-            self._rebuild_transversal(level)
-
-    def _verify_level(self, level: int) -> int | None:
-        self._rebuild_transversal(level)
-        gens = self._level_gens(level)
-        trans = self.transversals[level]
-        for x in sorted(trans):
-            for s in gens:
-                schreier = trans[x] * s * trans[s.images[x]].inverse()
-                if schreier.is_identity():
-                    continue
-                residue, lvl = self._sift(schreier, level + 1)
-                if not (residue.is_identity() and lvl == len(self.base)):
-                    self._add_strong_generator(residue, lvl)
-                    return lvl
-        return None
+            trans = self.transversals[i]
+            old_points = list(trans)
+            self._level_gens[i].append(h)
+            points = list(old_points)
+            k = 0
+            while k < len(points):
+                x = points[k]
+                for s in ([h] if k < len(old_points) else self._level_gens[i]):
+                    y = s.images[x]
+                    if y in trans:
+                        queues[i].append((x, s))
+                    else:
+                        trans[y] = trans[x] * s
+                        points.append(y)
+                k += 1
 
 
 def closure_oracle(degree: int, gens: list[Permutation]) -> set[Permutation]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
@@ -455,7 +456,8 @@ class TestValueClosureHelper:
         from nilcrit.indexed import IndexedGroup
 
         G = load_group("S4")
-        X = p_power_value_closure(G, 1, 2)
+        # the values of p_power_value_closure, built apart from G: a set from outside
+        X = ElementSet.from_iterable(G.degree, p_power_value_closure(load_group("S4"), 1, 2))
         passes = 0
         normal_indices = IndexedGroup.normal_indices
 
@@ -482,7 +484,8 @@ class TestValueClosureHelper:
         assert passes == 1
 
     def test_equal_value_sets_share_one_check(self, monkeypatch):
-        # both instance generators share one X per (p, depth); equal sets,
+        # both instance generators share one X per (p, depth), which comes
+        # checked from p_power_value_closure; equal sets from outside,
         # whichever object carries them, are checked once per prime
         G = load_group("S4")
         scans = []
@@ -492,21 +495,45 @@ class TestValueClosureHelper:
             scans.append(subset)
             return normal_indices(self, subset)
 
+        def run_checks(G, coset, lifted, copy=lambda X: X):
+            for inst in coset:
+                check_coset_intersection(G, inst["N"], inst["p"], copy(inst["X"]))
+            for inst in lifted:
+                try:
+                    check_lifted_generation(G, inst["N"], inst["L"], inst["p"], copy(inst["X"]))
+                except HypothesisNotSatisfied:
+                    pass
+
         monkeypatch.setattr(IndexedGroup, "normal_indices", counted)
         coset = list(coset_intersection_instances(G))
         lifted = list(lifted_generation_instances(G))
-        for inst in coset:
-            check_coset_intersection(G, inst["N"], inst["p"], inst["X"])
-        for inst in lifted:
-            try:
-                check_lifted_generation(G, inst["N"], inst["L"], inst["p"], inst["X"])
-            except HypothesisNotSatisfied:
-                pass
+        run_checks(G, coset, lifted)
         depths = {(inst["p"], inst["depth"]) for inst in coset + lifted}
         values = {(inst["p"], inst["X"]) for inst in coset + lifted}
         assert len({id(inst["X"]) for inst in coset + lifted}) == len(depths)
+        assert scans == []
+
+        # the same instances on a fresh S4, each X passed as a new object
+        fresh = load_group("S4")
+        run_checks(fresh, coset, lifted, lambda X: ElementSet(X.degree, X.elements))
         assert len(scans) == len(values) <= len(depths)
         assert sorted(map(len, scans)) == sorted(len(X) for _, X in values)
+
+    def test_the_value_closure_hands_its_index_set_to_the_check(self, monkeypatch):
+        G = load_group("S4")
+        calls = []
+        monkeypatch.setattr(IndexedGroup, "normal_indices", lambda self, subset: calls.append(subset))
+        iv = indexed_view(G)
+        for depth in (0, 1, 2):
+            for p in (2, 3):
+                X = p_power_value_closure(G, depth, p)
+                assert _p_element_normal_indices(G, X, p) == \
+                    frozenset(iv.index[x.images] for x in X)
+                other = 5 - p  # the other prime checks X afresh
+                if len(X) > 1:
+                    with pytest.raises(NotPElementSet):
+                        _p_element_normal_indices(G, X, other)
+        assert calls == []
 
     @pytest.mark.parametrize("members, error, match", [
         (["(1 5)"], NotNormal, "not contained"),
@@ -871,6 +898,36 @@ class TestNormalSubgroupIndexSets:
             want = frozenset(iv.index[h.images] for h in H.elements())
             assert iv.member_indices(H) == want
             assert iv.member_indices(H) is iv.member_indices(H)
+
+    def test_generators_are_looked_up_once_per_subgroup_object(self):
+        G = load_group("S4")
+        iv = indexed_view(G)
+        reads = 0
+
+        class CountedGenerators(tuple):
+            def __iter__(self):
+                nonlocal reads
+                reads += 1
+                return super().__iter__()
+
+        gens = [perm("(1 2)(3 4)", 4), perm("(1 3)(2 4)", 4)]
+        N, twin = subgroup_generated(4, gens), subgroup_generated(4, gens)
+        for H in (N, twin):
+            H.elements()  # chain and elements built before the generators are counted
+            H.generators = CountedGenerators(H.generators)
+        for _ in range(3):
+            iv.member_indices(N)
+            iv.normal_subgroup_indices(N)
+            iv.coset_labels(N)
+        assert reads == 1
+        # the same subgroup as another object is looked up afresh, and shares the index set
+        assert iv.member_indices(twin) is iv.member_indices(N)
+        assert reads == 2
+        # an entry lives as long as its subgroup
+        kept = len(iv._generator_keys)
+        del N, twin, H
+        gc.collect()
+        assert len(iv._generator_keys) == kept - 2
 
     @pytest.mark.parametrize("degree", [8, 9])
     def test_kernel_outside_g_fails_before_it_is_enumerated(self, s4, degree):
