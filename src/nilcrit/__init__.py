@@ -22,16 +22,11 @@ from .errors import (
 from .perm import Permutation, commutator
 from .group import (
     DEFAULT_ENUM_CAP,
-    CosetMap,
-    ElementSet,
     PermGroup,
     centralizer,
-    conjugacy_classes,
     group_from_elements,
-    is_normal,
     normal_closure,
     normalizer,
-    quotient,
     subgroup_generated,
     trivial_group,
 )
@@ -69,7 +64,6 @@ from .words import (
     is_commutator_closed,
     is_symmetric,
     random_commutator_closed_generating_set,
-    verbal_subgroup,
 )
 from .criterion import (
     CriterionReport,

@@ -3,74 +3,26 @@
 A :class:`PermGroup` is generators plus a lazily built stabilizer chain; the
 chain answers order and membership questions with no cap.  A closure
 (``subgroup_generated``, ``normal_closure``) grows one chain over its
-candidates and hands it to the group it returns.  Classes,
-centralizers, normalizers and cosets are read off G's indexed view, which
-``indexed_view`` builds under the enumeration cap.  Groups and element sets
-are immutable once their caches are built, so sharing them is safe.
+candidates and hands it to the group it returns.  Centralizers and
+normalizers are read off G's indexed view, which ``indexed_view`` builds
+under the enumeration cap; a set of G's elements is an index set on that
+view.  Groups are immutable once their caches are built, so sharing them is
+safe.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from functools import cached_property
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .chain import StabilizerChain
 from .errors import DegreeMismatch, NotNormal, OrderCapExceeded
-from .perm import MAX_DEGREE, Permutation, pad, wrap_images
-
-if TYPE_CHECKING:
-    from .indexed import IndexedGroup
+from .perm import Permutation, inverse_table, pad, wrap_images
 
 DEFAULT_ENUM_CAP = 200_000
 
 _images = attrgetter("images")
-
-
-@dataclass(frozen=True)
-class ElementSet:
-    """A canonically ordered, duplicate-free set of same-degree permutations."""
-
-    degree: int
-    elements: tuple[Permutation, ...]
-
-    @classmethod
-    def from_iterable(cls, degree: int, elems: Iterable[Permutation]) -> ElementSet:
-        unique = sorted(set(elems), key=_images)
-        for e in unique:
-            if e.degree != degree:
-                raise DegreeMismatch(f"element of degree {e.degree} in a degree-{degree} set")
-        return cls(degree, tuple(unique))
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> Iterator[Permutation]:
-        return iter(self.elements)
-
-    def __contains__(self, p: Permutation) -> bool:
-        lo, hi = 0, len(self.elements)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.elements[mid] < p:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(self.elements) and self.elements[lo] == p
-
-    def intersection(self, other: Iterable[Permutation]) -> ElementSet:
-        mine = set(self.elements)
-        return ElementSet.from_iterable(self.degree, (p for p in other if p in mine))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        # hashed once: a value set keys the memo of every check it is passed to
-        return hash((self.degree, self.elements))
 
 
 class PermGroup:
@@ -130,9 +82,6 @@ class PermGroup:
         if self._elements is None:
             self._elements = tuple(map(wrap_images, sorted(self.chain().elements())))
         return self._elements
-
-    def element_set(self, cap: int = DEFAULT_ENUM_CAP) -> ElementSet:
-        return ElementSet(self.degree, self.elements(cap))
 
     def random_element(self, rng: random.Random) -> Permutation:
         """Uniformly random element via independent transversal choices."""
@@ -208,37 +157,26 @@ def group_with_elements(degree: int, generators: Iterable[Permutation],
     return group
 
 
-def conjugacy_classes(G: PermGroup) -> list[ElementSet]:
-    """Conjugacy classes as element sets, sorted by their minimal member.
-
-    The classes are those of the class-label array of G's indexed view.
-    """
-    from .indexed import indexed_view
-
-    def compute() -> tuple[ElementSet, ...]:
-        iv = indexed_view(G)
-        # index order is canonical order, so each class comes out sorted
-        return tuple(ElementSet(G.degree, tuple(iv.perms(c))) for c in iv.classes())
-
-    return list(G.memo(("classes",), compute))
-
-
 def normal_closure(G: PermGroup, seed: Iterable[Permutation]) -> PermGroup:
     """Smallest normal subgroup of G containing the seed elements.
 
     One stabilizer chain is grown as in subgroup_generated: first over the
     seed, then over a worklist of the generators kept, adding each conjugate
     n^g (g a generator of G) and keeping it only when ``add`` extends the
-    chain.  Like subgroup_generated, the result N has at most Omega(|N|) <=
-    log2|N| generators, and N keeps the one chain built.
+    chain.  Each candidate is formed on image bytes, with each generator's
+    inverse formed once per closure.  Like subgroup_generated, the result N
+    has at most Omega(|N|) <= log2|N| generators, and N keeps the one chain
+    built.
     """
     chain = StabilizerChain(G.degree)
     kept = [n for n in seed if chain.add(n)]
+    # n^g = g^-1 * n * g on image bytes: g^-1's images translated by the pads of n and g
+    conjugators = [(inverse_table(g.images)[:G.degree], pad(g)) for g in G.generators]
     work = list(kept)
     while work:
-        n = work.pop()
-        for g in G.generators:
-            c = n.conjugate(g)
+        table = pad(work.pop())
+        for inverse, right in conjugators:
+            c = wrap_images(inverse.translate(table).translate(right))
             if chain.add(c):
                 kept.append(c)
                 work.append(c)
@@ -267,62 +205,3 @@ def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
         raise DegreeMismatch("subgroup degree differs from group degree")
     iv = indexed_view(G)
     return iv.subgroup(iv.normalizing([H]))
-
-
-def is_normal(G: PermGroup, N: PermGroup) -> bool:
-    if not N.is_subgroup_of(G):
-        return False
-    return all(N.contains(n.conjugate(g)) for n in N.generators for g in G.generators)
-
-
-@dataclass
-class CosetMap:
-    """The action of a group on the right cosets of a normal subgroup.
-
-    Cosets are numbered in order of their minimal elements: ``labels[i]`` is
-    the coset number of element i of the indexed view of the source, and
-    ``reps[c]`` the (lexicographically minimal) element of coset c.  Calling
-    the map sends a group element to the permutation it induces on coset
-    numbers.
-    """
-
-    source: PermGroup
-    kernel: PermGroup
-    view: IndexedGroup = field(repr=False)
-    labels: list[int] = field(repr=False)
-    reps: tuple[Permutation, ...]
-
-    def __call__(self, g: Permutation) -> Permutation:
-        if g.degree != self.source.degree:
-            raise DegreeMismatch("element degree differs from group degree")
-        index, labels, table = self.view.index, self.labels, pad(g)
-        return Permutation(tuple(labels[index[r.images.translate(table)]] for r in self.reps))
-
-
-def quotient(G: PermGroup, N: PermGroup) -> tuple[PermGroup, CosetMap]:
-    """Faithful action of G/N on the right cosets of N.
-
-    N must be normal in G; the index must stay within MAX_DEGREE since it
-    becomes the degree of the quotient group.  Cosets are labelled on the
-    indexed view of G.
-    """
-    from .indexed import indexed_view
-
-    if not N.is_subgroup_of(G):
-        raise NotNormal("N is not a subgroup of G")
-    if not is_normal(G, N):
-        raise NotNormal("N is not normal in G")
-    index = G.order() // N.order()
-    if index > MAX_DEGREE:
-        raise OrderCapExceeded(index, MAX_DEGREE, what="coset space")
-    iv = indexed_view(G)
-    labels, reps = iv.coset_labels(N)
-    if len(reps) != index:
-        raise RuntimeError(f"coset labelling found {len(reps)} cosets, expected {index}")
-
-    cmap = CosetMap(G, N, iv, labels, tuple(iv.perms(reps)))
-    Q = PermGroup(index, tuple(cmap(g) for g in G.generators),
-                  name=f"{G.name}/{N.name}" if G.name and N.name else None)
-    if Q.order() * N.order() != G.order():
-        raise RuntimeError("quotient order mismatch: kernel of the coset action is not N")
-    return Q, cmap

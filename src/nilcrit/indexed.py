@@ -227,18 +227,6 @@ class IndexedGroup:
             self._subgroups[key] = frozenset(self.index[h.images] for h in H.elements(self.size))
         return self._subgroups[key]
 
-    def normal_indices(self, subset: Iterable[Permutation]) -> set[int]:
-        """The index set of a normal subset of G.
-
-        Raises NotNormal when a member lies outside G, and then when some
-        generator's conjugation table maps a member outside the set.
-        """
-        members = {self.index.get(x.images) for x in subset}
-        if None in members:
-            raise NotNormal("subset is not contained in the group")
-        self._require_normal(members, members)
-        return members
-
     def normal_subgroup_indices(self, H: PermGroup) -> frozenset[int]:
         """``member_indices`` of a normal subgroup H, its generators' conjugates checked once per set.
 
@@ -247,11 +235,15 @@ class IndexedGroup:
         """
         members = self.member_indices(H)
         if members not in self._normal:
-            self._require_normal(self._generator_key(H), members)
+            self.require_normal(self._generator_key(H), members)
             self._normal.add(members)
         return members
 
-    def _require_normal(self, seeds: Collection[int], members: set[int] | frozenset[int]) -> None:
+    def are_indices(self, members: Iterable[object]) -> bool:
+        """Whether every member is an int in range(size); a negative int would index from the end."""
+        return all(isinstance(x, int) and 0 <= x < self.size for x in members)
+
+    def require_normal(self, seeds: Collection[int], members: Collection[int]) -> None:
         """NotNormal unless every generator's conjugation table maps each seed into members."""
         for table in self.conjugation_tables():
             if any(table[i] not in members for i in seeds):

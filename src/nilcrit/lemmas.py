@@ -16,12 +16,12 @@ Five checks, each a conditional verified extensionally on concrete groups:
   a depth-k value x acts trivially on every x-invariant subgroup of coprime
   order; the proof's commutator gymnastics are replayed literally.
 
-Every subgroup and subset the five checks meet is an index set on G's
-indexed view: normality is one pass over the generators' conjugation
-tables, made once per normal subgroup and kept on the view, generation is
-``IndexedGroup.closure``, the normal subgroups are closures of unions of
-conjugacy classes, and the coprime-action check reads every commutator off
-table lookups.  G's view is the only one built, and a PermGroup only wraps
+Every subgroup and subset the five checks meet, the value sets X passed to
+the coset checks included, is an index set on G's indexed view: normality
+is one pass over the generators' conjugation tables, made once per normal
+subgroup and kept on the view, generation is ``IndexedGroup.closure``, the
+normal subgroups are closures of unions of conjugacy classes, and the
+coprime-action check reads every commutator off table lookups.  G's view is the only one built, and a PermGroup only wraps
 an index set, with no chain built for it.
 
 Inadmissible inputs raise HypothesisNotSatisfied (or a structural error);
@@ -42,7 +42,7 @@ from .errors import (
     NotPElementSet,
     NotSoluble,
 )
-from .group import ElementSet, PermGroup
+from .group import PermGroup
 from .indexed import indexed_view
 from .primes import p_part, prime_factors
 from .criterion import coprime_product_criterion
@@ -103,54 +103,48 @@ def normal_subgroups(G: PermGroup) -> list[PermGroup]:
     return list(G.memo(("normal_subgroups",), compute))
 
 
-def _p_element_normal_indices(G: PermGroup, X: ElementSet, p: int) -> frozenset[int]:
-    """Indices of X on G's indexed view, once X is checked to be a normal set of p-elements.
+def _check_normal_p_set(G: PermGroup, X: frozenset[int], p: int) -> None:
+    """Check that the index set X is a normal subset of p-elements of G, once per (p, X).
 
-    A member outside G raises NotNormal, then a member that is not a
-    p-element NotPElementSet, then a set that is not conjugation-closed
-    NotNormal.  A checked X is kept on G, keyed by p and the value of X, so
-    equal sets built apart share one check; ``p_power_value_closure`` keeps
-    its X there with the index set it was built from, so that X is not
-    checked at all.  Only successes are kept, so a bad X raises the same
-    error on every call.
+    A member that is not an index of G's view raises NotNormal, then a member
+    that is not a p-element NotPElementSet, then a set that is not
+    conjugation-closed NotNormal.  Only successes are kept, so a bad X raises
+    the same error on every call.
     """
 
-    def compute() -> frozenset[int]:
+    def compute() -> bool:
         iv = indexed_view(G)
-        if all(x.images in iv.index for x in X):  # else normal_indices raises NotNormal
-            for x in X:
-                n = iv.order_of[iv.index[x.images]]
-                if p_part(n, p) != n:
-                    raise NotPElementSet(f"{x} has order {n}, not a power of {p}")
-        return frozenset(iv.normal_indices(X))
+        if not iv.are_indices(X):
+            raise NotNormal("subset is not contained in the group")
+        for x in X:
+            n = iv.order_of[x]
+            if p_part(n, p) != n:
+                raise NotPElementSet(f"{iv.elements[x]} has order {n}, not a power of {p}")
+        iv.require_normal(X, X)
+        return True
 
-    return G.memo(("p_element_set", p, X), compute)
+    G.memo(("normal_p_set", p, X), compute)
 
 
-def p_power_value_closure(G: PermGroup, depth: int, p: int) -> ElementSet:
-    """The p-power-order depth-i word values, a normal subset of G.
+def p_power_value_closure(G: PermGroup, depth: int, p: int) -> frozenset[int]:
+    """The p-power-order depth-i word values, a normal subset of G, as an index set.
 
     This is the canonical X fed to the coset lemmas.  Value sets are normal
     subsets and conjugation preserves order, so their p-elements form a
     normal subset too; they are sliced out by order with no further closure.
     Kept on G per (depth, p): both instance generators share one X object.
-    Being a normal set of p-elements by construction, X is kept on G as
-    checked for p, with its index set, which the coset checks then read.
     """
 
-    def compute() -> ElementSet:
-        iv = indexed_view(G)
-        indices = [i for i in sorted(delta_values(G, depth).indices)
-                   if p_part(n := iv.order_of[i], p) == n]
-        X = ElementSet(G.degree, tuple(iv.perms(indices)))
-        G.memo(("p_element_set", p, X), lambda: frozenset(indices))
-        return X
+    def compute() -> frozenset[int]:
+        order_of = indexed_view(G).order_of
+        return frozenset(i for i in delta_values(G, depth).indices
+                         if p_part(n := order_of[i], p) == n)
 
     return G.memo(("p_power_values", depth, p), compute)
 
 
-def check_coset_intersection(G: PermGroup, N: PermGroup, p: int, X: ElementSet) -> LemmaReport:
-    """XN cap PN = (X cap P)N for a normal subset X of p-elements.
+def check_coset_intersection(G: PermGroup, N: PermGroup, p: int, X: frozenset[int]) -> LemmaReport:
+    """XN cap PN = (X cap P)N for a normal subset X of p-elements, an index set on G's view.
 
     Both sides are compared as sets of coset labels; cosets are numbered by
     their minimal elements, so the smallest stray label names the minimal
@@ -159,12 +153,12 @@ def check_coset_intersection(G: PermGroup, N: PermGroup, p: int, X: ElementSet) 
     _check_prime_divisor(G, p)
     iv = indexed_view(G)
     iv.normal_subgroup_indices(N)
-    x_idx = _p_element_normal_indices(G, X, p)
+    _check_normal_p_set(G, X, p)
 
     labels, reps = iv.coset_labels(N)
     p_idx = iv.member_indices(sylow_subgroup(G, p))
-    lhs = {labels[i] for i in x_idx} & {labels[i] for i in p_idx}
-    rhs = {labels[i] for i in x_idx & p_idx}
+    lhs = {labels[i] for i in X} & {labels[i] for i in p_idx}
+    rhs = {labels[i] for i in X & p_idx}
 
     holds = lhs == rhs
     witness = None
@@ -179,8 +173,8 @@ def check_coset_intersection(G: PermGroup, N: PermGroup, p: int, X: ElementSet) 
 
 
 def check_lifted_generation(G: PermGroup, N: PermGroup, L: PermGroup, p: int,
-                            X: ElementSet) -> LemmaReport:
-    """From generation in G/N, conclude P cap L = <P cap X, P cap N> in G.
+                            X: frozenset[int]) -> LemmaReport:
+    """From generation in G/N, conclude P cap L = <P cap X, P cap N> in G; X is an index set.
 
     The G/N hypothesis P-bar cap L-bar = <P-bar cap X-bar> is decided on the
     coset labels of N: the label set of a subset of G is its image in G/N, and
@@ -200,12 +194,12 @@ def check_lifted_generation(G: PermGroup, N: PermGroup, L: PermGroup, p: int,
 
     def sides() -> tuple[frozenset[int], set[int], set[int], frozenset[int]]:
         """``(P, P-bar, <P-bar cap X-bar>, <(X cup N) cap P>)``, bars as sets of coset labels."""
-        x_idx = _p_element_normal_indices(G, X, p)
+        _check_normal_p_set(G, X, p)
         p_idx = iv.member_indices(sylow_subgroup(G, p))
         p_bar = {labels[i] for i in p_idx}
         preimage = iv.closure([iv.index[n.images] for n in N.generators]
-                              + [reps[c] for c in p_bar & {labels[i] for i in x_idx}])
-        return p_idx, p_bar, {labels[i] for i in preimage}, iv.closure((x_idx | n_idx) & p_idx)
+                              + [reps[c] for c in p_bar & {labels[i] for i in X}])
+        return p_idx, p_bar, {labels[i] for i in preimage}, iv.closure((X | n_idx) & p_idx)
 
     p_idx, p_bar, generated_bar, rhs = G.memo(("lifted_generation_sides", n_idx, p, X), sides)
     if generated_bar != p_bar & {labels[i] for i in l_idx}:

@@ -5,7 +5,8 @@ metanilpotency predicates; Sylow subgroups, p-cores, p'-cores and the Fitting
 subgroup; Sylow bases and their (system) normalizers.
 
 The series and the nilpotency and solubility predicates run on stabilizer
-chains, and never enumerate G.  The subgroups are index sets on G's indexed
+chains, and never enumerate G; the commutators that seed each series term
+are formed on image bytes.  The subgroups are index sets on G's indexed
 view, the only enumeration, each wrapped with no chain built for it.  A Sylow
 subgroup, of G or of a subgroup's index list, grows by p-elements whose
 conjugation lookups keep its index set.  Its conjugates are one orbit under
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
+
 from .errors import (
     NotPrimeDivisor,
     NotSoluble,
@@ -29,7 +32,7 @@ from .errors import (
 )
 from .group import PermGroup, group_with_elements, normal_closure
 from .indexed import IndexedGroup, indexed_view
-from .perm import Permutation, commutator
+from .perm import Permutation, inverse_table, pad, wrap_images
 from .primes import is_prime, p_part, prime_factors
 
 # permutability tests the Sylow basis backtracking may run before giving up
@@ -73,14 +76,22 @@ def _descending_series(G: PermGroup, kind: str, step) -> SeriesReport:
         terms.append(nxt)
 
 
+def _commutators(xs: Sequence[Permutation], ys: Sequence[Permutation]) -> list[Permutation]:
+    """[x, y] = x^-1 y^-1 x y for x in xs and y in ys, in order, on image bytes.
+
+    A pair x = y is skipped: its commutator is 1, which no closure keeps.
+    Each element's inverse is formed once; a commutator is three translates.
+    """
+    inverse = {p.images: inverse_table(p.images) for p in (*xs, *ys)}
+    return [wrap_images(inverse[x.images][:len(x.images)].translate(inverse[y.images])
+                        .translate(pad(x)).translate(pad(y)))
+            for x in xs for y in ys if x != y]
+
+
 def derived_subgroup(G: PermGroup) -> PermGroup:
     """Commutator subgroup: normal closure of the commutators of the generators."""
-
-    def compute() -> PermGroup:
-        comms = [commutator(a, b) for a in G.generators for b in G.generators if a != b]
-        return normal_closure(G, comms)
-
-    return G.memo(("derived_subgroup",), compute)
+    return G.memo(("derived_subgroup",),
+                  lambda: normal_closure(G, _commutators(G.generators, G.generators)))
 
 
 def derived_series(G: PermGroup) -> SeriesReport:
@@ -97,8 +108,7 @@ def derived_term(G: PermGroup, k: int) -> PermGroup:
 
 def _lower_central_step(G: PermGroup):
     def step(term: PermGroup) -> PermGroup:
-        comms = [commutator(x, g) for x in term.generators for g in G.generators]
-        return normal_closure(G, comms)
+        return normal_closure(G, _commutators(term.generators, G.generators))
 
     return step
 
@@ -161,12 +171,6 @@ def _check_prime_divisor(G: PermGroup, p: int) -> None:
         raise NotPrimeDivisor(f"{p} does not divide the group order {G.order()}")
 
 
-def _p_power_part(x: Permutation, p: int) -> Permutation:
-    """The p-part of x: a power of x whose order is the p-part of |x|."""
-    n = x.order()
-    return x ** (n // p_part(n, p))
-
-
 def _sylow_indices(iv: IndexedGroup, p: int, domain: range | list[int]) -> tuple[frozenset[int], list[int]]:
     """``(members, generators)`` of a Sylow p-subgroup of the subgroup M with index list domain.
 
@@ -176,7 +180,8 @@ def _sylow_indices(iv: IndexedGroup, p: int, domain: range | list[int]) -> tuple
     p-part, and the extension stays a p-group because the new element
     normalizes P.  The scan runs in index order, which is canonical element
     order as on M's own view, and tests membership in N_M(P) by conjugation
-    lookups against P's index set.
+    lookups against P's index set.  The p-part of y, y^(|y| / p-part of |y|),
+    is a power walk on y's image bytes.
     """
     target = p_part(len(domain), p)
     p_elements = [i for i in domain if iv.order_of[i] % p == 0]
@@ -184,7 +189,10 @@ def _sylow_indices(iv: IndexedGroup, p: int, domain: range | list[int]) -> tuple
     while len(members) < target:
         for y in p_elements:
             if all(c[y] in members for c in conj):
-                z = iv.index[_p_power_part(iv.elements[y], p).images]
+                n, z, table = iv.order_of[y], iv.images[y], iv.pads[y]
+                for _ in range(n // p_part(n, p) - 1):
+                    z = z.translate(table)
+                z = iv.index[z]
                 if z not in members:
                     break
         else:

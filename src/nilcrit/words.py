@@ -34,8 +34,8 @@ from .errors import (
     NotSoluble,
     OrderCapExceeded,
 )
-from .group import ElementSet, PermGroup, subgroup_generated
-from .indexed import IndexedGroup, indexed_view
+from .group import PermGroup
+from .indexed import indexed_view
 from .perm import Permutation, commutator
 from .primes import is_prime_power
 from .structure import (
@@ -56,8 +56,7 @@ class DeltaValueSet:
     """The set of depth-k word values of a group.
 
     kind is "delta" (derived word, 2^k arguments) or "gamma" (left-normed
-    word, k arguments).  ``indices`` is the value set on G's indexed view and
-    ``values`` the same set as Permutations, in the same (canonical) order.
+    word, k arguments).  ``indices`` is the value set on G's indexed view.
     ``stabilized`` is set when the requested depth lies at or past the point
     where the level sets stop shrinking, in which case the stable set is
     returned rather than an error.
@@ -65,15 +64,11 @@ class DeltaValueSet:
 
     kind: str
     k: int
-    values: ElementSet
     indices: frozenset[int]
     stabilized: bool
 
     def __len__(self) -> int:
-        return len(self.values)
-
-    def __contains__(self, p: Permutation) -> bool:
-        return p in self.values
+        return len(self.indices)
 
 
 def evaluate_delta(k: int, args: Sequence[Permutation]) -> Permutation:
@@ -137,16 +132,6 @@ def _level_at(levels: list[frozenset[int]], stable_at: int | None, i: int) -> tu
     return levels[-1], True
 
 
-def _element_set(iv: IndexedGroup, idxs: Iterable[int]) -> ElementSet:
-    # index order is canonical element order, so the sorted indices give a sorted set
-    return ElementSet(iv.group.degree, tuple(iv.perms(sorted(idxs))))
-
-
-def _value_set(iv: IndexedGroup, kind: str, k: int, idxs: frozenset[int],
-               stabilized: bool) -> DeltaValueSet:
-    return DeltaValueSet(kind, k, _element_set(iv, idxs), idxs, stabilized)
-
-
 def delta_values(G: PermGroup, k: int) -> DeltaValueSet:
     """Values of the depth-k derived word, level by level from class representatives.
 
@@ -159,8 +144,7 @@ def delta_values(G: PermGroup, k: int) -> DeltaValueSet:
         raise ValueError("depth must be nonnegative")
     # one level past k, so that stabilization at k is detected
     levels, stable_at = _value_levels(G, "delta", k + 1)
-    idxs, stabilized = _level_at(levels, stable_at, k)
-    return _value_set(indexed_view(G), "delta", k, idxs, stabilized)
+    return DeltaValueSet("delta", k, *_level_at(levels, stable_at, k))
 
 
 def gamma_values(G: PermGroup, k: int) -> DeltaValueSet:
@@ -175,8 +159,7 @@ def gamma_values(G: PermGroup, k: int) -> DeltaValueSet:
         raise ValueError("the left-normed word is indexed from 1")
     # one level past k, so that stabilization at k is detected
     levels, stable_at = _value_levels(G, "gamma", k)
-    idxs, stabilized = _level_at(levels, stable_at, k - 1)
-    return _value_set(indexed_view(G), "gamma", k, idxs, stabilized)
+    return DeltaValueSet("gamma", k, *_level_at(levels, stable_at, k - 1))
 
 
 def delta_values_bruteforce(G: PermGroup, k: int) -> DeltaValueSet:
@@ -218,12 +201,7 @@ def delta_values_bruteforce(G: PermGroup, k: int) -> DeltaValueSet:
             return ct[word(tup[:half])][word(tup[half:])]
 
         idxs = {word(t) for t in itertools.product(range(n), repeat=2 ** k)}
-    return _value_set(iv, "delta", k, frozenset(idxs), False)
-
-
-def verbal_subgroup(values: DeltaValueSet) -> PermGroup:
-    """Subgroup generated by a word value set."""
-    return subgroup_generated(values.values.degree, values.values.elements)
+    return DeltaValueSet("delta", k, frozenset(idxs), False)
 
 
 def is_symmetric(X: Iterable[Permutation]) -> bool:
@@ -236,8 +214,8 @@ def is_commutator_closed(X: Iterable[Permutation]) -> bool:
     return all(commutator(a, b) in elems for a in elems for b in elems)
 
 
-def random_commutator_closed_generating_set(G: PermGroup, rng: random.Random) -> ElementSet:
-    """A random generating set of G, closed under commutators.
+def random_commutator_closed_generating_set(G: PermGroup, rng: random.Random) -> frozenset[int]:
+    """A random generating set of G, closed under commutators, as an index set on G's view.
 
     Draws uniform elements until they generate, then closes; the result both
     generates G and is commutator-closed, as the construction for the derived
@@ -249,25 +227,26 @@ def random_commutator_closed_generating_set(G: PermGroup, rng: random.Random) ->
         picks.append(rng.randrange(iv.size))
         if len(iv.closure(picks)) == iv.size:
             break
-    return _element_set(iv, iv.commutator_closure(picks))
+    return iv.commutator_closure(picks)
 
 
-def derived_from_closed_set(G: PermGroup, X: ElementSet) -> PermGroup:
+def derived_from_closed_set(G: PermGroup, X: frozenset[int]) -> PermGroup:
     """Derived subgroup from pair commutators of a commutator-closed generating set.
 
-    Checks both preconditions, generates H from the commutators [x1, x2] with
-    x1, x2 in X, and verifies H against the derived subgroup computed the
-    ordinary way before returning it.  The pair commutators are formed once,
-    as indices on G's view: they decide closure and seed H, which keeps the
-    same generators as ``subgroup_generated`` would from the same list.
+    X is an index set on G's view; a member that is not an index of it
+    raises NotGenerating.  Checks both preconditions, generates H from the
+    commutators [x1, x2] with x1, x2 in X, and verifies H against the derived
+    subgroup computed the ordinary way before returning it.  The pair
+    commutators are formed once, in index order: they decide closure and
+    seed H, which keeps the same generators as ``subgroup_generated`` would
+    from the same list.
     """
     iv = indexed_view(G)
-    try:
-        idxs = sorted(iv.index[x.images] for x in X)
-    except KeyError:
+    if not iv.are_indices(X):
         raise NotGenerating("input set is not contained in the group")
+    idxs = sorted(X)
     comms = [iv.comm(a, b) for a in idxs for b in idxs]
-    if not frozenset(idxs).issuperset(comms):
+    if not X.issuperset(comms):
         raise NotCommutatorClosed("input set is not closed under commutators")
     if len(iv.closure(idxs)) != iv.size:
         raise NotGenerating("input set does not generate the group")
@@ -289,14 +268,15 @@ class GeneratorTower:
     ``generating_set`` their union: a commutator-closed generating set of G
     whose members all have prime power order.  ``depth_sets[i]`` is the set
     of members expressible as depth-i word values with arguments in the set.
+    The three are index sets on G's indexed view.
     """
 
     group: PermGroup
     chain: tuple[PermGroup, ...]
     normalizers: tuple[PermGroup, ...]
-    level_sets: tuple[ElementSet, ...]
-    generating_set: ElementSet
-    depth_sets: tuple[ElementSet, ...]
+    level_sets: tuple[frozenset[int], ...]
+    generating_set: frozenset[int]
+    depth_sets: tuple[frozenset[int], ...]
     seed: int
 
     @property
@@ -367,16 +347,15 @@ def generator_tower(G: PermGroup, seed: int = 0) -> GeneratorTower:
             raise RuntimeError("normalizer product does not cover the group; this is a bug")
 
         # the depth sets shrink to {1}: G is soluble and depth set i lies in G^(i)
-        generating_set = _element_set(iv, X)
+        generating_set = frozenset(X)
         depth_sets = [generating_set]
         level = range(len(X))
         while True:
             level = {comm[a][b] for a in level for b in level}
-            depth_sets.append(_element_set(iv, (X[a] for a in level)))
+            depth_sets.append(frozenset(X[a] for a in level))
             if len(level) == 1:
                 break
-        return GeneratorTower(G, chain, tuple(normalizers),
-                              tuple(_element_set(iv, idxs) for idxs in levels),
+        return GeneratorTower(G, chain, tuple(normalizers), tuple(map(frozenset, levels)),
                               generating_set, tuple(depth_sets), seed)
 
     return G.memo(("generator_tower", seed), compute)

@@ -16,7 +16,8 @@ from contextlib import contextmanager
 import pytest
 
 from nilcrit.perm import Permutation, commutator
-from nilcrit.group import PermGroup, conjugacy_classes, subgroup_generated
+from nilcrit.group import PermGroup, subgroup_generated
+from nilcrit.indexed import indexed_view
 
 
 def perm(cycles: str, degree: int) -> Permutation:
@@ -241,13 +242,19 @@ def product_set(left, right) -> set[Permutation]:
     return {a * b for a in left for b in right}
 
 
+def class_lists(G: PermGroup) -> list[list[Permutation]]:
+    """G's conjugacy classes as sorted element lists, numbered as on its indexed view."""
+    iv = indexed_view(G)
+    return [iv.perms(c) for c in iv.classes()]
+
+
 def p_prime_core_oracle(G: PermGroup, p: int) -> PermGroup:
     """The former p_prime_core: a chain per p'-class closure, joined by generators."""
     gens: list[Permutation] = []
-    for cls in conjugacy_classes(G):
-        if cls.elements[-1].order() % p == 0:
+    for cls in class_lists(G):
+        if cls[-1].order() % p == 0:
             continue
-        closed = subgroup_generated(G.degree, cls.elements)
+        closed = subgroup_generated(G.degree, cls)
         if closed.order() % p != 0:
             gens.extend(closed.generators)
     return subgroup_generated(G.degree, gens)

@@ -1,0 +1,81 @@
+"""Quotient groups and verbal subgroups, kept as test oracles.
+
+No check in nilcrit builds a quotient group: the coset lemmas read G/N off
+coset labels on G's indexed view.  The quotient here is built apart from
+that labelling, from plain Permutation products: the right coset of g is
+{n * g for n in N}, and cosets are numbered in order of their minimal
+elements, so a coset's number agrees with the library's labelling without
+sharing its code.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from nilcrit.errors import DegreeMismatch, NotNormal, OrderCapExceeded
+from nilcrit.group import PermGroup, subgroup_generated
+from nilcrit.indexed import indexed_view
+from nilcrit.perm import MAX_DEGREE, Permutation
+
+
+def is_normal(G: PermGroup, N: PermGroup) -> bool:
+    if not N.is_subgroup_of(G):
+        return False
+    return all(N.contains(n.conjugate(g)) for n in N.generators for g in G.generators)
+
+
+@dataclass
+class CosetMap:
+    """The action of a group on the right cosets of a normal subgroup.
+
+    ``labels`` maps each element of the source to its coset number, and
+    ``reps[c]`` is the (lexicographically minimal) element of coset c.
+    Calling the map sends a group element to the permutation it induces on
+    coset numbers.
+    """
+
+    source: PermGroup
+    kernel: PermGroup
+    labels: dict[Permutation, int] = field(repr=False)
+    reps: tuple[Permutation, ...]
+
+    def __call__(self, g: Permutation) -> Permutation:
+        if g.degree != self.source.degree:
+            raise DegreeMismatch("element degree differs from group degree")
+        return Permutation(tuple(self.labels[r * g] for r in self.reps))
+
+
+def quotient(G: PermGroup, N: PermGroup) -> tuple[PermGroup, CosetMap]:
+    """Faithful action of G/N on the right cosets of N.
+
+    N must be normal in G; the index must stay within MAX_DEGREE since it
+    becomes the degree of the quotient group.
+    """
+    if not N.is_subgroup_of(G):
+        raise NotNormal("N is not a subgroup of G")
+    if not is_normal(G, N):
+        raise NotNormal("N is not normal in G")
+    index = G.order() // N.order()
+    if index > MAX_DEGREE:
+        raise OrderCapExceeded(index, MAX_DEGREE, what="coset space")
+    kernel = N.elements()
+    labels: dict[Permutation, int] = {}
+    reps: list[Permutation] = []
+    for g in G.elements():  # canonical order: a coset is first met at its minimal element
+        if g not in labels:
+            labels.update((x, len(reps)) for x in {n * g for n in kernel})
+            reps.append(g)
+    if len(reps) != index:
+        raise RuntimeError(f"coset scan found {len(reps)} cosets, expected {index}")
+
+    cmap = CosetMap(G, N, labels, tuple(reps))
+    Q = PermGroup(index, tuple(cmap(g) for g in G.generators),
+                  name=f"{G.name}/{N.name}" if G.name and N.name else None)
+    if Q.order() * N.order() != G.order():
+        raise RuntimeError("quotient order mismatch: kernel of the coset action is not N")
+    return Q, cmap
+
+
+def verbal_subgroup(G: PermGroup, values: frozenset[int]) -> PermGroup:
+    """The subgroup generated by a word value set, an index set on G's view, grown on a chain."""
+    return subgroup_generated(G.degree, indexed_view(G).perms(sorted(values)))

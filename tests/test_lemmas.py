@@ -20,19 +20,16 @@ from nilcrit.corpus import builtin_names, load_group
 from nilcrit.criterion import coprime_product_criterion
 import nilcrit.group as group_module
 from nilcrit.group import (
-    ElementSet,
     PermGroup,
-    conjugacy_classes,
     group_from_elements,
-    quotient,
     subgroup_generated,
     trivial_group,
 )
 from nilcrit.indexed import IndexedGroup, indexed_view
 from nilcrit.lemmas import (
     LemmaReport,
+    _check_normal_p_set,
     _invariant_subgroup_family,
-    _p_element_normal_indices,
     check_coprime_action,
     check_coset_intersection,
     check_fitting_membership,
@@ -55,10 +52,18 @@ from nilcrit.structure import (
     _sylow_indices,
 )
 from nilcrit.words import delta_values
-from conftest import p_prime_core_oracle, perm, product_set
+from conftest import class_lists, p_prime_core_oracle, perm, product_set
+from oracles import is_normal, quotient
 
 SCALE_CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
 SCALE_NAMES = tuple(sorted(path.stem for path in SCALE_CORPUS.glob("*.grp")))
+
+
+def index_set(G: PermGroup, *members: str | int) -> frozenset[int]:
+    """An index set on G's view: cycle strings are looked up, ints are taken as they are."""
+    iv = indexed_view(G)
+    return frozenset(m if isinstance(m, int) else iv.index[perm(m, G.degree).images]
+                     for m in members)
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +80,6 @@ class TestNormalSubgroups:
         assert [N.order() for N in normal_subgroups(a5)] == [1, 60]
 
     def test_every_listed_subgroup_is_normal(self, s4, s3, d8):
-        from nilcrit.group import is_normal
         for G in (s4, s3, d8):
             for N in normal_subgroups(G):
                 assert is_normal(G, N)
@@ -95,19 +99,17 @@ class TestCosetIntersection:
 
     def test_all_conjugation_closed_two_element_subsets_at_depth_zero(self, s4, a4):
         # unions of conjugacy classes of 2-elements, one class at a time and pairs
-        from nilcrit.group import conjugacy_classes
-        classes = [c for c in conjugacy_classes(s4)
-                   if c.elements[0].order() in (1, 2, 4)]
+        iv = indexed_view(s4)
+        classes = [c for c in iv.classes() if iv.order_of[c[0]] in (1, 2, 4)]
         import itertools
         for r in (1, 2, len(classes)):
             for combo in itertools.combinations(classes, r):
-                members = [x for c in combo for x in c]
-                X = ElementSet.from_iterable(4, members)
+                X = frozenset(x for c in combo for x in c)
                 rep = check_coset_intersection(s4, a4, 2, X)
                 assert rep.holds
 
     def test_rejects_non_p_elements(self, s4, v4):
-        X = ElementSet.from_iterable(4, [perm("(1 2 3)", 4)])
+        X = index_set(s4, "(1 2 3)")
         with pytest.raises(NotPElementSet):
             check_coset_intersection(s4, v4, 2, X)
 
@@ -119,23 +121,24 @@ class TestCosetIntersection:
 
     def test_rejects_x_outside_g(self):
         G = subgroup_generated(4, [perm("(1 2)", 4)])
-        X = ElementSet.from_iterable(4, [perm("(3 4)", 4)])
+        X = frozenset({G.order()})  # one past the last index of G's view
         with pytest.raises(NotNormal):
             check_coset_intersection(G, trivial_group(4), 2, X)
 
     def test_rejects_non_normal_x(self, s4, v4):
-        X = ElementSet.from_iterable(4, [perm("(1 2)", 4)])
+        X = index_set(s4, "(1 2)")
         with pytest.raises(NotNormal):
             check_coset_intersection(s4, v4, 2, X)
 
     def test_rejects_n_outside_g(self, v4):
-        X = ElementSet.from_iterable(4, [perm("(1 2)(3 4)", 4)])
+        X = index_set(v4, "(1 2)(3 4)")
         with pytest.raises(NotNormal):
             check_coset_intersection(v4, subgroup_generated(4, [perm("(1 2)", 4)]), 2, X)
 
     def test_x_outside_g_that_is_not_a_p_set_is_not_normal(self):
-        G = subgroup_generated(4, [perm("(1 2)", 4)])
-        X = ElementSet.from_iterable(4, [perm("(1 2 3)", 4)])
+        # an index outside G's view is reported before a member that is no 2-element
+        G = subgroup_generated(4, [perm("(1 2)", 4), perm("(1 2 3)", 4)])
+        X = index_set(G, "(1 2 3)", G.order())
         with pytest.raises(NotNormal):
             check_coset_intersection(G, trivial_group(4), 2, X)
         with pytest.raises(NotNormal):
@@ -178,12 +181,12 @@ class TestLiftedGeneration:
 
     def test_rejects_x_outside_g(self):
         G = subgroup_generated(4, [perm("(1 2)", 4)])
-        X = ElementSet.from_iterable(4, [perm("(3 4)", 4)])
+        X = frozenset({G.order()})  # one past the last index of G's view
         with pytest.raises(NotNormal):
             check_lifted_generation(G, trivial_group(4), G, 2, X)
 
     def test_rejects_non_normal_x(self, s4, v4, a4):
-        X = ElementSet.from_iterable(4, [perm("(1 2)", 4)])
+        X = index_set(s4, "(1 2)")
         with pytest.raises(NotNormal):
             check_lifted_generation(s4, v4, a4, 2, X)
 
@@ -194,13 +197,15 @@ class TestLiftedGeneration:
             check_lifted_generation(s4, trivial_group(4), L, 2, X)
 
     def test_builds_no_quotient_group(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the lemma battery built a quotient group")
-
-        monkeypatch.setattr("nilcrit.group.quotient", refuse)
-        monkeypatch.setattr("nilcrit.lemmas.quotient", refuse, raising=False)
-        monkeypatch.setattr("nilcrit.group.CosetMap.__call__", refuse)
+        # a quotient group acts on the cosets of N, so its degree is not G's
         G = load_group("S4")
+        init = PermGroup.__init__
+
+        def refuse_other_degrees(self, degree, *args, **kwargs):
+            assert degree == G.degree, "the lemma battery built a quotient group"
+            init(self, degree, *args, **kwargs)
+
+        monkeypatch.setattr(PermGroup, "__init__", refuse_other_degrees)
         outcomes = {"admissible": 0, "inadmissible": 0}
         for inst in lifted_generation_instances(G):
             try:
@@ -253,8 +258,36 @@ class TestLiftedGeneration:
             assert admissible > 0
 
 
+# Malformed value sets X, each with the typed error both coset checks raise for it.
+MALFORMED_X = {
+    "index past the view": (lambda G: frozenset({0, G.order()}), NotNormal, "not contained"),
+    "negative index": (lambda G: frozenset({0, -1}), NotNormal, "not contained"),
+    "not a p-element": (lambda G: index_set(G, "()", "(1 2 3)"), NotPElementSet,
+                        "not a power of 2"),
+    "not conjugation-closed": (lambda G: index_set(G, "()", "(1 2)"), NotNormal,
+                               "not closed under conjugation"),
+}
+COSET_CHECKS = {
+    "coset_intersection": lambda G, X: check_coset_intersection(G, trivial_group(G.degree), 2, X),
+    "lifted_generation": lambda G, X: check_lifted_generation(G, trivial_group(G.degree), G, 2, X),
+}
+
+
+class TestMalformedValueSets:
+    @pytest.mark.parametrize("case", list(MALFORMED_X))
+    @pytest.mark.parametrize("check", list(COSET_CHECKS))
+    def test_both_coset_checks_raise_the_typed_error(self, check, case):
+        G = load_group("S4")  # fresh: nothing checked on it yet
+        build, error, match = MALFORMED_X[case]
+        X = build(G)
+        for _ in range(2):  # a failed check is not kept
+            with pytest.raises(error, match=match):
+                COSET_CHECKS[check](G, X)
+
+
 def coset_intersection_oracle(G, N, P, X):
     """XN cap PN = (X cap P)N on Permutation sets: (holds, checked, minimal stray)."""
+    X = indexed_view(G).perms(sorted(X))
     n_elems = N.elements()
     lhs = product_set(X, n_elems) & product_set(P.elements(), n_elems)
     rhs = product_set([x for x in X if P.contains(x)], n_elems)
@@ -268,6 +301,7 @@ def lifted_generation_oracle(G, N, L, P, X):
     quotient built: P-bar cap L-bar = <P-bar cap X-bar> holds iff
     PN cap LN = <(PN cap XN) u N>.
     """
+    X = indexed_view(G).perms(sorted(X))
     n_elems = N.elements()
     pn = product_set(P.elements(), n_elems)
     ln = product_set(L.elements(), n_elems)
@@ -287,7 +321,7 @@ def quotient_hypothesis_oracle(G, N, L, P, X):
     Q, cmap = quotient(G, N)
     p_bar = set(subgroup_generated(Q.degree, [cmap(g) for g in P.generators]).elements())
     l_bar = set(subgroup_generated(Q.degree, [cmap(g) for g in L.generators]).elements())
-    x_bar = {cmap(x) for x in X}
+    x_bar = {cmap(x) for x in indexed_view(G).perms(X)}
     generated = subgroup_generated(Q.degree, sorted(p_bar & x_bar))
     return p_bar & l_bar == set(generated.elements())
 
@@ -447,30 +481,28 @@ class TestCoprimeAction:
 class TestValueClosureHelper:
     def test_closure_is_conjugation_closed_p_set(self, s4):
         X = p_power_value_closure(s4, 1, 2)
-        for x in X:
+        iv = indexed_view(s4)
+        for x in iv.perms(X):
             assert x.order() in (1, 2, 4)
             for g in s4.generators:
-                assert x.conjugate(g) in X
+                assert iv.index[x.conjugate(g).images] in X
 
     def test_a_checked_value_set_makes_no_second_table_pass(self, monkeypatch):
-        from nilcrit.indexed import IndexedGroup
-
         G = load_group("S4")
         # the values of p_power_value_closure, built apart from G: a set from outside
-        X = ElementSet.from_iterable(G.degree, p_power_value_closure(load_group("S4"), 1, 2))
+        X = frozenset(list(p_power_value_closure(load_group("S4"), 1, 2)))
         passes = 0
-        normal_indices = IndexedGroup.normal_indices
+        require_normal = IndexedGroup.require_normal
 
-        def counted(self, subset):
+        def counted(self, seeds, members):
             nonlocal passes
-            passes += subset is X
-            return normal_indices(self, subset)
+            passes += seeds is X
+            return require_normal(self, seeds, members)
 
-        monkeypatch.setattr(IndexedGroup, "normal_indices", counted)
-        first = _p_element_normal_indices(G, X, 2)
+        monkeypatch.setattr(IndexedGroup, "require_normal", counted)
+        _check_normal_p_set(G, X, 2)
         assert passes == 1
-        assert first == frozenset(indexed_view(G).index[x.images] for x in X)
-        assert _p_element_normal_indices(G, X, 2) is first
+        _check_normal_p_set(G, X, 2)
         for N in normal_subgroups(G):
             check_coset_intersection(G, N, 2, X)
             try:
@@ -478,22 +510,22 @@ class TestValueClosureHelper:
             except HypothesisNotSatisfied:
                 pass
         assert passes == 1
-        # another prime checks the same set afresh
+        # another prime checks the same set afresh, and fails before the table pass
         with pytest.raises(NotPElementSet):
-            _p_element_normal_indices(G, X, 3)
+            _check_normal_p_set(G, X, 3)
         assert passes == 1
 
     def test_equal_value_sets_share_one_check(self, monkeypatch):
-        # both instance generators share one X per (p, depth), which comes
-        # checked from p_power_value_closure; equal sets from outside,
-        # whichever object carries them, are checked once per prime
+        # both instance generators share one X per (p, depth); each value of
+        # (p, X) is checked once, whichever object carries X
         G = load_group("S4")
         scans = []
-        normal_indices = IndexedGroup.normal_indices
+        require_normal = IndexedGroup.require_normal
 
-        def counted(self, subset):
-            scans.append(subset)
-            return normal_indices(self, subset)
+        def counted(self, seeds, members):
+            if seeds is members:  # a value set, not a subgroup's generators
+                scans.append(members)
+            return require_normal(self, seeds, members)
 
         def run_checks(G, coset, lifted, copy=lambda X: X):
             for inst in coset:
@@ -504,49 +536,47 @@ class TestValueClosureHelper:
                 except HypothesisNotSatisfied:
                     pass
 
-        monkeypatch.setattr(IndexedGroup, "normal_indices", counted)
+        monkeypatch.setattr(IndexedGroup, "require_normal", counted)
         coset = list(coset_intersection_instances(G))
         lifted = list(lifted_generation_instances(G))
         run_checks(G, coset, lifted)
         depths = {(inst["p"], inst["depth"]) for inst in coset + lifted}
         values = {(inst["p"], inst["X"]) for inst in coset + lifted}
         assert len({id(inst["X"]) for inst in coset + lifted}) == len(depths)
-        assert scans == []
-
-        # the same instances on a fresh S4, each X passed as a new object
-        fresh = load_group("S4")
-        run_checks(fresh, coset, lifted, lambda X: ElementSet(X.degree, X.elements))
         assert len(scans) == len(values) <= len(depths)
         assert sorted(map(len, scans)) == sorted(len(X) for _, X in values)
 
-    def test_the_value_closure_hands_its_index_set_to_the_check(self, monkeypatch):
+        # the same instances again, each X passed as a new object: no new pass
+        run_checks(G, coset, lifted, lambda X: frozenset(list(X)))
+        assert len(scans) == len(values)
+
+    def test_the_value_closure_hands_its_index_set_to_the_check(self):
         G = load_group("S4")
-        calls = []
-        monkeypatch.setattr(IndexedGroup, "normal_indices", lambda self, subset: calls.append(subset))
         iv = indexed_view(G)
         for depth in (0, 1, 2):
+            values = delta_values(G, depth).indices
             for p in (2, 3):
                 X = p_power_value_closure(G, depth, p)
-                assert _p_element_normal_indices(G, X, p) == \
-                    frozenset(iv.index[x.images] for x in X)
-                other = 5 - p  # the other prime checks X afresh
+                assert X == {i for i in values if p_part(iv.order_of[i], p) == iv.order_of[i]}
+                assert p_power_value_closure(G, depth, p) is X
+                _check_normal_p_set(G, X, p)
+                other = 5 - p  # the other prime rejects X
                 if len(X) > 1:
                     with pytest.raises(NotPElementSet):
-                        _p_element_normal_indices(G, X, other)
-        assert calls == []
+                        _check_normal_p_set(G, X, other)
 
     @pytest.mark.parametrize("members, error, match", [
-        (["(1 5)"], NotNormal, "not contained"),
-        (["(1 2)", "(1 5)"], NotNormal, "not contained"),
+        ([24], NotNormal, "not contained"),
+        (["(1 2)", 24], NotNormal, "not contained"),
         (["(1 2 3)", "(1 2)"], NotPElementSet, "not a power of 2"),
         (["(1 2)"], NotNormal, "not closed under conjugation"),
     ])
     def test_a_bad_value_set_fails_the_same_way_on_every_call(self, members, error, match):
         G = PermGroup(5, [perm("(1 2)", 5), perm("(1 2 3 4)", 5)])  # S4, fixing the point 5
-        X = ElementSet.from_iterable(5, [perm(m, 5) for m in members])
+        X = index_set(G, *members)
         for _ in range(3):
             with pytest.raises(error, match=match):
-                _p_element_normal_indices(G, X, 2)
+                _check_normal_p_set(G, X, 2)
 
     def test_instance_generators_build_one_value_set_per_prime_and_depth(self, monkeypatch):
         G = load_group("S4")
@@ -566,7 +596,7 @@ class TestValueClosureHelper:
     def test_depth0_is_all_p_elements(self, s4):
         X = p_power_value_closure(s4, 0, 2)
         expected = [x for x in s4.elements() if x.order() in (1, 2, 4)]
-        assert set(X) == set(expected)
+        assert set(indexed_view(s4).perms(X)) == set(expected)
 
 
 # The former Permutation- and chain-level implementations, kept as oracles.
@@ -583,8 +613,8 @@ def normal_subgroups_oracle(G: PermGroup) -> list[PermGroup]:
         return True
 
     add(trivial_group(G.degree))
-    for cls in conjugacy_classes(G):
-        add(subgroup_generated(G.degree, cls.elements))
+    for cls in class_lists(G):
+        add(subgroup_generated(G.degree, cls))
     grew = True
     while grew:
         grew = False
@@ -601,7 +631,8 @@ def normal_subgroups_oracle(G: PermGroup) -> list[PermGroup]:
 def focal_generation_oracle(G: PermGroup, depth: int, p: int) -> LemmaReport:
     """Values sifted through P's chain one by one; the target built as a group."""
     P = sylow_subgroup(G, p)
-    inside = [v for v in delta_values(G, depth).values if P.contains(v)]
+    values = indexed_view(G).perms(sorted(delta_values(G, depth).indices))
+    inside = [v for v in values if P.contains(v)]
     generated = subgroup_generated(G.degree, inside)
     target = group_from_elements(
         G.degree, set(P.elements()) & set(derived_term(G, depth).elements()))
@@ -656,10 +687,10 @@ def coprime_action_oracle(G: PermGroup, k: int, values_of=delta_values) -> Lemma
     """Permutation commutators per (N, x, y), each sifted through N's chain."""
     if not coprime_product_criterion(G, k, "delta").holds:
         raise HypothesisNotSatisfied(f"coprime product criterion fails for depth {k}")
-    values = values_of(G, k)
-    value_list = list(values.values)
-    family = invariant_subgroup_family_oracle(G)
     iv = indexed_view(G)
+    values = values_of(G, k).indices
+    value_list = iv.perms(sorted(values))
+    family = invariant_subgroup_family_oracle(G)
     labels = iv.class_labels()[0]
     pairs = 0
     witness = None
@@ -673,7 +704,7 @@ def coprime_action_oracle(G: PermGroup, k: int, values_of=delta_values) -> Lemma
             for y in N.elements():
                 double = commutator(commutator(y, x), x)
                 step = {"N_order": N.order(), "x": x, "y": y}
-                if double not in values.values:
+                if iv.index[double.images] not in values:
                     witness = {**step, "failure": "double commutator left the value set"}
                 elif gcd(double.order(), x.order()) != 1:
                     witness = {**step, "failure": "double commutator order not coprime to |x|"}
@@ -795,9 +826,7 @@ class TestIndexSetsAgainstPermutationOracles:
         # without the identity among the values, the first replayed step fails
         def values_without_identity(G, k):
             values = delta_values(G, k)
-            return SimpleNamespace(
-                values=tuple(v for v in values.values if not v.is_identity()),
-                indices=values.indices - {indexed_view(G).identity_index})
+            return SimpleNamespace(indices=values.indices - {indexed_view(G).identity_index})
 
         G = battery_group("S3wrC3")
         want = coprime_action_oracle(G, 2, values_without_identity)
@@ -830,11 +859,11 @@ class TestNormalSubgroupIndexSets:
         from nilcrit.indexed import IndexedGroup
 
         # the value sets X are normal subsets, not subgroups, checked through
-        # normal_indices; only the passes made for subgroups are counted
+        # _check_normal_p_set; only the passes made for subgroups are counted
         passes: dict[frozenset, int] = {}
         inside: list[PermGroup] = []
         normal_subgroup_indices = IndexedGroup.normal_subgroup_indices
-        require_normal = IndexedGroup._require_normal
+        require_normal = IndexedGroup.require_normal
 
         def counted_subgroup(self, H):
             inside.append(H)
@@ -850,7 +879,7 @@ class TestNormalSubgroupIndexSets:
             return require_normal(self, seeds, members)
 
         monkeypatch.setattr(IndexedGroup, "normal_subgroup_indices", counted_subgroup)
-        monkeypatch.setattr(IndexedGroup, "_require_normal", counted_pass)
+        monkeypatch.setattr(IndexedGroup, "require_normal", counted_pass)
         assert main(["lemmas", str(SCALE_CORPUS / "S4xS4.grp"), "--k", "1..3"]) == 0
         capsys.readouterr()
         assert len(passes) > 1

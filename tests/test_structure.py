@@ -15,7 +15,6 @@ from nilcrit.group import (
     PermGroup,
     group_from_elements,
     normalizer,
-    quotient,
     subgroup_generated,
 )
 from nilcrit.indexed import indexed_view
@@ -23,7 +22,6 @@ from nilcrit.perm import Permutation
 from nilcrit.primes import p_part, prime_factors
 from nilcrit.structure import (
     _distinct_conjugates,
-    _p_power_part,
     _permutable,
     derived_series,
     derived_term,
@@ -50,6 +48,7 @@ from conftest import (
     perm,
     product_set,
 )
+from oracles import quotient
 
 
 def cyclic(n: int) -> PermGroup:
@@ -365,15 +364,21 @@ def loaded(name: str) -> PermGroup:
     return load_group(str(SCALE_CORPUS / f"{name}.grp") if name in SCALE_NAMES else name)
 
 
+def p_power_part(x: Permutation, p: int) -> Permutation:
+    """The p-part of x: a power of x whose order is the p-part of |x|."""
+    n = x.order()
+    return x ** (n // p_part(n, p))
+
+
 def sylow_growth_oracle(G: PermGroup, p: int) -> PermGroup:
     """Sylow growth that builds the normalizer group N_G(P) at every step."""
     target = p_part(G.order(), p)
     seed = next(x for x in G.elements() if x.order() % p == 0)
-    P = subgroup_generated(G.degree, [_p_power_part(seed, p)])
+    P = subgroup_generated(G.degree, [p_power_part(seed, p)])
     while P.order() < target:
         for y in normalizer(G, P).elements():
             if y.order() % p == 0:
-                z = _p_power_part(y, p)
+                z = p_power_part(y, p)
                 if not P.contains(z):
                     P = subgroup_generated(G.degree, P.generators + (z,))
                     break
