@@ -55,7 +55,6 @@ from .words import (
     DeltaValueSet,
     GeneratorTower,
     delta_values,
-    delta_values_bruteforce,
     derived_from_closed_set,
     evaluate_delta,
     evaluate_gamma,

@@ -4,7 +4,10 @@ For word values a, b of coprime orders, nilpotency of the generated verbal
 subgroup forces |ab| = |a||b|; conversely a coprime pair whose product order
 drops witnesses non-nilpotency.  The scan checks every such pair, by default
 with a sound conjugacy reduction (the first element ranges over class
-representatives inside the value set, since |a^g b^g| = |ab|).
+representatives inside the value set, since |a^g b^g| = |ab|).  Orders are
+read off the view's ``order_of``, computed once per conjugacy class, and
+each coprime pair's product a*b is one ``translate`` of a's image bytes and
+one lookup, so the scan builds no multiplication row.
 
 The consistency checkers compare the criterion verdict against a direct
 nilpotency computation of the corresponding subgroup; the insolubility probe
@@ -87,17 +90,18 @@ def coprime_product_criterion(G: PermGroup, k: int, kind: str = "delta",
     else:
         firsts = val_idx
 
-    order_of = iv.order_of
+    order_of, key, pads = iv.order_of, iv.index, iv.pads
     pairs = 0
     for a in firsts:
         oa = order_of[a]
-        row_a = iv.row(a)
+        images_a = iv.images[a]
         for b in val_idx:
             ob = order_of[b]
             if gcd(oa, ob) != 1:
                 continue
             pairs += 1
-            oab = order_of[row_a[b]]
+            # a*b on image bytes: one translate and one lookup, no row of a
+            oab = order_of[key[images_a.translate(pads[b])]]
             if oab != oa * ob:
                 witness = CriterionWitness(iv.elements[a], iv.elements[b], oa, ob, oab)
                 return CriterionReport(kind, k, False, witness, pairs,

@@ -5,7 +5,7 @@ commutator closures) dominate the runtime of every check, and doing them on
 Permutations wastes time re-hashing them.  This view numbers the
 elements in canonical order and multiplies by table lookup; rows of the
 multiplication table are built on demand so sparse access stays cheap.
-Rows, columns, inverses, orders and single commutators and conjugates are
+Rows, columns, inverses and single products, commutators and conjugates are
 computed on the elements' image bytes against ``index``, a dict keyed by
 images, so no Permutation is made per product: a row entry is one
 ``bytes.translate`` and one lookup, and ``comm`` and ``conj`` force no row.
@@ -14,9 +14,11 @@ Conjugation runs on per-generator tables instead of rows.  For each generator
 s of G the view keeps x -> x*s and x -> x^s, and a breadth-first spanning
 tree of G in which every element is b = parent*s, so r^b = (r^parent)^s and
 all conjugates of one element come out of a single pass of table lookups.
-The tables also give the conjugacy classes, numbered by minimal element.
-Building them costs 2 |G| products per generator, against |G|^2 for the
-full multiplication table.
+The tables also give the conjugacy classes, numbered by minimal element,
+and their member lists, built once per view.  Building them costs 2 |G|
+products per generator, against |G|^2 for the full multiplication table.
+Element order is constant on a class, so ``order_of`` is filled on first
+use from one ``image_order`` per class representative.
 
 Subgroups and normal subsets of G are index sets on the view: a subgroup
 closure fetches rows only for the seeds that enlarge it, and a subset is
@@ -30,6 +32,7 @@ view is built.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Collection, Iterable, Iterator
 from weakref import WeakKeyDictionary
 
@@ -50,7 +53,6 @@ class IndexedGroup:
         self.pads: list[bytes] = [pad(p) for p in elems]
         # keyed by images: look a Permutation p up as index[p.images]
         self.index: dict[bytes, int] = {b: i for i, b in enumerate(self.images)}
-        self.order_of: list[int] = [image_order(b) for b in self.images]
         self.inverse: list[int] = [self.index[inverse_table(b)[:len(b)]] for b in self.images]
         self._rows: list[list[int] | None] = [None] * self.size
         # keyed by a subgroup's generator indices (``_generator_key``), which
@@ -62,6 +64,7 @@ class IndexedGroup:
         self._gen_tables: tuple[list[list[int]], list[list[int]]] | None = None
         self._tree: list[tuple[int, int, int]] | None = None
         self._classes: tuple[list[int], list[int]] | None = None
+        self._class_members: list[list[int]] | None = None
         # the identity is the lexicographic minimum of any permutation set
         assert elems[0].is_identity()
         self.identity_index = 0
@@ -89,15 +92,6 @@ class IndexedGroup:
         """index of elements[i]^elements[j] = j^-1 i j, from image bytes; forces no row."""
         pads = self.pads
         return self.index[self.images[self.inverse[j]].translate(pads[i]).translate(pads[j])]
-
-    def commutator_table(self) -> list[list[int]]:
-        """Full table of [a, b] indices; forces all multiplication rows."""
-        inv = self.inverse
-        table = []
-        for i in range(self.size):
-            row_invi = self.row(inv[i])
-            table.append([self.row(self.row(row_invi[inv[j]])[i])[j] for j in range(self.size)])
-        return table
 
     def closure(self, seed: Iterable[int]) -> frozenset[int]:
         """Subgroup closure of the seed indices, by left multiplication with kept seeds' rows."""
@@ -190,12 +184,24 @@ class IndexedGroup:
         return self._classes
 
     def classes(self) -> list[list[int]]:
-        """The conjugacy classes as increasing index lists, numbered as in class_labels."""
+        """The conjugacy classes as increasing index lists, numbered as in class_labels.
+
+        Built once per view and shared by every caller, which must not mutate them.
+        """
+        if self._class_members is None:
+            labels, reps = self.class_labels()
+            members: list[list[int]] = [[] for _ in reps]
+            for i, c in enumerate(labels):
+                members[c].append(i)
+            self._class_members = members
+        return self._class_members
+
+    @cached_property
+    def order_of(self) -> list[int]:
+        """``order_of[i]`` is the order of elements[i]: one ``image_order`` per conjugacy class."""
         labels, reps = self.class_labels()
-        members: list[list[int]] = [[] for _ in reps]
-        for i, c in enumerate(labels):
-            members[c].append(i)
-        return members
+        orders = [image_order(self.images[r]) for r in reps]
+        return [orders[c] for c in labels]
 
     def conjugates(self, r: int) -> list[int]:
         """``out[b]`` is the index of elements[r]^elements[b], for every b.

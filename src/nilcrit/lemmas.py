@@ -21,8 +21,9 @@ the coset checks included, is an index set on G's indexed view: normality
 is one pass over the generators' conjugation tables, made once per normal
 subgroup and kept on the view, generation is ``IndexedGroup.closure``, the
 normal subgroups are closures of unions of conjugacy classes, and the
-coprime-action check reads every commutator off table lookups.  G's view is the only one built, and a PermGroup only wraps
-an index set, with no chain built for it.
+coprime-action check reads every commutator off table lookups.  G's view
+is the only one built, and a PermGroup only wraps an index set, with no
+chain built for it.
 
 Inadmissible inputs raise HypothesisNotSatisfied (or a structural error);
 holds=False is reserved for genuine counter-evidence, which for proven facts

@@ -3,8 +3,8 @@
 The depth-k derived word takes 2^k arguments and nests commutators over the
 two argument halves; its value set is computed level by level as commutators
 of the previous level, which agrees with the literal tuple evaluation because
-the argument blocks are independent.  A tuple brute-force evaluator is kept
-purely as a testing oracle.
+the argument blocks are independent.  The tuple brute force that checks this
+lives with the tests' oracles.
 
 Every level is a normal subset of G, since [a, b]^g = [a^g, b^g].  So a level
 is computed from class representatives only: with L the current level and B
@@ -12,9 +12,12 @@ the normal subset the second argument ranges over (L for the derived word, G
 for the left-normed one), the next level is the union of the conjugacy
 classes of the commutators [r, b] = r^-1 * r^b, r a class representative in
 L and b in B.  This is the whole level because [r^h, b] = [r, b^(h^-1)]^h
-and b^(h^-1) lies in B again.  Each representative costs one pass over G's
-spanning tree and one product r^-1 * y per distinct conjugate y = r^b, so a
-level costs at most |L| products instead of the |L| |B| of all pairs.
+and b^(h^-1) lies in B again.  Each representative costs one product
+r^-1 * y per distinct conjugate y = r^b, so a level costs at most |L|
+products instead of the |L| |B| of all pairs.  When B is all of G (every
+left-normed level, and the derived word's first), the conjugates of r are
+its class, read off the view's class member lists; only deeper derived
+levels make a pass over G's spanning tree per representative.
 
 Also here: the tower construction that writes a soluble group as a product of
 nilpotent system normalizers and extracts from it a commutator-closed
@@ -23,7 +26,6 @@ generating set of prime-power-order elements.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -32,7 +34,6 @@ from .errors import (
     NotCommutatorClosed,
     NotGenerating,
     NotSoluble,
-    OrderCapExceeded,
 )
 from .group import PermGroup
 from .indexed import indexed_view
@@ -47,8 +48,6 @@ from .structure import (
     product_order,
     sylow_basis,
 )
-
-_TUPLE_BUDGET = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -100,6 +99,8 @@ def _value_levels(G: PermGroup, kind: str, upto: int) -> tuple[list[frozenset[in
     set equals its successor, or None while undetected.  Each next level is
     the union of the classes of [r, b], r a class representative of the
     current level and b in B (the current level for "delta", G for "gamma").
+    When B is all of G, the conjugates r^b are r's class; otherwise they are
+    read off ``conjugates(r)`` at the b in B.
     """
     iv = indexed_view(G)
     state = G.memo(("word_levels", kind),
@@ -109,15 +110,19 @@ def _value_levels(G: PermGroup, kind: str, upto: int) -> tuple[list[frozenset[in
     key, pads = iv.index, iv.pads
     while state["stable_at"] is None and len(levels) <= upto:
         prev = levels[-1]
-        second = prev if kind == "delta" else range(iv.size)
+        whole = kind == "gamma" or len(prev) == iv.size
+        classes = iv.classes() if whole else None
         hit = set()
         for c in {labels[a] for a in prev}:
             r = reps[c]
-            conj_r = iv.conjugates(r)
+            if whole:
+                conj_r = classes[c]
+            else:
+                conj = iv.conjugates(r)
+                conj_r = {conj[b] for b in prev}
             inv_r = iv.images[iv.inverse[r]]
             # [r, b] = r^-1 * r^b, one product per distinct conjugate r^b
-            hit.update(labels[key[inv_r.translate(pads[y])]]
-                       for y in {conj_r[b] for b in second})
+            hit.update(labels[key[inv_r.translate(pads[y])]] for y in conj_r)
         nxt = frozenset(x for x in range(iv.size) if labels[x] in hit)
         if nxt == prev:
             state["stable_at"] = len(levels) - 1
@@ -160,48 +165,6 @@ def gamma_values(G: PermGroup, k: int) -> DeltaValueSet:
     # one level past k, so that stabilization at k is detected
     levels, stable_at = _value_levels(G, "gamma", k)
     return DeltaValueSet("gamma", k, *_level_at(levels, stable_at, k - 1))
-
-
-def delta_values_bruteforce(G: PermGroup, k: int) -> DeltaValueSet:
-    """Tuple-enumeration oracle: evaluates the word on every 2^k argument tuple.
-
-    Exponential in |G|; intended for cross-checking delta_values on small
-    groups only.
-    """
-    if k < 0:
-        raise ValueError("depth must be nonnegative")
-    iv = indexed_view(G)
-    n = iv.size
-    if n ** (2 ** k) > _TUPLE_BUDGET:
-        raise OrderCapExceeded(n ** (2 ** k), _TUPLE_BUDGET, what="argument tuple space")
-    if k == 0:
-        idxs = set(range(n))
-    elif k == 1:
-        ct = iv.commutator_table()
-        idxs = {ct[a][b] for a in range(n) for b in range(n)}
-    elif k == 2:
-        ct = iv.commutator_table()
-        rng = range(n)
-        idxs = set()
-        for a in rng:
-            row_a = ct[a]
-            for b in rng:
-                left = ct[row_a[b]]
-                for c in rng:
-                    row_c = ct[c]
-                    for d in rng:
-                        idxs.add(left[row_c[d]])
-    else:
-        ct = iv.commutator_table()
-
-        def word(tup: tuple[int, ...]) -> int:
-            if len(tup) == 1:
-                return tup[0]
-            half = len(tup) // 2
-            return ct[word(tup[:half])][word(tup[half:])]
-
-        idxs = {word(t) for t in itertools.product(range(n), repeat=2 ** k)}
-    return DeltaValueSet("delta", k, frozenset(idxs), False)
 
 
 def is_symmetric(X: Iterable[Permutation]) -> bool:

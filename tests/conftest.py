@@ -12,12 +12,31 @@ import math
 import signal
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+from nilcrit.corpus import load_group
 from nilcrit.perm import Permutation, commutator
 from nilcrit.group import PermGroup, subgroup_generated
 from nilcrit.indexed import indexed_view
+
+SCALE_CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
+
+
+def scale_group(name: str) -> PermGroup:
+    """A group of the scale corpus, loaded from its descriptor file."""
+    return load_group(str(SCALE_CORPUS / f"{name}.grp"))
+
+
+def regular_cyclic(n: int) -> PermGroup:
+    return PermGroup(n, [Permutation([(x + 1) % n for x in range(n)])], name=f"C{n}")
+
+
+def regular_elementary_abelian(bits: int) -> PermGroup:
+    n = 1 << bits
+    return PermGroup(n, [Permutation([x ^ (1 << i) for x in range(n)]) for i in range(bits)],
+                     name=f"C2^{bits}")
 
 
 def perm(cycles: str, degree: int) -> Permutation:

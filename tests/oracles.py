@@ -1,21 +1,27 @@
-"""Quotient groups and verbal subgroups, kept as test oracles.
+"""Quotient groups, verbal subgroups and the tuple brute force, kept as test oracles.
 
 No check in nilcrit builds a quotient group: the coset lemmas read G/N off
 coset labels on G's indexed view.  The quotient here is built apart from
 that labelling, from plain Permutation products: the right coset of g is
 {n * g for n in N}, and cosets are numbered in order of their minimal
 elements, so a coset's number agrees with the library's labelling without
-sharing its code.
+sharing its code.  The tuple brute force evaluates the derived word on
+every argument tuple through a commutator table of single ``comm`` lookups,
+so it shares neither the word levels' class walk nor the view's rows.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from nilcrit.errors import DegreeMismatch, NotNormal, OrderCapExceeded
 from nilcrit.group import PermGroup, subgroup_generated
 from nilcrit.indexed import indexed_view
 from nilcrit.perm import MAX_DEGREE, Permutation
+from nilcrit.words import DeltaValueSet
+
+TUPLE_BUDGET = 50_000_000
 
 
 def is_normal(G: PermGroup, N: PermGroup) -> bool:
@@ -79,3 +85,47 @@ def quotient(G: PermGroup, N: PermGroup) -> tuple[PermGroup, CosetMap]:
 def verbal_subgroup(G: PermGroup, values: frozenset[int]) -> PermGroup:
     """The subgroup generated by a word value set, an index set on G's view, grown on a chain."""
     return subgroup_generated(G.degree, indexed_view(G).perms(sorted(values)))
+
+
+def commutator_table(G: PermGroup) -> list[list[int]]:
+    """``table[a][b]`` is the index of [a, b] on G's view, one ``comm`` per pair."""
+    iv = indexed_view(G)
+    return [[iv.comm(a, b) for b in range(iv.size)] for a in range(iv.size)]
+
+
+def delta_values_bruteforce(G: PermGroup, k: int) -> DeltaValueSet:
+    """Tuple-enumeration oracle: evaluates the depth-k derived word on every 2^k argument tuple.
+
+    Exponential in |G|; for cross-checking delta_values on small groups only.
+    """
+    if k < 0:
+        raise ValueError("depth must be nonnegative")
+    n = G.order()
+    if n ** (2 ** k) > TUPLE_BUDGET:
+        raise OrderCapExceeded(n ** (2 ** k), TUPLE_BUDGET, what="argument tuple space")
+    if k == 0:
+        return DeltaValueSet("delta", 0, frozenset(range(n)), False)
+    ct = commutator_table(G)
+    rng = range(n)
+    if k == 1:
+        idxs = {ct[a][b] for a in rng for b in rng}
+    elif k == 2:
+        idxs = set()
+        for a in rng:
+            row_a = ct[a]
+            for b in rng:
+                left = ct[row_a[b]]
+                for c in rng:
+                    row_c = ct[c]
+                    for d in rng:
+                        idxs.add(left[row_c[d]])
+    else:
+
+        def word(tup: tuple[int, ...]) -> int:
+            if len(tup) == 1:
+                return tup[0]
+            half = len(tup) // 2
+            return ct[word(tup[:half])][word(tup[half:])]
+
+        idxs = {word(t) for t in itertools.product(rng, repeat=2 ** k)}
+    return DeltaValueSet("delta", k, frozenset(idxs), False)

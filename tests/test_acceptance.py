@@ -43,7 +43,6 @@ from nilcrit.structure import (
 )
 from nilcrit.words import (
     delta_values,
-    delta_values_bruteforce,
     derived_from_closed_set,
     evaluate_delta,
     generator_tower,
@@ -52,7 +51,7 @@ from nilcrit.words import (
 )
 
 from conftest import product_set
-from oracles import quotient
+from oracles import delta_values_bruteforce, quotient
 
 
 def _report(line: str) -> None:

@@ -8,7 +8,6 @@ compute the same tables and chains with a Permutation per product.
 from __future__ import annotations
 
 import random
-from pathlib import Path
 
 import pytest
 
@@ -18,24 +17,16 @@ from nilcrit.group import PermGroup
 from nilcrit.indexed import indexed_view
 from nilcrit.perm import MAX_DEGREE, Permutation, commutator
 
-from conftest import PermutationChain, PermutationView
+from conftest import (
+    SCALE_CORPUS,
+    PermutationChain,
+    PermutationView,
+    regular_cyclic,
+    regular_elementary_abelian,
+    scale_group,
+)
 
-SCALE_CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
 SCALE_NAMES = sorted(p.stem for p in SCALE_CORPUS.glob("*.grp"))
-
-
-def scale_group(name: str) -> PermGroup:
-    return load_group(str(SCALE_CORPUS / f"{name}.grp"))
-
-
-def regular_cyclic(n: int) -> PermGroup:
-    return PermGroup(n, [Permutation([(x + 1) % n for x in range(n)])], name=f"C{n}")
-
-
-def regular_elementary_abelian(bits: int) -> PermGroup:
-    n = 1 << bits
-    return PermGroup(n, [Permutation([x ^ (1 << i) for x in range(n)]) for i in range(bits)],
-                     name=f"C2^{bits}")
 
 
 def assert_view_matches_oracle(G: PermGroup) -> None:

@@ -17,7 +17,6 @@ from nilcrit.perm import Permutation, commutator
 from nilcrit.structure import derived_series, derived_term, lower_central_term
 from nilcrit.words import (
     delta_values,
-    delta_values_bruteforce,
     derived_from_closed_set,
     evaluate_delta,
     evaluate_gamma,
@@ -29,7 +28,7 @@ from nilcrit.words import (
 )
 
 from conftest import perm
-from oracles import verbal_subgroup
+from oracles import delta_values_bruteforce, verbal_subgroup
 
 CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
 
