@@ -24,7 +24,6 @@ from .group import (
     DEFAULT_ENUM_CAP,
     PermGroup,
     centralizer,
-    group_from_elements,
     normal_closure,
     normalizer,
     subgroup_generated,
@@ -56,12 +55,8 @@ from .words import (
     GeneratorTower,
     delta_values,
     derived_from_closed_set,
-    evaluate_delta,
-    evaluate_gamma,
     gamma_values,
     generator_tower,
-    is_commutator_closed,
-    is_symmetric,
     random_commutator_closed_generating_set,
 )
 from .criterion import (

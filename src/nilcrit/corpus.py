@@ -19,10 +19,9 @@ regular permutation representations.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import OrderMismatch, ParseError, TagMismatch
 from .group import PermGroup
@@ -32,8 +31,7 @@ from .structure import is_nilpotent, is_soluble
 KNOWN_TAGS = ("nilpotent", "soluble", "insoluble")
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(NamedTuple):
     """Portable description of a permutation group: degree plus 1-based image arrays."""
 
     id: str
@@ -331,6 +329,8 @@ def load_group(name_or_path: str) -> PermGroup:
 
 def corpus_hash(names: list[str]) -> str:
     """Stable digest of the selected descriptors, for report provenance."""
+    import hashlib  # loads OpenSSL; only the reports' provenance needs it
+
     payload = "\n".join(BUILTINS[n].canonical_text() if n in BUILTINS else n
                         for n in sorted(names))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

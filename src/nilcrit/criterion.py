@@ -16,8 +16,8 @@ runs the same scan on insoluble groups and only reports what it finds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import NotSoluble
 from .group import PermGroup
@@ -27,8 +27,7 @@ from .structure import derived_term, is_nilpotent, is_soluble, lower_central_ter
 from .words import delta_values, gamma_values
 
 
-@dataclass(frozen=True)
-class CriterionWitness:
+class CriterionWitness(NamedTuple):
     """A coprime-order value pair whose product order is not the product of orders."""
 
     a: Permutation
@@ -46,8 +45,7 @@ class CriterionWitness:
                 and self.order_ab != self.order_a * self.order_b)
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(NamedTuple):
     kind: str
     k: int
     holds: bool
@@ -109,8 +107,7 @@ def coprime_product_criterion(G: PermGroup, k: int, kind: str = "delta",
     return CriterionReport(kind, k, True, None, pairs, reduce_by_classes, len(val_idx) + 1)
 
 
-@dataclass(frozen=True)
-class NilpotencyCheck:
+class NilpotencyCheck(NamedTuple):
     """Criterion verdict side by side with the actual nilpotency of the subgroup."""
 
     criterion: CriterionReport
@@ -145,8 +142,7 @@ def lower_central_nilpotency_check(G: PermGroup, k: int) -> NilpotencyCheck:
     return NilpotencyCheck(report, H.order(), is_nilpotent(H))
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     """Criterion outcome on a (typically insoluble) group, with no equivalence claim.
 
     A holding criterion on an insoluble group would be a candidate

@@ -13,7 +13,6 @@ safe.
 from __future__ import annotations
 
 import random
-from operator import attrgetter
 from typing import Callable, Iterable
 
 from .chain import StabilizerChain
@@ -21,8 +20,6 @@ from .errors import DegreeMismatch, NotNormal, OrderCapExceeded
 from .perm import Permutation, inverse_table, pad, wrap_images
 
 DEFAULT_ENUM_CAP = 200_000
-
-_images = attrgetter("images")
 
 
 class PermGroup:
@@ -132,17 +129,6 @@ def _group_on_chain(chain: StabilizerChain, generators: list[Permutation]) -> Pe
     """The group the generators generate, given a complete chain of it built from them."""
     group = PermGroup(chain.degree, generators)
     group._chain = chain
-    return group
-
-
-def group_from_elements(degree: int, elements: Iterable[Permutation]) -> PermGroup:
-    """Build a group from its full (closed) element collection, with a reduced generating set."""
-    elems = tuple(sorted(set(elements), key=_images))
-    group = subgroup_generated(degree, elems)
-    if group.order() != len(elems):
-        raise ValueError(f"element collection of size {len(elems)} is not closed "
-                         f"(generates order {group.order()})")
-    group._elements = elems
     return group
 
 

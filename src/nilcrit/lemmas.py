@@ -32,9 +32,8 @@ means an implementation bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import (
     HypothesisNotSatisfied,
@@ -59,8 +58,7 @@ from .structure import (
 from .words import delta_values
 
 
-@dataclass
-class LemmaReport:
+class LemmaReport(NamedTuple):
     """Outcome of one lemma check on one concrete instance."""
 
     lemma_id: str

@@ -21,8 +21,7 @@ view, and factorizations are checked by |AB| = |A| |B| / |A cap B|.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     NotPrimeDivisor,
@@ -39,8 +38,7 @@ from .primes import is_prime, p_part, prime_factors
 SYLOW_BASIS_MAX_TESTS = 200_000
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(NamedTuple):
     """A descending subgroup series with its order profile.
 
     ``stabilized`` records that the final term is a genuine fixed point of the
@@ -265,8 +263,7 @@ def fitting_subgroup(G: PermGroup) -> PermGroup:
 
 # Sylow bases and basis normalizers
 
-@dataclass(frozen=True)
-class SylowBasis:
+class SylowBasis(NamedTuple):
     """Pairwise permutable Sylow subgroups, one per prime, with their normalizer.
 
     ``normalizer`` is the basis (system) normalizer: the intersection of the

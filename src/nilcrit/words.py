@@ -27,8 +27,7 @@ generating set of prime-power-order elements.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import NamedTuple
 
 from .errors import (
     NotCommutatorClosed,
@@ -37,7 +36,6 @@ from .errors import (
 )
 from .group import PermGroup
 from .indexed import indexed_view
-from .perm import Permutation, commutator
 from .primes import is_prime_power
 from .structure import (
     derived_subgroup,
@@ -50,65 +48,45 @@ from .structure import (
 )
 
 
-@dataclass(frozen=True)
 class DeltaValueSet:
     """The set of depth-k word values of a group.
 
     kind is "delta" (derived word, 2^k arguments) or "gamma" (left-normed
-    word, k arguments).  ``indices`` is the value set on G's indexed view.
-    ``stabilized`` is set when the requested depth lies at or past the point
-    where the level sets stop shrinking, in which case the stable set is
-    returned rather than an error.
+    word, k arguments).  ``indices`` is the value set on G's indexed view;
+    past the depth where the levels stop shrinking it is the stable set.
+    ``len()`` is the number of values.
     """
 
-    kind: str
-    k: int
-    indices: frozenset[int]
-    stabilized: bool
+    __slots__ = ("kind", "k", "indices")
+
+    def __init__(self, kind: str, k: int, indices: frozenset[int]) -> None:
+        self.kind, self.k, self.indices = kind, k, indices
 
     def __len__(self) -> int:
         return len(self.indices)
 
-
-def evaluate_delta(k: int, args: Sequence[Permutation]) -> Permutation:
-    """Literal evaluation of the depth-k derived word on 2^k arguments."""
-    if len(args) != 2 ** k:
-        raise ValueError(f"depth {k} takes {2 ** k} arguments, got {len(args)}")
-    if k == 0:
-        return args[0]
-    half = len(args) // 2
-    return commutator(evaluate_delta(k - 1, args[:half]),
-                      evaluate_delta(k - 1, args[half:]))
+    def __repr__(self) -> str:
+        return f"DeltaValueSet(kind={self.kind!r}, k={self.k!r}, indices={self.indices!r})"
 
 
-def evaluate_gamma(args: Sequence[Permutation]) -> Permutation:
-    """Left-normed commutator [g1, g2, ..., gk]."""
-    if not args:
-        raise ValueError("the left-normed word takes at least one argument")
-    acc = args[0]
-    for g in args[1:]:
-        acc = commutator(acc, g)
-    return acc
+def _value_levels(G: PermGroup, kind: str, i: int) -> frozenset[int]:
+    """Index-level value set i, computed incrementally and cached on the group.
 
-
-def _value_levels(G: PermGroup, kind: str, upto: int) -> tuple[list[frozenset[int]], int | None]:
-    """Index-level value sets, computed incrementally and cached on the group.
-
-    Returns (levels, stable_at).  levels[i] holds the values of depth i for
-    "delta" and of depth i+1 for "gamma"; stable_at is the first index whose
-    set equals its successor, or None while undetected.  Each next level is
-    the union of the classes of [r, b], r a class representative of the
+    Level i holds the values of depth i for "delta" and of depth i+1 for
+    "gamma"; past the level where the sets stop shrinking, the stable set is
+    returned.  Levels are computed up to i and no further.  Each next level
+    is the union of the classes of [r, b], r a class representative of the
     current level and b in B (the current level for "delta", G for "gamma").
     When B is all of G, the conjugates r^b are r's class; otherwise they are
     read off ``conjugates(r)`` at the b in B.
     """
     iv = indexed_view(G)
     state = G.memo(("word_levels", kind),
-                   lambda: {"levels": [frozenset(range(iv.size))], "stable_at": None})
+                   lambda: {"levels": [frozenset(range(iv.size))], "stable": False})
     levels: list[frozenset[int]] = state["levels"]
     labels, reps = iv.class_labels()
     key, pads = iv.index, iv.pads
-    while state["stable_at"] is None and len(levels) <= upto:
+    while not state["stable"] and len(levels) <= i:
         prev = levels[-1]
         whole = kind == "gamma" or len(prev) == iv.size
         classes = iv.classes() if whole else None
@@ -125,16 +103,10 @@ def _value_levels(G: PermGroup, kind: str, upto: int) -> tuple[list[frozenset[in
             hit.update(labels[key[inv_r.translate(pads[y])]] for y in conj_r)
         nxt = frozenset(x for x in range(iv.size) if labels[x] in hit)
         if nxt == prev:
-            state["stable_at"] = len(levels) - 1
+            state["stable"] = True
             break
         levels.append(nxt)
-    return levels, state["stable_at"]
-
-
-def _level_at(levels: list[frozenset[int]], stable_at: int | None, i: int) -> tuple[frozenset[int], bool]:
-    if i < len(levels):
-        return levels[i], stable_at is not None and i >= stable_at
-    return levels[-1], True
+    return levels[min(i, len(levels) - 1)]
 
 
 def delta_values(G: PermGroup, k: int) -> DeltaValueSet:
@@ -147,9 +119,7 @@ def delta_values(G: PermGroup, k: int) -> DeltaValueSet:
     """
     if k < 0:
         raise ValueError("depth must be nonnegative")
-    # one level past k, so that stabilization at k is detected
-    levels, stable_at = _value_levels(G, "delta", k + 1)
-    return DeltaValueSet("delta", k, *_level_at(levels, stable_at, k))
+    return DeltaValueSet("delta", k, _value_levels(G, "delta", k))
 
 
 def gamma_values(G: PermGroup, k: int) -> DeltaValueSet:
@@ -162,19 +132,7 @@ def gamma_values(G: PermGroup, k: int) -> DeltaValueSet:
     """
     if k < 1:
         raise ValueError("the left-normed word is indexed from 1")
-    # one level past k, so that stabilization at k is detected
-    levels, stable_at = _value_levels(G, "gamma", k)
-    return DeltaValueSet("gamma", k, *_level_at(levels, stable_at, k - 1))
-
-
-def is_symmetric(X: Iterable[Permutation]) -> bool:
-    elems = set(X)
-    return all(x.inverse() in elems for x in elems)
-
-
-def is_commutator_closed(X: Iterable[Permutation]) -> bool:
-    elems = set(X)
-    return all(commutator(a, b) in elems for a in elems for b in elems)
+    return DeltaValueSet("gamma", k, _value_levels(G, "gamma", k - 1))
 
 
 def random_commutator_closed_generating_set(G: PermGroup, rng: random.Random) -> frozenset[int]:
@@ -220,8 +178,7 @@ def derived_from_closed_set(G: PermGroup, X: frozenset[int]) -> PermGroup:
     return H
 
 
-@dataclass(frozen=True)
-class GeneratorTower:
+class GeneratorTower(NamedTuple):
     """Product decomposition of a soluble group into nilpotent normalizers.
 
     ``chain`` is the descending tower K_1 = G, K_{i+1} = residual(K_i) down to

@@ -1,4 +1,4 @@
-"""Quotient groups, verbal subgroups and the tuple brute force, kept as test oracles.
+"""Test oracles: quotients, verbal subgroups, the tuple brute force and literal word evaluation.
 
 No check in nilcrit builds a quotient group: the coset lemmas read G/N off
 coset labels on G's indexed view.  The quotient here is built apart from
@@ -7,18 +7,22 @@ that labelling, from plain Permutation products: the right coset of g is
 elements, so a coset's number agrees with the library's labelling without
 sharing its code.  The tuple brute force evaluates the derived word on
 every argument tuple through a commutator table of single ``comm`` lookups,
-so it shares neither the word levels' class walk nor the view's rows.
+so it shares neither the word levels' class walk nor the view's rows.  The
+word evaluators and the closure predicates form ``Permutation`` commutators
+directly, and ``group_from_elements`` builds a group from a closed element
+collection.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 from nilcrit.errors import DegreeMismatch, NotNormal, OrderCapExceeded
 from nilcrit.group import PermGroup, subgroup_generated
 from nilcrit.indexed import indexed_view
-from nilcrit.perm import MAX_DEGREE, Permutation
+from nilcrit.perm import MAX_DEGREE, Permutation, commutator
 from nilcrit.words import DeltaValueSet
 
 TUPLE_BUDGET = 50_000_000
@@ -104,7 +108,7 @@ def delta_values_bruteforce(G: PermGroup, k: int) -> DeltaValueSet:
     if n ** (2 ** k) > TUPLE_BUDGET:
         raise OrderCapExceeded(n ** (2 ** k), TUPLE_BUDGET, what="argument tuple space")
     if k == 0:
-        return DeltaValueSet("delta", 0, frozenset(range(n)), False)
+        return DeltaValueSet("delta", 0, frozenset(range(n)))
     ct = commutator_table(G)
     rng = range(n)
     if k == 1:
@@ -128,4 +132,46 @@ def delta_values_bruteforce(G: PermGroup, k: int) -> DeltaValueSet:
             return ct[word(tup[:half])][word(tup[half:])]
 
         idxs = {word(t) for t in itertools.product(rng, repeat=2 ** k)}
-    return DeltaValueSet("delta", k, frozenset(idxs), False)
+    return DeltaValueSet("delta", k, frozenset(idxs))
+
+
+def group_from_elements(degree: int, elements: Iterable[Permutation]) -> PermGroup:
+    """Build a group from its full (closed) element collection, with a reduced generating set."""
+    elems = tuple(sorted(set(elements), key=lambda p: p.images))
+    group = subgroup_generated(degree, elems)
+    if group.order() != len(elems):
+        raise ValueError(f"element collection of size {len(elems)} is not closed "
+                         f"(generates order {group.order()})")
+    group._elements = elems
+    return group
+
+
+def evaluate_delta(k: int, args: Sequence[Permutation]) -> Permutation:
+    """Literal evaluation of the depth-k derived word on 2^k arguments."""
+    if len(args) != 2 ** k:
+        raise ValueError(f"depth {k} takes {2 ** k} arguments, got {len(args)}")
+    if k == 0:
+        return args[0]
+    half = len(args) // 2
+    return commutator(evaluate_delta(k - 1, args[:half]),
+                      evaluate_delta(k - 1, args[half:]))
+
+
+def evaluate_gamma(args: Sequence[Permutation]) -> Permutation:
+    """Left-normed commutator [g1, g2, ..., gk]."""
+    if not args:
+        raise ValueError("the left-normed word takes at least one argument")
+    acc = args[0]
+    for g in args[1:]:
+        acc = commutator(acc, g)
+    return acc
+
+
+def is_symmetric(X: Iterable[Permutation]) -> bool:
+    elems = set(X)
+    return all(x.inverse() in elems for x in elems)
+
+
+def is_commutator_closed(X: Iterable[Permutation]) -> bool:
+    elems = set(X)
+    return all(commutator(a, b) in elems for a in elems for b in elems)

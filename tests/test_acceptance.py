@@ -44,14 +44,12 @@ from nilcrit.structure import (
 from nilcrit.words import (
     delta_values,
     derived_from_closed_set,
-    evaluate_delta,
     generator_tower,
-    is_commutator_closed,
     random_commutator_closed_generating_set,
 )
 
 from conftest import product_set
-from oracles import delta_values_bruteforce, quotient
+from oracles import delta_values_bruteforce, evaluate_delta, is_commutator_closed, quotient
 
 
 def _report(line: str) -> None:

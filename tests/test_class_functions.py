@@ -67,12 +67,12 @@ def test_levels_over_all_of_g_call_no_conjugates(monkeypatch, name):
     calls = count_calls(monkeypatch, IndexedGroup, "conjugates", IndexedGroup.conjugates)
     for k in (1, 2, 3):
         gamma_values(G, k)
-    # delta_values(G, 0) computes delta's first level, one past depth 0
-    delta_values(G, 0)
-    assert calls[0] == 0
-    # delta_values(G, 1) adds the second level: one call per class of the first
-    # level's representatives, unless the first level is all of G
+    # delta_values(G, 1) computes delta's first level, whose predecessor is all of G
     first = delta_values(G, 1).indices
+    assert calls[0] == 0
+    # delta_values(G, 2) adds the second level: one call per class of the first
+    # level's representatives, unless the first level is all of G
+    delta_values(G, 2)
     iv = indexed_view(G)
     labels = iv.class_labels()[0]
     want = 0 if len(first) == iv.size else len({labels[i] for i in first})

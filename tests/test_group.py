@@ -21,7 +21,6 @@ from nilcrit.group import (
     DEFAULT_ENUM_CAP,
     PermGroup,
     centralizer,
-    group_from_elements,
     normal_closure,
     normalizer,
     subgroup_generated,
@@ -43,7 +42,7 @@ from nilcrit.structure import (
 from nilcrit.words import delta_values
 
 from conftest import class_lists, closure_oracle, classes_oracle, perm
-from oracles import is_normal, quotient
+from oracles import group_from_elements, is_normal, quotient
 
 
 def big_omega(n: int) -> int:

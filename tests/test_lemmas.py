@@ -21,7 +21,6 @@ from nilcrit.criterion import coprime_product_criterion
 import nilcrit.group as group_module
 from nilcrit.group import (
     PermGroup,
-    group_from_elements,
     subgroup_generated,
     trivial_group,
 )
@@ -53,7 +52,7 @@ from nilcrit.structure import (
 )
 from nilcrit.words import delta_values
 from conftest import class_lists, p_prime_core_oracle, perm, product_set
-from oracles import is_normal, quotient
+from oracles import group_from_elements, is_normal, quotient
 
 SCALE_CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
 SCALE_NAMES = tuple(sorted(path.stem for path in SCALE_CORPUS.glob("*.grp")))

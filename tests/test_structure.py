@@ -13,7 +13,6 @@ from nilcrit.corpus import builtin_names, filter_names, load_group
 from nilcrit.errors import NotPrimeDivisor, NotSoluble
 from nilcrit.group import (
     PermGroup,
-    group_from_elements,
     normalizer,
     subgroup_generated,
 )
@@ -48,7 +47,7 @@ from conftest import (
     perm,
     product_set,
 )
-from oracles import quotient
+from oracles import group_from_elements, quotient
 
 
 def cyclic(n: int) -> PermGroup:
@@ -177,7 +176,6 @@ class TestLowerFittingSeries:
                 return 0
             best = None
             for nset in normal_subgroup_sets_oracle(G):
-                from nilcrit.group import group_from_elements
                 N = group_from_elements(G.degree, nset)
                 if N.order() == G.order():
                     continue
@@ -260,7 +258,6 @@ class TestCores:
         assert fitting_subgroup(d8).equals(d8)
 
     def test_fitting_contains_every_normal_nilpotent_subgroup(self, s4, s3):
-        from nilcrit.group import group_from_elements
         for G in (s4, s3):
             F = fitting_subgroup(G)
             for nset in normal_subgroup_sets_oracle(G):
