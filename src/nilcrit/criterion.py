@@ -6,8 +6,7 @@ drops witnesses non-nilpotency.  The scan checks every such pair, by default
 with a sound conjugacy reduction (the first element ranges over class
 representatives inside the value set, since |a^g b^g| = |ab|).  Orders are
 read off the view's ``order_of``, computed once per conjugacy class, and
-each coprime pair's product a*b is one ``translate`` of a's image bytes and
-one lookup, so the scan builds no multiplication row.
+each coprime pair's product a*b is one ``translate`` and one lookup.
 
 The consistency checkers compare the criterion verdict against a direct
 nilpotency computation of the corresponding subgroup; the insolubility probe
@@ -98,7 +97,6 @@ def coprime_product_criterion(G: PermGroup, k: int, kind: str = "delta",
             if gcd(oa, ob) != 1:
                 continue
             pairs += 1
-            # a*b on image bytes: one translate and one lookup, no row of a
             oab = order_of[key[images_a.translate(pads[b])]]
             if oab != oa * ob:
                 witness = CriterionWitness(iv.elements[a], iv.elements[b], oa, ob, oab)

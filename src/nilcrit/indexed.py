@@ -1,16 +1,11 @@
 """Index-based multiplication view of an enumerated group.
 
-Pair-enumeration loops (word value closures, coprime product scans, random
-commutator closures) dominate the runtime of every check, and doing them on
-Permutations wastes time re-hashing them.  This view numbers the
-elements in canonical order and multiplies by table lookup; rows of the
-multiplication table are built on demand so sparse access stays cheap.
-Rows, columns, inverses and single products, commutators and conjugates are
-computed on the elements' image bytes against ``index``, a dict keyed by
-images, so no Permutation is made per product: a row entry is one
-``bytes.translate`` and one lookup, and ``comm`` and ``conj`` force no row.
+Pair-enumeration loops dominate the runtime of every check, and doing them
+on Permutations wastes time re-hashing them.  This view numbers the elements
+in canonical order and multiplies them on their image bytes: a product is
+one ``bytes.translate`` and one lookup in ``index``, a dict keyed by images.
 
-Conjugation runs on per-generator tables instead of rows.  For each generator
+Conjugation runs on per-generator tables.  For each generator
 s of G the view keeps x -> x*s and x -> x^s, and a breadth-first spanning
 tree of G in which every element is b = parent*s, so r^b = (r^parent)^s and
 all conjugates of one element come out of a single pass of table lookups.
@@ -21,7 +16,7 @@ Element order is constant on a class, so ``order_of`` is filled on first
 use from one ``image_order`` per class representative.
 
 Subgroups and normal subsets of G are index sets on the view: a subgroup
-closure fetches rows only for the seeds that enlarge it, and a subset is
+closure forms each member once, by Dimino's coset algorithm, and a subset is
 normal when every generator's conjugation table maps it into itself.  The
 index set of a subgroup H is kept in one dict, keyed by the indices of its
 generators: they are looked up first, once per H object, so an H outside G
@@ -42,7 +37,7 @@ from .perm import Permutation, image_order, inverse_table, pad
 
 
 class IndexedGroup:
-    """Canonical numbering of a group's elements with lazy multiplication rows."""
+    """Canonical numbering of a group's elements, multiplied on their image bytes."""
 
     def __init__(self, group: PermGroup, cap: int = DEFAULT_ENUM_CAP):
         elems = group.elements(cap)
@@ -54,7 +49,6 @@ class IndexedGroup:
         # keyed by images: look a Permutation p up as index[p.images]
         self.index: dict[bytes, int] = {b: i for i, b in enumerate(self.images)}
         self.inverse: list[int] = [self.index[inverse_table(b)[:len(b)]] for b in self.images]
-        self._rows: list[list[int] | None] = [None] * self.size
         # keyed by a subgroup's generator indices (``_generator_key``), which
         # are kept per subgroup object for as long as it lives
         self._generator_keys: WeakKeyDictionary[PermGroup, frozenset[int]] = WeakKeyDictionary()
@@ -69,32 +63,24 @@ class IndexedGroup:
         assert elems[0].is_identity()
         self.identity_index = 0
 
-    def row(self, i: int) -> list[int]:
-        r = self._rows[i]
-        if r is None:
-            a, key = self.images[i], self.index
-            r = [key[a.translate(t)] for t in self.pads]
-            self._rows[i] = r
-        return r
-
     def times(self, s: int) -> list[int]:
         """``out[z]`` is the index of elements[z] * elements[s], for every z: one column of the table."""
         t, key = self.pads[s], self.index
         return [key[z.translate(t)] for z in self.images]
 
     def comm(self, i: int, j: int) -> int:
-        """index of [elements[i], elements[j]] = i^-1 j^-1 i j, from image bytes; forces no row."""
+        """index of [elements[i], elements[j]] = i^-1 j^-1 i j, from image bytes."""
         inv, pads = self.inverse, self.pads
         images = self.images[inv[i]].translate(pads[inv[j]]).translate(pads[i]).translate(pads[j])
         return self.index[images]
 
     def conj(self, i: int, j: int) -> int:
-        """index of elements[i]^elements[j] = j^-1 i j, from image bytes; forces no row."""
+        """index of elements[i]^elements[j] = j^-1 i j, from image bytes."""
         pads = self.pads
         return self.index[self.images[self.inverse[j]].translate(pads[i]).translate(pads[j])]
 
     def closure(self, seed: Iterable[int]) -> frozenset[int]:
-        """Subgroup closure of the seed indices, by left multiplication with kept seeds' rows."""
+        """Subgroup closure of the seed indices."""
         return frozenset(self._close(seed)[0])
 
     def subgroup(self, seed: Iterable[int]) -> PermGroup:
@@ -105,29 +91,34 @@ class IndexedGroup:
     def _close(self, seed: Iterable[int]) -> tuple[set[int], list[int]]:
         """``(members, kept)``: the closure of the seeds and the seeds kept for it.
 
-        Seeds are walked in order and one is kept only when the group closed
-        so far does not contain it; the group is then re-closed under left
-        multiplication by the rows of the kept seeds.  Each kept seed at
-        least doubles the group, so the closure H fetches at most log2|H|
-        rows however many seeds it is given.
+        Dimino's algorithm: seeds are walked in order and one is kept only
+        when the group H closed so far lacks it.  The first kept seed's group
+        is its powers; after that H grows by whole right cosets H*t, formed
+        from H's image bytes, for t = r*s over coset representatives r and
+        kept seeds s, so each member is formed once.
         """
-        seen = {self.identity_index}
-        kept, rows = [], []
+        key, images, pads = self.index, self.images, self.pads
+        members, kept = [self.identity_index], []
+        seen = set(members)
         for s in seed:
             if s in seen:
                 continue
             kept.append(s)
-            rows.append(self.row(s))
-            frontier = list(seen)
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for row in rows:
-                        y = row[x]
-                        if y not in seen:
-                            seen.add(y)
-                            nxt.append(y)
-                frontier = nxt
+            if len(kept) == 1:
+                p = images[s]
+                while (i := key[p]) not in seen:
+                    members.append(i)
+                    seen.add(i)
+                    p = p.translate(pads[s])
+                continue
+            old, reps = [images[h] for h in members], [self.identity_index]
+            for r in reps:  # grows while it is walked
+                for g in kept:
+                    t = key[images[r].translate(pads[g])]
+                    if t not in seen:
+                        members += (coset := [key[b.translate(pads[t])] for b in old])
+                        seen.update(coset)
+                        reps.append(t)
         return seen, kept
 
     def commutator_closure(self, seed: Iterable[int]) -> frozenset[int]:
@@ -160,12 +151,21 @@ class IndexedGroup:
         """``(labels, reps)`` of the right cosets N*g, numbered by their minimal elements.
 
         ``labels[i]`` is the coset of element i, ``reps[c]`` the index of the
-        minimal element of coset c.  N*g is the orbit of g under left
-        multiplication by N's generators, read off their rows.
+        minimal element of coset c.  G is walked in index order, and each g
+        not yet labelled is the minimum of N*g, formed from N's image bytes:
+        |G| products in all.
         """
         gens = self._generator_key(kernel)
         if gens not in self._cosets:
-            self._cosets[gens] = _orbit_labels(self.size, [self.row(n) for n in gens])
+            key, pads = self.index, self.pads
+            kernel_images = [self.images[n] for n in self.member_indices(kernel)]
+            labels, reps = [-1] * self.size, []
+            for g in range(self.size):
+                if labels[g] < 0:
+                    for b in kernel_images:
+                        labels[key[b.translate(pads[g])]] = len(reps)
+                    reps.append(g)
+            self._cosets[gens] = labels, reps
         return self._cosets[gens]
 
     def conjugation_tables(self) -> list[list[int]]:
@@ -274,9 +274,12 @@ class IndexedGroup:
         if self._gen_tables is None:
             gens = [self.index[s.images] for s in self.group.generators]
             times = [self.times(s) for s in gens]
-            # x^s = s^-1 * (x*s), read off the row of s^-1
-            rows = [self.row(self.inverse[s]) for s in gens]
-            self._gen_tables = (times, [[row[y] for y in t] for row, t in zip(rows, times)])
+            key, pads, conj = self.index, self.pads, []
+            for s, times_s in zip(gens, times):
+                # x^s = s^-1 * (x*s), from the column of s
+                inv_s = self.images[self.inverse[s]]
+                conj.append([key[inv_s.translate(pads[y])] for y in times_s])
+            self._gen_tables = (times, conj)
         return self._gen_tables
 
     def _spanning_tree(self) -> list[tuple[int, int, int]]:

@@ -90,8 +90,7 @@ def normal_subgroups(G: PermGroup) -> list[PermGroup]:
             S = work.pop()
             for cls in classes:
                 if cls[0] not in S:
-                    # S first, in index order: its kept seeds, and so the rows
-                    # fetched, are the same in each of its joins
+                    # S first: the closure grows from S by S's cosets
                     joined = iv.closure(sorted(S) + cls)
                     if joined not in found:
                         found.add(joined)
@@ -201,7 +200,8 @@ def check_lifted_generation(G: PermGroup, N: PermGroup, L: PermGroup, p: int,
         return p_idx, p_bar, {labels[i] for i in preimage}, iv.closure((X | n_idx) & p_idx)
 
     p_idx, p_bar, generated_bar, rhs = G.memo(("lifted_generation_sides", n_idx, p, X), sides)
-    if generated_bar != p_bar & {labels[i] for i in l_idx}:
+    # L is a union of N's cosets, so a coset lies in L when its minimal element does
+    if generated_bar != {c for c in p_bar if reps[c] in l_idx}:
         raise HypothesisNotSatisfied(
             "quotient-side generation P-bar cap L-bar = <P-bar cap X-bar> fails")
 
@@ -321,10 +321,9 @@ def check_coprime_action(G: PermGroup, k: int) -> LemmaReport:
     hence [y, x, x] = 1, and finally [N, x] = 1.
 
     Every product is a lookup on G's indexed view, in maps built once per
-    value x: z*x from the row of x^-1 (``IndexedGroup.times``), so that
-    z^x = x^-1 (z*x); [y, x] = (x^-1)^y x, with (x^-1)^y among the
-    conjugates of x^-1; and [y, x, x] x^-1 from the row of x.  x normalizes
-    N when z^x lies in N's index set for every z in N.
+    value x: z*x and z*x^-1 (``IndexedGroup.times``), and the conjugates of
+    x^-1, so that [y, x] = (x^-1)^y x.  x normalizes N when z^x = x^-1 (z*x),
+    one product on x^-1's image bytes, lies in N's index set for every z in N.
     """
     if not coprime_product_criterion(G, k, "delta").holds:
         raise HypothesisNotSatisfied(
@@ -332,7 +331,7 @@ def check_coprime_action(G: PermGroup, k: int) -> LemmaReport:
 
     iv = indexed_view(G)
     inv, order_of, e = iv.inverse, iv.order_of, iv.identity_index
-    labels = iv.class_labels()[0]
+    key, pads, labels = iv.index, iv.pads, iv.class_labels()[0]
     values = delta_values(G, k).indices
     value_list = sorted(values)
     family = _invariant_subgroup_family(G)
@@ -348,9 +347,9 @@ def check_coprime_action(G: PermGroup, k: int) -> LemmaReport:
                 if gcd(len(N), order_of[x]) != 1:
                     continue
                 if x not in maps:
-                    maps[x] = iv.row(inv[x]), iv.times(x), iv.times(inv[x]), iv.conjugates(inv[x])
-                row_x_inv, times_x, times_x_inv, conj_x_inv = maps[x]
-                if any(row_x_inv[times_x[z]] not in N for z in members):
+                    maps[x] = iv.times(x), iv.times(inv[x]), iv.conjugates(inv[x]), iv.images[inv[x]]
+                times_x, times_x_inv, conj_x_inv, inv_x = maps[x]
+                if any(key[inv_x.translate(pads[times_x[z]])] not in N for z in members):
                     continue
                 pairs += 1
                 for y in members:

@@ -43,6 +43,16 @@ def perm(cycles: str, degree: int) -> Permutation:
     return Permutation.parse_cycles(cycles, degree)
 
 
+class CountingIndex(dict):
+    """An images-keyed index that counts its lookups: put in place of a view's ``index``."""
+
+    lookups = 0
+
+    def __getitem__(self, images):
+        self.lookups += 1
+        return super().__getitem__(images)
+
+
 class TuplePermutation:
     """The former tuple-backed permutation arithmetic, an oracle for nilcrit.perm.
 

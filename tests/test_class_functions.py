@@ -20,7 +20,7 @@ from nilcrit.indexed import IndexedGroup, indexed_view
 from nilcrit.perm import MAX_DEGREE, Permutation, image_order
 from nilcrit.words import delta_values, gamma_values
 
-from conftest import regular_cyclic, regular_elementary_abelian, scale_group
+from conftest import CountingIndex, regular_cyclic, regular_elementary_abelian, scale_group
 
 WORK_GROUPS = ("S4wrC2", "PSL2_11")
 KINDS = ("delta", "gamma")
@@ -49,16 +49,19 @@ def test_filling_orders_runs_one_image_order_per_class(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", WORK_GROUPS)
-def test_the_criterion_scan_builds_no_multiplication_row(name):
+def test_the_criterion_scan_forms_one_product_per_pair(name):
     G = scale_group(name)
     iv = indexed_view(G)
-    iv.conjugation_tables()  # the class tables' own rows, built before the scans
-    built = [i for i, row in enumerate(iv._rows) if row is not None]
+    for kind in KINDS:  # the class tables and value levels, built before the scans
+        for k in (1, 2, 3):
+            coprime_product_criterion(G, k, kind)
+    iv.index = CountingIndex(iv.index)
+    pairs = 0
     for kind in KINDS:
         for k in (1, 2, 3):
             for reduce_by_classes in (True, False):
-                coprime_product_criterion(G, k, kind, reduce_by_classes)
-    assert [i for i, row in enumerate(iv._rows) if row is not None] == built
+                pairs += coprime_product_criterion(G, k, kind, reduce_by_classes).pairs_checked
+    assert iv.index.lookups == pairs
 
 
 @pytest.mark.parametrize("name", WORK_GROUPS)

@@ -41,7 +41,7 @@ from nilcrit.structure import (
 )
 from nilcrit.words import delta_values
 
-from conftest import class_lists, closure_oracle, classes_oracle, perm
+from conftest import SCALE_CORPUS, CountingIndex, class_lists, closure_oracle, classes_oracle, perm
 from oracles import group_from_elements, is_normal, quotient
 
 
@@ -244,22 +244,38 @@ class TestConjugacy:
             centralizer(a4, perm("(1 2)", 4))
 
 
+def check_random_seed_subsets(G: PermGroup, rounds: int) -> None:
+    # members, and the generators kept, match subgroup_generated's
+    iv = indexed_view(G)
+    rng = random.Random(5)
+    for _ in range(rounds):
+        seed = rng.sample(range(iv.size), rng.randrange(5))
+        want = subgroup_generated(G.degree, iv.perms(seed))
+        assert iv.closure(seed) == iv.member_indices(want), seed
+        assert iv.subgroup(seed).generators == want.generators, seed
+
+
 class TestIndexedClosure:
-    def test_closure_of_every_element_builds_at_most_log2_rows(self):
-        # one row per seed was 1152 rows here; each kept seed doubles the group
-        G = load_group(str(Path(__file__).resolve().parents[1] / "bench" / "corpus"
-                           / "S4wrC2.grp"))
+    def test_closure_of_every_element_forms_each_member_once(self):
+        # re-closing by rows re-walked every member after each kept seed
+        G = load_group(str(SCALE_CORPUS / "S4wrC2.grp"))
         iv = IndexedGroup(G)
-        assert iv.closure(range(iv.size)) == frozenset(range(iv.size))
-        assert sum(row is not None for row in iv._rows) <= 10  # floor(log2 1152)
+        iv.index = CountingIndex(iv.index)
+        members, kept = iv._close(range(iv.size))
+        lookups = iv.index.lookups
+        assert members == set(range(iv.size))
+        assert len(kept) <= 10  # each kept seed at least doubles: floor(log2 1152)
+        # one lookup per member formed, and one per (coset, kept seed) for the
+        # products r*s of coset representatives; H_i is generated by kept[:i]
+        orders = [len(iv.closure(kept[:i])) for i in range(1, len(kept) + 1)]
+        cosets = [orders[i] // orders[i - 1] for i in range(1, len(kept))]
+        assert lookups <= iv.size + sum(c * (i + 2) for i, c in enumerate(cosets))
 
     def test_random_seed_subsets_of_s4(self, s4):
-        iv = indexed_view(s4)
-        rng = random.Random(5)
-        for _ in range(300):
-            seed = rng.sample(range(iv.size), rng.randrange(5))
-            want = iv.member_indices(subgroup_generated(4, iv.perms(seed)))
-            assert iv.closure(seed) == want, seed
+        check_random_seed_subsets(s4, 300)
+
+    def test_random_seed_subsets_of_s4wrc2(self):
+        check_random_seed_subsets(load_group(str(SCALE_CORPUS / "S4wrC2.grp")), 100)
 
 
 class TestNormalStructure:
@@ -334,8 +350,8 @@ class TestQuotient:
             assert Q.order() * N.order() == s4.order()
 
     def test_reps_are_coset_minima_and_labels_match_membership(self, s4, a4, v4):
-        # the oracle scans products, and the library's coset labels, read
-        # off rows, number the cosets the same way
+        # the oracle scans products, and the library's coset labels, formed
+        # from N's image bytes, number the cosets the same way
         iv = indexed_view(s4)
         for N in (trivial_group(4), v4, a4, s4):
             _, cmap = quotient(s4, N)
@@ -348,6 +364,15 @@ class TestQuotient:
             for g in iv.elements:
                 coset = {n * g for n in kernel}
                 assert {h for h in iv.elements if cmap.labels[h] == cmap.labels[g]} == coset
+        # a kernel that is not normal: its right cosets, not its left ones
+        H = subgroup_generated(4, [perm("(1 2 3)", 4)])
+        kernel = H.elements()
+        labels, reps = iv.coset_labels(H)
+        assert len(reps) == 8
+        for g, c in zip(iv.elements, labels):
+            coset = {n * g for n in kernel}
+            assert {h for h, d in zip(iv.elements, labels) if d == c} == coset
+            assert iv.elements[reps[c]] == min(coset)
 
 
 def test_only_the_group_module_touches_the_group_cache():

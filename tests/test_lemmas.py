@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import json
 from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,7 +17,8 @@ from nilcrit.errors import (
     NotPElementSet,
     NotSoluble,
 )
-from nilcrit.corpus import builtin_names, load_group
+from nilcrit.cli import main
+from nilcrit.corpus import GroupDescriptor, builtin_names, load_group
 from nilcrit.criterion import coprime_product_criterion
 import nilcrit.group as group_module
 from nilcrit.group import (
@@ -974,3 +976,17 @@ class TestNormalSubgroupIndexSets:
         with pytest.raises(NotNormal, match="not contained"):
             indexed_view(a4).member_indices(H)
         assert H._elements is None
+
+
+@pytest.mark.usefixtures("stall_deadline")
+def test_battery_on_s3_wreath_s3(tmp_path, capsys):
+    # order 1296, above every builtin; generators as in tests/test_tower_scale.py
+    gens = ["(1 2)", "(1 2 3)", "(1 4)(2 5)(3 6)", "(1 4 7)(2 5 8)(3 6 9)"]
+    descriptor = GroupDescriptor("S3wrS3", 9, tuple(Permutation.parse_cycles(g, 9).one_based()
+                                                    for g in gens), 1296, ("soluble",))
+    path, report = tmp_path / "S3wrS3.grp", tmp_path / "report.json"
+    path.write_text(descriptor.canonical_text(), encoding="utf-8")
+    assert main(["lemmas", str(path), "--k", "1..3", "--json", str(report)]) == 0
+    aggregate = json.loads(report.read_text(encoding="utf-8"))["aggregate"]
+    assert aggregate == {"groups": 1, "checks": 339, "failures": 0,
+                         "hypothesis_not_satisfied": 145}
