@@ -398,8 +398,8 @@ def _cmd_lemmas(args) -> int:
             except HypothesisNotSatisfied as exc:
                 skipped += 1
                 records.append({"lemma": "lifted_generation", "group": G.name,
-                                "params": {"p": inst["p"], "N_order": inst["N"].order(),
-                                           "L_order": inst["L"].order(),
+                                "params": {"p": inst["p"], "N_order": len(inst["N"]),
+                                           "L_order": len(inst["L"]),
                                            "depth": inst["depth"]},
                                 "status": "hypothesis_not_satisfied", "detail": str(exc)})
                 continue

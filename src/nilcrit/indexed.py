@@ -18,11 +18,11 @@ use from one ``image_order`` per class representative.
 Subgroups and normal subsets of G are index sets on the view: a subgroup
 closure forms each member once, by Dimino's coset algorithm, and a subset is
 normal when every generator's conjugation table maps it into itself.  The
-index set of a subgroup H is kept in one dict, keyed by the indices of its
-generators: they are looked up first, once per H object, so an H outside G
-fails before it is enumerated, and an H inside G has |H| <= |G|.  The
-enumeration cap is checked once per group, by ``indexed_view``, when G's
-view is built.
+right coset labels of a subgroup are kept per index set.  The index set of
+a PermGroup H is kept in one dict, keyed by the indices of its generators:
+they are looked up first, once per H object, so an H outside G fails before
+it is enumerated, and an H inside G has |H| <= |G|.  The enumeration cap is
+checked once per group, by ``indexed_view``, when G's view is built.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ class IndexedGroup:
         # are kept per subgroup object for as long as it lives
         self._generator_keys: WeakKeyDictionary[PermGroup, frozenset[int]] = WeakKeyDictionary()
         self._subgroups: dict[frozenset[int], frozenset[int]] = {}
-        self._normal: set[frozenset[int]] = set()  # index sets checked to be normal
         self._cosets: dict[frozenset[int], tuple[list[int], list[int]]] = {}
         self._gen_tables: tuple[list[list[int]], list[list[int]]] | None = None
         self._tree: list[tuple[int, int, int]] | None = None
@@ -147,26 +146,25 @@ class IndexedGroup:
             frontier = fresh
         return frozenset(closed)
 
-    def coset_labels(self, kernel: PermGroup) -> tuple[list[int], list[int]]:
+    def coset_labels(self, kernel: frozenset[int]) -> tuple[list[int], list[int]]:
         """``(labels, reps)`` of the right cosets N*g, numbered by their minimal elements.
 
+        ``kernel`` must be a subgroup N's index set; labels are kept per set.
         ``labels[i]`` is the coset of element i, ``reps[c]`` the index of the
         minimal element of coset c.  G is walked in index order, and each g
-        not yet labelled is the minimum of N*g, formed from N's image bytes:
-        |G| products in all.
+        not yet labelled is the minimum of N*g, formed from N's image bytes.
         """
-        gens = self._generator_key(kernel)
-        if gens not in self._cosets:
+        if kernel not in self._cosets:
             key, pads = self.index, self.pads
-            kernel_images = [self.images[n] for n in self.member_indices(kernel)]
+            kernel_images = [self.images[n] for n in kernel]
             labels, reps = [-1] * self.size, []
             for g in range(self.size):
                 if labels[g] < 0:
                     for b in kernel_images:
                         labels[key[b.translate(pads[g])]] = len(reps)
                     reps.append(g)
-            self._cosets[gens] = labels, reps
-        return self._cosets[gens]
+            self._cosets[kernel] = labels, reps
+        return self._cosets[kernel]
 
     def conjugation_tables(self) -> list[list[int]]:
         """One table per generator s of G: ``table[i]`` is the index of elements[i]^s."""
@@ -232,18 +230,6 @@ class IndexedGroup:
         if key not in self._subgroups:
             self._subgroups[key] = frozenset(self.index[h.images] for h in H.elements(self.size))
         return self._subgroups[key]
-
-    def normal_subgroup_indices(self, H: PermGroup) -> frozenset[int]:
-        """``member_indices`` of a normal subgroup H, its generators' conjugates checked once per set.
-
-        Only successes are kept, so a subgroup that is not normal in G raises
-        the same NotNormal on every call.
-        """
-        members = self.member_indices(H)
-        if members not in self._normal:
-            self.require_normal(self._generator_key(H), members)
-            self._normal.add(members)
-        return members
 
     def are_indices(self, members: Iterable[object]) -> bool:
         """Whether every member is an int in range(size); a negative int would index from the end."""

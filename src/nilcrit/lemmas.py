@@ -16,14 +16,14 @@ Five checks, each a conditional verified extensionally on concrete groups:
   a depth-k value x acts trivially on every x-invariant subgroup of coprime
   order; the proof's commutator gymnastics are replayed literally.
 
-Every subgroup and subset the five checks meet, the value sets X passed to
-the coset checks included, is an index set on G's indexed view: normality
-is one pass over the generators' conjugation tables, made once per normal
-subgroup and kept on the view, generation is ``IndexedGroup.closure``, the
-normal subgroups are closures of unions of conjugacy classes, and the
-coprime-action check reads every commutator off table lookups.  G's view
-is the only one built, and a PermGroup only wraps an index set, with no
-chain built for it.
+Every subgroup and subset the five checks meet, the normal subgroups N, L
+and the value sets X passed to the coset checks included, is an index set
+on G's indexed view: each N, L and X is checked once per set and kept on G
+(normality is one pass over the generators' conjugation tables), generation
+is ``IndexedGroup.closure``, the normal subgroups are products of class
+closures read off coset labels, and the coprime-action check reads every
+commutator off table lookups.  G's view is the only one built, and a
+PermGroup only wraps an index set, with no chain built for it.
 
 Inadmissible inputs raise HypothesisNotSatisfied (or a structural error);
 holds=False is reserved for genuine counter-evidence, which for proven facts
@@ -69,36 +69,58 @@ class LemmaReport(NamedTuple):
     checked: int
 
 
-def normal_subgroups(G: PermGroup) -> list[PermGroup]:
-    """All normal subgroups, as closures of class unions on G's indexed view.
+def normal_subgroups(G: PermGroup) -> list[frozenset[int]]:
+    """All normal subgroups, as index sets on G's indexed view: products of class closures.
 
-    A normal subgroup is generated by the conjugacy classes it contains, and
-    the closure of a union of classes is normal.  So joining each subgroup
-    found, starting from the trivial one, with each class outside it, as the
-    closure of their union, reaches every normal subgroup.  Results are
-    sorted by order, then by element list, which is the sorted index list
-    since index order is canonical element order; each result wraps its
-    index list.
+    A normal subgroup is the product of the closures of the conjugacy classes
+    it contains, and the join of a normal S with such a closure M is SM, the
+    union of the cosets of S that meet M, read off S's coset labels.  So
+    joining each subgroup found, from the trivial one, with each closure
+    outside it reaches every normal subgroup: one closure per class, none
+    per join.  Results are sorted by order, then by sorted index list, which
+    is canonical element order.
     """
 
-    def compute() -> tuple[PermGroup, ...]:
+    def compute() -> tuple[frozenset[int], ...]:
         iv = indexed_view(G)
-        classes = iv.classes()
+        closures = {iv.closure(cls) for cls in iv.classes()}
+        every = list(iv.index.values())  # 0..|G|-1 as the view's own ints, not fresh copies
         found = {frozenset([iv.identity_index])}
         work = list(found)
         while work:
             S = work.pop()
-            for cls in classes:
-                if cls[0] not in S:
-                    # S first: the closure grows from S by S's cosets
-                    joined = iv.closure(sorted(S) + cls)
+            labels = iv.coset_labels(S)[0]
+            for M in closures:
+                if not M <= S:
+                    cosets = {labels[m] for m in M}
+                    joined = frozenset(x for x, c in zip(every, labels) if c in cosets)
                     if joined not in found:
                         found.add(joined)
                         work.append(joined)
-        ordered = sorted((sorted(S) for S in found), key=lambda S: (len(S), S))
-        return tuple(iv.subgroup(S) for S in ordered)
+        return tuple(sorted(found, key=lambda S: (len(S), sorted(S))))
 
     return list(G.memo(("normal_subgroups",), compute))
+
+
+def _check_normal_subgroup(G: PermGroup, N: frozenset[int]) -> None:
+    """Check that the index set N is a normal subgroup of G, once per set.
+
+    A member outside G's view raises NotNormal, then a set that is not its
+    own closure, then one not closed under conjugation.  Only successes are
+    kept, so a bad N raises the same error on every call.
+    """
+
+    def compute() -> bool:
+        iv = indexed_view(G)
+        if not iv.are_indices(N):
+            raise NotNormal("subgroup is not contained in the group")
+        members, kept = iv._close(sorted(N))
+        if members != N:
+            raise NotNormal("subset is not a subgroup of the group")
+        iv.require_normal(kept, N)
+        return True
+
+    G.memo(("normal_subgroup", N), compute)
 
 
 def _check_normal_p_set(G: PermGroup, X: frozenset[int], p: int) -> None:
@@ -141,8 +163,8 @@ def p_power_value_closure(G: PermGroup, depth: int, p: int) -> frozenset[int]:
     return G.memo(("p_power_values", depth, p), compute)
 
 
-def check_coset_intersection(G: PermGroup, N: PermGroup, p: int, X: frozenset[int]) -> LemmaReport:
-    """XN cap PN = (X cap P)N for a normal subset X of p-elements, an index set on G's view.
+def check_coset_intersection(G: PermGroup, N: frozenset[int], p: int, X: frozenset[int]) -> LemmaReport:
+    """XN cap PN = (X cap P)N for a normal subset X of p-elements; N and X are index sets.
 
     Both sides are compared as sets of coset labels; cosets are numbered by
     their minimal elements, so the smallest stray label names the minimal
@@ -150,7 +172,7 @@ def check_coset_intersection(G: PermGroup, N: PermGroup, p: int, X: frozenset[in
     """
     _check_prime_divisor(G, p)
     iv = indexed_view(G)
-    iv.normal_subgroup_indices(N)
+    _check_normal_subgroup(G, N)
     _check_normal_p_set(G, X, p)
 
     labels, reps = iv.coset_labels(N)
@@ -166,13 +188,13 @@ def check_coset_intersection(G: PermGroup, N: PermGroup, p: int, X: frozenset[in
                    "in_lhs": stray in lhs, "in_rhs": stray in rhs}
     return LemmaReport(
         "coset_intersection", G.name,
-        {"p": p, "N_order": N.order(), "X_size": len(X)},
-        holds, witness, checked=N.order() * (len(lhs) + len(rhs)))
+        {"p": p, "N_order": len(N), "X_size": len(X)},
+        holds, witness, checked=len(N) * (len(lhs) + len(rhs)))
 
 
-def check_lifted_generation(G: PermGroup, N: PermGroup, L: PermGroup, p: int,
+def check_lifted_generation(G: PermGroup, N: frozenset[int], L: frozenset[int], p: int,
                             X: frozenset[int]) -> LemmaReport:
-    """From generation in G/N, conclude P cap L = <P cap X, P cap N> in G; X is an index set.
+    """From generation in G/N, conclude P cap L = <P cap X, P cap N> in G; N, L, X are index sets.
 
     The G/N hypothesis P-bar cap L-bar = <P-bar cap X-bar> is decided on the
     coset labels of N: the label set of a subset of G is its image in G/N, and
@@ -184,9 +206,9 @@ def check_lifted_generation(G: PermGroup, N: PermGroup, L: PermGroup, p: int,
     """
     _check_prime_divisor(G, p)
     iv = indexed_view(G)
-    n_idx = iv.normal_subgroup_indices(N)
-    l_idx = iv.normal_subgroup_indices(L)
-    if not n_idx <= l_idx:
+    _check_normal_subgroup(G, N)
+    _check_normal_subgroup(G, L)
+    if not N <= L:
         raise NotNormal("N must be contained in L")
     labels, reps = iv.coset_labels(N)
 
@@ -195,17 +217,16 @@ def check_lifted_generation(G: PermGroup, N: PermGroup, L: PermGroup, p: int,
         _check_normal_p_set(G, X, p)
         p_idx = iv.member_indices(sylow_subgroup(G, p))
         p_bar = {labels[i] for i in p_idx}
-        preimage = iv.closure([iv.index[n.images] for n in N.generators]
-                              + [reps[c] for c in p_bar & {labels[i] for i in X}])
-        return p_idx, p_bar, {labels[i] for i in preimage}, iv.closure((X | n_idx) & p_idx)
+        preimage = iv.closure(sorted(N) + [reps[c] for c in p_bar & {labels[i] for i in X}])
+        return p_idx, p_bar, {labels[i] for i in preimage}, iv.closure((X | N) & p_idx)
 
-    p_idx, p_bar, generated_bar, rhs = G.memo(("lifted_generation_sides", n_idx, p, X), sides)
+    p_idx, p_bar, generated_bar, rhs = G.memo(("lifted_generation_sides", N, p, X), sides)
     # L is a union of N's cosets, so a coset lies in L when its minimal element does
-    if generated_bar != {c for c in p_bar if reps[c] in l_idx}:
+    if generated_bar != {c for c in p_bar if reps[c] in L}:
         raise HypothesisNotSatisfied(
             "quotient-side generation P-bar cap L-bar = <P-bar cap X-bar> fails")
 
-    lhs = p_idx & l_idx
+    lhs = p_idx & L
     holds = lhs == rhs
     witness = None
     if not holds:
@@ -213,7 +234,7 @@ def check_lifted_generation(G: PermGroup, N: PermGroup, L: PermGroup, p: int,
         witness = {"element": iv.elements[stray], "in_lhs": stray in lhs, "in_rhs": stray in rhs}
     return LemmaReport(
         "lifted_generation", G.name,
-        {"p": p, "N_order": N.order(), "L_order": L.order(), "X_size": len(X)},
+        {"p": p, "N_order": len(N), "L_order": len(L), "X_size": len(X)},
         holds, witness, checked=len(lhs) + len(rhs))
 
 
@@ -283,24 +304,17 @@ def _invariant_subgroup_family(G: PermGroup) -> list[frozenset[int]]:
     The family is every cyclic subgroup, the Sylow subgroups of every
     normal subgroup and the p'-cores of the Fitting subgroup; the full
     subgroup lattice would explode, and this family covers every subgroup
-    the coprime-action argument is ever applied to.  <y> is the power orbit
-    of y, |y| products; a Sylow subgroup of M grows on M's index list, and
+    the coprime-action argument is ever applied to.  <y> is the closure of
+    y, its powers; a Sylow subgroup of M grows on M's index list, and
     the p'-core of the nilpotent F is its set of p'-elements.  Members are
     ordered by size, then by sorted index list.
     """
 
     def compute() -> tuple[frozenset[int], ...]:
         iv = indexed_view(G)
-        family = set()
-        key = iv.index
-        for y, table in zip(iv.images, iv.pads):
-            powers, p = {iv.identity_index}, y
-            while (i := key[p]) not in powers:
-                powers.add(i)
-                p = p.translate(table)
-            family.add(frozenset(powers))
+        family = {iv.closure([y]) for y in range(iv.size)}
         for M in normal_subgroups(G):
-            domain = sorted(iv.member_indices(M))
+            domain = sorted(M)
             family.update(_sylow_indices(iv, q, domain)[0] for q in prime_factors(len(domain)))
         f_idx = iv.member_indices(fitting_subgroup(G))
         family.update(frozenset(i for i in f_idx if iv.order_of[i] % q)
@@ -390,12 +404,11 @@ def coset_intersection_instances(G: PermGroup,
 
 def lifted_generation_instances(G: PermGroup,
                                 depths: tuple[int, ...] = (0, 1, 2)) -> Iterator[dict]:
-    iv = indexed_view(G)
-    normals = [(M, iv.member_indices(M)) for M in normal_subgroups(G)]
+    normals = normal_subgroups(G)
     for p in prime_factors(G.order()):
         for depth in depths:
             X = p_power_value_closure(G, depth, p)
-            for N, n_idx in normals:
-                for L, l_idx in normals:
-                    if n_idx <= l_idx:
+            for N in normals:
+                for L in normals:
+                    if N <= L:
                         yield {"N": N, "L": L, "p": p, "X": X, "depth": depth}

@@ -411,7 +411,8 @@ def intersect_basis(B: SylowBasis, K: PermGroup) -> SylowBasis:
     so K needs no view of its own.
     """
     iv = indexed_view(B.ambient)
-    k_idx = iv.normal_subgroup_indices(K)
+    k_idx = iv.member_indices(K)
+    iv.require_normal(iv._generator_key(K), k_idx)
     new_basis: dict[int, PermGroup] = {}
     for p in prime_factors(K.order()):
         inter = k_idx & iv.member_indices(B.basis[p])

@@ -1,4 +1,5 @@
-"""Test oracles: quotients, verbal subgroups, the tuple brute force and literal word evaluation.
+"""Test oracles: quotients, verbal subgroups, the normal-subgroup lattice, the tuple brute force
+and literal word evaluation.
 
 No check in nilcrit builds a quotient group: the coset lemmas read G/N off
 coset labels on G's indexed view.  The quotient here is built apart from
@@ -8,6 +9,8 @@ elements, so a coset's number agrees with the library's labelling without
 sharing its code.  The tuple brute force evaluates the derived word on
 every argument tuple through a commutator table of single ``comm`` lookups,
 so it shares neither the word levels' class walk nor the view's rows.  The
+normal-subgroup lattice is the former closure join: a chain per class
+closure, closed under pairwise joins of chains by their generators.  The
 word evaluators and the closure predicates form ``Permutation`` commutators
 directly, and ``group_from_elements`` builds a group from a closed element
 collection.
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from nilcrit.errors import DegreeMismatch, NotNormal, OrderCapExceeded
-from nilcrit.group import PermGroup, subgroup_generated
+from nilcrit.group import PermGroup, subgroup_generated, trivial_group
 from nilcrit.indexed import indexed_view
 from nilcrit.perm import MAX_DEGREE, Permutation, commutator
 from nilcrit.words import DeltaValueSet
@@ -84,6 +87,34 @@ def quotient(G: PermGroup, N: PermGroup) -> tuple[PermGroup, CosetMap]:
     if Q.order() * N.order() != G.order():
         raise RuntimeError("quotient order mismatch: kernel of the coset action is not N")
     return Q, cmap
+
+
+def normal_subgroups_oracle(G: PermGroup) -> list[PermGroup]:
+    """Class closures, closed under pairwise joins of chains; sorted by order, then elements."""
+    found: dict[frozenset, PermGroup] = {}
+
+    def add(H: PermGroup) -> bool:
+        key = frozenset(H.elements())
+        if key in found:
+            return False
+        found[key] = H
+        return True
+
+    iv = indexed_view(G)
+    add(trivial_group(G.degree))
+    for cls in iv.classes():
+        add(subgroup_generated(G.degree, iv.perms(cls)))
+    grew = True
+    while grew:
+        grew = False
+        current = list(found.values())
+        for i, A in enumerate(current):
+            for B in current[i + 1:]:
+                if A.is_subgroup_of(B) or B.is_subgroup_of(A):
+                    continue
+                if add(subgroup_generated(G.degree, A.generators + B.generators)):
+                    grew = True
+    return sorted(found.values(), key=lambda H: (H.order(), [p.images for p in H.elements()]))
 
 
 def verbal_subgroup(G: PermGroup, values: frozenset[int]) -> PermGroup:

@@ -119,7 +119,7 @@ def test_view_makes_no_permutation_product(monkeypatch):
     G = PermGroup(loaded.degree, loaded.generators)  # a fresh chain and enumeration
     iv = indexed_view(G)
     assert iv.closure(iv.index[s.images] for s in G.generators) == frozenset(range(iv.size))
-    labels, reps = iv.coset_labels(iv.subgroup([iv.size // 2]))
+    labels, reps = iv.coset_labels(iv.closure([iv.size // 2]))
     assert len(reps) * labels.count(0) == iv.size
     iv.conjugation_tables()
     assert iv.size == 1152

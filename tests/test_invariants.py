@@ -19,7 +19,7 @@ from nilcrit.structure import (
 from nilcrit.words import delta_values, gamma_values
 
 from conftest import product_set
-from oracles import quotient, verbal_subgroup
+from oracles import group_from_elements, quotient, verbal_subgroup
 
 
 class TestSylowExactness:
@@ -54,9 +54,9 @@ class TestBasisNormalizerFacts:
                                                              name, kernel_order):
         from nilcrit.lemmas import normal_subgroups
         G = soluble_corpus[name]
-        N = next(M for M in normal_subgroups(G) if M.order() == kernel_order)
+        N = next(M for M in normal_subgroups(G) if len(M) == kernel_order)
         B = sylow_basis(G)
-        Q, cmap = quotient(G, N)
+        Q, cmap = quotient(G, group_from_elements(G.degree, indexed_view(G).perms(sorted(N))))
         image = subgroup_generated(Q.degree, [cmap(t) for t in B.normalizer.generators])
         TQ = sylow_basis(Q).normalizer
         assert any(TQ.conjugated(g).equals(image) for g in Q.elements()), name
