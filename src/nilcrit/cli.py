@@ -99,7 +99,7 @@ def _lemma_json(report) -> dict:
     return {
         "lemma": report.lemma_id,
         "group": report.group_id,
-        "params": _witness_json(report.params),
+        "params": report.params,
         "holds": report.holds,
         "witness": _witness_json(report.witness),
         "checked": report.checked,
@@ -155,7 +155,7 @@ def _select_groups(args, default_filter: str) -> list[PermGroup]:
     return [load_group(name) for name in names]
 
 
-def _json_chunks(value, newline: str, out: list[str]) -> None:
+def _json_chunks(value, newline: str, out: list[str], shapes: dict) -> None:
     """Append to ``out`` the text ``json.dumps(value, sort_keys=True, indent=2)`` gives.
 
     ``newline`` is a line break followed by the indent of the line the value
@@ -164,6 +164,16 @@ def _json_chunks(value, newline: str, out: list[str]) -> None:
     anything else, such as a float, an int or str subclass or a dict with
     other keys, is handed to ``json.dumps``, so it serializes, or raises,
     exactly as there.  Reports are trees, so no cycle check is made.
+
+    ``shapes`` belongs to one report write.  It maps a dict's key tuple, in
+    insertion order, and ``newline`` to the sorted keys, each paired with
+    the text written before its value, and to the closing text; it is filled
+    only for dicts whose keys are all exact strs.  So the records of one
+    shape sort and encode their keys once per depth.  A later dict whose
+    keys equal a cached tuple, such as str subclasses that hash, compare and
+    sort as str does, takes that shape, and ``json.dumps`` writes those keys
+    alike.  Scalar values of a dict are written in its loop, and only
+    containers recurse.
     """
     kind = type(value)
     if kind is str:
@@ -185,27 +195,54 @@ def _json_chunks(value, newline: str, out: list[str]) -> None:
         sep = "[" + inner
         for v in value:
             out.append(sep)
-            _json_chunks(v, inner, out)
+            _json_chunks(v, inner, out, shapes)
             sep = "," + inner
         out.append(newline + "]")
-    elif kind is dict and value and all(type(k) is str for k in value):
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(value):
-            out.append(sep + _json_str(key) + ": ")
-            _json_chunks(value[key], inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
+    elif kind is dict and value and ((shape := shapes.get((tuple(value), newline)))
+                                     or all(type(k) is str for k in value)):
+        if shape is None:
+            inner = newline + "  "
+            sep = "{" + inner
+            prefixed = []
+            for key in sorted(value):
+                prefixed.append((key, sep + _json_str(key) + ": "))
+                sep = "," + inner
+            shape = shapes[tuple(value), newline] = prefixed, newline + "}"
+        prefixed, close = shape
+        for key, prefix in prefixed:
+            v = value[key]
+            kind = type(v)
+            if kind is int:
+                out.append(prefix + int.__repr__(v))
+            elif kind is str:
+                out.append(prefix + _json_str(v))
+            elif v is None:
+                out.append(prefix + "null")
+            elif v is True:
+                out.append(prefix + "true")
+            elif v is False:
+                out.append(prefix + "false")
+            else:
+                out.append(prefix)
+                _json_chunks(v, newline + "  ", out, shapes)
+        out.append(close)
     else:
         out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
 
 
-def report_text(report) -> str:
-    """The report as ``json.dumps(report, sort_keys=True, indent=2) + "\\n"`` writes it."""
+def write_report(report, stream) -> None:
+    """Write ``json.dumps(report, sort_keys=True, indent=2) + "\\n"`` to the text stream.
+
+    The text is never one string: its chunks are joined and written in
+    blocks of 2**16, so a large report costs its chunk list, not a second
+    copy of itself.
+    """
     chunks: list[str] = []
-    _json_chunks(report, "\n", chunks)
+    _json_chunks(report, "\n", chunks, {})
     chunks.append("\n")
-    return "".join(chunks)
+    block = 1 << 16
+    for start in range(0, len(chunks), block):
+        stream.write("".join(chunks[start:start + block]))
 
 
 def _emit(args, command: str, groups: list[PermGroup], records: list[dict],
@@ -222,12 +259,16 @@ def _emit(args, command: str, groups: list[PermGroup], records: list[dict],
         "records": records,
         "aggregate": aggregate,
     }
-    text = report_text(report)
     if args.json == "-":
-        sys.stdout.write(text)
+        write_report(report, sys.stdout)
     else:
         with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write_report(report, fh)
+
+
+def _progress(args):
+    """Where a driver's progress lines go: stderr when the report itself goes to stdout."""
+    return sys.stderr if args.json == "-" else sys.stdout
 
 
 def _cmd_corpus(args) -> int:
@@ -239,6 +280,7 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    log = _progress(args)
     groups = _select_groups(args, "all")
     records = []
     for G in groups:
@@ -253,12 +295,13 @@ def _cmd_series(args) -> int:
         records.append(entry)
         print(f"{G.name}: derived {entry['derived_orders']} "
               f"lower-central {entry['lower_central_orders']} "
-              f"fitting-height {entry['fitting_height']}")
+              f"fitting-height {entry['fitting_height']}", file=log)
     _emit(args, "series", groups, records, {"groups": len(groups)}, {})
     return 0
 
 
 def _cmd_criterion(args) -> int:
+    log = _progress(args)
     groups = _select_groups(args, "soluble" if args.kind == "delta" else "all")
     ks = _parse_k_range(args.k)
     records = []
@@ -278,7 +321,7 @@ def _cmd_criterion(args) -> int:
                     "is_candidate_counterexample": probe.is_candidate_counterexample,
                 })
                 print(f"{G.name} k={k} delta: insoluble, probed; "
-                      f"criterion={'holds' if probe.criterion.holds else 'fails'}")
+                      f"criterion={'holds' if probe.criterion.holds else 'fails'}", file=log)
                 continue
             else:
                 chk = derived_nilpotency_check(G, k)
@@ -291,17 +334,20 @@ def _cmd_criterion(args) -> int:
             })
             verdict = "holds" if chk.criterion.holds else "fails"
             print(f"{G.name} k={k} {args.kind}: criterion={verdict} "
-                  f"subgroup_nilpotent={chk.subgroup_nilpotent} consistent={chk.consistent}")
+                  f"subgroup_nilpotent={chk.subgroup_nilpotent} consistent={chk.consistent}",
+                  file=log)
             if not chk.consistent:
                 bad += 1
     aggregate = {"groups": len(groups), "checks": len(records), "inconsistencies": bad}
     _emit(args, "criterion", groups, records, aggregate,
           {"k": args.k, "kind": args.kind, "cap": args.cap})
-    print(f"{'OK' if bad == 0 else 'FAIL'}: {len(records)} checks, {bad} inconsistencies")
+    print(f"{'OK' if bad == 0 else 'FAIL'}: {len(records)} checks, {bad} inconsistencies",
+          file=log)
     return 0 if bad == 0 else 1
 
 
 def _cmd_probe(args) -> int:
+    log = _progress(args)
     groups = _select_groups(args, "insoluble")
     ks = _parse_k_range(args.k)
     records = []
@@ -321,22 +367,24 @@ def _cmd_probe(args) -> int:
                 candidates += 1
                 note = "  <-- CANDIDATE COUNTEREXAMPLE: insoluble group satisfying the criterion"
             print(f"{G.name} k={k}: criterion="
-                  f"{'holds' if probe.criterion.holds else 'fails'}{note}")
+                  f"{'holds' if probe.criterion.holds else 'fails'}{note}", file=log)
     aggregate = {"groups": len(groups), "checks": len(records),
                  "candidate_counterexamples": candidates}
     _emit(args, "probe", groups, records, aggregate, {"k": args.k, "cap": args.cap})
-    print(f"probe complete: {len(records)} checks, {candidates} candidate counterexamples")
+    print(f"probe complete: {len(records)} checks, {candidates} candidate counterexamples",
+          file=log)
     return 0
 
 
 def _cmd_focal(args) -> int:
+    log = _progress(args)
     groups = _select_groups(args, "soluble")
     ks = _parse_k_range(args.k)
     records = []
     bad = 0
     for G in groups:
         if not is_soluble(G):
-            print(f"{G.name}: skipped (insoluble)")
+            print(f"{G.name}: skipped (insoluble)", file=log)
             continue
         indexed_view(G, args.cap)
         for depth in ks:
@@ -345,20 +393,21 @@ def _cmd_focal(args) -> int:
                 records.append(_lemma_json(rep))
                 if not rep.holds:
                     bad += 1
-                    print(f"{G.name} depth={depth} p={p}: FAIL {rep.witness}")
-        print(f"{G.name}: focal generation verified for depths {ks}")
+                    print(f"{G.name} depth={depth} p={p}: FAIL {rep.witness}", file=log)
+        print(f"{G.name}: focal generation verified for depths {ks}", file=log)
     aggregate = {"groups": len(groups), "checks": len(records), "failures": bad}
     _emit(args, "focal", groups, records, aggregate, {"k": args.k, "cap": args.cap})
-    print(f"{'OK' if bad == 0 else 'FAIL'}: {len(records)} checks, {bad} failures")
+    print(f"{'OK' if bad == 0 else 'FAIL'}: {len(records)} checks, {bad} failures", file=log)
     return 0 if bad == 0 else 1
 
 
 def _cmd_tower(args) -> int:
+    log = _progress(args)
     groups = _select_groups(args, "soluble")
     records = []
     for G in groups:
         if not is_soluble(G):
-            print(f"{G.name}: skipped (insoluble)")
+            print(f"{G.name}: skipped (insoluble)", file=log)
             continue
         indexed_view(G, args.cap)
         tower = generator_tower(G, seed=args.seed)
@@ -371,15 +420,16 @@ def _cmd_tower(args) -> int:
             "depth_set_sizes": [len(d) for d in tower.depth_sets],
         })
         print(f"{G.name}: height {tower.height}, normalizer orders "
-              f"{list(tower.normalizer_orders())}, |X| = {len(tower.generating_set)}")
+              f"{list(tower.normalizer_orders())}, |X| = {len(tower.generating_set)}", file=log)
     aggregate = {"groups": len(groups), "checks": len(records), "failures": 0}
     _emit(args, "tower", groups, records, aggregate,
           {"cap": args.cap, "seed": args.seed})
-    print(f"OK: {len(records)} towers built and verified")
+    print(f"OK: {len(records)} towers built and verified", file=log)
     return 0
 
 
 def _cmd_lemmas(args) -> int:
+    log = _progress(args)
     groups = _select_groups(args, "all")
     ks = _parse_k_range(args.k)
     records = []
@@ -428,7 +478,7 @@ def _cmd_lemmas(args) -> int:
                 continue
             records.append(_lemma_json(rep))
             bad += 0 if rep.holds else 1
-        print(f"{G.name}: lemma battery done")
+        print(f"{G.name}: lemma battery done", file=log)
     if args.strict and skipped:
         bad += skipped
     aggregate = {"groups": len(groups), "checks": len(records), "failures": bad,
@@ -436,7 +486,7 @@ def _cmd_lemmas(args) -> int:
     _emit(args, "lemmas", groups, records, aggregate,
           {"k": args.k, "cap": args.cap, "strict": args.strict})
     print(f"{'OK' if bad == 0 else 'FAIL'}: {len(records)} records, {bad} failures, "
-          f"{skipped} inadmissible instances")
+          f"{skipped} inadmissible instances", file=log)
     return 0 if bad == 0 else 1
 
 

@@ -74,11 +74,14 @@ def normal_subgroups(G: PermGroup) -> list[frozenset[int]]:
 
     A normal subgroup is the product of the closures of the conjugacy classes
     it contains, and the join of a normal S with such a closure M is SM, the
-    union of the cosets of S that meet M, read off S's coset labels.  So
-    joining each subgroup found, from the trivial one, with each closure
-    outside it reaches every normal subgroup: one closure per class, none
-    per join.  Results are sorted by order, then by sorted index list, which
-    is canonical element order.
+    union of the cosets of S that meet M.  G's indices are sorted by S's
+    coset labels once per S; every coset has |S| members, so coset c is one
+    slice of that list, and each join reads the labels of M and copies only
+    the cosets it hits: |M| + |SM| steps, not |G|.  Joining each
+    subgroup found, from the trivial one, with each closure outside it
+    reaches every normal subgroup: one closure per class, none per join.
+    Results are sorted by order, then by sorted index list, which is
+    canonical element order.
     """
 
     def compute() -> tuple[frozenset[int], ...]:
@@ -89,11 +92,12 @@ def normal_subgroups(G: PermGroup) -> list[frozenset[int]]:
         work = list(found)
         while work:
             S = work.pop()
-            labels = iv.coset_labels(S)[0]
+            labels, n = iv.coset_labels(S)[0], len(S)
+            by_coset = sorted(every, key=labels.__getitem__)  # coset c is [c*n, c*n + n)
             for M in closures:
                 if not M <= S:
-                    cosets = {labels[m] for m in M}
-                    joined = frozenset(x for x, c in zip(every, labels) if c in cosets)
+                    joined = frozenset().union(
+                        *[by_coset[c * n:c * n + n] for c in {labels[m] for m in M}])
                     if joined not in found:
                         found.add(joined)
                         work.append(joined)

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -17,7 +18,9 @@ from hypothesis import example, given, strategies as st
 
 import nilcrit
 import nilcrit.cli as cli
-from nilcrit.cli import build_parser, main, report_text
+from nilcrit.cli import build_parser, main, write_report
+from nilcrit.lemmas import LemmaReport
+from nilcrit.perm import Permutation
 
 SRC = Path(nilcrit.__file__).resolve().parents[1]
 SCALE_CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
@@ -312,8 +315,19 @@ def oracle_text(value):
     return json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
+def report_text(value):
+    """The text ``write_report`` writes for ``value``."""
+    stream = io.StringIO()
+    write_report(value, stream)
+    return stream.getvalue()
+
+
 class Colour(enum.IntEnum):
     RED = 1
+
+
+class Key(str):
+    """A str subclass that hashes, compares and sorts as str does."""
 
 
 json_scalars = (st.none() | st.booleans() | st.integers()
@@ -323,7 +337,9 @@ json_values = st.recursive(
     json_scalars,
     lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
                    | st.lists(st.integers()) | st.dictionaries(st.text(), inner)
-                   | st.dictionaries(st.integers(), inner)),
+                   | st.dictionaries(st.integers(), inner)
+                   # few key sets, so shapes recur across insertion orders and depths
+                   | st.dictionaries(st.sampled_from("abc"), inner)),
     max_leaves=25)
 
 
@@ -339,6 +355,11 @@ class TestReportText:
     @example({"images": list(range(1, 257)), "nested": [[3, 1, 2], (4, 5)]})
     @example({"e": Colour.RED, "f": [Colour.RED, 2], "g": 2.0, "h": -0.0})
     @example({1: "int key", 2: [1]})
+    @example([{"a": 1, "b": "x"}, {"b": None, "a": True}, {"a": [], "b": {}}])
+    @example({"a": {"a": {"b": 1, "a": 2}, "b": 3}, "b": [{"a": 4, "b": 5}],
+              "c": {"b": 6, "a": 7}})
+    @example([{"a": 1}, {Key("a"): 2}, {Key("b"): 3}, {"a": {Key("a"): [1]}}])
+    @example([{"a": 1}, {"a": 1.5}, {"a": Colour.RED}, {"a": (1, "x")}, {"a": -0.0}])
     def test_matches_json_dumps(self, value):
         assert report_text(value) == oracle_text(value)
 
@@ -361,3 +382,83 @@ class TestReportText:
         assert code == 0
         text = path.read_text()
         assert text == oracle_text(json.loads(text))
+
+    def test_writes_large_reports_in_blocks(self):
+        class Stream(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        report = {"records": [{"n": n, "m": [n, "x"]} for n in range(10000)]}
+        stream = Stream()
+        write_report(report, stream)
+        assert stream.getvalue() == oracle_text(report)
+        assert stream.writes > 1
+
+    def test_keys_are_encoded_once_per_shape_and_depth(self, monkeypatch):
+        encoded = Counter()
+
+        def counting(text):
+            encoded[text] += 1
+            return json.encoder.encode_basestring_ascii(text)
+
+        monkeypatch.setattr(cli, "_json_str", counting)
+        records = [{"lemma": "L", "group": "G", "params": {"p": 2, "N_order": n},
+                    "holds": True, "witness": None, "checked": n} for n in range(1000)]
+        report = {"records": records, "aggregate": {"checks": len(records)}}
+        assert report_text(report) == oracle_text(report)
+        keys = ["records", "aggregate", "checks", "lemma", "group", "params", "p", "N_order",
+                "holds", "witness", "checked"]
+        assert {k: encoded[k] for k in keys} == dict.fromkeys(keys, 1)
+
+    @pytest.mark.parametrize("argv", [
+        ["series", "S3"], ["criterion", "S4", "A5", "--k", "1"], ["probe", "A5", "--k", "1"],
+        ["focal", "S3", "--k", "1"], ["tower", "S3"], ["lemmas", "S3", "--k", "1"],
+    ])
+    def test_stdout_report_is_the_file_report(self, argv, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        code, progress, _ = run([*argv, "--json", str(path)], capsys)
+        assert code == 0 and progress
+        code, out, err = run([*argv, "--json", "-"], capsys)
+        assert code == 0
+        assert out == path.read_text()
+        assert err == progress
+
+
+class TestLemmaRecords:
+    """Lemma reports as the CLI serializes them."""
+
+    def test_battery_params_are_flat_str_to_int(self, monkeypatch, capsys):
+        seen = []
+        lemma_json = cli._lemma_json
+
+        def keep(report):
+            seen.append(report)
+            return lemma_json(report)
+
+        monkeypatch.setattr(cli, "_lemma_json", keep)
+        code, _, _ = run(["lemmas", "--k", "1..3"], capsys)
+        assert code == 0
+        assert len(seen) > 1000
+        for report in seen:
+            assert type(report.params) is dict
+            assert all(type(k) is str and type(v) is int for k, v in report.params.items()), \
+                report
+
+    def test_permutation_witness_serializes_as_perm_json(self):
+        p = Permutation.from_cycles(4, [(1, 2, 3)])
+        q = Permutation.from_cycles(4, [(1, 2), (3, 4)])
+        report = LemmaReport("coset_intersection", "S4", {"p": 2, "N_order": 4}, False,
+                             {"element": p, "pair": [p, q], "in_lhs": True}, 7)
+        expected = {"lemma": "coset_intersection", "group": "S4",
+                    "params": {"p": 2, "N_order": 4}, "holds": False,
+                    "witness": {"element": cli._perm_json(p),
+                                "pair": [cli._perm_json(p), cli._perm_json(q)],
+                                "in_lhs": True},
+                    "checked": 7}
+        record = cli._lemma_json(report)
+        assert record == expected
+        assert record["witness"]["element"] == {"images": [2, 3, 1, 4], "cycles": "(1 2 3)"}
+        assert report_text({"records": [record]}) == oracle_text({"records": [expected]})
