@@ -42,13 +42,14 @@ from .errors import (
 from .group import DEFAULT_ENUM_CAP, PermGroup
 from .indexed import indexed_view
 from .lemmas import (
+    COSET_DEPTHS,
+    CosetBatch,
+    QUOTIENT_HYPOTHESIS_FAILS,
     check_coprime_action,
-    check_coset_intersection,
     check_fitting_membership,
     check_focal_generation,
-    check_lifted_generation,
-    coset_intersection_instances,
-    lifted_generation_instances,
+    coset_lemma_batch,
+    p_power_value_closure,
 )
 from .perm import Permutation
 from .primes import prime_factors
@@ -428,6 +429,42 @@ def _cmd_tower(args) -> int:
     return 0
 
 
+def _coset_lemma_records(G: PermGroup) -> list[dict]:
+    """Records of the two coset lemmas: coset_intersection per (p, depth, N), then
+    lifted_generation per (p, depth, N, L), inadmissible instances included.
+
+    Each (p, X) is checked by one ``coset_lemma_batch``.  A depth whose value
+    set X equals an earlier depth's re-emits that batch's reports, with the
+    depth added to copies of their params.
+    """
+
+    def at_depth(report, depth: int) -> dict:
+        record = _lemma_json(report)
+        record["params"] = {**report.params, "depth": depth}
+        return record
+
+    batches: dict[tuple[int, frozenset[int]], CosetBatch] = {}
+    runs = []
+    for p in prime_factors(G.order()):
+        for depth in COSET_DEPTHS:
+            X = p_power_value_closure(G, depth, p)
+            if (p, X) not in batches:
+                batches[p, X] = coset_lemma_batch(G, p, X)
+            runs.append((p, depth, batches[p, X]))
+    records = [at_depth(rep, depth) for _, depth, batch in runs for rep in batch.coset]
+    for p, depth, batch in runs:
+        for N, L, rep in batch.lifted:
+            if rep is None:
+                records.append({"lemma": "lifted_generation", "group": G.name,
+                                "params": {"p": p, "N_order": len(N), "L_order": len(L),
+                                           "depth": depth},
+                                "status": "hypothesis_not_satisfied",
+                                "detail": QUOTIENT_HYPOTHESIS_FAILS})
+            else:
+                records.append(at_depth(rep, depth))
+    return records
+
+
 def _cmd_lemmas(args) -> int:
     log = _progress(args)
     groups = _select_groups(args, "all")
@@ -437,25 +474,12 @@ def _cmd_lemmas(args) -> int:
     skipped = 0
     for G in groups:
         indexed_view(G, args.cap)
-        for inst in coset_intersection_instances(G):
-            rep = check_coset_intersection(G, inst["N"], inst["p"], inst["X"])
-            rep.params["depth"] = inst["depth"]
-            records.append(_lemma_json(rep))
-            bad += 0 if rep.holds else 1
-        for inst in lifted_generation_instances(G):
-            try:
-                rep = check_lifted_generation(G, inst["N"], inst["L"], inst["p"], inst["X"])
-            except HypothesisNotSatisfied as exc:
+        for rec in _coset_lemma_records(G):
+            records.append(rec)
+            if "status" in rec:
                 skipped += 1
-                records.append({"lemma": "lifted_generation", "group": G.name,
-                                "params": {"p": inst["p"], "N_order": len(inst["N"]),
-                                           "L_order": len(inst["L"]),
-                                           "depth": inst["depth"]},
-                                "status": "hypothesis_not_satisfied", "detail": str(exc)})
-                continue
-            rep.params["depth"] = inst["depth"]
-            records.append(_lemma_json(rep))
-            bad += 0 if rep.holds else 1
+            elif not rec["holds"]:
+                bad += 1
         if is_soluble(G):
             for depth in ks:
                 for p in prime_factors(G.order()):

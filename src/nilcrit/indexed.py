@@ -120,6 +120,40 @@ class IndexedGroup:
                         reps.append(t)
         return seen, kept
 
+    def coset_closure(self, kernel: frozenset[int], seed: Iterable[int]) -> set[int]:
+        """The subgroup of G/N generated by the seed cosets, as coset labels of N = kernel.
+
+        Dimino's algorithm, as in ``_close``, on the quotient: a coset is
+        multiplied on its minimal element's image bytes, c*d = labels[reps[c]
+        * reps[d]], one translate and two lookups, so the closure forms |N|
+        times fewer products than closing the preimage <N, reps> in G.
+        Coset 0 is N.
+        """
+        labels, reps = self.coset_labels(kernel)
+        key, images, pads = self.index, self.images, self.pads
+        members, kept = [0], []
+        seen = set(members)
+        for s in seed:
+            if s in seen:
+                continue
+            kept.append(pads[reps[s]])
+            if len(kept) == 1:
+                p = images[reps[s]]
+                while (i := labels[key[p]]) not in seen:
+                    members.append(i)
+                    seen.add(i)
+                    p = p.translate(kept[0])
+                continue
+            old, coset_reps = [images[reps[h]] for h in members], [0]
+            for r in coset_reps:  # grows while it is walked
+                for g in kept:
+                    t = labels[key[images[reps[r]].translate(g)]]
+                    if t not in seen:
+                        members += (coset := [labels[key[b.translate(pads[reps[t]])]] for b in old])
+                        seen.update(coset)
+                        coset_reps.append(t)
+        return seen
+
     def commutator_closure(self, seed: Iterable[int]) -> frozenset[int]:
         """Close a set of indices under taking commutators of members."""
         inv, comm = self.inverse, self.comm

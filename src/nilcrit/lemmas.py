@@ -7,7 +7,8 @@ Five checks, each a conditional verified extensionally on concrete groups:
 * lifted_generation — if P-bar cap L-bar is generated by P-bar cap X-bar in
   G/N, then P cap L is generated by (P cap X) and (P cap N) in G.  No
   quotient group is built: subsets of G/N are sets of coset labels of N, and
-  <P-bar cap X-bar> is read off its preimage <N, one element per coset>.
+  <P-bar cap X-bar> is closed on the labels, cosets multiplied on their
+  minimal elements (``IndexedGroup.coset_closure``).
 * focal_generation — P cap G^(i) is generated by the depth-i word values
   lying in P (soluble G).
 * fitting_membership — in a metanilpotent group, a p-element centralizing
@@ -25,6 +26,13 @@ closures read off coset labels, and the coprime-action check reads every
 commutator off table lookups.  G's view is the only one built, and a
 PermGroup only wraps an index set, with no chain built for it.
 
+The batch drivers check both coset lemmas with ``coset_lemma_batch``, once
+per (p, X): p and X are checked once, each normal subgroup once, and each N
+meets every L above it in one call, so the work free of L is done once per
+(N, p, X) and each L costs one subset test and two intersections.  The
+one-instance checks ``check_coset_intersection`` and
+``check_lifted_generation`` run on the same cores.
+
 Inadmissible inputs raise HypothesisNotSatisfied (or a structural error);
 holds=False is reserved for genuine counter-evidence, which for proven facts
 means an implementation bug.
@@ -32,6 +40,7 @@ means an implementation bug.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import gcd
 from typing import Iterator, NamedTuple
 
@@ -56,6 +65,10 @@ from .structure import (
     _sylow_indices,
 )
 from .words import delta_values
+
+# depths of the value sets X the drivers feed the two coset lemmas
+COSET_DEPTHS = (0, 1, 2)
+QUOTIENT_HYPOTHESIS_FAILS = "quotient-side generation P-bar cap L-bar = <P-bar cap X-bar> fails"
 
 
 class LemmaReport(NamedTuple):
@@ -175,10 +188,14 @@ def check_coset_intersection(G: PermGroup, N: frozenset[int], p: int, X: frozens
     stray element.
     """
     _check_prime_divisor(G, p)
-    iv = indexed_view(G)
     _check_normal_subgroup(G, N)
     _check_normal_p_set(G, X, p)
+    return _coset_report(G, N, p, X)
 
+
+def _coset_report(G: PermGroup, N: frozenset[int], p: int, X: frozenset[int]) -> LemmaReport:
+    """``check_coset_intersection`` on checked inputs: its core, shared with ``coset_lemma_batch``."""
+    iv = indexed_view(G)
     labels, reps = iv.coset_labels(N)
     p_idx = iv.member_indices(sylow_subgroup(G, p))
     lhs = {labels[i] for i in X} & {labels[i] for i in p_idx}
@@ -201,45 +218,108 @@ def check_lifted_generation(G: PermGroup, N: frozenset[int], L: frozenset[int], 
     """From generation in G/N, conclude P cap L = <P cap X, P cap N> in G; N, L, X are index sets.
 
     The G/N hypothesis P-bar cap L-bar = <P-bar cap X-bar> is decided on the
-    coset labels of N: the label set of a subset of G is its image in G/N, and
-    the preimage of <P-bar cap X-bar> is <N, one element per coset in
-    P-bar cap X-bar>.  Instances failing it are inadmissible and raise
-    HypothesisNotSatisfied rather than producing a verdict.  The parts free
-    of L are kept on G per (N, p, X), as the instance generators pair each
-    (N, p, X) with every L above N; X is checked when they are first built.
+    coset labels of N: the label set of a subset of G is its image in G/N,
+    and <P-bar cap X-bar> is closed on the labels themselves.  Instances
+    failing it are inadmissible and raise HypothesisNotSatisfied rather than
+    producing a verdict.
     """
     _check_prime_divisor(G, p)
-    iv = indexed_view(G)
     _check_normal_subgroup(G, N)
     _check_normal_subgroup(G, L)
     if not N <= L:
         raise NotNormal("N must be contained in L")
-    labels, reps = iv.coset_labels(N)
+    _check_normal_p_set(G, X, p)
+    (report,) = _lifted_reports(G, N, p, X, [L])
+    if report is None:
+        raise HypothesisNotSatisfied(QUOTIENT_HYPOTHESIS_FAILS)
+    return report
 
-    def sides() -> tuple[frozenset[int], set[int], set[int], frozenset[int]]:
-        """``(P, P-bar, <P-bar cap X-bar>, <(X cup N) cap P>)``, bars as sets of coset labels."""
-        _check_normal_p_set(G, X, p)
+
+def _lifted_reports(G: PermGroup, N: frozenset[int], p: int, X: frozenset[int],
+                    uppers: list[frozenset[int]]) -> list[LemmaReport | None]:
+    """``check_lifted_generation`` at each L in uppers, on checked inputs; None where inadmissible.
+
+    The core of the check, shared with ``coset_lemma_batch``.  The parts
+    free of L are built once per (N, p, X) and kept on G: P's index set,
+    the minimal elements of the cosets in P-bar and in <P-bar cap X-bar>,
+    and <(X cup N) cap P>.  L is a union of N's cosets, so the minima of
+    P-bar cap L-bar are those of P-bar that lie in L: each L costs one
+    intersection for the G/N hypothesis and, when it holds, one for P cap L.
+    """
+
+    def sides() -> tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]]:
+        iv = indexed_view(G)
+        labels, reps = iv.coset_labels(N)
         p_idx = iv.member_indices(sylow_subgroup(G, p))
         p_bar = {labels[i] for i in p_idx}
-        preimage = iv.closure(sorted(N) + [reps[c] for c in p_bar & {labels[i] for i in X}])
-        return p_idx, p_bar, {labels[i] for i in preimage}, iv.closure((X | N) & p_idx)
+        generated = iv.coset_closure(N, p_bar & {labels[i] for i in X})
+        return (p_idx, frozenset([reps[c] for c in p_bar]), frozenset([reps[c] for c in generated]),
+                iv.closure((X | N) & p_idx))
 
-    p_idx, p_bar, generated_bar, rhs = G.memo(("lifted_generation_sides", N, p, X), sides)
-    # L is a union of N's cosets, so a coset lies in L when its minimal element does
-    if generated_bar != {c for c in p_bar if reps[c] in L}:
-        raise HypothesisNotSatisfied(
-            "quotient-side generation P-bar cap L-bar = <P-bar cap X-bar> fails")
+    p_idx, p_bar_reps, generated_reps, rhs = G.memo(("lifted_generation_sides", N, p, X), sides)
+    reports: list[LemmaReport | None] = []
+    for L in uppers:
+        if p_bar_reps & L != generated_reps:
+            reports.append(None)
+            continue
+        lhs = p_idx & L
+        holds = lhs == rhs
+        witness = None
+        if not holds:
+            stray = min(lhs ^ rhs)
+            witness = {"element": indexed_view(G).elements[stray],
+                       "in_lhs": stray in lhs, "in_rhs": stray in rhs}
+        reports.append(LemmaReport(
+            "lifted_generation", G.name,
+            {"p": p, "N_order": len(N), "L_order": len(L), "X_size": len(X)},
+            holds, witness, checked=len(lhs) + len(rhs)))
+    return reports
 
-    lhs = p_idx & L
-    holds = lhs == rhs
-    witness = None
-    if not holds:
-        stray = min(lhs ^ rhs)
-        witness = {"element": iv.elements[stray], "in_lhs": stray in lhs, "in_rhs": stray in rhs}
-    return LemmaReport(
-        "lifted_generation", G.name,
-        {"p": p, "N_order": len(N), "L_order": len(L), "X_size": len(X)},
-        holds, witness, checked=len(lhs) + len(rhs))
+
+def _normal_pairs(G: PermGroup) -> tuple[tuple[frozenset[int], list[frozenset[int]]], ...]:
+    """Each normal subgroup N with the normal subgroups L containing it, in lattice order.
+
+    An L above N has |L| >= |N|, so it comes no earlier than N in the order
+    of ``normal_subgroups``, and only those are tested.  Kept on G.
+    """
+
+    def compute() -> tuple[tuple[frozenset[int], list[frozenset[int]]], ...]:
+        normals = normal_subgroups(G)
+        return tuple((N, [L for L in normals[i:] if N <= L]) for i, N in enumerate(normals))
+
+    return G.memo(("normal_pairs",), compute)
+
+
+class CosetBatch(NamedTuple):
+    """Both coset lemmas at one (p, X): every normal N, and every normal L above N.
+
+    ``coset`` holds one report per N, ``lifted`` one ``(N, L, report)`` per
+    pair, report None where the G/N hypothesis fails; N and L run in the
+    order of ``normal_subgroups``.
+    """
+
+    coset: list[LemmaReport]
+    lifted: list[tuple[frozenset[int], frozenset[int], LemmaReport | None]]
+
+
+def coset_lemma_batch(G: PermGroup, p: int, X: frozenset[int]) -> CosetBatch:
+    """Both coset checks at (p, X) over the lattice, each input checked once per batch.
+
+    p and X are checked once, each normal subgroup once, and each N meets
+    all the L above it in one call of the lifted-generation core, so the
+    work free of L is done once per (N, p, X).  The reports are those of
+    ``check_coset_intersection`` and ``check_lifted_generation``.
+    """
+    _check_prime_divisor(G, p)
+    _check_normal_p_set(G, X, p)
+    pairs = _normal_pairs(G)
+    for N, _ in pairs:
+        _check_normal_subgroup(G, N)
+    coset, lifted = [], []
+    for N, uppers in pairs:
+        coset.append(_coset_report(G, N, p, X))
+        lifted += zip(repeat(N), uppers, _lifted_reports(G, N, p, X, uppers))
+    return CosetBatch(coset, lifted)
 
 
 def check_focal_generation(G: PermGroup, depth: int, p: int) -> LemmaReport:
@@ -309,14 +389,20 @@ def _invariant_subgroup_family(G: PermGroup) -> list[frozenset[int]]:
     normal subgroup and the p'-cores of the Fitting subgroup; the full
     subgroup lattice would explode, and this family covers every subgroup
     the coprime-action argument is ever applied to.  <y> is the closure of
-    y, its powers; a Sylow subgroup of M grows on M's index list, and
-    the p'-core of the nilpotent F is its set of p'-elements.  Members are
-    ordered by size, then by sorted index list.
+    y, its powers, made once per cyclic subgroup: its generators, the
+    members of y's order, are skipped by the scan.  A Sylow subgroup of M
+    grows on M's index list, and the p'-core of the nilpotent F is its set
+    of p'-elements.  Members are ordered by size, then by sorted index list.
     """
 
     def compute() -> tuple[frozenset[int], ...]:
         iv = indexed_view(G)
-        family = {iv.closure([y]) for y in range(iv.size)}
+        order_of, family, generators = iv.order_of, set(), set()
+        for y in range(iv.size):
+            if y not in generators:
+                cyclic = iv.closure([y])
+                family.add(cyclic)
+                generators.update(z for z in cyclic if order_of[z] == order_of[y])
         for M in normal_subgroups(G):
             domain = sorted(M)
             family.update(_sylow_indices(iv, q, domain)[0] for q in prime_factors(len(domain)))
@@ -395,10 +481,10 @@ def check_coprime_action(G: PermGroup, k: int) -> LemmaReport:
         witness is None, witness, checked=pairs)
 
 
-# instance generators for batch drivers
+# instance generators, one instance at a time, in the order of coset_lemma_batch
 
 def coset_intersection_instances(G: PermGroup,
-                                 depths: tuple[int, ...] = (0, 1, 2)) -> Iterator[dict]:
+                                 depths: tuple[int, ...] = COSET_DEPTHS) -> Iterator[dict]:
     for p in prime_factors(G.order()):
         for depth in depths:
             X = p_power_value_closure(G, depth, p)
@@ -407,12 +493,10 @@ def coset_intersection_instances(G: PermGroup,
 
 
 def lifted_generation_instances(G: PermGroup,
-                                depths: tuple[int, ...] = (0, 1, 2)) -> Iterator[dict]:
-    normals = normal_subgroups(G)
+                                depths: tuple[int, ...] = COSET_DEPTHS) -> Iterator[dict]:
     for p in prime_factors(G.order()):
         for depth in depths:
             X = p_power_value_closure(G, depth, p)
-            for N in normals:
-                for L in normals:
-                    if N <= L:
-                        yield {"N": N, "L": L, "p": p, "X": X, "depth": depth}
+            for N, uppers in _normal_pairs(G):
+                for L in uppers:
+                    yield {"N": N, "L": L, "p": p, "X": X, "depth": depth}

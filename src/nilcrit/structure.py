@@ -8,12 +8,13 @@ The series and the nilpotency and solubility predicates run on stabilizer
 chains, and never enumerate G; the commutators that seed each series term
 are formed on image bytes.  The subgroups are index sets on G's indexed
 view, the only enumeration, each wrapped with no chain built for it.  A Sylow
-subgroup, of G or of a subgroup's index list, grows by p-elements whose
-conjugation lookups keep its index set.  Its conjugates are one orbit under
-the conjugation tables of G's generators, one per right coset of its
-normalizer, each an index tuple with known generators.  A Sylow basis comes
-from a bounded deterministic backtracking search over them, in which two
-candidates permute when a chain finds <P, Q> of order |P| |Q|.  Basis
+subgroup, of G or of a subgroup's index list, grows by p-elements that
+conjugate its generators, on image bytes, into its index set.  Its
+conjugates are one orbit under the conjugation tables of G's generators, one
+per right coset of its normalizer, each an index tuple with known generators.
+A Sylow basis comes from a bounded deterministic backtracking search over
+them, in which two candidates permute when a chain finds <P, Q> of order
+|P| |Q|.  Basis
 normalizers and intersected bases are index sets on the ambient group's
 view, and factorizations are checked by |AB| = |A| |B| / |A cap B|.
 """
@@ -177,26 +178,28 @@ def _sylow_indices(iv: IndexedGroup, p: int, domain: range | list[int]) -> tuple
     outside P; such an element always exists while |P| is short of the full
     p-part, and the extension stays a p-group because the new element
     normalizes P.  The scan runs in index order, which is canonical element
-    order as on M's own view, and tests membership in N_M(P) by conjugation
-    lookups against P's index set.  The p-part of y, y^(|y| / p-part of |y|),
-    is a power walk on y's image bytes.
+    order as on M's own view.  y lies in N_M(P) when z^y = y^-1 z y, formed
+    on the image bytes of y^-1, z and y, lies in P's index set for each kept
+    generator z; only the y the scan reaches are tested.  The p-part of y,
+    y^(|y| / p-part of |y|), is a power walk on y's image bytes.
     """
+    key, images, pads, inverse, order_of = iv.index, iv.images, iv.pads, iv.inverse, iv.order_of
     target = p_part(len(domain), p)
-    p_elements = [i for i in domain if iv.order_of[i] % p == 0]
-    members, gens, conj = frozenset([iv.identity_index]), [], []
+    p_elements = [i for i in domain if order_of[i] % p == 0]
+    members, gens = frozenset([iv.identity_index]), []
     while len(members) < target:
         for y in p_elements:
-            if all(c[y] in members for c in conj):
-                n, z, table = iv.order_of[y], iv.images[y], iv.pads[y]
+            inv_y, pad_y = images[inverse[y]], pads[y]
+            if all(key[inv_y.translate(pads[g]).translate(pad_y)] in members for g in gens):
+                n, z = order_of[y], images[y]
                 for _ in range(n // p_part(n, p) - 1):
-                    z = z.translate(table)
-                z = iv.index[z]
+                    z = z.translate(pad_y)
+                z = key[z]
                 if z not in members:
                     break
         else:
             raise RuntimeError("Sylow growth stalled; normalizer scan found no p-element")
         gens.append(z)
-        conj.append(iv.conjugates(z))
         members = iv.closure(gens)
     return members, gens
 

@@ -89,6 +89,17 @@ def quotient(G: PermGroup, N: PermGroup) -> tuple[PermGroup, CosetMap]:
     return Q, cmap
 
 
+def coset_closure_oracle(G: PermGroup, N: frozenset[int], seeds: Iterable[int]) -> set[int]:
+    """The label set of the preimage <N, one element per seed coset>, closed in G.
+
+    This is how the lifted-generation check closed <P-bar cap X-bar> before
+    it closed on coset labels: |N| times the products of the label closure.
+    """
+    iv = indexed_view(G)
+    labels, reps = iv.coset_labels(N)
+    return {labels[i] for i in iv.closure(sorted(N) + [reps[c] for c in seeds])}
+
+
 def normal_subgroups_oracle(G: PermGroup) -> list[PermGroup]:
     """Class closures, closed under pairwise joins of chains; sorted by order, then elements."""
     found: dict[frozenset, PermGroup] = {}

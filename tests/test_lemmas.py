@@ -265,8 +265,9 @@ class TestLiftedGeneration:
 
     @pytest.mark.parametrize("name", ["S4", "S4xC3", "S3xS3"])
     def test_closes_at_most_twice_per_kernel_prime_and_value_set(self, name, monkeypatch):
-        # the preimage of <P-bar cap X-bar> and <(X cup N) cap P> do not
-        # depend on L, so each is closed once per (N, p, X), for every L above N
+        # <(X cup N) cap P> does not depend on L, so it is closed once per
+        # (N, p, X), for every L above N; <P-bar cap X-bar> is closed on
+        # coset labels, not in G
         G = load_group(name)
         instances = list(lifted_generation_instances(G))
         for p in prime_factors(G.order()):
