@@ -23,7 +23,6 @@ from .perm import Permutation, commutator
 from .group import (
     DEFAULT_ENUM_CAP,
     PermGroup,
-    centralizer,
     normal_closure,
     normalizer,
     subgroup_generated,
@@ -35,7 +34,6 @@ from .structure import (
     derived_series,
     derived_subgroup,
     derived_term,
-    fitting_height,
     fitting_subgroup,
     gamma_infinity,
     intersect_basis,

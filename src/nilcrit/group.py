@@ -3,11 +3,10 @@
 A :class:`PermGroup` is generators plus a lazily built stabilizer chain; the
 chain answers order and membership questions with no cap.  A closure
 (``subgroup_generated``, ``normal_closure``) grows one chain over its
-candidates and hands it to the group it returns.  Centralizers and
-normalizers are read off G's indexed view, which ``indexed_view`` builds
-under the enumeration cap; a set of G's elements is an index set on that
-view.  Groups are immutable once their caches are built, so sharing them is
-safe.
+candidates and hands it to the group it returns.  Normalizers are read off
+G's indexed view, which ``indexed_view`` builds under the enumeration cap;
+a set of G's elements is an index set on that view.  Groups are immutable
+once their caches are built, so sharing them is safe.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import random
 from typing import Callable, Iterable
 
 from .chain import StabilizerChain
-from .errors import DegreeMismatch, NotNormal, OrderCapExceeded
+from .errors import DegreeMismatch, OrderCapExceeded
 from .perm import Permutation, inverse_table, pad, wrap_images
 
 DEFAULT_ENUM_CAP = 200_000
@@ -167,20 +166,6 @@ def normal_closure(G: PermGroup, seed: Iterable[Permutation]) -> PermGroup:
                 kept.append(c)
                 work.append(c)
     return _group_on_chain(chain, kept)
-
-
-def centralizer(G: PermGroup, a: Permutation) -> PermGroup:
-    """C_G(a) for a in G: the g with a^g = a, read off a's conjugates on G's indexed view."""
-    from .indexed import indexed_view
-
-    if a.degree != G.degree:
-        raise DegreeMismatch("element degree differs from group degree")
-    iv = indexed_view(G)
-    r = iv.index.get(a.images)
-    if r is None:
-        raise NotNormal("element is not in the group")
-    conj = iv.conjugates(r)
-    return iv.subgroup(g for g in range(iv.size) if conj[g] == r)
 
 
 def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:

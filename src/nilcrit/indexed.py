@@ -15,9 +15,10 @@ products per generator, against |G|^2 for the full multiplication table.
 Element order is constant on a class, so ``order_of`` is filled on first
 use from one ``image_order`` per class representative.
 
-Subgroups and normal subsets of G are index sets on the view: a subgroup
-closure forms each member once, by Dimino's coset algorithm, and a subset is
-normal when every generator's conjugation table maps it into itself.  The
+Subgroups and normal subsets of G are index sets on the view: one routine,
+Dimino's coset algorithm, closes subgroups of G and of a quotient G/N on
+coset labels (G's are its indices) and forms each member once, and a subset
+is normal when every generator's conjugation table maps it into itself.  The
 right coset labels of a subgroup are kept per index set.  The index set of
 a PermGroup H is kept in one dict, keyed by the indices of its generators:
 they are looked up first, once per H object, so an H outside G fails before
@@ -49,6 +50,9 @@ class IndexedGroup:
         # keyed by images: look a Permutation p up as index[p.images]
         self.index: dict[bytes, int] = {b: i for i, b in enumerate(self.images)}
         self.inverse: list[int] = [self.index[inverse_table(b)[:len(b)]] for b in self.images]
+        # each element is its own coset of the trivial subgroup, for ``_dimino``;
+        # a list of index's own ints, not a range, which is slower to index
+        self._own_labels: list[int] = list(self.index.values())
         # keyed by a subgroup's generator indices (``_generator_key``), which
         # are kept per subgroup object for as long as it lives
         self._generator_keys: WeakKeyDictionary[PermGroup, frozenset[int]] = WeakKeyDictionary()
@@ -90,69 +94,23 @@ class IndexedGroup:
     def _close(self, seed: Iterable[int]) -> tuple[set[int], list[int]]:
         """``(members, kept)``: the closure of the seeds and the seeds kept for it.
 
-        Dimino's algorithm: seeds are walked in order and one is kept only
-        when the group H closed so far lacks it.  The first kept seed's group
-        is its powers; after that H grows by whole right cosets H*t, formed
-        from H's image bytes, for t = r*s over coset representatives r and
-        kept seeds s, so each member is formed once.
+        ``_dimino`` on G as its quotient by the trivial subgroup, whose
+        labels are the indices themselves.
         """
-        key, images, pads = self.index, self.images, self.pads
-        members, kept = [self.identity_index], []
-        seen = set(members)
-        for s in seed:
-            if s in seen:
-                continue
-            kept.append(s)
-            if len(kept) == 1:
-                p = images[s]
-                while (i := key[p]) not in seen:
-                    members.append(i)
-                    seen.add(i)
-                    p = p.translate(pads[s])
-                continue
-            old, reps = [images[h] for h in members], [self.identity_index]
-            for r in reps:  # grows while it is walked
-                for g in kept:
-                    t = key[images[r].translate(pads[g])]
-                    if t not in seen:
-                        members += (coset := [key[b.translate(pads[t])] for b in old])
-                        seen.update(coset)
-                        reps.append(t)
-        return seen, kept
+        return _dimino(seed, self.index, self.images, self.pads, self._own_labels)
 
     def coset_closure(self, kernel: frozenset[int], seed: Iterable[int]) -> set[int]:
         """The subgroup of G/N generated by the seed cosets, as coset labels of N = kernel.
 
-        Dimino's algorithm, as in ``_close``, on the quotient: a coset is
-        multiplied on its minimal element's image bytes, c*d = labels[reps[c]
-        * reps[d]], one translate and two lookups, so the closure forms |N|
-        times fewer products than closing the preimage <N, reps> in G.
-        Coset 0 is N.
+        ``_dimino`` on the quotient: a coset is multiplied on its minimal
+        element's image bytes, c*d = labels[reps[c] * reps[d]], one translate
+        and two lookups, so the closure forms |N| times fewer products than
+        closing the preimage <N, reps> in G.  Coset 0 is N.
         """
         labels, reps = self.coset_labels(kernel)
-        key, images, pads = self.index, self.images, self.pads
-        members, kept = [0], []
-        seen = set(members)
-        for s in seed:
-            if s in seen:
-                continue
-            kept.append(pads[reps[s]])
-            if len(kept) == 1:
-                p = images[reps[s]]
-                while (i := labels[key[p]]) not in seen:
-                    members.append(i)
-                    seen.add(i)
-                    p = p.translate(kept[0])
-                continue
-            old, coset_reps = [images[reps[h]] for h in members], [0]
-            for r in coset_reps:  # grows while it is walked
-                for g in kept:
-                    t = labels[key[images[reps[r]].translate(g)]]
-                    if t not in seen:
-                        members += (coset := [labels[key[b.translate(pads[reps[t]])]] for b in old])
-                        seen.update(coset)
-                        coset_reps.append(t)
-        return seen
+        images, pads = self.images, self.pads
+        return _dimino(seed, self.index, [images[r] for r in reps], [pads[r] for r in reps],
+                       labels)[0]
 
     def commutator_closure(self, seed: Iterable[int]) -> frozenset[int]:
         """Close a set of indices under taking commutators of members."""
@@ -322,6 +280,43 @@ class IndexedGroup:
 
     def perms(self, indices: Iterable[int]) -> list[Permutation]:
         return [self.elements[i] for i in indices]
+
+
+def _dimino(seed: Iterable[int], key: dict[bytes, int], images: list[bytes],
+            pads: list[bytes], labels: list[int]) -> tuple[set[int], list[int]]:
+    """``(members, kept)``: the closure of the seed labels in a quotient of G, and the seeds kept.
+
+    Label c is a coset, multiplied on ``images[c]`` and ``pads[c]``, those of
+    one of its elements; the element of G with image bytes b lies in coset
+    ``labels[key[b]]``, and label 0 is the identity's.  Dimino's algorithm:
+    seeds are walked in order and one is kept only when the group H closed
+    so far lacks it.  The first kept seed's group is its powers; after that
+    H grows by whole right cosets H*t, formed from H's image bytes, for
+    t = r*s over coset representatives r and kept seeds s, so each member is
+    formed once.
+    """
+    members, kept = [0], []
+    seen = set(members)
+    for s in seed:
+        if s in seen:
+            continue
+        kept.append(s)
+        if len(kept) == 1:
+            p = images[s]
+            while (i := labels[key[p]]) not in seen:
+                members.append(i)
+                seen.add(i)
+                p = p.translate(pads[s])
+            continue
+        old, reps = [images[h] for h in members], [0]
+        for r in reps:  # grows while it is walked
+            for g in kept:
+                t = labels[key[images[r].translate(pads[g])]]
+                if t not in seen:
+                    members += (coset := [labels[key[b.translate(pads[t])]] for b in old])
+                    seen.update(coset)
+                    reps.append(t)
+    return seen, kept
 
 
 def _orbit_labels(size: int, maps: list[list[int]]) -> tuple[list[int], list[int]]:

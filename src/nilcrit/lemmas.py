@@ -363,8 +363,8 @@ def check_fitting_membership(G: PermGroup, p: int) -> LemmaReport:
     F = fitting_subgroup(G)
     iv = indexed_view(G)
     f_idx = iv.member_indices(F)
-    core = iv.subgroup(sorted(i for i in f_idx if iv.order_of[i] % p))
-    core_conj = [(iv.index[o.images], iv.conjugates(iv.index[o.images])) for o in core.generators]
+    core, kept = iv._close(sorted(i for i in f_idx if iv.order_of[i] % p))
+    core_conj = [(o, iv.conjugates(o)) for o in kept]
     qualifying = 0
     witness = None
     for x, n in enumerate(iv.order_of):
@@ -378,7 +378,7 @@ def check_fitting_membership(G: PermGroup, p: int) -> LemmaReport:
             break
     return LemmaReport(
         "fitting_membership", G.name,
-        {"p": p, "fitting_order": F.order(), "core_order": core.order()},
+        {"p": p, "fitting_order": F.order(), "core_order": len(core)},
         witness is None, witness, checked=qualifying)
 
 

@@ -42,17 +42,15 @@ SYLOW_BASIS_MAX_TESTS = 200_000
 class SeriesReport(NamedTuple):
     """A descending subgroup series with its order profile.
 
-    ``stabilized`` records that the final term is a genuine fixed point of the
-    step map.  When the series stops above the trivial group, the repeated
-    order is kept so the profile shows the stall (e.g. (60, 60) for a perfect
-    group); a series reaching the trivial group ends at 1 without repetition.
+    When the series stops above the trivial group, the repeated order is
+    kept so the profile shows the stall (e.g. (60, 60) for a perfect group);
+    a series reaching the trivial group ends at 1 without repetition.
     ``fitting_height`` is set for the lower Fitting series of a soluble group.
     """
 
     kind: str
     terms: tuple[PermGroup, ...]
     orders: tuple[int, ...]
-    stabilized: bool
     fitting_height: int | None = None
 
     def last(self) -> PermGroup:
@@ -64,15 +62,11 @@ class SeriesReport(NamedTuple):
 
 def _descending_series(G: PermGroup, kind: str, step) -> SeriesReport:
     terms = [G]
-    while True:
-        current = terms[-1]
-        if current.order() == 1:
-            return SeriesReport(kind, tuple(terms), tuple(t.order() for t in terms), True)
-        nxt = step(current)
-        if nxt.order() == current.order():
-            terms.append(nxt)
-            return SeriesReport(kind, tuple(terms), tuple(t.order() for t in terms), True)
-        terms.append(nxt)
+    while terms[-1].order() != 1:
+        terms.append(step(terms[-1]))
+        if terms[-1].order() == terms[-2].order():
+            break
+    return SeriesReport(kind, tuple(terms), tuple(t.order() for t in terms))
 
 
 def _commutators(xs: Sequence[Permutation], ys: Sequence[Permutation]) -> list[Permutation]:
@@ -136,17 +130,9 @@ def lower_fitting_series(G: PermGroup) -> SeriesReport:
         height = len(report.orders) - 1 if report.reaches_trivial() else None
         if G.order() == 1:
             height = 0
-        return SeriesReport(report.kind, report.terms, report.orders,
-                            report.stabilized, fitting_height=height)
+        return SeriesReport(report.kind, report.terms, report.orders, fitting_height=height)
 
     return G.memo(("lower_fitting_series",), compute)
-
-
-def fitting_height(G: PermGroup) -> int:
-    h = lower_fitting_series(G).fitting_height
-    if h is None:
-        raise NotSoluble("Fitting height is only defined for soluble groups")
-    return h
 
 
 def is_nilpotent(G: PermGroup) -> bool:

@@ -20,13 +20,13 @@ from nilcrit.errors import DegreeMismatch, NotNormal, OrderCapExceeded
 from nilcrit.group import (
     DEFAULT_ENUM_CAP,
     PermGroup,
-    centralizer,
     normal_closure,
     normalizer,
     subgroup_generated,
     trivial_group,
 )
 from nilcrit.indexed import IndexedGroup, indexed_view
+from nilcrit.lemmas import normal_subgroups
 from nilcrit.perm import Permutation
 from nilcrit.primes import prime_factors
 from nilcrit.structure import (
@@ -144,7 +144,6 @@ class TestSubgroupGenerated:
                 "Sylow": tuple(sylow_subgroup(G, p) for p in primes),
                 "p-core": tuple(p_core(G, p) for p in primes),
                 "p'-core": tuple(p_prime_core(G, p) for p in primes),
-                "centralizer": tuple(centralizer(G, g) for g in G.generators),
                 "normalizer": tuple(normalizer(G, sylow_subgroup(G, p)) for p in primes),
             }
             for kind, terms in subgroups.items():
@@ -205,41 +204,19 @@ class TestConjugacy:
             for c in classes:
                 assert G.order() % len(c) == 0
 
-    def test_centralizer_index_is_class_size(self, s4):
-        for c in class_lists(s4):
-            x = c[0]
-            assert centralizer(s4, x).order() * len(c) == s4.order()
-
     @pytest.mark.parametrize("name", builtin_names())
     def test_centralizers_match_product_scan(self, corpus, name):
-        # the former centralizer: a * g == g * a for every g in G
+        # C_G(a), the g with a^g = a read off a's conjugates, is the g with
+        # a * g == g * a, and its index is a's class size
         G = corpus[name]
+        iv = indexed_view(G)
         for c in class_lists(G):
             a = c[0]
-            want = [g for g in G.elements() if a * g == g * a]
-            assert centralizer(G, a).elements() == tuple(want)
-
-    def test_centralizer_forms_no_product_per_element(self, monkeypatch):
-        # the former scan formed a * g and g * a for every g in G
-        G = load_group(str(Path(__file__).resolve().parents[1] / "bench" / "corpus"
-                           / "AGL1_16.grp"))
-        indexed_view(G).conjugation_tables()
-        a = next(x for x in G.elements() if x.order() == 15)
-        calls = 0
-        mul = Permutation.__mul__
-
-        def counted(x, y):
-            nonlocal calls
-            calls += 1
-            return mul(x, y)
-
-        monkeypatch.setattr(Permutation, "__mul__", counted)
-        assert centralizer(G, a).order() == 15
-        assert calls < G.order()
-
-    def test_centralizer_rejects_an_element_outside_the_group(self, a4):
-        with pytest.raises(NotNormal):
-            centralizer(a4, perm("(1 2)", 4))
+            r = iv.index[a.images]
+            conj = iv.conjugates(r)
+            fixed = [g for g in range(iv.size) if conj[g] == r]
+            assert iv.perms(fixed) == [g for g in G.elements() if a * g == g * a]
+            assert len(fixed) * len(c) == G.order()
 
 
 def check_random_seed_subsets(G: PermGroup, rounds: int) -> None:
@@ -268,6 +245,24 @@ class TestIndexedClosure:
         orders = [len(iv.closure(kept[:i])) for i in range(1, len(kept) + 1)]
         cosets = [orders[i] // orders[i - 1] for i in range(1, len(kept))]
         assert lookups <= iv.size + sum(c * (i + 2) for i, c in enumerate(cosets))
+
+    def test_quotient_closure_forms_each_coset_once(self):
+        # closing G/N on coset labels forms one product per coset, never one
+        # per preimage element: the bound above with cosets for members
+        G = load_group(str(SCALE_CORPUS / "S4wrC2.grp"))
+        iv = IndexedGroup(G)
+        iv.index = CountingIndex(iv.index)
+        for N in normal_subgroups(G):
+            cosets = len(iv.coset_labels(N)[1])
+            kept: list[int] = []
+            for s in range(cosets):
+                if s not in iv.coset_closure(N, kept):
+                    kept.append(s)
+            orders = [len(iv.coset_closure(N, kept[:i])) for i in range(1, len(kept) + 1)]
+            iv.index.lookups = 0
+            assert iv.coset_closure(N, range(cosets)) == set(range(cosets))
+            grown = [orders[i] // orders[i - 1] for i in range(1, len(kept))]
+            assert iv.index.lookups <= cosets + sum(c * (i + 2) for i, c in enumerate(grown))
 
     def test_random_seed_subsets_of_s4(self, s4):
         check_random_seed_subsets(s4, 300)
@@ -305,10 +300,6 @@ class TestNormalStructure:
     def test_normalizer_rejects_a_non_subgroup(self, a4):
         with pytest.raises(NotNormal):
             normalizer(a4, subgroup_generated(4, [perm("(1 2)", 4)]))
-
-    def test_centralizer_of_transposition(self, s4):
-        C = centralizer(s4, perm("(1 2)", 4))
-        assert C.order() == 4
 
 
 class TestQuotient:
