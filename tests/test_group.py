@@ -174,6 +174,19 @@ def generator_orbit_classes(G: PermGroup) -> list[set[Permutation]]:
     return sorted(classes, key=lambda c: min(c).images)
 
 
+def centralizer_indices(G: PermGroup, a: Permutation) -> list[int]:
+    """C_G(a) as increasing indices of G's view: the g with a^g = a, read off a's conjugates.
+
+    a's index is found by closing <a> in the view, which raises NotNormal when
+    a lies outside G.
+    """
+    iv = indexed_view(G)
+    iv.member_indices(subgroup_generated(G.degree, [a]))
+    r = iv.index[a.images]
+    conj = iv.conjugates(r)
+    return [g for g in range(iv.size) if conj[g] == r]
+
+
 class TestConjugacy:
     @pytest.mark.parametrize("name", builtin_names())
     def test_class_labels_match_generator_orbits(self, corpus, name):
@@ -204,6 +217,13 @@ class TestConjugacy:
             for c in classes:
                 assert G.order() % len(c) == 0
 
+    def test_centralizer_index_is_class_size(self, s4):
+        iv = indexed_view(s4)
+        for c in class_lists(s4):
+            fixed = centralizer_indices(s4, c[0])
+            assert iv.closure(fixed) == set(fixed)
+            assert len(fixed) * len(c) == s4.order()
+
     @pytest.mark.parametrize("name", builtin_names())
     def test_centralizers_match_product_scan(self, corpus, name):
         # C_G(a), the g with a^g = a read off a's conjugates, is the g with
@@ -212,11 +232,32 @@ class TestConjugacy:
         iv = indexed_view(G)
         for c in class_lists(G):
             a = c[0]
-            r = iv.index[a.images]
-            conj = iv.conjugates(r)
-            fixed = [g for g in range(iv.size) if conj[g] == r]
+            fixed = centralizer_indices(G, a)
             assert iv.perms(fixed) == [g for g in G.elements() if a * g == g * a]
             assert len(fixed) * len(c) == G.order()
+
+    def test_centralizer_forms_no_product_per_element(self, monkeypatch):
+        # with the conjugation tables built, C_G(a) is read by table lookups:
+        # a scan would form a * g and g * a for every g in G
+        G = load_group(str(Path(__file__).resolve().parents[1] / "bench" / "corpus"
+                           / "AGL1_16.grp"))
+        indexed_view(G).conjugation_tables()
+        a = next(x for x in G.elements() if x.order() == 15)
+        calls = 0
+        mul = Permutation.__mul__
+
+        def counted(x, y):
+            nonlocal calls
+            calls += 1
+            return mul(x, y)
+
+        monkeypatch.setattr(Permutation, "__mul__", counted)
+        assert len(centralizer_indices(G, a)) == 15
+        assert calls < G.order()
+
+    def test_centralizer_rejects_an_element_outside_the_group(self, a4):
+        with pytest.raises(NotNormal):
+            centralizer_indices(a4, perm("(1 2)", 4))
 
 
 def check_random_seed_subsets(G: PermGroup, rounds: int) -> None:
@@ -300,6 +341,10 @@ class TestNormalStructure:
     def test_normalizer_rejects_a_non_subgroup(self, a4):
         with pytest.raises(NotNormal):
             normalizer(a4, subgroup_generated(4, [perm("(1 2)", 4)]))
+
+    def test_centralizer_of_transposition(self, s4):
+        C = centralizer_indices(s4, perm("(1 2)", 4))
+        assert len(C) == 4
 
 
 class TestQuotient:
