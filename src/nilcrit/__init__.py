@@ -5,8 +5,6 @@ from .errors import (
     HypothesisNotSatisfied,
     InvalidPermutation,
     NilcritError,
-    NotCommutatorClosed,
-    NotGenerating,
     NotMetanilpotent,
     NotNormal,
     NotPElementSet,
@@ -24,7 +22,6 @@ from .group import (
     DEFAULT_ENUM_CAP,
     PermGroup,
     normal_closure,
-    normalizer,
     subgroup_generated,
     trivial_group,
 )
@@ -44,7 +41,6 @@ from .structure import (
     lower_central_term,
     lower_fitting_series,
     p_core,
-    p_prime_core,
     sylow_basis,
     sylow_subgroup,
 )
@@ -52,10 +48,8 @@ from .words import (
     DeltaValueSet,
     GeneratorTower,
     delta_values,
-    derived_from_closed_set,
     gamma_values,
     generator_tower,
-    random_commutator_closed_generating_set,
 )
 from .criterion import (
     CriterionReport,

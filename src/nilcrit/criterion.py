@@ -2,8 +2,8 @@
 
 For word values a, b of coprime orders, nilpotency of the generated verbal
 subgroup forces |ab| = |a||b|; conversely a coprime pair whose product order
-drops witnesses non-nilpotency.  The scan checks every such pair, by default
-with a sound conjugacy reduction (the first element ranges over class
+drops witnesses non-nilpotency.  The scan checks every such pair up to a
+sound conjugacy reduction (the first element ranges over class
 representatives inside the value set, since |a^g b^g| = |ab|).  Orders are
 read off the view's ``order_of``, computed once per conjugacy class, and
 each coprime pair's product a*b is one ``translate`` and one lookup.
@@ -50,7 +50,6 @@ class CriterionReport(NamedTuple):
     holds: bool
     witness: CriterionWitness | None
     pairs_checked: int
-    classes_reduced: bool
     value_count: int
 
 
@@ -62,30 +61,26 @@ def _word_values(G: PermGroup, k: int, kind: str):
     raise ValueError(f"unknown word kind {kind!r}")
 
 
-def coprime_product_criterion(G: PermGroup, k: int, kind: str = "delta",
-                              reduce_by_classes: bool = True) -> CriterionReport:
+def coprime_product_criterion(G: PermGroup, k: int, kind: str = "delta") -> CriterionReport:
     """Scan coprime-order value pairs for |ab| = |a||b|.
 
-    Identity values are skipped (their pairs hold trivially).  With the class
-    reduction on, the first element runs over per-class minimal values only;
-    the verdict is unchanged and the witness is the first violation in the
+    Identity values are skipped (their pairs hold trivially).  The first
+    element runs over per-class minimal values only; the verdict is that of
+    the scan over all pairs and the witness is the first violation in the
     scan's canonical order.  The scan stops at the first violation.
     """
     iv = indexed_view(G)
     values = _word_values(G, k, kind)
     val_idx = sorted(values.indices - {iv.identity_index})
 
-    if reduce_by_classes:
-        # val_idx is ascending, so the first value met in a class is its minimum
-        labels = iv.class_labels()[0]
-        seen: set[int] = set()
-        firsts = []
-        for a in val_idx:
-            if labels[a] not in seen:
-                seen.add(labels[a])
-                firsts.append(a)
-    else:
-        firsts = val_idx
+    # val_idx is ascending, so the first value met in a class is its minimum
+    labels = iv.class_labels()[0]
+    seen: set[int] = set()
+    firsts = []
+    for a in val_idx:
+        if labels[a] not in seen:
+            seen.add(labels[a])
+            firsts.append(a)
 
     order_of, key, pads = iv.order_of, iv.index, iv.pads
     pairs = 0
@@ -100,9 +95,8 @@ def coprime_product_criterion(G: PermGroup, k: int, kind: str = "delta",
             oab = order_of[key[images_a.translate(pads[b])]]
             if oab != oa * ob:
                 witness = CriterionWitness(iv.elements[a], iv.elements[b], oa, ob, oab)
-                return CriterionReport(kind, k, False, witness, pairs,
-                                       reduce_by_classes, len(val_idx) + 1)
-    return CriterionReport(kind, k, True, None, pairs, reduce_by_classes, len(val_idx) + 1)
+                return CriterionReport(kind, k, False, witness, pairs, len(val_idx) + 1)
+    return CriterionReport(kind, k, True, None, pairs, len(val_idx) + 1)
 
 
 class NilpotencyCheck(NamedTuple):

@@ -48,14 +48,6 @@ class PermutabilityViolated(NilcritError):
     """Internal invariant failure: an intersected Sylow family stopped being a basis."""
 
 
-class NotCommutatorClosed(NilcritError):
-    """Element set is not closed under commutators."""
-
-
-class NotGenerating(NilcritError):
-    """Element set does not generate the stated group."""
-
-
 class NotPElementSet(NilcritError):
     """Element set contains an element whose order is not a power of p."""
 

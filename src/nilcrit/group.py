@@ -3,9 +3,7 @@
 A :class:`PermGroup` is generators plus a lazily built stabilizer chain; the
 chain answers order and membership questions with no cap.  A closure
 (``subgroup_generated``, ``normal_closure``) grows one chain over its
-candidates and hands it to the group it returns.  Normalizers are read off
-G's indexed view, which ``indexed_view`` builds under the enumeration cap;
-a set of G's elements is an index set on that view.  Groups are immutable
+candidates and hands it to the group it returns.  Groups are immutable
 once their caches are built, so sharing them is safe.
 """
 
@@ -96,9 +94,6 @@ class PermGroup:
                 and self.order() == other.order()
                 and self.is_subgroup_of(other))
 
-    def conjugated(self, by: Permutation) -> PermGroup:
-        return PermGroup(self.degree, tuple(g.conjugate(by) for g in self.generators))
-
     def memo(self, key, compute: Callable):
         """Cache a result that is immutable or only grows; a compute that raises stores nothing."""
         if key not in self._cache:
@@ -167,12 +162,3 @@ def normal_closure(G: PermGroup, seed: Iterable[Permutation]) -> PermGroup:
                 work.append(c)
     return _group_on_chain(chain, kept)
 
-
-def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
-    """N_G(H) for H <= G: the g with h^g in H for every generator h, on G's indexed view."""
-    from .indexed import indexed_view
-
-    if H.degree != G.degree:
-        raise DegreeMismatch("subgroup degree differs from group degree")
-    iv = indexed_view(G)
-    return iv.subgroup(iv.normalizing([H]))

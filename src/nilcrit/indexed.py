@@ -112,32 +112,6 @@ class IndexedGroup:
         return _dimino(seed, self.index, [images[r] for r in reps], [pads[r] for r in reps],
                        labels)[0]
 
-    def commutator_closure(self, seed: Iterable[int]) -> frozenset[int]:
-        """Close a set of indices under taking commutators of members."""
-        inv, comm = self.inverse, self.comm
-        closed = set(seed)
-        closed.add(self.identity_index)
-        members = list(closed)
-        frontier = list(closed)
-        while frontier and len(closed) < self.size:
-            fresh = []
-            for x in frontier:
-                for y in members:
-                    # [x, y], and [y, x] = [x, y]^-1
-                    c1 = comm(x, y)
-                    c2 = inv[c1]
-                    if c1 not in closed:
-                        closed.add(c1)
-                        fresh.append(c1)
-                    if c2 not in closed:
-                        closed.add(c2)
-                        fresh.append(c2)
-                if len(closed) == self.size:
-                    break
-            members.extend(fresh)
-            frontier = fresh
-        return frozenset(closed)
-
     def coset_labels(self, kernel: frozenset[int]) -> tuple[list[int], list[int]]:
         """``(labels, reps)`` of the right cosets N*g, numbered by their minimal elements.
 

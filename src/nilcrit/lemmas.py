@@ -480,23 +480,3 @@ def check_coprime_action(G: PermGroup, k: int) -> LemmaReport:
         {"k": k, "family_size": len(family), "value_count": len(value_list)},
         witness is None, witness, checked=pairs)
 
-
-# instance generators, one instance at a time, in the order of coset_lemma_batch
-
-def coset_intersection_instances(G: PermGroup,
-                                 depths: tuple[int, ...] = COSET_DEPTHS) -> Iterator[dict]:
-    for p in prime_factors(G.order()):
-        for depth in depths:
-            X = p_power_value_closure(G, depth, p)
-            for N in normal_subgroups(G):
-                yield {"N": N, "p": p, "X": X, "depth": depth}
-
-
-def lifted_generation_instances(G: PermGroup,
-                                depths: tuple[int, ...] = COSET_DEPTHS) -> Iterator[dict]:
-    for p in prime_factors(G.order()):
-        for depth in depths:
-            X = p_power_value_closure(G, depth, p)
-            for N, uppers in _normal_pairs(G):
-                for L in uppers:
-                    yield {"N": N, "L": L, "p": p, "X": X, "depth": depth}

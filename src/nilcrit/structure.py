@@ -1,8 +1,8 @@
 """Structural series and distinguished subgroups.
 
 Derived, lower central and lower Fitting series; nilpotency, solubility and
-metanilpotency predicates; Sylow subgroups, p-cores, p'-cores and the Fitting
-subgroup; Sylow bases and their (system) normalizers.
+metanilpotency predicates; Sylow subgroups, p-cores and the Fitting subgroup;
+Sylow bases and their (system) normalizers.
 
 The series and the nilpotency and solubility predicates run on stabilizer
 chains, and never enumerate G; the commutators that seed each series term
@@ -14,9 +14,9 @@ conjugates are one orbit under the conjugation tables of G's generators, one
 per right coset of its normalizer, each an index tuple with known generators.
 A Sylow basis comes from a bounded deterministic backtracking search over
 them, in which two candidates permute when a chain finds <P, Q> of order
-|P| |Q|.  Basis
-normalizers and intersected bases are index sets on the ambient group's
-view, and factorizations are checked by |AB| = |A| |B| / |A cap B|.
+|P| |Q|.  Basis normalizers and intersected bases are index sets on the
+ambient group's view, and factorizations are checked by
+|AB| = |A| |B| / |A cap B|.
 """
 
 from __future__ import annotations
@@ -214,29 +214,6 @@ def p_core(G: PermGroup, p: int) -> PermGroup:
         return iv.subgroup(sorted(i for i in p_idx if labels[i] not in outside))
 
     return G.memo(("p_core", p), compute)
-
-
-def p_prime_core(G: PermGroup, p: int) -> PermGroup:
-    """O_{p'}(G): join of the class closures that turn out to be p'-groups.
-
-    Every normal p'-subgroup is a union of p'-classes and a join of normal
-    p'-subgroups is again one, so the join below is exactly the p'-core.
-    Class closures and their join are index sets on G's indexed view.
-    """
-    if not is_prime(p):
-        raise NotPrimeDivisor(f"{p} is not prime")
-
-    def compute() -> PermGroup:
-        iv = indexed_view(G)
-        core: set[int] = set()
-        for cls in iv.classes():
-            if iv.order_of[cls[0]] % p:
-                closed = iv.closure(cls)
-                if len(closed) % p:
-                    core |= closed
-        return iv.subgroup(sorted(iv.closure(core)))
-
-    return G.memo(("p_prime_core", p), compute)
 
 
 def fitting_subgroup(G: PermGroup) -> PermGroup:

@@ -21,19 +21,15 @@ levels make a pass over G's spanning tree per representative.
 
 Also here: the tower construction that writes a soluble group as a product of
 nilpotent system normalizers and extracts from it a commutator-closed
-generating set of prime-power-order elements.
+generating set of prime-power-order elements, whose pair commutators are
+checked to generate the derived subgroup.
 """
 
 from __future__ import annotations
 
-import random
 from typing import NamedTuple
 
-from .errors import (
-    NotCommutatorClosed,
-    NotGenerating,
-    NotSoluble,
-)
+from .errors import NotSoluble
 from .group import PermGroup
 from .indexed import indexed_view
 from .primes import is_prime_power
@@ -135,49 +131,6 @@ def gamma_values(G: PermGroup, k: int) -> DeltaValueSet:
     return DeltaValueSet("gamma", k, _value_levels(G, "gamma", k - 1))
 
 
-def random_commutator_closed_generating_set(G: PermGroup, rng: random.Random) -> frozenset[int]:
-    """A random generating set of G, closed under commutators, as an index set on G's view.
-
-    Draws uniform elements until they generate, then closes; the result both
-    generates G and is commutator-closed, as the construction for the derived
-    subgroup generation check requires.
-    """
-    iv = indexed_view(G)
-    picks: list[int] = []
-    while True:
-        picks.append(rng.randrange(iv.size))
-        if len(iv.closure(picks)) == iv.size:
-            break
-    return iv.commutator_closure(picks)
-
-
-def derived_from_closed_set(G: PermGroup, X: frozenset[int]) -> PermGroup:
-    """Derived subgroup from pair commutators of a commutator-closed generating set.
-
-    X is an index set on G's view; a member that is not an index of it
-    raises NotGenerating.  Checks both preconditions, generates H from the
-    commutators [x1, x2] with x1, x2 in X, and verifies H against the derived
-    subgroup computed the ordinary way before returning it.  The pair
-    commutators are formed once, in index order: they decide closure and
-    seed H, which keeps the same generators as ``subgroup_generated`` would
-    from the same list.
-    """
-    iv = indexed_view(G)
-    if not iv.are_indices(X):
-        raise NotGenerating("input set is not contained in the group")
-    idxs = sorted(X)
-    comms = [iv.comm(a, b) for a in idxs for b in idxs]
-    if not X.issuperset(comms):
-        raise NotCommutatorClosed("input set is not closed under commutators")
-    if len(iv.closure(idxs)) != iv.size:
-        raise NotGenerating("input set does not generate the group")
-    H = iv.subgroup(comms)
-    if not H.equals(derived_subgroup(G)):
-        raise RuntimeError("pair commutators of a closed generating set missed "
-                           "the derived subgroup; this is a bug")
-    return H
-
-
 class GeneratorTower(NamedTuple):
     """Product decomposition of a soluble group into nilpotent normalizers.
 
@@ -226,7 +179,10 @@ def generator_tower(G: PermGroup, seed: int = 0) -> GeneratorTower:
     runs on index sets of G's indexed view, with subgroups generated by its
     closures.  The |X|^2 commutators of the members of X are formed once, in
     one table: it decides commutator-closure, and as X is closed every depth
-    set lies in X, so each is read off the same table.
+    set lies in X, so each is read off the same table.  Depth set 1 is then
+    the set of pair commutators [x1, x2] of X, and closed-set generation is
+    checked on it: X is a commutator-closed generating set, so depth set 1
+    must close to the derived subgroup, compared by order.
     """
     if not is_soluble(G):
         raise NotSoluble("the tower construction requires a soluble group")
@@ -275,6 +231,9 @@ def generator_tower(G: PermGroup, seed: int = 0) -> GeneratorTower:
             depth_sets.append(frozenset(X[a] for a in level))
             if len(level) == 1:
                 break
+        if len(iv.closure(depth_sets[1])) != derived_subgroup(G).order():
+            raise RuntimeError("pair commutators of the tower union do not generate the "
+                               "derived subgroup; this is a bug")
         return GeneratorTower(G, chain, tuple(normalizers), tuple(map(frozenset, levels)),
                               generating_set, tuple(depth_sets), seed)
 

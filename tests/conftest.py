@@ -43,6 +43,11 @@ def perm(cycles: str, degree: int) -> Permutation:
     return Permutation.parse_cycles(cycles, degree)
 
 
+def conjugated(H: PermGroup, by: Permutation) -> PermGroup:
+    """H^by, generated by the conjugates of H's generators."""
+    return PermGroup(H.degree, tuple(g.conjugate(by) for g in H.generators))
+
+
 class CountingIndex(dict):
     """An images-keyed index that counts its lookups: put in place of a view's ``index``."""
 
@@ -278,7 +283,7 @@ def class_lists(G: PermGroup) -> list[list[Permutation]]:
 
 
 def p_prime_core_oracle(G: PermGroup, p: int) -> PermGroup:
-    """The former p_prime_core: a chain per p'-class closure, joined by generators."""
+    """O_{p'}(G): the class closures that are p'-groups, each on a chain, joined by generators."""
     gens: list[Permutation] = []
     for cls in class_lists(G):
         if cls[-1].order() % p == 0:

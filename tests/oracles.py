@@ -1,5 +1,6 @@
-"""Test oracles: quotients, verbal subgroups, the normal-subgroup lattice, the tuple brute force
-and literal word evaluation.
+"""Test oracles: quotients, verbal subgroups, the normal-subgroup lattice, the tuple brute force,
+literal word evaluation, the full criterion scan, commutator-closed generating sets and the
+coset lemma instances.
 
 No check in nilcrit builds a quotient group: the coset lemmas read G/N off
 coset labels on G's indexed view.  The quotient here is built apart from
@@ -13,19 +14,27 @@ normal-subgroup lattice is the former closure join: a chain per class
 closure, closed under pairwise joins of chains by their generators.  The
 word evaluators and the closure predicates form ``Permutation`` commutators
 directly, and ``group_from_elements`` builds a group from a closed element
-collection.
+collection.  The full criterion scan runs over every pair of values, with no
+conjugacy reduction.  Random commutator-closed generating sets, and the
+subgroup their pair commutators generate, are index sets on G's view.  The
+coset lemma instances come one at a time, in the order the batch checks
+them.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from math import gcd
+from typing import Iterable, Iterator, Sequence
 
 from nilcrit.errors import DegreeMismatch, NotNormal, OrderCapExceeded
 from nilcrit.group import PermGroup, subgroup_generated, trivial_group
 from nilcrit.indexed import indexed_view
+from nilcrit.lemmas import COSET_DEPTHS, normal_subgroups, p_power_value_closure
 from nilcrit.perm import MAX_DEGREE, Permutation, commutator
+from nilcrit.primes import prime_factors
 from nilcrit.words import DeltaValueSet
 
 TUPLE_BUDGET = 50_000_000
@@ -217,3 +226,68 @@ def is_symmetric(X: Iterable[Permutation]) -> bool:
 def is_commutator_closed(X: Iterable[Permutation]) -> bool:
     elems = set(X)
     return all(commutator(a, b) in elems for a in elems for b in elems)
+
+
+def full_scan_oracle(values: Iterable[Permutation]) -> bool:
+    """The criterion over every pair of non-identity values, straight off the permutations."""
+    vals = [(v, v.order()) for v in values if not v.is_identity()]
+    return all(gcd(oa, ob) != 1 or (a * b).order() == oa * ob
+               for (a, oa), (b, ob) in itertools.product(vals, repeat=2))
+
+
+def commutator_closure(G: PermGroup, seed: Iterable[int]) -> frozenset[int]:
+    """The smallest set holding the seed indices and 1 and closed under commutators."""
+    iv = indexed_view(G)
+    closed = set(seed)
+    closed.add(iv.identity_index)
+    members = list(closed)
+    frontier = list(closed)
+    while frontier and len(closed) < iv.size:
+        fresh = []
+        for x in frontier:
+            for y in members:
+                # [x, y], and [y, x] = [x, y]^-1
+                c = iv.comm(x, y)
+                for d in (c, iv.inverse[c]):
+                    if d not in closed:
+                        closed.add(d)
+                        fresh.append(d)
+        members.extend(fresh)
+        frontier = fresh
+    return frozenset(closed)
+
+
+def random_commutator_closed_generating_set(G: PermGroup, rng: random.Random) -> frozenset[int]:
+    """Uniform picks until they generate G, then closed under commutators; an index set."""
+    iv = indexed_view(G)
+    picks: list[int] = []
+    while len(iv.closure(picks)) < iv.size:
+        picks.append(rng.randrange(iv.size))
+    return commutator_closure(G, picks)
+
+
+def pair_commutator_span(G: PermGroup, X: frozenset[int]) -> frozenset[int]:
+    """The subgroup generated by the commutators [x1, x2], x1 and x2 in X, as an index set."""
+    iv = indexed_view(G)
+    return iv.closure({iv.comm(a, b) for a in X for b in X})
+
+
+def coset_intersection_instances(G: PermGroup) -> Iterator[dict]:
+    """Every (N, p, X): N normal, X the depth's p-power value closure."""
+    for p in prime_factors(G.order()):
+        for depth in COSET_DEPTHS:
+            X = p_power_value_closure(G, depth, p)
+            for N in normal_subgroups(G):
+                yield {"N": N, "p": p, "X": X, "depth": depth}
+
+
+def lifted_generation_instances(G: PermGroup) -> Iterator[dict]:
+    """Every (N, L, p, X) with N <= L both normal, L in the order of ``normal_subgroups``."""
+    normals = normal_subgroups(G)
+    for p in prime_factors(G.order()):
+        for depth in COSET_DEPTHS:
+            X = p_power_value_closure(G, depth, p)
+            for N in normals:
+                for L in normals:
+                    if N <= L:
+                        yield {"N": N, "L": L, "p": p, "X": X, "depth": depth}

@@ -26,8 +26,6 @@ from nilcrit.lemmas import (
     check_fitting_membership,
     check_focal_generation,
     check_lifted_generation,
-    coset_intersection_instances,
-    lifted_generation_instances,
 )
 from nilcrit.perm import Permutation
 from nilcrit.primes import is_prime_power, prime_factors
@@ -38,18 +36,21 @@ from nilcrit.structure import (
     gamma_infinity,
     is_metanilpotent,
     is_nilpotent,
-    p_prime_core,
     sylow_subgroup,
 )
-from nilcrit.words import (
-    delta_values,
-    derived_from_closed_set,
-    generator_tower,
+from nilcrit.words import delta_values, generator_tower
+
+from conftest import p_prime_core_oracle, product_set
+from oracles import (
+    coset_intersection_instances,
+    delta_values_bruteforce,
+    evaluate_delta,
+    is_commutator_closed,
+    lifted_generation_instances,
+    pair_commutator_span,
+    quotient,
     random_commutator_closed_generating_set,
 )
-
-from conftest import product_set
-from oracles import delta_values_bruteforce, evaluate_delta, is_commutator_closed, quotient
 
 
 def _report(line: str) -> None:
@@ -118,11 +119,11 @@ def test_05_closed_set_generation(corpus):
     """50 seeded random commutator-closed generating sets per builtin hit the derived subgroup."""
     checks = 0
     for name, G in corpus.items():
-        expected = derived_term(G, 1)
+        expected = indexed_view(G).member_indices(derived_term(G, 1))
         for trial in range(50):
-            rng = random.Random((name, trial).__hash__() & 0xFFFFFFF)
+            rng = random.Random(f"{name}/{trial}")
             X = random_commutator_closed_generating_set(G, rng)
-            assert derived_from_closed_set(G, X).equals(expected), (name, trial)
+            assert pair_commutator_span(G, X) == expected, (name, trial)
             checks += 1
     _report(f"05 PASS closed-set generation: {checks} randomized sets across "
             f"{len(corpus)} builtins")
@@ -173,7 +174,7 @@ def test_07_oracle_equivalence_and_sampling(corpus):
     sampled = 0
     for name, G in corpus.items():
         elems = G.elements()
-        rng = random.Random(name.__hash__() & 0xFFFFFFF)
+        rng = random.Random(name)
         for k in (1, 2, 3):
             vs = set(indexed_view(G).perms(delta_values(G, k).indices))
             for _ in range(1000):
@@ -191,7 +192,7 @@ def test_08_known_value_regression(corpus):
     residual = gamma_infinity(s4)
     assert residual.order() == 12 and residual.equals(corpus["A4"])
     assert fitting_subgroup(s4).order() == 4
-    assert p_prime_core(s4, 2).order() == 1
+    assert p_prime_core_oracle(s4, 2).order() == 1
     assert sylow_subgroup(s4, 2).order() == 8
     assert sylow_subgroup(s4, 3).order() == 3
     v4 = subgroup_generated(4, [Permutation.parse_cycles("(1 2)(3 4)", 4),

@@ -21,9 +21,11 @@ from nilcrit.perm import MAX_DEGREE, Permutation, image_order
 from nilcrit.words import delta_values, gamma_values
 
 from conftest import CountingIndex, regular_cyclic, regular_elementary_abelian, scale_group
+from oracles import full_scan_oracle
 
 WORK_GROUPS = ("S4wrC2", "PSL2_11")
 KINDS = ("delta", "gamma")
+WORDS = {"delta": delta_values, "gamma": gamma_values}
 
 
 def count_calls(monkeypatch, owner, name: str, fn) -> list[int]:
@@ -59,8 +61,7 @@ def test_the_criterion_scan_forms_one_product_per_pair(name):
     pairs = 0
     for kind in KINDS:
         for k in (1, 2, 3):
-            for reduce_by_classes in (True, False):
-                pairs += coprime_product_criterion(G, k, kind, reduce_by_classes).pairs_checked
+            pairs += coprime_product_criterion(G, k, kind).pairs_checked
     assert iv.index.lookups == pairs
 
 
@@ -98,10 +99,9 @@ def test_orders_and_both_scans_replay_from_raw_images(G):
     assert iv.order_of == [p.order() for p in iv.elements]
     for kind in KINDS:
         for k in (1, 2, 3):
-            reduced = coprime_product_criterion(G, k, kind, reduce_by_classes=True)
-            full = coprime_product_criterion(G, k, kind, reduce_by_classes=False)
-            assert reduced.holds == full.holds, (kind, k)
-            assert reduced.value_count == full.value_count, (kind, k)
-            for report in (reduced, full):
-                assert (report.witness is None) == report.holds
-                assert report.witness is None or report.witness.replay()
+            report = coprime_product_criterion(G, k, kind)
+            values = WORDS[kind](G, k).indices
+            assert report.holds == full_scan_oracle(iv.perms(values)), (kind, k)
+            assert report.value_count == len(values), (kind, k)
+            assert (report.witness is None) == report.holds
+            assert report.witness is None or report.witness.replay()

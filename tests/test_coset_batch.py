@@ -29,8 +29,6 @@ from nilcrit.lemmas import (
     _invariant_subgroup_family,
     check_coset_intersection,
     check_lifted_generation,
-    coset_intersection_instances,
-    lifted_generation_instances,
     normal_subgroups,
     p_power_value_closure,
 )
@@ -38,7 +36,11 @@ from nilcrit.perm import Permutation
 from nilcrit.primes import prime_factors
 from nilcrit.structure import _sylow_indices, fitting_subgroup, sylow_subgroup
 from conftest import regular_elementary_abelian
-from oracles import coset_closure_oracle
+from oracles import (
+    coset_closure_oracle,
+    coset_intersection_instances,
+    lifted_generation_instances,
+)
 
 COSET_LEMMAS = ("coset_intersection", "lifted_generation")
 

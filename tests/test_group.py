@@ -21,7 +21,6 @@ from nilcrit.group import (
     DEFAULT_ENUM_CAP,
     PermGroup,
     normal_closure,
-    normalizer,
     subgroup_generated,
     trivial_group,
 )
@@ -32,13 +31,13 @@ from nilcrit.primes import prime_factors
 from nilcrit.structure import (
     derived_series,
     fitting_subgroup,
+    is_soluble,
     lower_central_series,
     lower_fitting_series,
     p_core,
-    p_prime_core,
     sylow_subgroup,
 )
-from nilcrit.words import delta_values
+from nilcrit.words import delta_values, generator_tower
 
 from conftest import SCALE_CORPUS, CountingIndex, class_lists, closure_oracle, classes_oracle, perm
 from oracles import group_from_elements, is_normal, quotient
@@ -143,8 +142,7 @@ class TestSubgroupGenerated:
                 "Fitting": (fitting_subgroup(G),),
                 "Sylow": tuple(sylow_subgroup(G, p) for p in primes),
                 "p-core": tuple(p_core(G, p) for p in primes),
-                "p'-core": tuple(p_prime_core(G, p) for p in primes),
-                "normalizer": tuple(normalizer(G, sylow_subgroup(G, p)) for p in primes),
+                "basis normalizer": generator_tower(G).normalizers if is_soluble(G) else (),
             }
             for kind, terms in subgroups.items():
                 for H in terms:
@@ -327,11 +325,13 @@ class TestNormalStructure:
             normal_closure(s4, [perm("(1 2 3)", 3)])
 
     def test_normalizer_of_whole_group(self, s4):
-        assert normalizer(s4, s4).equals(s4)
+        iv = indexed_view(s4)
+        assert iv.subgroup(iv.normalizing([s4])).equals(s4)
 
     def test_normalizer_of_sylow3_in_s4(self, s4):
         H = subgroup_generated(4, [perm("(1 2 3)", 4)])
-        N = normalizer(s4, H)
+        iv = indexed_view(s4)
+        N = iv.subgroup(iv.normalizing([H]))
         assert N.order() == 6
         # oracle: explicit scan
         scan = [g for g in s4.elements()
@@ -340,7 +340,7 @@ class TestNormalStructure:
 
     def test_normalizer_rejects_a_non_subgroup(self, a4):
         with pytest.raises(NotNormal):
-            normalizer(a4, subgroup_generated(4, [perm("(1 2)", 4)]))
+            indexed_view(a4).normalizing([subgroup_generated(4, [perm("(1 2)", 4)])])
 
     def test_centralizer_of_transposition(self, s4):
         C = centralizer_indices(s4, perm("(1 2)", 4))

@@ -38,8 +38,6 @@ from nilcrit.lemmas import (
     check_fitting_membership,
     check_focal_generation,
     check_lifted_generation,
-    coset_intersection_instances,
-    lifted_generation_instances,
     normal_subgroups,
     p_power_value_closure,
 )
@@ -50,13 +48,19 @@ from nilcrit.structure import (
     fitting_subgroup,
     is_metanilpotent,
     is_soluble,
-    p_prime_core,
     sylow_subgroup,
     _sylow_indices,
 )
 from nilcrit.words import delta_values
 from conftest import p_prime_core_oracle, perm, product_set, regular_elementary_abelian
-from oracles import group_from_elements, is_normal, normal_subgroups_oracle, quotient
+from oracles import (
+    coset_intersection_instances,
+    group_from_elements,
+    is_normal,
+    lifted_generation_instances,
+    normal_subgroups_oracle,
+    quotient,
+)
 
 SCALE_CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
 SCALE_NAMES = tuple(sorted(path.stem for path in SCALE_CORPUS.glob("*.grp")))
@@ -713,7 +717,7 @@ def invariant_subgroup_family_oracle(G: PermGroup) -> list[PermGroup]:
             add(sylow_subgroup(as_group(G, M), q))
     F = fitting_subgroup(G)
     for q in prime_factors(G.order()):
-        add(p_prime_core(F, q))
+        add(p_prime_core_oracle(F, q))
     return sorted(family.values(), key=lambda H: (H.order(), [g.images for g in H.generators]))
 
 
@@ -824,7 +828,7 @@ class TestIndexSetsAgainstPermutationOracles:
         F = fitting_subgroup(G)
         f_idx = iv.member_indices(F)
         for q in prime_factors(G.order()):
-            want = iv.member_indices(p_prime_core(F, q))
+            want = iv.member_indices(p_prime_core_oracle(F, q))
             assert {i for i in f_idx if iv.order_of[i] % q} == want, q
 
     def test_focal_generation_sifts_no_value(self, monkeypatch):

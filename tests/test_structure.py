@@ -11,11 +11,7 @@ import pytest
 
 from nilcrit.corpus import builtin_names, filter_names, load_group
 from nilcrit.errors import NotPrimeDivisor, NotSoluble
-from nilcrit.group import (
-    PermGroup,
-    normalizer,
-    subgroup_generated,
-)
+from nilcrit.group import PermGroup, subgroup_generated
 from nilcrit.indexed import indexed_view
 from nilcrit.perm import Permutation
 from nilcrit.primes import p_part, prime_factors
@@ -33,13 +29,13 @@ from nilcrit.structure import (
     lower_central_series,
     lower_fitting_series,
     p_core,
-    p_prime_core,
     product_order,
     sylow_basis,
     sylow_subgroup,
 )
 
 from conftest import (
+    conjugated,
     derived_subgroup_oracle,
     lower_central_step_oracle,
     p_prime_core_oracle,
@@ -221,14 +217,16 @@ def p_core_scan_oracle(G: PermGroup, P: PermGroup) -> set[Permutation]:
 
 
 class TestIndexedScansAgainstPermutationScans:
-    """normalizer and p_core on the indexed view agree with the Permutation scans."""
+    """The normalizer scan and p_core on the indexed view agree with the Permutation scans."""
 
     @pytest.mark.parametrize("name", builtin_names())
     def test_every_sylow_normalizer_and_p_core(self, name):
         G = load_group(name)
+        iv = indexed_view(G)
         for p in prime_factors(G.order()):
             P = sylow_subgroup(G, p)
-            assert set(normalizer(G, P).elements()) == normalizer_scan_oracle(G, P)
+            scanned = iv.subgroup(iv.normalizing([P]))
+            assert set(scanned.elements()) == normalizer_scan_oracle(G, P)
             assert set(p_core(G, p).elements()) == p_core_scan_oracle(G, P)
 
 
@@ -237,7 +235,7 @@ class TestCores:
         assert p_core(s4, 2).order() == 4
         assert p_core(s4, 3).order() == 1
         assert fitting_subgroup(s4).order() == 4
-        assert p_prime_core(s4, 2).order() == 1
+        assert p_prime_core_oracle(s4, 2).order() == 1
         # oracle: largest normal 2-subgroup / 2'-subgroup over all class unions
         normals = normal_subgroup_sets_oracle(s4)
         two_subgroups = [n for n in normals
@@ -248,8 +246,8 @@ class TestCores:
 
     def test_s3_cores(self, s3):
         assert fitting_subgroup(s3).order() == 3
-        assert p_prime_core(s3, 3).order() == 1
-        assert p_prime_core(s3, 2).order() == 3
+        assert p_prime_core_oracle(s3, 3).order() == 1
+        assert p_prime_core_oracle(s3, 2).order() == 3
 
     def test_nilpotent_group_is_its_own_fitting_subgroup(self, d8):
         assert fitting_subgroup(d8).equals(d8)
@@ -302,7 +300,7 @@ class TestSylowBasis:
     def test_two_seeds_give_conjugate_normalizers(self, s4):
         T0 = sylow_basis(s4, seed=0).normalizer
         T1 = sylow_basis(s4, seed=5).normalizer
-        assert any(T0.conjugated(g).equals(T1) for g in s4.elements())
+        assert any(conjugated(T0, g).equals(T1) for g in s4.elements())
 
     def test_normalizer_image_in_quotient_is_basis_normalizer(self, s4, v4):
         # push T through G -> G/N and compare with a basis normalizer computed there
@@ -310,7 +308,7 @@ class TestSylowBasis:
         Q, cmap = quotient(s4, v4)
         T_image = subgroup_generated(Q.degree, [cmap(t) for t in B.normalizer.generators])
         TQ = sylow_basis(Q).normalizer
-        assert any(TQ.conjugated(g).equals(T_image) for g in Q.elements())
+        assert any(conjugated(TQ, g).equals(T_image) for g in Q.elements())
 
 
 class TestIntersectBasis:
@@ -365,12 +363,12 @@ def p_power_part(x: Permutation, p: int) -> Permutation:
 
 
 def sylow_growth_oracle(G: PermGroup, p: int) -> PermGroup:
-    """Sylow growth that builds the normalizer group N_G(P) at every step."""
+    """Sylow growth that scans the normalizer N_G(P), in element order, at every step."""
     target = p_part(G.order(), p)
     seed = next(x for x in G.elements() if x.order() % p == 0)
     P = subgroup_generated(G.degree, [p_power_part(seed, p)])
     while P.order() < target:
-        for y in normalizer(G, P).elements():
+        for y in sorted(normalizer_scan_oracle(G, P), key=lambda x: x.images):
             if y.order() % p == 0:
                 z = p_power_part(y, p)
                 if not P.contains(z):
@@ -398,7 +396,7 @@ def basis_normalizer_oracle(G: PermGroup, basis: list[frozenset[Permutation]]) -
     """The intersection of the normalizers N_G(P) of the basis members."""
     members = set(G.elements())
     for P in basis:
-        members &= set(normalizer(G, subgroup_generated(G.degree, P)).elements())
+        members &= normalizer_scan_oracle(G, subgroup_generated(G.degree, P))
     return members
 
 
@@ -474,27 +472,6 @@ class TestSylowLayerAgainstPermutationOracles:
             members, T = intersect_basis_oracle(G, want, K)
             assert [set(BK.basis[p].elements()) for p in BK.primes] == members
             assert set(BK.normalizer.elements()) == T
-
-
-class TestPPrimeCoreAgainstChainOracle:
-    """p_prime_core on index sets agrees with the former chain per class closure."""
-
-    @pytest.mark.parametrize("name", builtin_names() + list(SCALE_NAMES))
-    def test_p_prime_cores_of_the_group_and_its_fitting_subgroup(self, name):
-        G = loaded(name)
-        for H in (G, fitting_subgroup(G)):
-            for p in prime_factors(G.order()):
-                assert p_prime_core(H, p).elements() == p_prime_core_oracle(H, p).elements(), p
-
-    def test_builds_no_chain_once_the_view_exists(self, monkeypatch):
-        G = load_group(str(SCALE_CORPUS / "S4xS4.grp"))
-        indexed_view(G)  # builds G's chain and view
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("p_prime_core built a stabilizer chain")
-
-        monkeypatch.setattr("nilcrit.group.StabilizerChain", refuse)
-        assert p_prime_core(G, 3).order() == 16
 
 
 class TestProductOrder:
