@@ -474,6 +474,40 @@ class TestSylowLayerAgainstPermutationOracles:
             assert set(BK.normalizer.elements()) == T
 
 
+class TestPPrimeCoreAgainstChainOracle:
+    """The chain oracle's p'-cores against the p-cores and Fitting subgroup on index sets.
+
+    O_p(H) and O_{p'}(H) are normal of coprime orders, so they meet trivially
+    and centralize each other; in a nilpotent H such as F(G) they are the
+    two factors of H = O_p(H) x O_{p'}(H).
+    """
+
+    @pytest.mark.parametrize("name", builtin_names() + list(SCALE_NAMES))
+    def test_p_prime_cores_of_the_group_and_its_fitting_subgroup(self, name):
+        G = loaded(name)
+        F = fitting_subgroup(G)
+        for H in (G, F):
+            for p in prime_factors(H.order()):
+                O_p, O_q = p_core(H, p), p_prime_core_oracle(H, p)
+                assert p_part(O_p.order(), p) == O_p.order(), p
+                assert O_q.order() % p != 0, p
+                assert all(a * b == b * a for a in O_p.generators for b in O_q.generators), p
+                if H is F:
+                    assert O_p.order() * O_q.order() == F.order(), p
+
+    def test_builds_no_chain_once_the_view_exists(self, monkeypatch):
+        G = load_group(str(SCALE_CORPUS / "S4xS4.grp"))
+        indexed_view(G)  # builds G's chain and view
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cores built a stabilizer chain")
+
+        monkeypatch.setattr("nilcrit.group.StabilizerChain", refuse)
+        assert p_core(G, 2).order() == 16  # V4 x V4, which is O_{3'}(G) as well
+        assert p_core(G, 3).order() == 1
+        assert fitting_subgroup(G).order() == 16
+
+
 class TestProductOrder:
     def test_matches_product_sets_of_non_normal_subgroups(self, s4):
         subgroups = _distinct_conjugates(s4, sylow_subgroup(s4, 2))
