@@ -526,6 +526,30 @@ _COMMANDS = {
 }
 
 
+def _options(name: str) -> dict[str, dict]:
+    """Each option of subcommand ``name``, in help order, with its ``add_argument`` keywords.
+
+    Both parsers read them: the full parser's subparser and ``_parse_plain``.
+    """
+    k_default = _COMMANDS[name][1]
+    options = {
+        "--filter": dict(choices=("all", "soluble", "insoluble", "nilpotent"),
+                         help="corpus slice when no groups are given"),
+        "--k": dict(default=k_default, type=_k_arg,
+                    help=f"word depth or range, e.g. 2 or 1..3 (default {k_default})"),
+        "--cap": dict(type=_cap_arg, default=DEFAULT_ENUM_CAP,
+                      help=f"largest group order to enumerate (default {DEFAULT_ENUM_CAP})"),
+        "--seed": dict(type=int, default=0, help="seed for randomized searches"),
+        "--json": dict(type=_json_arg,
+                       help="write a deterministic JSON report here ('-' for stdout)"),
+        "--strict": dict(action="store_true",
+                         help="treat inadmissible (hypothesis-failing) instances as errors"),
+    }
+    if name == "criterion":
+        options["--kind"] = dict(choices=("delta", "gamma"), default="delta")
+    return options
+
+
 def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
     """Give the parser of subcommand ``name`` its arguments and its driver."""
     _, k_default, driver = _COMMANDS[name]
@@ -534,19 +558,8 @@ def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
         return
     p.add_argument("groups", nargs="*",
                    help="builtin ids or descriptor file paths (default: filtered corpus)")
-    p.add_argument("--filter", choices=("all", "soluble", "insoluble", "nilpotent"),
-                   help="corpus slice when no groups are given")
-    p.add_argument("--k", default=k_default, type=_k_arg,
-                   help=f"word depth or range, e.g. 2 or 1..3 (default {k_default})")
-    p.add_argument("--cap", type=_cap_arg, default=DEFAULT_ENUM_CAP,
-                   help=f"largest group order to enumerate (default {DEFAULT_ENUM_CAP})")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
-    p.add_argument("--json", type=_json_arg,
-                   help="write a deterministic JSON report here ('-' for stdout)")
-    p.add_argument("--strict", action="store_true",
-                   help="treat inadmissible (hypothesis-failing) instances as errors")
-    if name == "criterion":
-        p.add_argument("--kind", choices=("delta", "gamma"), default="delta")
+    for flag, keywords in _options(name).items():
+        p.add_argument(flag, **keywords)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -562,25 +575,62 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _subcommand_parser(name: str) -> argparse.ArgumentParser:
-    """Subcommand ``name``'s parser alone, built as ``build_parser`` builds its subparser."""
-    parser = argparse.ArgumentParser(prog=f"nilcrit {name}")
-    _add_arguments(parser, name)
-    parser.set_defaults(command=name)
-    return parser
+def _parse_plain(name: str, rest: Sequence[str]) -> argparse.Namespace | None:
+    """The Namespace the full parser gives for ``[name, *rest]`` when rest is plain, else None.
+
+    Plain is: group arguments, none starting with '-', then whole option
+    names, each but --strict followed by a value that is '-' or does not
+    start with '-', and accepted by the option's type and choices.  On such
+    an argv argparse takes the groups as one list, converts each value and
+    each str default by the option's type, and keeps the last value of an
+    option given twice, and so does this.  Anything else is None, so
+    argparse parses it and reports every usage error.
+    """
+    _, k_default, func = _COMMANDS[name]
+    args = argparse.Namespace(command=name, func=func)
+    if k_default is None:
+        return None if rest else args
+    options = _options(name)
+    for flag, keywords in options.items():
+        # a store_true option defaults to False, any other without a default to None
+        default = keywords.get("default", False if "action" in keywords else None)
+        if isinstance(default, str) and "type" in keywords:
+            default = keywords["type"](default)
+        setattr(args, flag[2:], default)
+    i = 0
+    while i < len(rest) and not rest[i].startswith("-"):
+        i += 1
+    args.groups = list(rest[:i])
+    while i < len(rest):
+        keywords = options.get(rest[i])
+        if keywords is None:
+            return None
+        if "action" in keywords:
+            setattr(args, rest[i][2:], True)
+            i += 1
+            continue
+        if i + 1 == len(rest) or rest[i + 1].startswith("-") and rest[i + 1] != "-":
+            return None
+        try:
+            value = keywords.get("type", str)(rest[i + 1])
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        setattr(args, rest[i][2:], value)
+        i += 2
+    return args
 
 
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, building one subcommand's parser when that suffices.
+    """``build_parser().parse_args(argv)``, with no parser built when ``_parse_plain`` suffices.
 
-    When ``argv`` starts with a subcommand that parses the rest cleanly, the
-    result is the Namespace the full parser gives, and the subcommand's help
-    and usage errors are the full parser's too.  Arguments it leaves over
-    are reported by the full parser, which names itself in that message.
+    Help, usage errors and every argv that is not plain go to the full
+    parser, so their text is the same either way.
     """
     if argv and argv[0] in _COMMANDS:
-        args, extras = _subcommand_parser(argv[0]).parse_known_args(argv[1:])
-        if not extras:
+        args = _parse_plain(argv[0], argv[1:])
+        if args is not None:
             return args
     return build_parser().parse_args(argv)
 

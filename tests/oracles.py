@@ -1,6 +1,6 @@
 """Test oracles: quotients, verbal subgroups, the normal-subgroup lattice, the tuple brute force,
-literal word evaluation, the full criterion scan, commutator-closed generating sets and the
-coset lemma instances.
+literal word evaluation, the full criterion scan, commutator-closed generating sets, the
+coset lemma instances and the focal subgroup.
 
 No check in nilcrit builds a quotient group: the coset lemmas read G/N off
 coset labels on G's indexed view.  The quotient here is built apart from
@@ -18,7 +18,8 @@ collection.  The full criterion scan runs over every pair of values, with no
 conjugacy reduction.  Random commutator-closed generating sets, and the
 subgroup their pair commutators generate, are index sets on G's view.  The
 coset lemma instances come one at a time, in the order the batch checks
-them.
+them.  The focal subgroup gives P cap G^(k) by Higman's theorem, from
+conjugation in G^(k-1), whose terms are closed from pair commutators.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from nilcrit.indexed import indexed_view
 from nilcrit.lemmas import COSET_DEPTHS, normal_subgroups, p_power_value_closure
 from nilcrit.perm import MAX_DEGREE, Permutation, commutator
 from nilcrit.primes import prime_factors
+from nilcrit.structure import sylow_subgroup
 from nilcrit.words import DeltaValueSet
 
 TUPLE_BUDGET = 50_000_000
@@ -270,6 +272,60 @@ def pair_commutator_span(G: PermGroup, X: frozenset[int]) -> frozenset[int]:
     """The subgroup generated by the commutators [x1, x2], x1 and x2 in X, as an index set."""
     iv = indexed_view(G)
     return iv.closure({iv.comm(a, b) for a in X for b in X})
+
+
+def derived_term_by_commutators(G: PermGroup, k: int) -> tuple[frozenset[int], list[int]]:
+    """``(G^(k), gens)``: the kth derived subgroup as an index set on G's view, and generators.
+
+    No ``derived_term``: for a term H generated by S, the pair commutators
+    [a, s], a in H and s in S, generate H'.  They lie in H', hold [S, S], and
+    span a normal subgroup of H, as [a, s]^b = [ab, s] [b, s]^-1.  A
+    commutator joins the next term's generators when the closure of those
+    kept so far lacks it.
+    """
+    iv = indexed_view(G)
+    term = frozenset(range(iv.size))
+    gens = [iv.index[g.images] for g in G.generators]
+    for _ in range(k):
+        commutators = sorted({iv.comm(a, s) for a in term for s in gens})
+        term, gens = frozenset({iv.identity_index}), []
+        for c in commutators:
+            if c not in term:
+                gens.append(c)
+                term = iv.closure(gens)
+    return term, gens
+
+
+def focal_subgroup_oracle(G: PermGroup, p: int, k: int) -> frozenset[int]:
+    """P cap G^(k), for a Sylow p-subgroup P of G and k >= 1, by Higman's focal subgroup theorem.
+
+    H = G^(k-1) is normal in G, so Q = P cap H is a Sylow p-subgroup of H, and
+    Q cap H' = <x^-1 y : x, y in Q, y = x^h for some h in H>.  The H-class of
+    x is its orbit under conjugation by H's generators.  Conjugation alone:
+    no word values and no ``derived_term``.
+    """
+    if k < 1:
+        raise ValueError("the focal subgroup gives derived terms from depth 1")
+    iv = indexed_view(G)
+    H, gens = derived_term_by_commutators(G, k - 1)
+    Q = iv.member_indices(sylow_subgroup(G, p)) & H
+    met: set[int] = set()
+    focal: set[int] = set()
+    for x in sorted(Q):
+        if x in met:
+            continue
+        orbit, seen = [x], {x}
+        for y in orbit:  # grows while it is walked
+            for h in gens:
+                z = iv.conj(y, h)
+                if z not in seen:
+                    seen.add(z)
+                    orbit.append(z)
+        fused = [y for y in orbit if y in Q]
+        met.update(fused)
+        focal.update(iv.index[iv.images[iv.inverse[a]].translate(iv.pads[b])]
+                     for a in fused for b in fused)
+    return iv.closure(focal)
 
 
 def coset_intersection_instances(G: PermGroup) -> Iterator[dict]:

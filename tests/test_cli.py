@@ -269,8 +269,15 @@ SUBCOMMAND_ARGVS = [
 ]
 
 
+# argv tokens for the property test: groups, whole and abbreviated options,
+# good and bad values, and the tokens argparse reads specially
+ARGV_TOKENS = ["S4", "A4", "", "-", "--", "-1", "-h", "--bogus", "--k", "--k=2", "2", "1..3",
+               "3..1", "x", "--cap", "500", "0", "--seed", "--json", "r.json", "no/such/r.json",
+               "--strict", "--stri", "--filter", "soluble", "odd", "--kind", "gamma", "epsilon"]
+
+
 class TestSubcommandParser:
-    """One subcommand's own parser against the full parser of every subcommand."""
+    """``_parse_args``, which parses plain argvs itself, against the full parser."""
 
     @staticmethod
     def full_subparser(name):
@@ -280,8 +287,9 @@ class TestSubcommandParser:
 
     @pytest.mark.parametrize("name", list(cli._COMMANDS))
     def test_help_is_the_full_parsers(self, name):
-        own = cli._subcommand_parser(name).format_help()
-        assert own == self.full_subparser(name).format_help()
+        code, out, _ = parse_outcome(cli._parse_args, [name, "--help"])
+        assert code == 0
+        assert out == self.full_subparser(name).format_help()
 
     @pytest.mark.parametrize("name", list(cli._COMMANDS))
     @pytest.mark.parametrize("rest", SUBCOMMAND_ARGVS, ids=" ".join)
@@ -300,6 +308,30 @@ class TestSubcommandParser:
         code, _, err = parse_outcome(cli._parse_args, ["lemmas", "S4", "--bogus"])
         assert code == 2
         assert "nilcrit: error: unrecognized arguments: --bogus" in err
+
+    @given(st.sampled_from(list(cli._COMMANDS)), st.lists(st.sampled_from(ARGV_TOKENS),
+                                                          max_size=7))
+    @example("lemmas", ["S4", "A4", "--k", "2", "--k", "1..3", "--strict", "--json", "-"])
+    @example("criterion", ["--kind", "gamma", "--seed", "-1"])
+    @example("tower", ["--strict", "S4"])
+    def test_any_argv_parses_and_fails_as_the_full_parser(self, name, rest):
+        argv = [name, *rest]
+        expected = parse_outcome(build_parser().parse_args, argv)
+        assert parse_outcome(cli._parse_args, argv) == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["corpus"], ["series"], ["tower", "S4", "S3"],
+        ["lemmas", "S4", "--k", "2", "--k", "0..1", "--strict", "--json", "-", "--strict"],
+        ["criterion", "A4", "--kind", "gamma", "--cap", "500", "--seed", "3", "--filter", "all"],
+    ])
+    def test_plain_argvs_build_no_parser(self, monkeypatch, argv):
+        expected = build_parser().parse_args(argv)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a parser was built")
+
+        monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+        assert cli._parse_args(argv) == expected
 
     def test_a_subcommand_runs_without_the_full_parser(self, monkeypatch, capsys):
         def refuse():

@@ -55,6 +55,7 @@ from nilcrit.words import delta_values
 from conftest import p_prime_core_oracle, perm, product_set, regular_elementary_abelian
 from oracles import (
     coset_intersection_instances,
+    focal_subgroup_oracle,
     group_from_elements,
     is_normal,
     lifted_generation_instances,
@@ -491,6 +492,34 @@ class TestFocalGeneration:
             for depth in (1, 2, 3):
                 for p in prime_factors(G.order()):
                     assert check_focal_generation(G, depth, p).holds
+
+
+class TestFocalSubgroupOracle:
+    """Lemma foca against Higman's focal subgroup theorem, which needs no word values."""
+
+    @pytest.mark.parametrize("name", builtin_names() + list(SCALE_NAMES))
+    def test_focal_subgroup_is_the_sylow_cut_of_the_derived_term(self, name):
+        # read-only: the scale groups are loaded from bench/corpus, nothing is written there
+        G = battery_group(name)
+        iv = indexed_view(G)
+        soluble = is_soluble(G)
+        for p in prime_factors(G.order()):
+            p_idx = iv.member_indices(sylow_subgroup(G, p))
+            for k in (1, 2, 3):
+                focal = focal_subgroup_oracle(G, p, k)
+                assert focal == p_idx & iv.member_indices(derived_term(G, k)), (p, k)
+                if soluble:
+                    assert focal == iv.closure(p_idx & delta_values(G, k).indices), (p, k)
+                    assert check_focal_generation(G, k, p).holds, (p, k)
+
+    def test_s4_cases(self, s4):
+        # P = D8: P cap A4 = V4 at k = 1, P cap V4 = V4 at k = 2, trivial at k = 3
+        assert [len(focal_subgroup_oracle(s4, 2, k)) for k in (1, 2, 3)] == [4, 4, 1]
+        assert [len(focal_subgroup_oracle(s4, 3, k)) for k in (1, 2, 3)] == [3, 1, 1]
+
+    def test_depth_zero_rejected(self, s4):
+        with pytest.raises(ValueError):
+            focal_subgroup_oracle(s4, 2, 0)
 
 
 class TestFittingMembership:
