@@ -285,7 +285,7 @@ def parse_descriptor(text: str, source: str = "file") -> GroupDescriptor:
             except json.JSONDecodeError:
                 raise ParseError(f"bad image array {spec!r}", lineno)
             if (not isinstance(images, list) or len(images) != degree
-                    or not all(isinstance(x, int) for x in images)):
+                    or not all(type(x) is int for x in images)):  # a JSON true is a bool, not 1
                 raise ParseError(f"image array must list {degree} integers", lineno)
             p = Permutation.from_one_based(images)
         else:

@@ -3,8 +3,9 @@
 A :class:`PermGroup` is generators plus a lazily built stabilizer chain; the
 chain answers order and membership questions with no cap.  A closure
 (``subgroup_generated``, ``normal_closure``) grows one chain over its
-candidates and hands it to the group it returns.  Groups are immutable
-once their caches are built, so sharing them is safe.
+candidates and hands it to the group it returns; a normal closure that
+fills a known subgroup bounding it returns that subgroup itself.  Groups
+are immutable once their caches are built, so sharing them is safe.
 """
 
 from __future__ import annotations
@@ -137,7 +138,8 @@ def group_with_elements(degree: int, generators: Iterable[Permutation],
     return group
 
 
-def normal_closure(G: PermGroup, seed: Iterable[Permutation]) -> PermGroup:
+def normal_closure(G: PermGroup, seed: Iterable[Permutation],
+                   within: PermGroup | None = None) -> PermGroup:
     """Smallest normal subgroup of G containing the seed elements.
 
     One stabilizer chain is grown as in subgroup_generated: first over the
@@ -147,9 +149,20 @@ def normal_closure(G: PermGroup, seed: Iterable[Permutation]) -> PermGroup:
     inverse formed once per closure.  Like subgroup_generated, the result N
     has at most Omega(|N|) <= log2|N| generators, and N keeps the one chain
     built.
+
+    ``within``, when given, is a subgroup known to contain N, such as the
+    series term the seeds are commutators of.  The chain's group lies in N,
+    so once its order reaches |within| it is all of within, and within
+    itself is returned at once: N is then built no second time.
     """
     chain = StabilizerChain(G.degree)
-    kept = [n for n in seed if chain.add(n)]
+    full = None if within is None else within.order()
+    kept = []
+    for n in seed:
+        if chain.add(n):
+            if chain.order() == full:
+                return within
+            kept.append(n)
     # n^g = g^-1 * n * g on image bytes: g^-1's images translated by the pads of n and g
     conjugators = [(inverse_table(g.images)[:G.degree], pad(g)) for g in G.generators]
     work = list(kept)
@@ -158,7 +171,9 @@ def normal_closure(G: PermGroup, seed: Iterable[Permutation]) -> PermGroup:
         for inverse, right in conjugators:
             c = wrap_images(inverse.translate(table).translate(right))
             if chain.add(c):
+                if chain.order() == full:
+                    return within
                 kept.append(c)
                 work.append(c)
-    return _group_on_chain(chain, kept)
-
+    # a trivial within is reached with no chain growth
+    return within if chain.order() == full else _group_on_chain(chain, kept)

@@ -198,8 +198,12 @@ class IndexedGroup:
         return self._subgroups[key]
 
     def are_indices(self, members: Iterable[object]) -> bool:
-        """Whether every member is an int in range(size); a negative int would index from the end."""
-        return all(isinstance(x, int) and 0 <= x < self.size for x in members)
+        """Whether every member is an int in range(size).
+
+        A negative int would index from the end, and a bool is no index
+        although True == 1.
+        """
+        return all(type(x) is int and 0 <= x < self.size for x in members)
 
     def require_normal(self, seeds: Collection[int], members: Collection[int]) -> None:
         """NotNormal unless every generator's conjugation table maps each seed into members."""

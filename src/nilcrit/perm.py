@@ -53,7 +53,7 @@ class Permutation:
         imgs = tuple(images)
         n = len(imgs)
         _check_degree(n)
-        if not all(isinstance(x, int) and 0 <= x < n for x in imgs) or len(set(imgs)) != n:
+        if not all(type(x) is int and 0 <= x < n for x in imgs) or len(set(imgs)) != n:
             raise InvalidPermutation(f"images {imgs!r} are not a bijection of 0..{n - 1}")
         self.images = bytes(imgs)
         self._pad = None

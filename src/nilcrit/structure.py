@@ -6,17 +6,20 @@ Sylow bases and their (system) normalizers.
 
 The series and the nilpotency and solubility predicates run on stabilizer
 chains, and never enumerate G; the commutators that seed each series term
-are formed on image bytes.  The subgroups are index sets on G's indexed
+are formed on image bytes.  Each term is built once: it is closed within
+the term it descends from, so a series that stalls repeats that term
+itself, and the lower central series takes gamma_2(G) from
+``derived_subgroup``.  The subgroups are index sets on G's indexed
 view, the only enumeration, each wrapped with no chain built for it.  A Sylow
 subgroup, of G or of a subgroup's index list, grows by p-elements that
 conjugate its generators, on image bytes, into its index set.  Its
 conjugates are one orbit under the conjugation tables of G's generators, one
 per right coset of its normalizer, each an index tuple with known generators.
 A Sylow basis comes from a bounded deterministic backtracking search over
-them, in which two candidates permute when a chain finds <P, Q> of order
-|P| |Q|.  Basis normalizers and intersected bases are index sets on the
-ambient group's view, and factorizations are checked by
-|AB| = |A| |B| / |A cap B|.
+them, in which two candidates permute when the closure of their generators
+on G's view has |P| |Q| members.  Basis normalizers and intersected bases
+are index sets on the ambient group's view, and factorizations are checked
+by |AB| = |A| |B| / |A cap B|.  None of it builds a stabilizer chain.
 """
 
 from __future__ import annotations
@@ -82,9 +85,13 @@ def _commutators(xs: Sequence[Permutation], ys: Sequence[Permutation]) -> list[P
 
 
 def derived_subgroup(G: PermGroup) -> PermGroup:
-    """Commutator subgroup: normal closure of the commutators of the generators."""
+    """Commutator subgroup: normal closure of the commutators of the generators.
+
+    The closure is bounded by G, so a perfect G is its own derived subgroup,
+    the same object.
+    """
     return G.memo(("derived_subgroup",),
-                  lambda: normal_closure(G, _commutators(G.generators, G.generators)))
+                  lambda: normal_closure(G, _commutators(G.generators, G.generators), within=G))
 
 
 def derived_series(G: PermGroup) -> SeriesReport:
@@ -100,8 +107,15 @@ def derived_term(G: PermGroup, k: int) -> PermGroup:
 
 
 def _lower_central_step(G: PermGroup):
+    """[term, G], the normal closure in G of [t, g] over generators, within term.
+
+    [G, G] is G's derived subgroup, from the same seeds: it is read from
+    its memo, not built again.
+    """
     def step(term: PermGroup) -> PermGroup:
-        return normal_closure(G, _commutators(term.generators, G.generators))
+        if term is G:
+            return derived_subgroup(G)
+        return normal_closure(G, _commutators(term.generators, G.generators), within=term)
 
     return step
 
@@ -259,15 +273,16 @@ def product_order(G: PermGroup, A: PermGroup, B: PermGroup) -> int:
     return len(a) * len(b) // len(a & b)
 
 
-def _permutable(P: PermGroup, Q: PermGroup) -> bool:
-    """PQ == QP, for Sylow subgroups P, Q at distinct primes: |<P, Q>| == |P| |Q|.
+def _permutable(iv: IndexedGroup, P: PermGroup, Q: PermGroup) -> bool:
+    """PQ == QP, for Sylow subgroups P, Q at distinct primes of G: |<P, Q>| == |P| |Q|.
 
     P cap Q = 1 has coprime order, so |PQ| = |P| |Q|.  PQ lies in <P, Q>
     and is all of it exactly when PQ is a subgroup, that is when PQ == QP.
-    One chain order replaces the 2 |P| |Q| products of comparing PQ and QP.
+    <P, Q> is closed from both generator lists on iv, G's view, with no
+    chain built; the |P| |Q| bound is read from P's and Q's orders.
     """
-    joined = PermGroup(P.degree, P.generators + Q.generators)
-    return joined.order() == P.order() * Q.order()
+    gens = [iv.index[g.images] for g in P.generators + Q.generators]
+    return len(iv.closure(gens)) == P.order() * Q.order()
 
 
 def _distinct_conjugates(G: PermGroup, P: PermGroup) -> list[PermGroup]:
@@ -299,9 +314,10 @@ def sylow_basis(G: PermGroup, seed: int = 0) -> SylowBasis:
     read off G's conjugation tables, in canonical order (shuffled
     reproducibly when seed is nonzero), so the same inputs always yield the
     same basis.  Two candidates permute when they generate a group of order
-    |P| |Q|.  Existence is guaranteed for soluble groups; the bounded search
-    raises SearchExhausted if SYLOW_BASIS_MAX_TESTS tests run out first.  The result is
-    checked against G = T * gamma_inf(G) by the order identity
+    |P| |Q| (``_permutable``, on G's view).  Existence is guaranteed for
+    soluble groups; the bounded search raises SearchExhausted if
+    SYLOW_BASIS_MAX_TESTS tests run out first.  The result is checked
+    against G = T * gamma_inf(G) by the order identity
     |T| |R| == |G| |T cap R|.
     """
     if not is_soluble(G):
@@ -316,6 +332,7 @@ def sylow_basis(G: PermGroup, seed: int = 0) -> SylowBasis:
                 random.Random((seed, p).__hash__() & 0x7FFFFFFF).shuffle(conj)
             candidates.append(conj)
 
+        iv = indexed_view(G)
         tests = 0
         memo: dict[tuple[int, int, int, int], bool] = {}
 
@@ -327,7 +344,7 @@ def sylow_basis(G: PermGroup, seed: int = 0) -> SylowBasis:
                 if tests > SYLOW_BASIS_MAX_TESTS:
                     raise SearchExhausted(f"no pairwise permutable Sylow family within "
                                           f"{SYLOW_BASIS_MAX_TESTS} tests")
-                memo[key] = _permutable(candidates[i][a], candidates[j][b])
+                memo[key] = _permutable(iv, candidates[i][a], candidates[j][b])
             return memo[key]
 
         chosen: list[int] = []
@@ -372,10 +389,15 @@ def intersect_basis(B: SylowBasis, K: PermGroup) -> SylowBasis:
     of it; a permutability failure here means an internal bug, reported as
     PermutabilityViolated.  Everything is read on the ambient group's view:
     K's normality is checked on its conjugation tables (NotNormal), the
-    members are intersections of index sets, and the basis normalizer of K
-    is the set of K's indices whose conjugation lookups keep every member,
-    so K needs no view of its own.
+    members are intersections of index sets, permutability is tested as in
+    ``sylow_basis``, and the basis normalizer of K is the set of K's indices
+    whose conjugation lookups keep every member, so K needs no view of its
+    own.  When K is B's ambient group itself, B is returned: ``sylow_basis``
+    has just tested its members' permutability and read its normalizer in
+    the same way.
     """
+    if K is B.ambient:
+        return B
     iv = indexed_view(B.ambient)
     k_idx = iv.member_indices(K)
     iv.require_normal(iv._generator_key(K), k_idx)
@@ -388,7 +410,7 @@ def intersect_basis(B: SylowBasis, K: PermGroup) -> SylowBasis:
         new_basis[p] = iv.subgroup(sorted(inter))
     for p in new_basis:
         for q in new_basis:
-            if p < q and not _permutable(new_basis[p], new_basis[q]):
+            if p < q and not _permutable(iv, new_basis[p], new_basis[q]):
                 raise PermutabilityViolated(
                     f"intersected Sylow subgroups for p={p}, q={q} do not permute")
     T = iv.subgroup(iv.normalizing(new_basis.values(), sorted(k_idx)))

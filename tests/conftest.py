@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from nilcrit.corpus import load_group
 from nilcrit.perm import Permutation, commutator
@@ -37,6 +38,13 @@ def regular_elementary_abelian(bits: int) -> PermGroup:
     n = 1 << bits
     return PermGroup(n, [Permutation([x ^ (1 << i) for x in range(n)]) for i in range(bits)],
                      name=f"C2^{bits}")
+
+
+def small_symmetric_subgroups(max_degree: int = 6):
+    """Subgroups of S_n, n <= max_degree, each generated by 1 to 3 random permutations."""
+    return st.integers(1, max_degree).flatmap(lambda n: st.lists(
+        st.permutations(range(n)).map(Permutation), min_size=1, max_size=3).map(
+        lambda gens: PermGroup(n, gens)))
 
 
 def perm(cycles: str, degree: int) -> Permutation:

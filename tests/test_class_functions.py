@@ -11,16 +11,16 @@ test checks the results against the raw images.
 from __future__ import annotations
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 import nilcrit.indexed
 from nilcrit.criterion import coprime_product_criterion
-from nilcrit.group import PermGroup
 from nilcrit.indexed import IndexedGroup, indexed_view
-from nilcrit.perm import MAX_DEGREE, Permutation, image_order
+from nilcrit.perm import MAX_DEGREE, image_order
 from nilcrit.words import delta_values, gamma_values
 
-from conftest import CountingIndex, regular_cyclic, regular_elementary_abelian, scale_group
+from conftest import (CountingIndex, regular_cyclic, regular_elementary_abelian, scale_group,
+                      small_symmetric_subgroups)
 from oracles import full_scan_oracle
 
 WORK_GROUPS = ("S4wrC2", "PSL2_11")
@@ -83,15 +83,8 @@ def test_levels_over_all_of_g_call_no_conjugates(monkeypatch, name):
     assert calls[0] == want
 
 
-def subgroups_of_small_symmetric_groups():
-    """Subgroups of S_n, n <= 8, each generated by 1 to 3 random permutations."""
-    return st.integers(1, 8).flatmap(lambda n: st.lists(
-        st.permutations(range(n)).map(Permutation), min_size=1, max_size=3).map(
-        lambda gens: PermGroup(n, gens)))
-
-
 @settings(max_examples=40, deadline=None)
-@given(subgroups_of_small_symmetric_groups())
+@given(small_symmetric_subgroups(8))
 @example(regular_cyclic(MAX_DEGREE))
 @example(regular_elementary_abelian(8))
 def test_orders_and_both_scans_replay_from_raw_images(G):

@@ -93,6 +93,14 @@ class TestErrors:
         assert code == 2
         assert "InvalidPermutation" in err
 
+    @pytest.mark.parametrize("gen", ["[true, 2]", "[2, true, 3]"])
+    def test_json_boolean_image_exit_two(self, tmp_path, capsys, gen):
+        path = tmp_path / "bool.grp"
+        path.write_text(f"degree: {gen.count(',') + 1}\ngen: {gen}\n")
+        code, _, err = run(["series", str(path)], capsys)
+        assert code == 2
+        assert "ParseError" in err
+
     def test_degree_above_256_exit_two(self, tmp_path, capsys):
         path = tmp_path / "wide.grp"
         path.write_text("degree: 257\ngen: (1 2)\n")

@@ -120,6 +120,13 @@ class TestDescriptorParsing:
         with pytest.raises(ParseError, match="degree 257 exceeds the limit of 256 points"):
             parse_descriptor("degree: 257\ngen: (1 2)\n")
 
+    @pytest.mark.parametrize("text", ["degree: 2\ngen: [true, 2]\n",
+                                      "degree: 3\ngen: [2, true, 3]\n"])
+    def test_json_booleans_are_not_points(self, text):
+        # true == 1 in Python: [true, 2] read as the identity, [2, true, 3] as (1 2)
+        with pytest.raises(ParseError, match="must list"):
+            parse_descriptor(text)
+
     def test_missing_degree(self):
         with pytest.raises(ParseError):
             parse_descriptor("gen: [2, 1, 3]\n")

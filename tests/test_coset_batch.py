@@ -35,7 +35,7 @@ from nilcrit.lemmas import (
 from nilcrit.perm import Permutation
 from nilcrit.primes import prime_factors
 from nilcrit.structure import _sylow_indices, fitting_subgroup, sylow_subgroup
-from conftest import regular_elementary_abelian
+from conftest import regular_elementary_abelian, small_symmetric_subgroups
 from oracles import (
     coset_closure_oracle,
     coset_intersection_instances,
@@ -43,13 +43,6 @@ from oracles import (
 )
 
 COSET_LEMMAS = ("coset_intersection", "lifted_generation")
-
-
-def small_symmetric_subgroups(max_degree: int = 6):
-    """Subgroups of S_n, n <= max_degree, each generated by 1 to 3 random permutations."""
-    return st.integers(1, max_degree).flatmap(lambda n: st.lists(
-        st.permutations(range(n)).map(Permutation), min_size=1, max_size=3).map(
-        lambda gens: PermGroup(n, gens)))
 
 
 def descriptor_file(G: PermGroup, directory: Path, name: str) -> Path:

@@ -7,6 +7,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nilcrit
 import nilcrit.criterion
@@ -39,7 +40,8 @@ from nilcrit.structure import (
 )
 from nilcrit.words import delta_values, generator_tower
 
-from conftest import SCALE_CORPUS, CountingIndex, class_lists, closure_oracle, classes_oracle, perm
+from conftest import (SCALE_CORPUS, CountingIndex, class_lists, closure_oracle, classes_oracle, perm,
+                      small_symmetric_subgroups)
 from oracles import group_from_elements, is_normal, quotient
 
 
@@ -306,6 +308,12 @@ class TestIndexedClosure:
     def test_random_seed_subsets_of_s4(self, s4):
         check_random_seed_subsets(s4, 300)
 
+    def test_booleans_are_not_indices(self, s4):
+        # True == 1 and hashes alike, so only the type tells them apart
+        iv = indexed_view(s4)
+        assert iv.are_indices({0, 1})
+        assert not iv.are_indices({True})
+
     def test_random_seed_subsets_of_s4wrc2(self):
         check_random_seed_subsets(load_group(str(SCALE_CORPUS / "S4wrC2.grp")), 100)
 
@@ -323,6 +331,19 @@ class TestNormalStructure:
     def test_normal_closure_rejects_a_seed_of_another_degree(self, s4):
         with pytest.raises(DegreeMismatch):
             normal_closure(s4, [perm("(1 2 3)", 3)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_symmetric_subgroups(), st.data())
+    def test_closure_within_a_bound_is_the_bound_exactly_when_it_fills_it(self, G, data):
+        # B, the normal closure of the seed and some extra elements, contains N
+        pick = st.lists(st.sampled_from(G.elements()), max_size=3)
+        seed = data.draw(pick)
+        B = normal_closure(G, seed + data.draw(pick))
+        iv = indexed_view(G)
+        want = iv.member_indices(normal_closure(G, seed))
+        N = normal_closure(G, seed, within=B)
+        assert iv.member_indices(N) == want
+        assert (N is B) == (want == iv.member_indices(B))
 
     def test_normalizer_of_whole_group(self, s4):
         iv = indexed_view(s4)

@@ -52,7 +52,8 @@ from nilcrit.structure import (
     _sylow_indices,
 )
 from nilcrit.words import delta_values
-from conftest import p_prime_core_oracle, perm, product_set, regular_elementary_abelian
+from conftest import (p_prime_core_oracle, perm, product_set, regular_elementary_abelian,
+                      small_symmetric_subgroups)
 from oracles import (
     coset_intersection_instances,
     focal_subgroup_oracle,
@@ -324,6 +325,7 @@ MALFORMED_SUBGROUP = {
 MALFORMED = {
     "index past the view": ("X", lambda G: frozenset({0, G.order()}), NotNormal, "not contained"),
     "negative index": ("X", lambda G: frozenset({0, -1}), NotNormal, "not contained"),
+    "boolean index": ("X", lambda G: frozenset({0, True}), NotNormal, "not contained"),
     "not a p-element": ("X", lambda G: index_set(G, "()", "(1 2 3)"), NotPElementSet,
                         "not a power of 2"),
     "not conjugation-closed": ("X", lambda G: index_set(G, "()", "(1 2)"), NotNormal,
@@ -497,10 +499,8 @@ class TestFocalGeneration:
 class TestFocalSubgroupOracle:
     """Lemma foca against Higman's focal subgroup theorem, which needs no word values."""
 
-    @pytest.mark.parametrize("name", builtin_names() + list(SCALE_NAMES))
-    def test_focal_subgroup_is_the_sylow_cut_of_the_derived_term(self, name):
-        # read-only: the scale groups are loaded from bench/corpus, nothing is written there
-        G = battery_group(name)
+    @staticmethod
+    def check_every_prime_and_depth(G: PermGroup) -> None:
         iv = indexed_view(G)
         soluble = is_soluble(G)
         for p in prime_factors(G.order()):
@@ -511,6 +511,16 @@ class TestFocalSubgroupOracle:
                 if soluble:
                     assert focal == iv.closure(p_idx & delta_values(G, k).indices), (p, k)
                     assert check_focal_generation(G, k, p).holds, (p, k)
+
+    @pytest.mark.parametrize("name", builtin_names() + list(SCALE_NAMES))
+    def test_focal_subgroup_is_the_sylow_cut_of_the_derived_term(self, name):
+        # read-only: the scale groups are loaded from bench/corpus, nothing is written there
+        self.check_every_prime_and_depth(battery_group(name))
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_symmetric_subgroups(7))
+    def test_random_subgroups_of_small_symmetric_groups(self, G):
+        self.check_every_prime_and_depth(G)
 
     def test_s4_cases(self, s4):
         # P = D8: P cap A4 = V4 at k = 1, P cap V4 = V4 at k = 2, trivial at k = 3

@@ -38,6 +38,11 @@ class TestConstruction:
         with pytest.raises(InvalidPermutation):
             Permutation.from_one_based([1, 1, 3])
 
+    def test_rejects_booleans(self):
+        # True == 1, so [True, 0] would otherwise be the transposition of 0 and 1
+        with pytest.raises(InvalidPermutation):
+            Permutation([True, 0])
+
     def test_one_based_round_trip(self):
         p = Permutation.from_one_based([2, 1, 3])
         assert p == perm("(1 2)", 3)

@@ -11,14 +11,16 @@ import pytest
 
 from nilcrit.corpus import builtin_names, filter_names, load_group
 from nilcrit.errors import NotPrimeDivisor, NotSoluble
-from nilcrit.group import PermGroup, subgroup_generated
+from nilcrit.group import PermGroup, normal_closure, subgroup_generated
 from nilcrit.indexed import indexed_view
 from nilcrit.perm import Permutation
 from nilcrit.primes import p_part, prime_factors
 from nilcrit.structure import (
+    _commutators,
     _distinct_conjugates,
     _permutable,
     derived_series,
+    derived_subgroup,
     derived_term,
     fitting_subgroup,
     gamma_infinity,
@@ -33,6 +35,7 @@ from nilcrit.structure import (
     sylow_basis,
     sylow_subgroup,
 )
+from nilcrit.words import generator_tower
 
 from conftest import (
     conjugated,
@@ -453,12 +456,13 @@ class TestSylowLayerAgainstPermutationOracles:
     def test_permutability(self, name):
         # up to six candidates at each of the first three primes
         G = loaded(name)
+        iv = indexed_view(G)
         primes = prime_factors(G.order())
         for p, q in itertools.combinations(primes[:3], 2):
             for P in _distinct_conjugates(G, sylow_subgroup(G, p))[:6]:
                 for Q in _distinct_conjugates(G, sylow_subgroup(G, q))[:6]:
-                    assert _permutable(P, Q) == permutable_oracle(frozenset(P.elements()),
-                                                                  frozenset(Q.elements()))
+                    assert _permutable(iv, P, Q) == permutable_oracle(frozenset(P.elements()),
+                                                                      frozenset(Q.elements()))
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_bases_and_normalizers(self, name, seed):
@@ -472,6 +476,11 @@ class TestSylowLayerAgainstPermutationOracles:
             members, T = intersect_basis_oracle(G, want, K)
             assert [set(BK.basis[p].elements()) for p in BK.primes] == members
             assert set(BK.normalizer.elements()) == T
+
+    def test_the_ambient_group_keeps_its_basis(self, name):
+        G = loaded(name)
+        B = sylow_basis(G)
+        assert intersect_basis(B, G) is B
 
 
 class TestPPrimeCoreAgainstChainOracle:
@@ -506,6 +515,67 @@ class TestPPrimeCoreAgainstChainOracle:
         assert p_core(G, 2).order() == 16  # V4 x V4, which is O_{3'}(G) as well
         assert p_core(G, 3).order() == 1
         assert fitting_subgroup(G).order() == 16
+
+
+def unbounded_series_orders(G: PermGroup) -> dict[str, tuple[int, ...]]:
+    """The three series' order profiles, each term a fresh normal closure with no bound and no memo."""
+    def descend(H: PermGroup, step) -> list[PermGroup]:
+        terms = [H]
+        while terms[-1].order() != 1:
+            terms.append(step(terms[-1]))
+            if terms[-1].order() == terms[-2].order():
+                break
+        return terms
+
+    def gamma_infinity_unbounded(H: PermGroup) -> PermGroup:
+        return descend(H, lambda t: normal_closure(H, _commutators(t.generators, H.generators)))[-1]
+
+    series = {
+        "derived": descend(G, lambda H: normal_closure(H, _commutators(H.generators, H.generators))),
+        "lower_central": descend(G, lambda t: normal_closure(G, _commutators(t.generators,
+                                                                              G.generators))),
+        "lower_fitting": descend(G, gamma_infinity_unbounded),
+    }
+    return {kind: tuple(t.order() for t in terms) for kind, terms in series.items()}
+
+
+class TestEachSubgroupBuiltOnce:
+    """Series terms and Sylow-layer subgroups are built once per group and then shared."""
+
+    @pytest.mark.parametrize("name", builtin_names() + list(SCALE_NAMES))
+    def test_gamma_2_is_the_derived_subgroup(self, name):
+        G = loaded(name)
+        terms = lower_central_series(G).terms
+        if G.order() == 1:
+            assert terms == (G,)
+        else:
+            assert terms[1] is derived_subgroup(G)
+
+    @pytest.mark.parametrize("name", builtin_names() + list(SCALE_NAMES))
+    def test_a_stalled_series_repeats_its_last_term(self, name):
+        G = loaded(name)
+        want = unbounded_series_orders(G)
+        for series in (derived_series(G), lower_central_series(G), lower_fitting_series(G)):
+            assert series.orders == want[series.kind]
+            if not series.reaches_trivial():
+                assert series.terms[-1] is series.terms[-2], series.kind
+
+    @pytest.mark.parametrize("name", ["S4xS4", "S3wrC3"])
+    def test_the_sylow_layer_builds_no_chain(self, name, monkeypatch):
+        G = load_group(str(SCALE_CORPUS / f"{name}.grp"))
+        indexed_view(G)
+        fitting = lower_fitting_series(G).terms
+        derived_series(G)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Sylow layer built a stabilizer chain")
+
+        monkeypatch.setattr("nilcrit.group.StabilizerChain", refuse)
+        B = sylow_basis(G)
+        for K in fitting:
+            intersect_basis(B, K)
+        tower = generator_tower(G)
+        assert tower.chain_orders() == tuple(K.order() for K in fitting if K.order() > 1)
 
 
 class TestProductOrder:
