@@ -14,7 +14,6 @@ from .errors import (
     OrderMismatch,
     ParseError,
     PermutabilityViolated,
-    SearchExhausted,
     TagMismatch,
 )
 from .perm import Permutation, commutator

@@ -40,10 +40,6 @@ class NotMetanilpotent(NilcritError):
     """Operation requires a metanilpotent group."""
 
 
-class SearchExhausted(NilcritError):
-    """Bounded search gave up before finding a certificate."""
-
-
 class PermutabilityViolated(NilcritError):
     """Internal invariant failure: an intersected Sylow family stopped being a basis."""
 

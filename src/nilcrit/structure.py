@@ -15,11 +15,12 @@ subgroup, of G or of a subgroup's index list, grows by p-elements that
 conjugate its generators, on image bytes, into its index set.  Its
 conjugates are one orbit under the conjugation tables of G's generators, one
 per right coset of its normalizer, each an index tuple with known generators.
-A Sylow basis comes from a bounded deterministic backtracking search over
-them, in which two candidates permute when the closure of their generators
-on G's view has |P| |Q| members.  Basis normalizers and intersected bases
-are index sets on the ambient group's view, and factorizations are checked
-by |AB| = |A| |B| / |A cap B|.  None of it builds a stabilizer chain.
+A Sylow basis is chosen from them in one pass over the primes, keeping at
+each prime the first candidate that permutes with those already kept; two
+candidates permute when the closure of their generators on G's view has
+|P| |Q| members.  Basis normalizers and intersected bases are index sets on
+the ambient group's view, and factorizations are checked by
+|AB| = |A| |B| / |A cap B|.  None of it builds a stabilizer chain.
 """
 
 from __future__ import annotations
@@ -27,19 +28,11 @@ from __future__ import annotations
 import random
 from typing import NamedTuple, Sequence
 
-from .errors import (
-    NotPrimeDivisor,
-    NotSoluble,
-    PermutabilityViolated,
-    SearchExhausted,
-)
+from .errors import NotPrimeDivisor, NotSoluble, PermutabilityViolated
 from .group import PermGroup, group_with_elements, normal_closure
 from .indexed import IndexedGroup, indexed_view
 from .perm import Permutation, inverse_table, pad, wrap_images
 from .primes import is_prime, p_part, prime_factors
-
-# permutability tests the Sylow basis backtracking may run before giving up
-SYLOW_BASIS_MAX_TESTS = 200_000
 
 
 class SeriesReport(NamedTuple):
@@ -308,78 +301,43 @@ def _distinct_conjugates(G: PermGroup, P: PermGroup) -> list[PermGroup]:
 
 
 def sylow_basis(G: PermGroup, seed: int = 0) -> SylowBasis:
-    """Find a Sylow basis by backtracking over Sylow conjugates.
+    """A Sylow basis, chosen prime by prime in one pass over Sylow conjugates.
 
     The candidates at each prime are the conjugates of one Sylow subgroup,
     read off G's conjugation tables, in canonical order (shuffled
     reproducibly when seed is nonzero), so the same inputs always yield the
-    same basis.  Two candidates permute when they generate a group of order
-    |P| |Q| (``_permutable``, on G's view).  Existence is guaranteed for
-    soluble groups; the bounded search raises SearchExhausted if
-    SYLOW_BASIS_MAX_TESTS tests run out first.  The result is checked
-    against G = T * gamma_inf(G) by the order identity
+    same basis.  At each prime the first candidate that permutes with every
+    member already chosen is kept (``_permutable``, on G's view).  No choice
+    is ever undone (P. Hall, 1937): in a soluble group, pairwise permutable
+    Sylow subgroups P_1..P_j generate a Hall subgroup H = P_1...P_j; some
+    conjugate of any basis of G meets H in a basis of H, and the bases of H
+    are conjugate in H, so {P_1..P_j} extends to a basis of G.  The result
+    is checked against G = T * gamma_inf(G) by the order identity
     |T| |R| == |G| |T cap R|.
     """
     if not is_soluble(G):
         raise NotSoluble("Sylow bases exist exactly for soluble groups")
 
     def compute() -> SylowBasis:
-        primes = prime_factors(G.order())
-        candidates = []
-        for p in primes:
-            conj = _distinct_conjugates(G, sylow_subgroup(G, p))
-            if seed:
-                random.Random((seed, p).__hash__() & 0x7FFFFFFF).shuffle(conj)
-            candidates.append(conj)
-
         iv = indexed_view(G)
-        tests = 0
-        memo: dict[tuple[int, int, int, int], bool] = {}
-
-        def permutable(i: int, a: int, j: int, b: int) -> bool:
-            nonlocal tests
-            key = (i, a, j, b)
-            if key not in memo:
-                tests += 1
-                if tests > SYLOW_BASIS_MAX_TESTS:
-                    raise SearchExhausted(f"no pairwise permutable Sylow family within "
-                                          f"{SYLOW_BASIS_MAX_TESTS} tests")
-                memo[key] = _permutable(iv, candidates[i][a], candidates[j][b])
-            return memo[key]
-
-        chosen: list[int] = []
-
-        def extend(i: int) -> bool:
-            if i == len(candidates):
-                return True
-            for a in range(len(candidates[i])):
-                if all(permutable(j, chosen[j], i, a) for j in range(i)):
-                    chosen.append(a)
-                    if extend(i + 1):
-                        return True
-                    chosen.pop()
-            return False
-
-        if not extend(0):
-            raise SearchExhausted("backtracking exhausted all Sylow conjugate families")
-
-        basis = {p: candidates[i][chosen[i]] for i, p in enumerate(primes)}
-        T = basis_normalizer(G, basis)
+        basis: dict[int, PermGroup] = {}
+        for p in prime_factors(G.order()):
+            candidates = _distinct_conjugates(G, sylow_subgroup(G, p))
+            if seed:
+                random.Random(f"{seed}/{p}").shuffle(candidates)
+            for P in candidates:
+                if all(_permutable(iv, Q, P) for Q in basis.values()):
+                    basis[p] = P
+                    break
+            else:
+                raise RuntimeError(f"no Sylow {p}-subgroup permutes with the basis so far; "
+                                   "this is a bug")
+        T = iv.subgroup(iv.normalizing(basis.values()))
         if product_order(G, T, gamma_infinity(G)) != G.order():
             raise RuntimeError("basis normalizer failed the factorization G = T * gamma_inf(G)")
         return SylowBasis(G, basis, T, seed)
 
     return G.memo(("sylow_basis", seed), compute)
-
-
-def basis_normalizer(G: PermGroup, basis: dict[int, PermGroup]) -> PermGroup:
-    """Intersection of the G-normalizers of the basis members.
-
-    One pass over G's indexed view: g is kept when every generator of every
-    member conjugates by g into that member's index set.
-    """
-    iv = indexed_view(G)
-    return iv.subgroup(iv.normalizing(basis.values()))
 
 
 def intersect_basis(B: SylowBasis, K: PermGroup) -> SylowBasis:

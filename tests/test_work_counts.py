@@ -1,9 +1,11 @@
-"""Work-count gate: stabilizer chains and normal closures built by one CLI run.
+"""Work-count gate: chains, normal closures and permutability tests in one CLI run.
 
 Each count is exact and deterministic, so the gate holds on a machine of any
 speed: a duplicate build coming back raises a count past its committed
-limit.  A change that lowers a count lowers its limit here; one that raises
-a count must say why.  The groups are read from ``bench/corpus``, read only.
+limit, and a Sylow-basis search that tests a pair twice or undoes a choice
+runs more permutability tests.  A change that lowers a count lowers its
+limit here; one that raises a count must say why.  The groups are read from
+``bench/corpus``, read only.
 """
 
 from __future__ import annotations
@@ -13,25 +15,30 @@ import sys
 import pytest
 
 import nilcrit.group
+import nilcrit.structure
 from nilcrit.chain import StabilizerChain
 from nilcrit.cli import main
 
 from conftest import SCALE_CORPUS
 
-# (subcommand, group, extra arguments) -> (chain constructions, normal_closure calls)
+# (subcommand, group, extra arguments)
+#     -> (chain constructions, normal_closure calls, _permutable calls)
 LIMITS = {
-    ("series", "S3wrC3", ()): (6, 5),
-    ("series", "S4xS4", ()): (6, 5),
-    ("tower", "S3wrC3", ()): (6, 5),
-    ("tower", "S4xS4", ()): (6, 5),
-    ("criterion", "S4wrC2", ("--k", "1..3")): (7, 6),
+    ("series", "S3wrC3", ()): (6, 5, 0),
+    ("series", "S4xS4", ()): (6, 5, 0),
+    ("tower", "S3wrC3", ()): (6, 5, 2),
+    ("tower", "S4xS4", ()): (6, 5, 2),
+    ("tower", "AGL1_16", ()): (4, 3, 3),
+    ("tower", "AGammaL1_8", ()): (6, 5, 4),
+    ("criterion", "S4wrC2", ("--k", "1..3")): (7, 6, 0),
 }
 
 
 @pytest.fixture
 def counts(monkeypatch) -> dict[str, int]:
-    """Count StabilizerChain constructions and normal_closure calls, in every module binding them."""
-    seen = {"chains": 0, "closures": 0}
+    """Count StabilizerChain constructions, normal_closure calls, in every module binding
+    them, and Sylow permutability tests."""
+    seen = {"chains": 0, "closures": 0, "permutable": 0}
 
     class Counted(StabilizerChain):
         def __init__(self, *args, **kwargs):
@@ -44,7 +51,14 @@ def counts(monkeypatch) -> dict[str, int]:
         seen["closures"] += 1
         return closure(*args, **kwargs)
 
+    permutable = nilcrit.structure._permutable
+
+    def counted_permutable(*args, **kwargs):
+        seen["permutable"] += 1
+        return permutable(*args, **kwargs)
+
     monkeypatch.setattr(nilcrit.group, "StabilizerChain", Counted)
+    monkeypatch.setattr(nilcrit.structure, "_permutable", counted_permutable)
     for name, module in list(sys.modules.items()):
         if name.startswith("nilcrit") and getattr(module, "normal_closure", None) is closure:
             monkeypatch.setattr(module, "normal_closure", counted_closure)
@@ -56,7 +70,8 @@ def counts(monkeypatch) -> dict[str, int]:
 def test_builds_at_most_the_committed_counts(command, group, extra, counts, capsys):
     assert main([command, str(SCALE_CORPUS / f"{group}.grp"), *extra]) == 0
     capsys.readouterr()
-    chains, closures = LIMITS[command, group, extra]
+    chains, closures, permutable = LIMITS[command, group, extra]
     assert counts["chains"] <= chains
     assert counts["closures"] <= closures
+    assert counts["permutable"] <= permutable
     assert counts["closures"] > 0  # the counters are in place
