@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import DegreeMismatch
-from .perm import Permutation, inverse_table, pad, wrap_images
+from .perm import Permutation, inverse_table, pad, pad_tables, wrap_images
 
 
 class StabilizerChain:
@@ -102,7 +102,7 @@ class StabilizerChain:
         """The images of all group elements, one per transversal-product decomposition."""
         out = [self._identity]
         for level in range(len(self.base) - 1, -1, -1):
-            tables = [pad(wrap_images(u)) for u in self._orbits[level].values()]
+            tables = pad_tables(self._orbits[level].values(), self.degree)
             out = [deep.translate(t) for deep in out for t in tables]
         return out
 

@@ -160,11 +160,12 @@ def _json_chunks(value, newline: str, out: list[str], shapes: dict) -> None:
     """Append to ``out`` the text ``json.dumps(value, sort_keys=True, indent=2)`` gives.
 
     ``newline`` is a line break followed by the indent of the line the value
-    starts on.  Strings, ints, bools, None, and nonempty lists, tuples and
-    dicts with string keys are written here, a list of ints in one join;
-    anything else, such as a float, an int or str subclass or a dict with
-    other keys, is handed to ``json.dumps``, so it serializes, or raises,
-    exactly as there.  Reports are trees, so no cycle check is made.
+    starts on.  Strings, ints, bools, None, lists, tuples and dicts with
+    string keys are written here, a list of ints in one join, an empty one
+    as ``[]`` or ``{}``; anything else, such as a float, an int or str
+    subclass or a dict with other keys, is handed to ``json.dumps``, so it
+    serializes, or raises, exactly as there.  Reports are trees, so no cycle
+    check is made.
 
     ``shapes`` belongs to one report write.  It maps a dict's key tuple, in
     insertion order, and ``newline`` to the sorted keys, each paired with
@@ -187,7 +188,9 @@ def _json_chunks(value, newline: str, out: list[str], shapes: dict) -> None:
         out.append("true")
     elif value is False:
         out.append("false")
-    elif (kind is list or kind is tuple) and value:
+    elif (kind is list or kind is tuple or kind is dict) and not value:
+        out.append("{}" if kind is dict else "[]")
+    elif kind is list or kind is tuple:
         inner = newline + "  "
         if all(type(v) is int for v in value):
             out.append("[" + inner + ("," + inner).join(map(int.__repr__, value))
@@ -199,7 +202,7 @@ def _json_chunks(value, newline: str, out: list[str], shapes: dict) -> None:
             _json_chunks(v, inner, out, shapes)
             sep = "," + inner
         out.append(newline + "]")
-    elif kind is dict and value and ((shape := shapes.get((tuple(value), newline)))
+    elif kind is dict and ((shape := shapes.get((tuple(value), newline)))
                                      or all(type(k) is str for k in value)):
         if shape is None:
             inner = newline + "  "

@@ -94,7 +94,7 @@ def coprime_product_criterion(G: PermGroup, k: int, kind: str = "delta") -> Crit
             pairs += 1
             oab = order_of[key[images_a.translate(pads[b])]]
             if oab != oa * ob:
-                witness = CriterionWitness(iv.elements[a], iv.elements[b], oa, ob, oab)
+                witness = CriterionWitness(iv.element(a), iv.element(b), oa, ob, oab)
                 return CriterionReport(kind, k, False, witness, pairs, len(val_idx) + 1)
     return CriterionReport(kind, k, True, None, pairs, len(val_idx) + 1)
 

@@ -1,9 +1,12 @@
-"""Permutation groups: membership, enumeration, closure and conjugacy machinery.
+"""Permutation groups: membership, closure and conjugacy machinery.
 
 A :class:`PermGroup` is generators plus a lazily built stabilizer chain; the
-chain answers order and membership questions with no cap.  A closure
-(``subgroup_generated``, ``normal_closure``) grows one chain over its
-candidates and hands it to the group it returns; a normal closure that
+chain answers order and membership questions with no cap.  A group of
+known order (``group_of_order``, as an indexed view wraps the subgroups it
+closes) builds no chain until membership needs one.  Elements are
+enumerated only by a group's indexed view, which checks the cap.  A
+closure (``subgroup_generated``, ``normal_closure``) grows one chain over
+its candidates and hands it to the group it returns; a normal closure that
 fills a known subgroup bounding it returns that subgroup itself.  Groups
 are immutable once their caches are built, so sharing them is safe.
 """
@@ -14,9 +17,10 @@ import random
 from typing import Callable, Iterable
 
 from .chain import StabilizerChain
-from .errors import DegreeMismatch, OrderCapExceeded
+from .errors import DegreeMismatch
 from .perm import Permutation, inverse_table, pad, wrap_images
 
+# the largest group order an indexed view enumerates unless given a cap
 DEFAULT_ENUM_CAP = 200_000
 
 
@@ -24,7 +28,7 @@ class PermGroup:
     """A finite permutation group given by generators.
 
     The identity group is represented by the identity generator.  Caches
-    (chain, element list, derived structural data) are built lazily and never
+    (chain, order, derived structural data) are built lazily and never
     mutated afterwards.
     """
 
@@ -39,7 +43,7 @@ class PermGroup:
         self.generators = gens
         self.name = name
         self._chain: StabilizerChain | None = None
-        self._elements: tuple[Permutation, ...] | None = None
+        self._order: int | None = None
         self._cache: dict = {}
 
     def __repr__(self) -> str:
@@ -56,9 +60,9 @@ class PermGroup:
         return self._chain
 
     def order(self) -> int:
-        if self._elements is not None:
-            return len(self._elements)
-        return self.chain().order()
+        if self._order is None:
+            self._order = self.chain().order()
+        return self._order
 
     def contains(self, p: Permutation) -> bool:
         return p.degree == self.degree and self.chain().contains(p)
@@ -68,15 +72,6 @@ class PermGroup:
 
     def is_trivial(self) -> bool:
         return self.order() == 1
-
-    def elements(self, cap: int = DEFAULT_ENUM_CAP) -> tuple[Permutation, ...]:
-        """All elements in canonical (lexicographic image) order."""
-        n = self.order()
-        if n > cap:
-            raise OrderCapExceeded(n, cap)
-        if self._elements is None:
-            self._elements = tuple(map(wrap_images, sorted(self.chain().elements())))
-        return self._elements
 
     def random_element(self, rng: random.Random) -> Permutation:
         """Uniformly random element via independent transversal choices."""
@@ -127,14 +122,13 @@ def _group_on_chain(chain: StabilizerChain, generators: list[Permutation]) -> Pe
     return group
 
 
-def group_with_elements(degree: int, generators: Iterable[Permutation],
-                        elements: Iterable[Permutation]) -> PermGroup:
-    """The group the generators generate, given its elements in canonical order.
+def group_of_order(degree: int, generators: Iterable[Permutation], order: int) -> PermGroup:
+    """The group the generators generate, given its order.
 
-    The caller vouches for the elements; no chain is built until one is needed.
+    The caller vouches for the order; no chain is built until one is needed.
     """
     group = PermGroup(degree, generators)
-    group._elements = tuple(elements)
+    group._order = order
     return group
 
 

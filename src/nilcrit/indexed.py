@@ -4,6 +4,11 @@ Pair-enumeration loops dominate the runtime of every check, and doing them
 on Permutations wastes time re-hashing them.  This view numbers the elements
 in canonical order and multiplies them on their image bytes: a product is
 one ``bytes.translate`` and one lookup in ``index``, a dict keyed by images.
+It is built from bytes alone: G's chain enumerates the image bytes, which
+are sorted, and their pads are formed in one pass (``pad_tables``).  No
+Permutation is made per element: ``element(i)`` wraps one on demand, for
+subgroup generators and witnesses.  The inverse list is filled on first
+use, by the few scans that read it.
 
 Conjugation runs on per-generator tables.  For each generator
 s of G the view keeps x -> x*s and x -> x^s, and a breadth-first spanning
@@ -22,8 +27,11 @@ is normal when every generator's conjugation table maps it into itself.  The
 right coset labels of a subgroup are kept per index set.  The index set of
 a PermGroup H is kept in one dict, keyed by the indices of its generators:
 they are looked up first, once per H object, so an H outside G fails before
-it is enumerated, and an H inside G has |H| <= |G|.  The enumeration cap is
-checked once per group, by ``indexed_view``, when G's view is built.
+it is enumerated, and an H inside G has |H| <= |G|.  A subgroup the view
+builds is a PermGroup of known order, with no chain, and its index set is
+kept at once; any other H is enumerated once, from its chain's image bytes.
+The enumeration cap is checked once per group, when G's view is built; no
+other code enumerates a group's elements.
 """
 
 from __future__ import annotations
@@ -33,23 +41,24 @@ from typing import Collection, Iterable, Iterator
 from weakref import WeakKeyDictionary
 
 from .errors import NotNormal, OrderCapExceeded
-from .group import DEFAULT_ENUM_CAP, PermGroup, group_with_elements
-from .perm import Permutation, image_order, inverse_table, pad
+from .group import DEFAULT_ENUM_CAP, PermGroup, group_of_order
+from .perm import Permutation, image_order, inverse_table, pad_tables, wrap_images
 
 
 class IndexedGroup:
     """Canonical numbering of a group's elements, multiplied on their image bytes."""
 
     def __init__(self, group: PermGroup, cap: int = DEFAULT_ENUM_CAP):
-        elems = group.elements(cap)
+        n = group.order()
+        if n > cap:
+            raise OrderCapExceeded(n, cap)
+        images = sorted(group.chain().elements())
         self.group = group
-        self.elements: tuple[Permutation, ...] = elems
-        self.size = len(elems)
-        self.images: list[bytes] = [p.images for p in elems]
-        self.pads: list[bytes] = [pad(p) for p in elems]
+        self.size = n
+        self.images: list[bytes] = images
+        self.pads: list[bytes] = pad_tables(images, group.degree)
         # keyed by images: look a Permutation p up as index[p.images]
-        self.index: dict[bytes, int] = {b: i for i, b in enumerate(self.images)}
-        self.inverse: list[int] = [self.index[inverse_table(b)[:len(b)]] for b in self.images]
+        self.index: dict[bytes, int] = dict(zip(images, range(n)))
         # each element is its own coset of the trivial subgroup, for ``_dimino``;
         # a list of index's own ints, not a range, which is slower to index
         self._own_labels: list[int] = list(self.index.values())
@@ -57,14 +66,21 @@ class IndexedGroup:
         # are kept per subgroup object for as long as it lives
         self._generator_keys: WeakKeyDictionary[PermGroup, frozenset[int]] = WeakKeyDictionary()
         self._subgroups: dict[frozenset[int], frozenset[int]] = {}
-        self._cosets: dict[frozenset[int], tuple[list[int], list[int]]] = {}
+        # per kernel: its coset (labels, reps), and the reps' images and pads
+        self._cosets: dict[frozenset[int], tuple] = {}
         self._gen_tables: tuple[list[list[int]], list[list[int]]] | None = None
         self._tree: list[tuple[int, int, int]] | None = None
         self._classes: tuple[list[int], list[int]] | None = None
         self._class_members: list[list[int]] | None = None
         # the identity is the lexicographic minimum of any permutation set
-        assert elems[0].is_identity()
+        assert images[0] == bytes(range(group.degree))
         self.identity_index = 0
+
+    @cached_property
+    def inverse(self) -> list[int]:
+        """``inverse[i]`` is the index of elements[i]^-1, filled on first use."""
+        key, n = self.index, self.group.degree
+        return [key[inverse_table(b)[:n]] for b in self.images]
 
     def times(self, s: int) -> list[int]:
         """``out[z]`` is the index of elements[z] * elements[s], for every z: one column of the table."""
@@ -89,7 +105,21 @@ class IndexedGroup:
     def subgroup(self, seed: Iterable[int]) -> PermGroup:
         """The subgroup of the seeds, on the generators ``subgroup_generated`` keeps; no chain."""
         members, kept = self._close(seed)
-        return group_with_elements(self.group.degree, self.perms(kept), self.perms(sorted(members)))
+        return self.known_subgroup(frozenset(members), kept)
+
+    def known_subgroup(self, members: frozenset[int], generators: list[int]) -> PermGroup:
+        """The subgroup with index set members, which the generators generate; no chain.
+
+        The caller vouches for both.  The group has a known order and no
+        chain, and members is kept as its index set, under the key of its
+        generators, so ``member_indices`` reads it back; a set already kept
+        under that key is kept, not replaced.
+        """
+        gens = generators or [self.identity_index]
+        H = group_of_order(self.group.degree, self.perms(gens), len(members))
+        self._generator_keys[H] = key = frozenset(gens)
+        self._subgroups.setdefault(key, members)
+        return H
 
     def _close(self, seed: Iterable[int]) -> tuple[set[int], list[int]]:
         """``(members, kept)``: the closure of the seeds and the seeds kept for it.
@@ -107,10 +137,8 @@ class IndexedGroup:
         and two lookups, so the closure forms |N| times fewer products than
         closing the preimage <N, reps> in G.  Coset 0 is N.
         """
-        labels, reps = self.coset_labels(kernel)
-        images, pads = self.images, self.pads
-        return _dimino(seed, self.index, [images[r] for r in reps], [pads[r] for r in reps],
-                       labels)[0]
+        (labels, _), rep_images, rep_pads = self._coset_entry(kernel)
+        return _dimino(seed, self.index, rep_images, rep_pads, labels)[0]
 
     def coset_labels(self, kernel: frozenset[int]) -> tuple[list[int], list[int]]:
         """``(labels, reps)`` of the right cosets N*g, numbered by their minimal elements.
@@ -120,16 +148,21 @@ class IndexedGroup:
         minimal element of coset c.  G is walked in index order, and each g
         not yet labelled is the minimum of N*g, formed from N's image bytes.
         """
+        return self._coset_entry(kernel)[0]
+
+    def _coset_entry(self, kernel: frozenset[int]):
+        """``((labels, reps), rep_images, rep_pads)`` of N = kernel, built once per set."""
         if kernel not in self._cosets:
-            key, pads = self.index, self.pads
-            kernel_images = [self.images[n] for n in kernel]
+            key, images, pads = self.index, self.images, self.pads
+            kernel_images = [images[n] for n in kernel]
             labels, reps = [-1] * self.size, []
             for g in range(self.size):
                 if labels[g] < 0:
                     for b in kernel_images:
                         labels[key[b.translate(pads[g])]] = len(reps)
                     reps.append(g)
-            self._cosets[kernel] = labels, reps
+            self._cosets[kernel] = ((labels, reps), [images[r] for r in reps],
+                                    [pads[r] for r in reps])
         return self._cosets[kernel]
 
     def conjugation_tables(self) -> list[list[int]]:
@@ -191,10 +224,14 @@ class IndexedGroup:
         return key
 
     def member_indices(self, H: PermGroup) -> frozenset[int]:
-        """The index set of a subgroup H of G, kept per generator key; H <= G is checked first."""
+        """The index set of a subgroup H of G, kept per generator key; H <= G is checked first.
+
+        A subgroup the view built has its set kept already; any other is
+        enumerated once, from its chain's image bytes.
+        """
         key = self._generator_key(H)
         if key not in self._subgroups:
-            self._subgroups[key] = frozenset(self.index[h.images] for h in H.elements(self.size))
+            self._subgroups[key] = frozenset(map(self.index.__getitem__, H.chain().elements()))
         return self._subgroups[key]
 
     def are_indices(self, members: Iterable[object]) -> bool:
@@ -233,7 +270,7 @@ class IndexedGroup:
             key, pads, conj = self.index, self.pads, []
             for s, times_s in zip(gens, times):
                 # x^s = s^-1 * (x*s), from the column of s
-                inv_s = self.images[self.inverse[s]]
+                inv_s = inverse_table(self.images[s])[:self.group.degree]
                 conj.append([key[inv_s.translate(pads[y])] for y in times_s])
             self._gen_tables = (times, conj)
         return self._gen_tables
@@ -256,8 +293,12 @@ class IndexedGroup:
             self._tree = tree
         return self._tree
 
+    def element(self, i: int) -> Permutation:
+        """elements[i] as a Permutation, wrapped anew on each call: for generators and witnesses."""
+        return wrap_images(self.images[i], self.pads[i])
+
     def perms(self, indices: Iterable[int]) -> list[Permutation]:
-        return [self.elements[i] for i in indices]
+        return [self.element(i) for i in indices]
 
 
 def _dimino(seed: Iterable[int], key: dict[bytes, int], images: list[bytes],

@@ -156,7 +156,7 @@ def _check_normal_p_set(G: PermGroup, X: frozenset[int], p: int) -> None:
         for x in X:
             n = iv.order_of[x]
             if p_part(n, p) != n:
-                raise NotPElementSet(f"{iv.elements[x]} has order {n}, not a power of {p}")
+                raise NotPElementSet(f"{iv.element(x)} has order {n}, not a power of {p}")
         iv.require_normal(X, X)
         return True
 
@@ -205,7 +205,7 @@ def _coset_report(G: PermGroup, N: frozenset[int], p: int, X: frozenset[int]) ->
     witness = None
     if not holds:
         stray = min(lhs ^ rhs)
-        witness = {"element": iv.elements[reps[stray]],
+        witness = {"element": iv.element(reps[stray]),
                    "in_lhs": stray in lhs, "in_rhs": stray in rhs}
     return LemmaReport(
         "coset_intersection", G.name,
@@ -267,7 +267,7 @@ def _lifted_reports(G: PermGroup, N: frozenset[int], p: int, X: frozenset[int],
         witness = None
         if not holds:
             stray = min(lhs ^ rhs)
-            witness = {"element": indexed_view(G).elements[stray],
+            witness = {"element": indexed_view(G).element(stray),
                        "in_lhs": stray in lhs, "in_rhs": stray in rhs}
         reports.append(LemmaReport(
             "lifted_generation", G.name,
@@ -374,7 +374,7 @@ def check_fitting_membership(G: PermGroup, p: int) -> LemmaReport:
             continue
         qualifying += 1
         if x not in f_idx:
-            witness = {"element": iv.elements[x], "order": n, "fitting_order": F.order()}
+            witness = {"element": iv.element(x), "order": n, "fitting_order": F.order()}
             break
     return LemmaReport(
         "fitting_membership", G.name,
@@ -471,7 +471,7 @@ def check_coprime_action(G: PermGroup, k: int) -> LemmaReport:
                         fail = "x does not centralize N"
                     else:
                         continue
-                    yield {"N_order": len(N), "x": iv.elements[x], "y": iv.elements[y],
+                    yield {"N_order": len(N), "x": iv.element(x), "y": iv.element(y),
                            "failure": fail}
 
     witness = next(failures(), None)

@@ -19,7 +19,8 @@ refused at construction.  The hot operations are single C calls on bytes:
 
 Hot loops elsewhere (the indexed view, element enumeration, chain sifts)
 work on the bytes directly: ``pad`` gives any permutation's translation
-table, ``wrap_images`` wraps bytes known to be a bijection.
+table, ``pad_tables`` the tables of many image strings at once, and
+``wrap_images`` wraps bytes known to be a bijection.
 
 Indexing bytes yields ints and bytes compare lexicographically like int
 tuples, so element order is the order of image lists; bytes also cache their
@@ -225,6 +226,12 @@ def pad(p: Permutation) -> bytes:
     if table is None:
         table = p._pad = p.images + _IDENTITY[len(p.images):]
     return table
+
+
+def pad_tables(images: Iterable[bytes], degree: int) -> list[bytes]:
+    """The pads of the permutations of this degree with these images, each as ``pad`` builds it."""
+    tail = _IDENTITY[degree:]
+    return [b + tail for b in images]
 
 
 def inverse_table(images: bytes) -> bytes:

@@ -10,13 +10,14 @@ are formed on image bytes.  Each term is built once: it is closed within
 the term it descends from, so a series that stalls repeats that term
 itself, and the lower central series takes gamma_2(G) from
 ``derived_subgroup``.  The subgroups are index sets on G's indexed
-view, the only enumeration, each wrapped with no chain built for it.  A Sylow
+view, the only enumeration, each wrapped with its order and no chain.  A Sylow
 subgroup, of G or of a subgroup's index list, grows by p-elements that
 conjugate its generators, on image bytes, into its index set.  Its
 conjugates are one orbit under the conjugation tables of G's generators, one
 per right coset of its normalizer, each an index tuple with known generators.
 A Sylow basis is chosen from them in one pass over the primes, keeping at
-each prime the first candidate that permutes with those already kept; two
+each prime the first candidate that permutes with those already kept; a
+candidate is wrapped as a group only when it is tested, and two
 candidates permute when the closure of their generators on G's view has
 |P| |Q| members.  Basis normalizers and intersected bases are index sets on
 the ambient group's view, and factorizations are checked by
@@ -29,7 +30,7 @@ import random
 from typing import NamedTuple, Sequence
 
 from .errors import NotPrimeDivisor, NotSoluble, PermutabilityViolated
-from .group import PermGroup, group_with_elements, normal_closure
+from .group import PermGroup, normal_closure
 from .indexed import IndexedGroup, indexed_view
 from .perm import Permutation, inverse_table, pad, wrap_images
 from .primes import is_prime, p_part, prime_factors
@@ -278,14 +279,15 @@ def _permutable(iv: IndexedGroup, P: PermGroup, Q: PermGroup) -> bool:
     return len(iv.closure(gens)) == P.order() * Q.order()
 
 
-def _distinct_conjugates(G: PermGroup, P: PermGroup) -> list[PermGroup]:
-    """The conjugates of P in G, in order of their sorted element indices.
+def _distinct_conjugates(G: PermGroup, P: PermGroup) -> list[tuple[tuple[int, ...], list[int]]]:
+    """The conjugates of P in G, as ``(members, generators)`` index lists, sorted by members.
 
     They form one orbit under conjugation by G's generators, since
     P^(g*s) = (P^g)^s, so each is reached from P by the view's conjugation
     tables, together with its generators; every conjugate P^g, one per right
     coset of N_G(P), is found once.  Index order is canonical element order,
     so sorting index tuples sorts the conjugates by their sorted elements.
+    None of them is wrapped as a group here.
     """
     iv = indexed_view(G)
     start = tuple(sorted(iv.member_indices(P)))
@@ -297,7 +299,7 @@ def _distinct_conjugates(G: PermGroup, P: PermGroup) -> list[PermGroup]:
             if image not in gens:
                 gens[image] = [table[h] for h in gens[members]]
                 orbit.append(image)
-    return [group_with_elements(G.degree, iv.perms(gens[m]), iv.perms(m)) for m in sorted(gens)]
+    return sorted(gens.items())
 
 
 def sylow_basis(G: PermGroup, seed: int = 0) -> SylowBasis:
@@ -325,7 +327,8 @@ def sylow_basis(G: PermGroup, seed: int = 0) -> SylowBasis:
             candidates = _distinct_conjugates(G, sylow_subgroup(G, p))
             if seed:
                 random.Random(f"{seed}/{p}").shuffle(candidates)
-            for P in candidates:
+            for members, gens in candidates:
+                P = iv.known_subgroup(frozenset(members), gens)
                 if all(_permutable(iv, Q, P) for Q in basis.values()):
                     basis[p] = P
                     break

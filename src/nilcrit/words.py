@@ -32,6 +32,7 @@ from typing import NamedTuple
 from .errors import NotSoluble
 from .group import PermGroup
 from .indexed import indexed_view
+from .perm import inverse_table
 from .primes import is_prime_power
 from .structure import (
     derived_subgroup,
@@ -94,7 +95,7 @@ def _value_levels(G: PermGroup, kind: str, i: int) -> frozenset[int]:
             else:
                 conj = iv.conjugates(r)
                 conj_r = {conj[b] for b in prev}
-            inv_r = iv.images[iv.inverse[r]]
+            inv_r = inverse_table(iv.images[r])[:G.degree]
             # [r, b] = r^-1 * r^b, one product per distinct conjugate r^b
             hit.update(labels[key[inv_r.translate(pads[y])]] for y in conj_r)
         nxt = frozenset(x for x in range(iv.size) if labels[x] in hit)

@@ -13,8 +13,9 @@ so it shares neither the word levels' class walk nor the view's rows.  The
 normal-subgroup lattice is the former closure join: a chain per class
 closure, closed under pairwise joins of chains by their generators.  The
 word evaluators and the closure predicates form ``Permutation`` commutators
-directly, and ``group_from_elements`` builds a group from a closed element
-collection.  The full criterion scan runs over every pair of values, with no
+directly, ``group_from_elements`` builds a group from a closed element
+collection, and ``elements_of`` lists a group's elements as Permutations,
+which the library never does.  The full criterion scan runs over every pair of values, with no
 conjugacy reduction.  Random commutator-closed generating sets, and the
 subgroup their pair commutators generate, are index sets on G's view.  The
 coset lemma instances come one at a time, in the order the batch checks
@@ -31,10 +32,10 @@ from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from nilcrit.errors import DegreeMismatch, NotNormal, OrderCapExceeded
-from nilcrit.group import PermGroup, subgroup_generated, trivial_group
+from nilcrit.group import DEFAULT_ENUM_CAP, PermGroup, subgroup_generated, trivial_group
 from nilcrit.indexed import indexed_view
 from nilcrit.lemmas import COSET_DEPTHS, normal_subgroups, p_power_value_closure
-from nilcrit.perm import MAX_DEGREE, Permutation, commutator
+from nilcrit.perm import MAX_DEGREE, Permutation, commutator, wrap_images
 from nilcrit.primes import prime_factors
 from nilcrit.structure import sylow_subgroup
 from nilcrit.words import DeltaValueSet
@@ -82,10 +83,10 @@ def quotient(G: PermGroup, N: PermGroup) -> tuple[PermGroup, CosetMap]:
     index = G.order() // N.order()
     if index > MAX_DEGREE:
         raise OrderCapExceeded(index, MAX_DEGREE, what="coset space")
-    kernel = N.elements()
+    kernel = elements_of(N)
     labels: dict[Permutation, int] = {}
     reps: list[Permutation] = []
-    for g in G.elements():  # canonical order: a coset is first met at its minimal element
+    for g in elements_of(G):  # canonical order: a coset is first met at its minimal element
         if g not in labels:
             labels.update((x, len(reps)) for x in {n * g for n in kernel})
             reps.append(g)
@@ -116,7 +117,7 @@ def normal_subgroups_oracle(G: PermGroup) -> list[PermGroup]:
     found: dict[frozenset, PermGroup] = {}
 
     def add(H: PermGroup) -> bool:
-        key = frozenset(H.elements())
+        key = frozenset(elements_of(H))
         if key in found:
             return False
         found[key] = H
@@ -136,7 +137,7 @@ def normal_subgroups_oracle(G: PermGroup) -> list[PermGroup]:
                     continue
                 if add(subgroup_generated(G.degree, A.generators + B.generators)):
                     grew = True
-    return sorted(found.values(), key=lambda H: (H.order(), [p.images for p in H.elements()]))
+    return sorted(found.values(), key=lambda H: (H.order(), [p.images for p in elements_of(H)]))
 
 
 def verbal_subgroup(G: PermGroup, values: frozenset[int]) -> PermGroup:
@@ -195,8 +196,15 @@ def group_from_elements(degree: int, elements: Iterable[Permutation]) -> PermGro
     if group.order() != len(elems):
         raise ValueError(f"element collection of size {len(elems)} is not closed "
                          f"(generates order {group.order()})")
-    group._elements = elems
     return group
+
+
+def elements_of(G: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> tuple[Permutation, ...]:
+    """All elements of G as Permutations, in canonical (lexicographic image) order."""
+    n = G.order()
+    if n > cap:
+        raise OrderCapExceeded(n, cap)
+    return tuple(map(wrap_images, sorted(G.chain().elements())))
 
 
 def evaluate_delta(k: int, args: Sequence[Permutation]) -> Permutation:

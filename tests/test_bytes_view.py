@@ -2,7 +2,10 @@
 
 Columns, inverses, orders, enumeration and sifts run on ``bytes``
 images; ``PermutationView`` and ``PermutationChain`` in tests/conftest.py
-compute the same tables and chains with a Permutation per product.
+compute the same tables and chains with a Permutation per product.  The
+view itself wraps no element as a Permutation while it is built, forms its
+inverse list only when a scan reads it, and keeps the index set of every
+subgroup it wraps, checked here against each subgroup's own chain.
 """
 
 from __future__ import annotations
@@ -11,11 +14,24 @@ import random
 
 import pytest
 
+import nilcrit.indexed
 from nilcrit.chain import StabilizerChain
+from nilcrit.cli import main
 from nilcrit.corpus import builtin_names, load_group
 from nilcrit.group import PermGroup
-from nilcrit.indexed import indexed_view
+from nilcrit.indexed import IndexedGroup, indexed_view
 from nilcrit.perm import MAX_DEGREE, Permutation, commutator
+from nilcrit.primes import prime_factors
+from nilcrit.structure import (
+    fitting_subgroup,
+    intersect_basis,
+    is_soluble,
+    lower_fitting_series,
+    p_core,
+    sylow_basis,
+    sylow_subgroup,
+)
+from nilcrit.words import generator_tower
 
 from conftest import (
     SCALE_CORPUS,
@@ -32,7 +48,7 @@ SCALE_NAMES = sorted(p.stem for p in SCALE_CORPUS.glob("*.grp"))
 def assert_view_matches_oracle(G: PermGroup) -> None:
     iv = indexed_view(G)
     want = PermutationView(G)
-    assert iv.elements == want.elements
+    assert tuple(iv.perms(range(iv.size))) == want.elements
     assert iv.index == {p.images: i for p, i in want.index.items()}
     assert iv.order_of == want.order_of
     assert iv.inverse == want.inverse
@@ -87,7 +103,7 @@ def test_view_and_chain_at_the_degree_limits(G):
     assert_view_matches_oracle(G)
     iv = indexed_view(G)
     assert iv.size == G.order() == (1 if G.degree == 1 else MAX_DEGREE)
-    assert all(G.contains(p) for p in iv.elements)
+    assert all(G.contains(p) for p in iv.perms(range(iv.size)))
     if G.degree > 1:
         assert max(iv.order_of) == (MAX_DEGREE if G.name == "C256" else 2)
         outside = Permutation([1, 0] + list(range(2, G.degree)))
@@ -98,7 +114,7 @@ def test_view_and_chain_at_the_degree_limits(G):
 def test_comm_and_conj_match_permutations_and_force_no_row(name):
     G = load_group(name)
     iv = indexed_view(G)
-    elems = iv.elements
+    elems = iv.perms(range(iv.size))
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):
             assert iv.comm(i, j) == iv.index[commutator(a, b).images], (i, j)
@@ -124,3 +140,86 @@ def test_view_makes_no_permutation_product(monkeypatch):
     iv.conjugation_tables()
     assert iv.size == 1152
     assert calls == 0
+
+
+def test_criterion_run_wraps_no_element_and_forms_no_inverse_list(monkeypatch, capsys):
+    # every k fails on a scale group, so the run wraps its witnesses and no more
+    views, wraps = [], 0
+    wrap, init = nilcrit.indexed.wrap_images, IndexedGroup.__init__
+
+    def counted_wrap(*args):
+        nonlocal wraps
+        wraps += 1
+        return wrap(*args)
+
+    def recorded_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        views.append((self, wraps))
+
+    monkeypatch.setattr(nilcrit.indexed, "wrap_images", counted_wrap)
+    monkeypatch.setattr(IndexedGroup, "__init__", recorded_init)
+    path = str(SCALE_CORPUS / "S4wrC2.grp")
+    assert main(["criterion", path, "--kind", "gamma", "--k", "1..3"]) == 0
+    capsys.readouterr()
+    [(iv, wrapped_while_built)] = views
+    assert iv.size == 1152
+    assert wrapped_while_built == 0
+    assert wraps == 2 * 3  # a witness pair per k
+    assert "elements" not in vars(iv) and "inverse" not in vars(iv)
+
+
+def test_member_indices_of_a_view_built_subgroup_reads_its_kept_set(monkeypatch):
+    G = scale_group("S4wrC2")
+    iv = indexed_view(G)
+    P = sylow_subgroup(G, 2)
+
+    def refuse(self):
+        raise AssertionError("the subgroup was enumerated")
+
+    monkeypatch.setattr(StabilizerChain, "elements", refuse)
+    monkeypatch.setattr(PermGroup, "chain", refuse)
+    members = iv.member_indices(P)
+    assert members is iv.member_indices(P)
+    assert members == iv.closure(iv.index[g.images] for g in P.generators)
+    assert len(members) == P.order() == 128
+    assert P._chain is None
+
+
+@pytest.mark.parametrize("name", [*builtin_names(), *(f"scale:{n}" for n in SCALE_NAMES)])
+def test_view_built_subgroups_state_their_chain_order_and_index_set(name, monkeypatch):
+    """Every subgroup a view wraps (Sylow subgroups and conjugates, cores, the Fitting
+    subgroup, bases and basis normalizers) has the order and index set its own chain gives."""
+    built = []
+    known_subgroup = IndexedGroup.known_subgroup
+
+    def recorded(self, members, generators):
+        H = known_subgroup(self, members, generators)
+        built.append((self, H))
+        return H
+
+    monkeypatch.setattr(IndexedGroup, "known_subgroup", recorded)
+    G = scale_group(name[6:]) if name.startswith("scale:") else load_group(name)
+    for p in prime_factors(G.order()):
+        sylow_subgroup(G, p)
+        p_core(G, p)
+    fitting_subgroup(G)
+    if is_soluble(G):
+        for seed in (0, 3):
+            B = sylow_basis(G, seed)
+            for K in lower_fitting_series(G).terms:
+                intersect_basis(B, K)
+        generator_tower(G)
+    assert built
+    for iv, H in built:
+        assert H.order() == H.chain().order()
+        assert iv.member_indices(H) == frozenset(iv.index[b] for b in H.chain().elements())
+
+
+def test_a_repeated_subgroup_keeps_the_first_index_set():
+    G = load_group("S4")
+    iv = indexed_view(G)
+    seed = [iv.index[g.images] for g in sylow_subgroup(G, 2).generators]
+    first = iv.member_indices(iv.subgroup(seed))
+    again = iv.subgroup(seed)
+    assert iv.member_indices(again) is first
+    assert len(first) == again.order() == 8

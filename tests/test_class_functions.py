@@ -89,7 +89,7 @@ def test_levels_over_all_of_g_call_no_conjugates(monkeypatch, name):
 @example(regular_elementary_abelian(8))
 def test_orders_and_both_scans_replay_from_raw_images(G):
     iv = indexed_view(G)
-    assert iv.order_of == [p.order() for p in iv.elements]
+    assert iv.order_of == [p.order() for p in iv.perms(range(iv.size))]
     for kind in KINDS:
         for k in (1, 2, 3):
             report = coprime_product_criterion(G, k, kind)

@@ -195,7 +195,7 @@ def test_invariant_family_closes_each_cyclic_subgroup_once(name, cyclic, monkeyp
     iv = indexed_view(G)
     normal_subgroups(G)
     fitting_subgroup(G)  # the lattice and F, with closures of their own, built first
-    subgroups = {frozenset(iv.index[g.images] for g in powers(x)) for x in iv.elements}
+    subgroups = {frozenset(iv.index[g.images] for g in powers(x)) for x in iv.perms(range(iv.size))}
     assert len(subgroups) == cyclic
     counting, closes = True, 0
     close = IndexedGroup._close

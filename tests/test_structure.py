@@ -47,7 +47,7 @@ from conftest import (
     product_set,
     small_symmetric_subgroups,
 )
-from oracles import group_from_elements, quotient
+from oracles import elements_of, group_from_elements, quotient
 
 
 def cyclic(n: int) -> PermGroup:
@@ -56,7 +56,7 @@ def cyclic(n: int) -> PermGroup:
 
 def normal_subgroup_sets_oracle(G: PermGroup) -> list[set[Permutation]]:
     """All normal subgroups as element sets, from unions of conjugacy classes."""
-    elements = set(G.elements())
+    elements = set(elements_of(G))
     remaining = set(elements)
     classes = []
     while remaining:
@@ -87,19 +87,19 @@ class TestDerivedSeries:
         rep = derived_series(s4)
         assert rep.orders == (24, 12, 4, 1)
         # oracle: iterate all-pairs commutator closures from scratch
-        term = set(s4.elements())
+        term = set(elements_of(s4))
         oracle_orders = [len(term)]
         while len(term) > 1:
             term = derived_subgroup_oracle(4, term)
             oracle_orders.append(len(term))
         assert tuple(oracle_orders) == rep.orders
-        assert set(rep.terms[1].elements()) == derived_subgroup_oracle(4, set(s4.elements()))
+        assert set(elements_of(rep.terms[1])) == derived_subgroup_oracle(4, set(elements_of(s4)))
 
     def test_a5_is_perfect(self, a5):
         rep = derived_series(a5)
         assert rep.orders == (60, 60)
         assert not rep.reaches_trivial()
-        assert derived_subgroup_oracle(5, set(a5.elements())) == set(a5.elements())
+        assert derived_subgroup_oracle(5, set(elements_of(a5))) == set(elements_of(a5))
 
     def test_derived_term_past_stabilization(self, s4, a5):
         assert derived_term(s4, 4).order() == 1
@@ -119,14 +119,14 @@ class TestLowerCentralSeries:
         assert res.order() == 12
         assert res.equals(a4)
         # oracle: iterate [term, G] closures at the element level
-        whole = set(s4.elements())
+        whole = set(elements_of(s4))
         term = set(whole)
         while True:
             nxt = lower_central_step_oracle(4, term, whole)
             if len(nxt) == len(term):
                 break
             term = nxt
-        assert set(res.elements()) == term
+        assert set(elements_of(res)) == term
 
     def test_s3_residual(self, s3):
         res = gamma_infinity(s3)
@@ -210,14 +210,14 @@ class TestSylowSubgroups:
 
 def normalizer_scan_oracle(G: PermGroup, H: PermGroup) -> set[Permutation]:
     """N_G(H) by conjugating H's generators by every element and sifting them through H."""
-    return {g for g in G.elements() if all(H.contains(h.conjugate(g)) for h in H.generators)}
+    return {g for g in elements_of(G) if all(H.contains(h.conjugate(g)) for h in H.generators)}
 
 
 def p_core_scan_oracle(G: PermGroup, P: PermGroup) -> set[Permutation]:
     """The intersection of the conjugates of P by every element of G."""
-    core = set(P.elements())
-    for g in G.elements():
-        core &= {x.conjugate(g) for x in P.elements()}
+    core = set(elements_of(P))
+    for g in elements_of(G):
+        core &= {x.conjugate(g) for x in elements_of(P)}
     return core
 
 
@@ -231,8 +231,8 @@ class TestIndexedScansAgainstPermutationScans:
         for p in prime_factors(G.order()):
             P = sylow_subgroup(G, p)
             scanned = iv.subgroup(iv.normalizing([P]))
-            assert set(scanned.elements()) == normalizer_scan_oracle(G, P)
-            assert set(p_core(G, p).elements()) == p_core_scan_oracle(G, P)
+            assert set(elements_of(scanned)) == normalizer_scan_oracle(G, P)
+            assert set(elements_of(p_core(G, p))) == p_core_scan_oracle(G, P)
 
 
 class TestCores:
@@ -279,7 +279,7 @@ class TestSylowBasis:
         assert B.normalizer.order() == 2
         assert is_nilpotent(B.normalizer)
         # the factorization G = T * residual
-        covered = product_set(B.normalizer.elements(), gamma_infinity(s4).elements())
+        covered = product_set(elements_of(B.normalizer), elements_of(gamma_infinity(s4)))
         assert len(covered) == 24
 
     def test_s3_basis_normalizer_order(self, s3):
@@ -292,12 +292,12 @@ class TestSylowBasis:
     def test_pairwise_permutability(self, s4):
         B = sylow_basis(s4)
         P, Q = B.basis[2], B.basis[3]
-        assert product_set(P.elements(), Q.elements()) == product_set(Q.elements(), P.elements())
+        assert product_set(elements_of(P), elements_of(Q)) == product_set(elements_of(Q), elements_of(P))
 
     def test_two_seeds_give_conjugate_normalizers(self, s4):
         T0 = sylow_basis(s4, seed=0).normalizer
         T1 = sylow_basis(s4, seed=5).normalizer
-        assert any(conjugated(T0, g).equals(T1) for g in s4.elements())
+        assert any(conjugated(T0, g).equals(T1) for g in elements_of(s4))
 
     def test_normalizer_image_in_quotient_is_basis_normalizer(self, s4, v4):
         # push T through G -> G/N and compare with a basis normalizer computed there
@@ -305,7 +305,7 @@ class TestSylowBasis:
         Q, cmap = quotient(s4, v4)
         T_image = subgroup_generated(Q.degree, [cmap(t) for t in B.normalizer.generators])
         TQ = sylow_basis(Q).normalizer
-        assert any(conjugated(TQ, g).equals(T_image) for g in Q.elements())
+        assert any(conjugated(TQ, g).equals(T_image) for g in elements_of(Q))
 
 
 class TestIntersectBasis:
@@ -353,6 +353,13 @@ def loaded(name: str) -> PermGroup:
     return load_group(str(SCALE_CORPUS / f"{name}.grp") if name in SCALE_NAMES else name)
 
 
+def conjugate_groups(G: PermGroup, P: PermGroup) -> list[PermGroup]:
+    """The conjugates of P in G, each wrapped as sylow_basis wraps a candidate it tests."""
+    iv = indexed_view(G)
+    return [iv.known_subgroup(frozenset(members), gens)
+            for members, gens in _distinct_conjugates(G, P)]
+
+
 def p_power_part(x: Permutation, p: int) -> Permutation:
     """The p-part of x: a power of x whose order is the p-part of |x|."""
     n = x.order()
@@ -362,7 +369,7 @@ def p_power_part(x: Permutation, p: int) -> Permutation:
 def sylow_growth_oracle(G: PermGroup, p: int) -> PermGroup:
     """Sylow growth that scans the normalizer N_G(P), in element order, at every step."""
     target = p_part(G.order(), p)
-    seed = next(x for x in G.elements() if x.order() % p == 0)
+    seed = next(x for x in elements_of(G) if x.order() % p == 0)
     P = subgroup_generated(G.degree, [p_power_part(seed, p)])
     while P.order() < target:
         for y in sorted(normalizer_scan_oracle(G, P), key=lambda x: x.images):
@@ -379,8 +386,8 @@ def sylow_growth_oracle(G: PermGroup, p: int) -> PermGroup:
 @functools.lru_cache(maxsize=None)
 def conjugates_oracle(G: PermGroup, p: int) -> list[frozenset[Permutation]]:
     """The conjugates of the Sylow p-subgroup by every element of G, sorted by sorted images."""
-    base = sylow_subgroup(G, p).elements()
-    found = {frozenset(x.conjugate(g) for x in base) for g in G.elements()}
+    base = elements_of(sylow_subgroup(G, p))
+    found = {frozenset(x.conjugate(g) for x in base) for g in elements_of(G)}
     return sorted(found, key=lambda s: sorted(x.images for x in s))
 
 
@@ -390,7 +397,7 @@ def permutable_oracle(P: frozenset[Permutation], Q: frozenset[Permutation]) -> b
 
 def basis_normalizer_oracle(G: PermGroup, basis: list[frozenset[Permutation]]) -> set[Permutation]:
     """The intersection of the normalizers N_G(P) of the basis members."""
-    members = set(G.elements())
+    members = set(elements_of(G))
     for P in basis:
         members &= normalizer_scan_oracle(G, subgroup_generated(G.degree, P))
     return members
@@ -421,7 +428,7 @@ def sylow_basis_oracle(G: PermGroup, seed: int) -> list[frozenset[Permutation]]:
 def intersect_basis_oracle(G: PermGroup, basis: list[frozenset[Permutation]],
                            K: PermGroup) -> tuple[list[set[Permutation]], set[Permutation]]:
     """Element-set intersections with K, and their basis normalizer computed inside K."""
-    k_elems = set(K.elements())
+    k_elems = set(elements_of(K))
     members = [P & k_elems for P in basis if len(P & k_elems) > 1]
     return members, basis_normalizer_oracle(K, members)
 
@@ -435,14 +442,14 @@ class TestSylowLayerAgainstPermutationOracles:
         G = loaded(name)
         for p in prime_factors(G.order()):
             P, Q = sylow_subgroup(G, p), sylow_growth_oracle(G, p)
-            assert P.elements() == Q.elements()
+            assert elements_of(P) == elements_of(Q)
             assert P.generators == Q.generators
 
     def test_candidate_lists(self, name):
         G = loaded(name)
         for p in prime_factors(G.order()):
-            conj = _distinct_conjugates(G, sylow_subgroup(G, p))
-            got = [frozenset(C.elements()) for C in conj]
+            conj = conjugate_groups(G, sylow_subgroup(G, p))
+            got = [frozenset(elements_of(C)) for C in conj]
             assert got == conjugates_oracle(G, p)
 
     def test_permutability(self, name):
@@ -451,23 +458,23 @@ class TestSylowLayerAgainstPermutationOracles:
         iv = indexed_view(G)
         primes = prime_factors(G.order())
         for p, q in itertools.combinations(primes[:3], 2):
-            for P in _distinct_conjugates(G, sylow_subgroup(G, p))[:6]:
-                for Q in _distinct_conjugates(G, sylow_subgroup(G, q))[:6]:
-                    assert _permutable(iv, P, Q) == permutable_oracle(frozenset(P.elements()),
-                                                                      frozenset(Q.elements()))
+            for P in conjugate_groups(G, sylow_subgroup(G, p))[:6]:
+                for Q in conjugate_groups(G, sylow_subgroup(G, q))[:6]:
+                    assert _permutable(iv, P, Q) == permutable_oracle(frozenset(elements_of(P)),
+                                                                      frozenset(elements_of(Q)))
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_bases_and_normalizers(self, name, seed):
         G = loaded(name)
         B = sylow_basis(G, seed=seed)
         want = sylow_basis_oracle(G, seed)
-        assert [frozenset(B.basis[p].elements()) for p in B.primes] == want
-        assert set(B.normalizer.elements()) == basis_normalizer_oracle(G, want)
+        assert [frozenset(elements_of(B.basis[p])) for p in B.primes] == want
+        assert set(elements_of(B.normalizer)) == basis_normalizer_oracle(G, want)
         for K in lower_fitting_series(G).terms:
             BK = intersect_basis(B, K)
             members, T = intersect_basis_oracle(G, want, K)
-            assert [set(BK.basis[p].elements()) for p in BK.primes] == members
-            assert set(BK.normalizer.elements()) == T
+            assert [set(elements_of(BK.basis[p])) for p in BK.primes] == members
+            assert set(elements_of(BK.normalizer)) == T
 
     def test_the_ambient_group_keeps_its_basis(self, name):
         G = loaded(name)
@@ -487,7 +494,7 @@ def test_random_subgroups_against_the_backtracking_oracle(G):
                 generator_tower(G, seed=seed)
             continue
         B = sylow_basis(G, seed=seed)
-        assert [frozenset(B.basis[p].elements()) for p in B.primes] == sylow_basis_oracle(G, seed)
+        assert [frozenset(elements_of(B.basis[p])) for p in B.primes] == sylow_basis_oracle(G, seed)
         generator_tower(G, seed=seed)
 
 
@@ -500,7 +507,7 @@ def test_relabelled_three_prime_groups_against_the_backtracking_oracle(name, dat
     H = conjugated(G, Permutation(data.draw(st.permutations(range(G.degree)))))
     for seed in (0, 3):
         B = sylow_basis(H, seed=seed)
-        assert [frozenset(B.basis[p].elements()) for p in B.primes] == sylow_basis_oracle(H, seed)
+        assert [frozenset(elements_of(B.basis[p])) for p in B.primes] == sylow_basis_oracle(H, seed)
 
 
 class TestPPrimeCoreAgainstChainOracle:
@@ -600,8 +607,8 @@ class TestEachSubgroupBuiltOnce:
 
 class TestProductOrder:
     def test_matches_product_sets_of_non_normal_subgroups(self, s4):
-        subgroups = _distinct_conjugates(s4, sylow_subgroup(s4, 2))
-        subgroups += _distinct_conjugates(s4, sylow_subgroup(s4, 3))
+        subgroups = conjugate_groups(s4, sylow_subgroup(s4, 2))
+        subgroups += conjugate_groups(s4, sylow_subgroup(s4, 3))
         subgroups.append(subgroup_generated(4, [perm("(1 2)", 4)]))
         for A, B in itertools.product(subgroups, repeat=2):
-            assert product_order(s4, A, B) == len(product_set(A.elements(), B.elements()))
+            assert product_order(s4, A, B) == len(product_set(elements_of(A), elements_of(B)))
