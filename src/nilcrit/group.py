@@ -13,7 +13,6 @@ are immutable once their caches are built, so sharing them is safe.
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Iterable
 
 from .chain import StabilizerChain
@@ -50,10 +49,6 @@ class PermGroup:
         label = self.name or f"degree {self.degree}"
         return f"<PermGroup {label}, {len(self.generators)} generators>"
 
-    @property
-    def identity(self) -> Permutation:
-        return Permutation.identity(self.degree)
-
     def chain(self) -> StabilizerChain:
         if self._chain is None:
             self._chain = StabilizerChain(self.degree, list(self.generators))
@@ -72,23 +67,6 @@ class PermGroup:
 
     def is_trivial(self) -> bool:
         return self.order() == 1
-
-    def random_element(self, rng: random.Random) -> Permutation:
-        """Uniformly random element via independent transversal choices."""
-        g = self.identity
-        for transversal in reversed(self.chain().transversals):
-            reps = list(transversal.values())
-            g = g * reps[rng.randrange(len(reps))]
-        return g
-
-    def is_subgroup_of(self, other: PermGroup) -> bool:
-        return self.degree == other.degree and all(other.contains(g) for g in self.generators)
-
-    def equals(self, other: PermGroup) -> bool:
-        """Same underlying set of permutations (not object identity)."""
-        return (self.degree == other.degree
-                and self.order() == other.order()
-                and self.is_subgroup_of(other))
 
     def memo(self, key, compute: Callable):
         """Cache a result that is immutable or only grows; a compute that raises stores nothing."""

@@ -11,12 +11,16 @@ subgroup generators and witnesses.  The inverse list is filled on first
 use, by the few scans that read it.
 
 Conjugation runs on per-generator tables.  For each generator
-s of G the view keeps x -> x*s and x -> x^s, and a breadth-first spanning
-tree of G in which every element is b = parent*s, so r^b = (r^parent)^s and
-all conjugates of one element come out of a single pass of table lookups.
-The tables also give the conjugacy classes, numbered by minimal element,
-and their member lists, built once per view.  Building them costs 2 |G|
-products per generator, against |G|^2 for the full multiplication table.
+s of G the view keeps x -> x*s and x -> x^s.  The tables give the
+conjugacy classes, numbered by minimal element, and their member lists,
+built once per view.  Building them costs 2 |G| products per generator,
+against |G|^2 for the full multiplication table.  A caller that reads all
+|G| conjugates r^b of one element gets them from ``conjugates(r)``, a single
+pass of table lookups along a breadth-first spanning tree of G in which
+every element is b = parent*s, so r^b = (r^parent)^s.  A caller that reads
+only some of them forms each on image bytes instead: ``normalizing`` tests
+h^g only for the g still in the running, so it builds no such table and
+no tree.
 Element order is constant on a class, so ``order_of`` is filled on first
 use from one ``image_order`` per class representative.
 
@@ -37,7 +41,7 @@ other code enumerates a group's elements.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterable
 from weakref import WeakKeyDictionary
 
 from .errors import NotNormal, OrderCapExceeded
@@ -86,12 +90,6 @@ class IndexedGroup:
         """``out[z]`` is the index of elements[z] * elements[s], for every z: one column of the table."""
         t, key = self.pads[s], self.index
         return [key[z.translate(t)] for z in self.images]
-
-    def comm(self, i: int, j: int) -> int:
-        """index of [elements[i], elements[j]] = i^-1 j^-1 i j, from image bytes."""
-        inv, pads = self.inverse, self.pads
-        images = self.images[inv[i]].translate(pads[inv[j]]).translate(pads[i]).translate(pads[j])
-        return self.index[images]
 
     def conj(self, i: int, j: int) -> int:
         """index of elements[i]^elements[j] = j^-1 i j, from image bytes."""
@@ -249,18 +247,25 @@ class IndexedGroup:
                 raise NotNormal("subset is not closed under conjugation in the group")
 
     def normalizing(self, subgroups: Iterable[PermGroup],
-                    domain: Iterable[int] | None = None) -> Iterator[int]:
+                    domain: Iterable[int] | None = None) -> list[int]:
         """The g in domain (default all of G, in index order) that normalize every subgroup.
 
         g is kept when h^g lies in H for every generator h of every subgroup
-        H: one conjugation lookup per pair, against H's index set.
+        H.  Every H is checked to lie in G first (NotNormal).  The domain is
+        then filtered one generator h at a time, so a g that fails one test
+        is conjugated no further: h^g = g^-1 h g is formed on the image bytes
+        of g^-1, h and g and looked up in H's index set.  The survivors keep
+        the domain's order.
         """
-        tests = []
-        for H in subgroups:
-            members = self.member_indices(H)
-            tests += [(self.conjugates(self.index[h.images]), members) for h in H.generators]
-        return (g for g in (range(self.size) if domain is None else domain)
-                if all(conj[g] in members for conj, members in tests))
+        tests = [(H, self.member_indices(H)) for H in subgroups]
+        key, images, pads, inverse = self.index, self.images, self.pads, self.inverse
+        kept = list(range(self.size) if domain is None else domain)
+        for H, members in tests:
+            for h in H.generators:
+                pad_h = pads[key[h.images]]
+                kept = [g for g in kept
+                        if key[images[inverse[g]].translate(pad_h).translate(pads[g])] in members]
+        return kept
 
     def _generator_tables(self) -> tuple[list[list[int]], list[list[int]]]:
         """Per generator s of G, the tables of i -> i*s and of i -> i^s."""

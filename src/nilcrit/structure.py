@@ -20,8 +20,11 @@ each prime the first candidate that permutes with those already kept; a
 candidate is wrapped as a group only when it is tested, and two
 candidates permute when the closure of their generators on G's view has
 |P| |Q| members.  Basis normalizers and intersected bases are index sets on
-the ambient group's view, and factorizations are checked by
-|AB| = |A| |B| / |A cap B|.  None of it builds a stabilizer chain.
+the ambient group's view.  A normalizer is read by filtering the domain one
+member generator h at a time, forming h^g on image bytes only for the g
+that passed every earlier test, so it builds no table of all conjugates of
+h.  Factorizations are checked by |AB| = |A| |B| / |A cap B|.  None of it
+builds a stabilizer chain.
 """
 
 from __future__ import annotations
@@ -174,7 +177,8 @@ def _sylow_indices(iv: IndexedGroup, p: int, domain: range | list[int]) -> tuple
     normalizes P.  The scan runs in index order, which is canonical element
     order as on M's own view.  y lies in N_M(P) when z^y = y^-1 z y, formed
     on the image bytes of y^-1, z and y, lies in P's index set for each kept
-    generator z; only the y the scan reaches are tested.  The p-part of y,
+    generator z; only the y the scan reaches are tested, and a y in P is
+    passed over untested, as its p-part lies in P.  The p-part of y,
     y^(|y| / p-part of |y|), is a power walk on y's image bytes.
     """
     key, images, pads, inverse, order_of = iv.index, iv.images, iv.pads, iv.inverse, iv.order_of
@@ -183,6 +187,8 @@ def _sylow_indices(iv: IndexedGroup, p: int, domain: range | list[int]) -> tuple
     members, gens = frozenset([iv.identity_index]), []
     while len(members) < target:
         for y in p_elements:
+            if y in members:  # its p-part, a power of y, lies in P too
+                continue
             inv_y, pad_y = images[inverse[y]], pads[y]
             if all(key[inv_y.translate(pads[g]).translate(pad_y)] in members for g in gens):
                 n, z = order_of[y], images[y]

@@ -16,8 +16,9 @@ and b^(h^-1) lies in B again.  Each representative costs one product
 r^-1 * y per distinct conjugate y = r^b, so a level costs at most |L|
 products instead of the |L| |B| of all pairs.  When B is all of G (every
 left-normed level, and the derived word's first), the conjugates of r are
-its class, read off the view's class member lists; only deeper derived
-levels make a pass over G's spanning tree per representative.
+its class, read off the view's class member lists.  A deeper derived level
+forms each conjugate r^b = b^-1 r b on image bytes, for the b in B only, so
+it costs |B| conjugations per representative and no table of |G| entries.
 
 Also here: the tower construction that writes a soluble group as a product of
 nilpotent system normalizers and extracts from it a commutator-closed
@@ -31,7 +32,7 @@ from typing import NamedTuple
 
 from .errors import NotSoluble
 from .group import PermGroup
-from .indexed import indexed_view
+from .indexed import IndexedGroup, indexed_view
 from .perm import inverse_table
 from .primes import is_prime_power
 from .structure import (
@@ -74,28 +75,35 @@ def _value_levels(G: PermGroup, kind: str, i: int) -> frozenset[int]:
     returned.  Levels are computed up to i and no further.  Each next level
     is the union of the classes of [r, b], r a class representative of the
     current level and b in B (the current level for "delta", G for "gamma").
-    When B is all of G, the conjugates r^b are r's class; otherwise they are
-    read off ``conjugates(r)`` at the b in B.
+    When B is all of G, the conjugates r^b are r's class; otherwise each
+    r^b = b^-1 r b is formed on the image bytes of b^-1, r and b, for the b
+    in B only.
     """
     iv = indexed_view(G)
     state = G.memo(("word_levels", kind),
                    lambda: {"levels": [frozenset(range(iv.size))], "stable": False})
     levels: list[frozenset[int]] = state["levels"]
     labels, reps = iv.class_labels()
-    key, pads = iv.index, iv.pads
+    key, images, pads = iv.index, iv.images, iv.pads
     while not state["stable"] and len(levels) <= i:
         prev = levels[-1]
         whole = kind == "gamma" or len(prev) == iv.size
-        classes = iv.classes() if whole else None
+        if whole:
+            classes = iv.classes()
+        else:
+            # r^b = b^-1 r b on image bytes: b^-1's images through the pads of r and b
+            inverse = iv.inverse
+            conjugators = [(images[inverse[b]], pads[b]) for b in prev]
         hit = set()
         for c in {labels[a] for a in prev}:
             r = reps[c]
             if whole:
                 conj_r = classes[c]
             else:
-                conj = iv.conjugates(r)
-                conj_r = {conj[b] for b in prev}
-            inv_r = inverse_table(iv.images[r])[:G.degree]
+                pad_r = pads[r]
+                conj_r = {key[inv_b.translate(pad_r).translate(pad_b)]
+                          for inv_b, pad_b in conjugators}
+            inv_r = inverse_table(images[r])[:G.degree]
             # [r, b] = r^-1 * r^b, one product per distinct conjugate r^b
             hit.update(labels[key[inv_r.translate(pads[y])]] for y in conj_r)
         nxt = frozenset(x for x in range(iv.size) if labels[x] in hit)
@@ -164,6 +172,24 @@ class GeneratorTower(NamedTuple):
         return tuple(T.order() for T in self.normalizers)
 
 
+def _commutator_table(iv: IndexedGroup, X: list[int]) -> list[list[int | None]]:
+    """``table[i][j]`` is the position in X of [X[i], X[j]], or None if X lacks it.
+
+    [a, b] = a^-1 b^-1 a b is formed on image bytes, a^-1's images through
+    the pads of b^-1, a and b, with one index lookup per pair; each row's
+    a^-1 and a, and each column's b^-1 and b, are fetched once.
+    """
+    key, images, pads, inverse = iv.index, iv.images, iv.pads, iv.inverse
+    position = {x: i for i, x in enumerate(X)}
+    columns = [(pads[inverse[b]], pads[b]) for b in X]
+    table = []
+    for a in X:
+        inv_a, pad_a = images[inverse[a]], pads[a]
+        table.append([position.get(key[inv_a.translate(inv_b).translate(pad_a).translate(pad_b)])
+                      for inv_b, pad_b in columns])
+    return table
+
+
 def generator_tower(G: PermGroup, seed: int = 0) -> GeneratorTower:
     """Build the normalizer tower and its prime-power generating set.
 
@@ -179,8 +205,9 @@ def generator_tower(G: PermGroup, seed: int = 0) -> GeneratorTower:
     The product covers G exactly when that subgroup is all of G.  Every check
     runs on index sets of G's indexed view, with subgroups generated by its
     closures.  The |X|^2 commutators of the members of X are formed once, in
-    one table: it decides commutator-closure, and as X is closed every depth
-    set lies in X, so each is read off the same table.  Depth set 1 is then
+    one table built row by row on image bytes (``_commutator_table``): it
+    decides commutator-closure, and as X is closed every depth set lies in
+    X, so each is read off the same table.  Depth set 1 is then
     the set of pair commutators [x1, x2] of X, and closed-set generation is
     checked on it: X is a commutator-closed generating set, so depth set 1
     must close to the derived subgroup, compared by order.
@@ -205,8 +232,7 @@ def generator_tower(G: PermGroup, seed: int = 0) -> GeneratorTower:
         X = sorted({iv.identity_index}.union(*levels))
 
         # re-verify every structural claim on the concrete sets
-        position = {x: i for i, x in enumerate(X)}
-        comm = [[position.get(iv.comm(a, b)) for b in X] for a in X]
+        comm = _commutator_table(iv, X)
         if any(None in row for row in comm):
             raise RuntimeError("tower union is not commutator-closed; this is a bug")
         if not all(is_prime_power(iv.order_of[x]) for x in X):

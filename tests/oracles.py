@@ -1,6 +1,6 @@
 """Test oracles: quotients, verbal subgroups, the normal-subgroup lattice, the tuple brute force,
 literal word evaluation, the full criterion scan, commutator-closed generating sets, the
-coset lemma instances and the focal subgroup.
+coset lemma instances, the focal subgroup and normalizers.
 
 No check in nilcrit builds a quotient group: the coset lemmas read G/N off
 coset labels on G's indexed view.  The quotient here is built apart from
@@ -20,7 +20,11 @@ conjugacy reduction.  Random commutator-closed generating sets, and the
 subgroup their pair commutators generate, are index sets on G's view.  The
 coset lemma instances come one at a time, in the order the batch checks
 them.  The focal subgroup gives P cap G^(k) by Higman's theorem, from
-conjugation in G^(k-1), whose terms are closed from pair commutators.
+conjugation in G^(k-1), whose terms are closed from pair commutators.  The
+normalizer test conjugates every generator by each element of G as a
+Permutation.  The subgroup predicates and random elements, and the single
+commutator ``comm`` on the view, are used only by tests, so they live here
+and not on ``PermGroup`` or ``IndexedGroup``.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Iterable, Iterator, Sequence
 
 from nilcrit.errors import DegreeMismatch, NotNormal, OrderCapExceeded
 from nilcrit.group import DEFAULT_ENUM_CAP, PermGroup, subgroup_generated, trivial_group
-from nilcrit.indexed import indexed_view
+from nilcrit.indexed import IndexedGroup, indexed_view
 from nilcrit.lemmas import COSET_DEPTHS, normal_subgroups, p_power_value_closure
 from nilcrit.perm import MAX_DEGREE, Permutation, commutator, wrap_images
 from nilcrit.primes import prime_factors
@@ -43,8 +47,41 @@ from nilcrit.words import DeltaValueSet
 TUPLE_BUDGET = 50_000_000
 
 
+def is_subgroup_of(H: PermGroup, G: PermGroup) -> bool:
+    """H <= G: the same degree, and every generator of H in G."""
+    return H.degree == G.degree and all(G.contains(h) for h in H.generators)
+
+
+def equals(H: PermGroup, G: PermGroup) -> bool:
+    """The same set of permutations (not object identity)."""
+    return H.degree == G.degree and H.order() == G.order() and is_subgroup_of(H, G)
+
+
+def random_element(G: PermGroup, rng: random.Random) -> Permutation:
+    """A uniformly random element of G, from independent choices in its chain's transversals."""
+    g = Permutation.identity(G.degree)
+    for transversal in reversed(G.chain().transversals):
+        reps = list(transversal.values())
+        g = g * reps[rng.randrange(len(reps))]
+    return g
+
+
+def normalizer_oracle(G: PermGroup, subgroups: Iterable[PermGroup],
+                      domain: Iterable[int] | None = None) -> list[int]:
+    """The indices g of the domain (default all of G), in its order, that normalize every subgroup.
+
+    g is kept when h^g lies in H for every generator h of every subgroup H,
+    by ``Permutation.conjugate`` on G's elements listed by ``elements_of``,
+    whose order is the indexed view's, against each H's own element set.
+    """
+    elements = elements_of(G)
+    tests = [(h, frozenset(elements_of(H))) for H in subgroups for h in H.generators]
+    return [g for g in (range(len(elements)) if domain is None else domain)
+            if all(h.conjugate(elements[g]) in members for h, members in tests)]
+
+
 def is_normal(G: PermGroup, N: PermGroup) -> bool:
-    if not N.is_subgroup_of(G):
+    if not is_subgroup_of(N, G):
         return False
     return all(N.contains(n.conjugate(g)) for n in N.generators for g in G.generators)
 
@@ -76,7 +113,7 @@ def quotient(G: PermGroup, N: PermGroup) -> tuple[PermGroup, CosetMap]:
     N must be normal in G; the index must stay within MAX_DEGREE since it
     becomes the degree of the quotient group.
     """
-    if not N.is_subgroup_of(G):
+    if not is_subgroup_of(N, G):
         raise NotNormal("N is not a subgroup of G")
     if not is_normal(G, N):
         raise NotNormal("N is not normal in G")
@@ -133,7 +170,7 @@ def normal_subgroups_oracle(G: PermGroup) -> list[PermGroup]:
         current = list(found.values())
         for i, A in enumerate(current):
             for B in current[i + 1:]:
-                if A.is_subgroup_of(B) or B.is_subgroup_of(A):
+                if is_subgroup_of(A, B) or is_subgroup_of(B, A):
                     continue
                 if add(subgroup_generated(G.degree, A.generators + B.generators)):
                     grew = True
@@ -145,10 +182,16 @@ def verbal_subgroup(G: PermGroup, values: frozenset[int]) -> PermGroup:
     return subgroup_generated(G.degree, indexed_view(G).perms(sorted(values)))
 
 
+def comm(iv: IndexedGroup, i: int, j: int) -> int:
+    """The index of [elements[i], elements[j]] = i^-1 j^-1 i j on the view, from image bytes."""
+    inv, pads = iv.inverse, iv.pads
+    return iv.index[iv.images[inv[i]].translate(pads[inv[j]]).translate(pads[i]).translate(pads[j])]
+
+
 def commutator_table(G: PermGroup) -> list[list[int]]:
     """``table[a][b]`` is the index of [a, b] on G's view, one ``comm`` per pair."""
     iv = indexed_view(G)
-    return [[iv.comm(a, b) for b in range(iv.size)] for a in range(iv.size)]
+    return [[comm(iv, a, b) for b in range(iv.size)] for a in range(iv.size)]
 
 
 def delta_values_bruteforce(G: PermGroup, k: int) -> DeltaValueSet:
@@ -257,7 +300,7 @@ def commutator_closure(G: PermGroup, seed: Iterable[int]) -> frozenset[int]:
         for x in frontier:
             for y in members:
                 # [x, y], and [y, x] = [x, y]^-1
-                c = iv.comm(x, y)
+                c = comm(iv, x, y)
                 for d in (c, iv.inverse[c]):
                     if d not in closed:
                         closed.add(d)
@@ -279,7 +322,7 @@ def random_commutator_closed_generating_set(G: PermGroup, rng: random.Random) ->
 def pair_commutator_span(G: PermGroup, X: frozenset[int]) -> frozenset[int]:
     """The subgroup generated by the commutators [x1, x2], x1 and x2 in X, as an index set."""
     iv = indexed_view(G)
-    return iv.closure({iv.comm(a, b) for a in X for b in X})
+    return iv.closure({comm(iv, a, b) for a in X for b in X})
 
 
 def derived_term_by_commutators(G: PermGroup, k: int) -> tuple[frozenset[int], list[int]]:
@@ -295,7 +338,7 @@ def derived_term_by_commutators(G: PermGroup, k: int) -> tuple[frozenset[int], l
     term = frozenset(range(iv.size))
     gens = [iv.index[g.images] for g in G.generators]
     for _ in range(k):
-        commutators = sorted({iv.comm(a, s) for a in term for s in gens})
+        commutators = sorted({comm(iv, a, s) for a in term for s in gens})
         term, gens = frozenset({iv.identity_index}), []
         for c in commutators:
             if c not in term:

@@ -31,7 +31,7 @@ from nilcrit.structure import (
     sylow_basis,
     sylow_subgroup,
 )
-from nilcrit.words import generator_tower
+from nilcrit.words import _commutator_table, generator_tower
 
 from conftest import (
     SCALE_CORPUS,
@@ -41,6 +41,7 @@ from conftest import (
     regular_elementary_abelian,
     scale_group,
 )
+from oracles import random_element
 
 SCALE_NAMES = sorted(p.stem for p in SCALE_CORPUS.glob("*.grp"))
 
@@ -74,7 +75,7 @@ def assert_chains_match_oracle(G: PermGroup) -> None:
     rng = random.Random(G.name)
     assert_chain_matches_oracle(G.degree, list(G.generators))
     for size in (1, 2, 3):
-        assert_chain_matches_oracle(G.degree, [G.random_element(rng) for _ in range(size)])
+        assert_chain_matches_oracle(G.degree, [random_element(G, rng) for _ in range(size)])
 
 
 @pytest.mark.parametrize("name", builtin_names())
@@ -112,12 +113,14 @@ def test_view_and_chain_at_the_degree_limits(G):
 
 @pytest.mark.parametrize("name", ["S3", "Q8", "S4", "SL2_3", "C3wrC2", "A5"])
 def test_comm_and_conj_match_permutations_and_force_no_row(name):
+    # over all of G, the tower's commutator table holds each [a, b]'s own index
     G = load_group(name)
     iv = indexed_view(G)
     elems = iv.perms(range(iv.size))
+    table = _commutator_table(iv, list(range(iv.size)))
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):
-            assert iv.comm(i, j) == iv.index[commutator(a, b).images], (i, j)
+            assert table[i][j] == iv.index[commutator(a, b).images], (i, j)
             assert iv.conj(i, j) == iv.index[a.conjugate(b).images], (i, j)
 
 

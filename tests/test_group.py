@@ -42,7 +42,8 @@ from nilcrit.words import delta_values, generator_tower
 
 from conftest import (SCALE_CORPUS, CountingIndex, class_lists, closure_oracle, classes_oracle, perm,
                       small_symmetric_subgroups)
-from oracles import elements_of, group_from_elements, is_normal, quotient
+from oracles import (elements_of, equals, group_from_elements, is_normal, normalizer_oracle, quotient,
+                     random_element)
 
 
 def big_omega(n: int) -> int:
@@ -100,7 +101,7 @@ class TestChainAndOrder:
     def test_random_element_uniform_support(self, s4):
         import random
         rng = random.Random(3)
-        seen = {s4.random_element(rng) for _ in range(600)}
+        seen = {random_element(s4, rng) for _ in range(600)}
         assert seen == set(elements_of(s4))
 
 
@@ -119,7 +120,7 @@ class TestSubgroupGenerated:
     def test_group_from_elements_round_trip(self, s4):
         rebuilt = group_from_elements(4, elements_of(s4))
         assert rebuilt.order() == 24
-        assert rebuilt.equals(s4)
+        assert equals(rebuilt, s4)
 
     def test_group_from_elements_rejects_non_closed(self):
         with pytest.raises(ValueError):
@@ -129,7 +130,7 @@ class TestSubgroupGenerated:
         a, b = perm("(1 2)", 4), perm("(1 2 3 4)", 4)
         G = subgroup_generated(4, [Permutation.identity(4), a, a * a, b, a * b, b * a])
         assert G.generators == (a, b)
-        assert G.equals(s4)
+        assert equals(G, s4)
 
     def test_constructed_subgroups_keep_at_most_omega_generators(self, corpus):
         """Every kept generator at least doubles the order, so a subgroup H
@@ -347,7 +348,7 @@ class TestNormalStructure:
 
     def test_normalizer_of_whole_group(self, s4):
         iv = indexed_view(s4)
-        assert iv.subgroup(iv.normalizing([s4])).equals(s4)
+        assert equals(iv.subgroup(iv.normalizing([s4])), s4)
 
     def test_normalizer_of_sylow3_in_s4(self, s4):
         H = subgroup_generated(4, [perm("(1 2 3)", 4)])
@@ -362,6 +363,23 @@ class TestNormalStructure:
     def test_normalizer_rejects_a_non_subgroup(self, a4):
         with pytest.raises(NotNormal):
             indexed_view(a4).normalizing([subgroup_generated(4, [perm("(1 2)", 4)])])
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_symmetric_subgroups(7), st.data())
+    def test_normalizer_against_the_permutation_oracle(self, G, data):
+        # up to 3 subgroups of G, each on 1 to 3 drawn elements; a domain drawn
+        # as distinct indices in any order, whose order the result must keep
+        iv = indexed_view(G)
+        index = st.integers(0, iv.size - 1)
+        subgroups = [subgroup_generated(G.degree, iv.perms(gens))
+                     for gens in data.draw(st.lists(st.lists(index, min_size=1, max_size=3),
+                                                    min_size=1, max_size=3))]
+        assert iv.normalizing(subgroups) == normalizer_oracle(G, subgroups)
+        domain = data.draw(st.lists(index, unique=True, max_size=40))
+        assert iv.normalizing(subgroups, domain) == normalizer_oracle(G, subgroups, domain)
+        # a subgroup's sorted index set, as intersect_basis passes its normal subgroup
+        within = sorted(iv.member_indices(subgroups[0]))
+        assert iv.normalizing(subgroups, within) == normalizer_oracle(G, subgroups, within)
 
     def test_centralizer_of_transposition(self, s4):
         C = centralizer_indices(s4, perm("(1 2)", 4))

@@ -61,6 +61,7 @@ from oracles import (
     focal_subgroup_oracle,
     group_from_elements,
     is_normal,
+    is_subgroup_of,
     lifted_generation_instances,
     normal_subgroups_oracle,
     quotient,
@@ -715,7 +716,7 @@ def focal_generation_oracle(G: PermGroup, depth: int, p: int) -> LemmaReport:
     generated = subgroup_generated(G.degree, inside)
     target = group_from_elements(
         G.degree, set(elements_of(P)) & set(elements_of(derived_term(G, depth))))
-    holds = generated.order() == target.order() and generated.is_subgroup_of(target)
+    holds = generated.order() == target.order() and is_subgroup_of(generated, target)
     witness = None
     if not holds:
         witness = {"generated_order": generated.order(), "target_order": target.order()}

@@ -11,12 +11,15 @@ from pathlib import Path
 
 import pytest
 
+import nilcrit.words
 from nilcrit.corpus import load_group
 from nilcrit.group import PermGroup
-from nilcrit.indexed import IndexedGroup
+from nilcrit.indexed import indexed_view
 from nilcrit.perm import Permutation
 from nilcrit.structure import sylow_basis
 from nilcrit.words import generator_tower
+
+from conftest import CountingIndex
 
 CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
 
@@ -70,16 +73,21 @@ def test_sylow_basis_conjugates_few_permutations(monkeypatch):
 
 
 def test_tower_forms_each_member_commutator_once(monkeypatch):
-    # the closure check and every depth set used to form their own commutators
+    # the closure check and every depth set used to form their own commutators;
+    # the one table forms each [a, b] with one lookup in the view's index
     G = load_group(str(CORPUS / "S4wrC2.grp"))
-    calls = 0
-    comm = IndexedGroup.comm
+    iv = indexed_view(G)
+    iv.index = CountingIndex(iv.index)
+    lookups = []
+    table = nilcrit.words._commutator_table
 
-    def counted(self, i, j):
-        nonlocal calls
-        calls += 1
-        return comm(self, i, j)
+    def counted(view, X):
+        before = view.index.lookups
+        out = table(view, X)
+        lookups.append(view.index.lookups - before)
+        return out
 
-    monkeypatch.setattr(IndexedGroup, "comm", counted)
+    monkeypatch.setattr(nilcrit.words, "_commutator_table", counted)
     tower = generator_tower(G)
-    assert 0 < calls <= len(tower.generating_set) ** 2
+    assert len(lookups) == 1
+    assert 0 < lookups[0] <= len(tower.generating_set) ** 2
