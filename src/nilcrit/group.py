@@ -1,9 +1,9 @@
-"""Permutation groups: membership, closure and conjugacy machinery.
+"""Permutation groups: closure and conjugacy machinery.
 
 A :class:`PermGroup` is generators plus a lazily built stabilizer chain; the
 chain answers order and membership questions with no cap.  A group of
 known order (``group_of_order``, as an indexed view wraps the subgroups it
-closes) builds no chain until membership needs one.  Elements are
+closes) builds no chain until its chain is asked for.  Elements are
 enumerated only by a group's indexed view, which checks the cap.  A
 closure (``subgroup_generated``, ``normal_closure``) grows one chain over
 its candidates and hands it to the group it returns; a normal closure that
@@ -58,12 +58,6 @@ class PermGroup:
         if self._order is None:
             self._order = self.chain().order()
         return self._order
-
-    def contains(self, p: Permutation) -> bool:
-        return p.degree == self.degree and self.chain().contains(p)
-
-    def __contains__(self, p: Permutation) -> bool:
-        return self.contains(p)
 
     def is_trivial(self) -> bool:
         return self.order() == 1

@@ -10,19 +10,15 @@ Permutation is made per element: ``element(i)`` wraps one on demand, for
 subgroup generators and witnesses.  The inverse list is filled on first
 use, by the few scans that read it.
 
-Conjugation runs on per-generator tables.  For each generator
-s of G the view keeps x -> x*s and x -> x^s.  The tables give the
-conjugacy classes, numbered by minimal element, and their member lists,
-built once per view.  Building them costs 2 |G| products per generator,
-against |G|^2 for the full multiplication table.  A caller that reads all
-|G| conjugates r^b of one element gets them from ``conjugates(r)``, a single
-pass of table lookups along a breadth-first spanning tree of G in which
-every element is b = parent*s, so r^b = (r^parent)^s.  A caller that reads
-only some of them forms each on image bytes instead: ``normalizing`` tests
-h^g only for the g still in the running, so it builds no such table and
-no tree.
-Element order is constant on a class, so ``order_of`` is filled on first
-use from one ``image_order`` per class representative.
+Conjugation has one path: x^g = g^-1 x g is formed on the image bytes of
+g^-1, x and g, two translates and one lookup.  Each generator s of G keeps
+its table x -> x^s, built at that cost once per view; the tables give the
+conjugacy classes, numbered by minimal element, and their member lists.
+Every other scan forms only the conjugates it reads: ``normalizing`` tests
+h^g only for the g still in the running, and no table of |G| entries is
+built for any element that is not a generator of G.  Element order is
+constant on a class, so ``order_of`` is filled on first use from one
+``image_order`` per class representative.
 
 Subgroups and normal subsets of G are index sets on the view: one routine,
 Dimino's coset algorithm, closes subgroups of G and of a quotient G/N on
@@ -72,8 +68,7 @@ class IndexedGroup:
         self._subgroups: dict[frozenset[int], frozenset[int]] = {}
         # per kernel: its coset (labels, reps), and the reps' images and pads
         self._cosets: dict[frozenset[int], tuple] = {}
-        self._gen_tables: tuple[list[list[int]], list[list[int]]] | None = None
-        self._tree: list[tuple[int, int, int]] | None = None
+        self._conj_tables: list[list[int]] | None = None
         self._classes: tuple[list[int], list[int]] | None = None
         self._class_members: list[list[int]] | None = None
         # the identity is the lexicographic minimum of any permutation set
@@ -85,11 +80,6 @@ class IndexedGroup:
         """``inverse[i]`` is the index of elements[i]^-1, filled on first use."""
         key, n = self.index, self.group.degree
         return [key[inverse_table(b)[:n]] for b in self.images]
-
-    def times(self, s: int) -> list[int]:
-        """``out[z]`` is the index of elements[z] * elements[s], for every z: one column of the table."""
-        t, key = self.pads[s], self.index
-        return [key[z.translate(t)] for z in self.images]
 
     def conj(self, i: int, j: int) -> int:
         """index of elements[i]^elements[j] = j^-1 i j, from image bytes."""
@@ -164,8 +154,20 @@ class IndexedGroup:
         return self._cosets[kernel]
 
     def conjugation_tables(self) -> list[list[int]]:
-        """One table per generator s of G: ``table[i]`` is the index of elements[i]^s."""
-        return self._generator_tables()[1]
+        """One table per generator s of G: ``table[i]`` is the index of elements[i]^s.
+
+        Built once per view, one lookup per entry: s^-1's images through the
+        pads of x and s.
+        """
+        if self._conj_tables is None:
+            key, pads, n = self.index, self.pads, self.group.degree
+            tables = []
+            for g in self.group.generators:
+                s = key[g.images]
+                inv_s, pad_s = inverse_table(self.images[s])[:n], pads[s]
+                tables.append([key[inv_s.translate(t).translate(pad_s)] for t in pads])
+            self._conj_tables = tables
+        return self._conj_tables
 
     def class_labels(self) -> tuple[list[int], list[int]]:
         """``(labels, reps)`` of the conjugacy classes, numbered by their minimal elements.
@@ -197,19 +199,6 @@ class IndexedGroup:
         labels, reps = self.class_labels()
         orders = [image_order(self.images[r]) for r in reps]
         return [orders[c] for c in labels]
-
-    def conjugates(self, r: int) -> list[int]:
-        """``out[b]`` is the index of elements[r]^elements[b], for every b.
-
-        One table lookup per element: along the spanning tree, b = parent*s
-        gives r^b = (r^parent)^s.
-        """
-        conj = self.conjugation_tables()
-        out = [0] * self.size
-        out[self.identity_index] = r
-        for b, parent, j in self._spanning_tree():
-            out[b] = conj[j][out[parent]]
-        return out
 
     def _generator_key(self, H: PermGroup) -> frozenset[int]:
         """The indices of H's generators, looked up once per H; NotNormal if one lies outside G."""
@@ -266,37 +255,6 @@ class IndexedGroup:
                 kept = [g for g in kept
                         if key[images[inverse[g]].translate(pad_h).translate(pads[g])] in members]
         return kept
-
-    def _generator_tables(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Per generator s of G, the tables of i -> i*s and of i -> i^s."""
-        if self._gen_tables is None:
-            gens = [self.index[s.images] for s in self.group.generators]
-            times = [self.times(s) for s in gens]
-            key, pads, conj = self.index, self.pads, []
-            for s, times_s in zip(gens, times):
-                # x^s = s^-1 * (x*s), from the column of s
-                inv_s = inverse_table(self.images[s])[:self.group.degree]
-                conj.append([key[inv_s.translate(pads[y])] for y in times_s])
-            self._gen_tables = (times, conj)
-        return self._gen_tables
-
-    def _spanning_tree(self) -> list[tuple[int, int, int]]:
-        """Breadth-first tree of G from the identity: ``(b, parent, j)`` with b = parent * generators[j]."""
-        if self._tree is None:
-            times = self._generator_tables()[0]
-            seen = [False] * self.size
-            seen[self.identity_index] = True
-            tree = []
-            order = [self.identity_index]
-            for parent in order:  # grows while it is walked: a breadth-first queue
-                for j, times_s in enumerate(times):
-                    b = times_s[parent]
-                    if not seen[b]:
-                        seen[b] = True
-                        tree.append((b, parent, j))
-                        order.append(b)
-            self._tree = tree
-        return self._tree
 
     def element(self, i: int) -> Permutation:
         """elements[i] as a Permutation, wrapped anew on each call: for generators and witnesses."""

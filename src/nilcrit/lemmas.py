@@ -22,8 +22,9 @@ and the value sets X passed to the coset checks included, is an index set
 on G's indexed view: each N, L and X is checked once per set and kept on G
 (normality is one pass over the generators' conjugation tables), generation
 is ``IndexedGroup.closure``, the normal subgroups are products of class
-closures read off coset labels, and the coprime-action check reads every
-commutator off table lookups.  G's view is the only one built, and a
+closures read off coset labels, and the Fitting and coprime-action checks
+form every product and conjugate they read on image bytes, with no table
+of |G| entries per element.  G's view is the only one built, and a
 PermGroup only wraps an index set, with no chain built for it.
 
 The batch drivers check both coset lemmas with ``coset_lemma_batch``, once
@@ -352,9 +353,11 @@ def check_focal_generation(G: PermGroup, depth: int, p: int) -> LemmaReport:
 def check_fitting_membership(G: PermGroup, p: int) -> LemmaReport:
     """p-elements centralizing the p'-part of the Fitting subgroup lie inside it.
 
-    F is nilpotent, so its p'-core is its set of p'-elements.  A p-element x,
-    in index order, centralizes the core when o^x = o for each generator o,
-    one lookup in o's conjugates; F-membership is a lookup in F's index set.
+    F is nilpotent, so its p'-core is its set of p'-elements.  The p-elements
+    are filtered one kept core generator o at a time, as ``normalizing``
+    filters its domain: x stays when o*x = x*o, two translates of image bytes
+    and no lookup.  The survivors, in index order, are then looked up in F's
+    index set.
     """
     if not is_metanilpotent(G):
         raise NotMetanilpotent("the membership fact assumes a metanilpotent group")
@@ -363,18 +366,18 @@ def check_fitting_membership(G: PermGroup, p: int) -> LemmaReport:
     F = fitting_subgroup(G)
     iv = indexed_view(G)
     f_idx = iv.member_indices(F)
-    core, kept = iv._close(sorted(i for i in f_idx if iv.order_of[i] % p))
-    core_conj = [(o, iv.conjugates(o)) for o in kept]
+    order_of, images, pads = iv.order_of, iv.images, iv.pads
+    core, kept = iv._close(sorted(i for i in f_idx if order_of[i] % p))
+    central = [x for x, n in enumerate(order_of) if p_part(n, p) == n]
+    for o in kept:
+        image_o, pad_o = images[o], pads[o]
+        central = [x for x in central if image_o.translate(pads[x]) == images[x].translate(pad_o)]
     qualifying = 0
     witness = None
-    for x, n in enumerate(iv.order_of):
-        if p_part(n, p) != n:
-            continue
-        if not all(conj[x] == o for o, conj in core_conj):
-            continue
+    for x in central:
         qualifying += 1
         if x not in f_idx:
-            witness = {"element": iv.element(x), "order": n, "fitting_order": F.order()}
+            witness = {"element": iv.element(x), "order": order_of[x], "fitting_order": F.order()}
             break
     return LemmaReport(
         "fitting_membership", G.name,
@@ -424,10 +427,11 @@ def check_coprime_action(G: PermGroup, k: int) -> LemmaReport:
     conjugate to x^-1 (the two share a class label on G's indexed view),
     hence [y, x, x] = 1, and finally [N, x] = 1.
 
-    Every product is a lookup on G's indexed view, in maps built once per
-    value x: z*x and z*x^-1 (``IndexedGroup.times``), and the conjugates of
-    x^-1, so that [y, x] = (x^-1)^y x.  x normalizes N when z^x = x^-1 (z*x),
-    one product on x^-1's image bytes, lies in N's index set for every z in N.
+    Every product is formed on image bytes, at the members of one N at a
+    time: x normalizes N when each z^x = x^-1 z x, for z in N in index
+    order, lies in N's index set, and the z^x are kept as they are formed.
+    Then [y, x] = y^-1 y^x, and [y, x, x] = [y, x]^-1 [y, x]^x, whose
+    conjugate was kept as [y, x] lies in N.
     """
     if not coprime_product_criterion(G, k, "delta").holds:
         raise HypothesisNotSatisfied(
@@ -435,12 +439,21 @@ def check_coprime_action(G: PermGroup, k: int) -> LemmaReport:
 
     iv = indexed_view(G)
     inv, order_of, e = iv.inverse, iv.order_of, iv.identity_index
-    key, pads, labels = iv.index, iv.pads, iv.class_labels()[0]
+    key, images, pads, labels = iv.index, iv.images, iv.pads, iv.class_labels()[0]
     values = delta_values(G, k).indices
     value_list = sorted(values)
     family = _invariant_subgroup_family(G)
-    maps: dict[int, tuple[list[int], ...]] = {}  # per value x, built once
     pairs = 0
+
+    def action(N: frozenset[int], members: list[int], x: int) -> dict[int, int] | None:
+        """z -> z^x over N's members, or None at the first z^x outside N."""
+        inv_x, pad_x = images[inv[x]], pads[x]
+        act = {}
+        for z in members:
+            act[z] = zx = key[inv_x.translate(pads[z]).translate(pad_x)]
+            if zx not in N:
+                return None
+        return act
 
     def failures() -> Iterator[dict]:
         """Witnesses of failed steps; the caller stops at the first."""
@@ -450,20 +463,19 @@ def check_coprime_action(G: PermGroup, k: int) -> LemmaReport:
             for x in value_list:
                 if gcd(len(N), order_of[x]) != 1:
                     continue
-                if x not in maps:
-                    maps[x] = iv.times(x), iv.times(inv[x]), iv.conjugates(inv[x]), iv.images[inv[x]]
-                times_x, times_x_inv, conj_x_inv, inv_x = maps[x]
-                if any(key[inv_x.translate(pads[times_x[z]])] not in N for z in members):
+                act = action(N, members, x)
+                if act is None:
                     continue
                 pairs += 1
+                pad_x_inv = pads[inv[x]]
                 for y in members:
-                    comm = times_x[conj_x_inv[y]]
-                    double = times_x[conj_x_inv[comm]]
+                    comm = key[images[inv[y]].translate(pads[act[y]])]
+                    double = key[images[inv[comm]].translate(pads[act[comm]])]
                     if double not in values:
                         fail = "double commutator left the value set"
                     elif gcd(order_of[double], order_of[x]) != 1:
                         fail = "double commutator order not coprime to |x|"
-                    elif labels[times_x_inv[double]] != labels[inv[x]]:
+                    elif labels[key[images[double].translate(pad_x_inv)]] != labels[inv[x]]:
                         fail = "product is not conjugate to x^-1"
                     elif double != e:
                         fail = "double commutator is not trivial"

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DegreeMismatch, InvalidPermutation
 
@@ -196,10 +196,6 @@ class Permutation:
 
     def order(self) -> int:
         return image_order(self.images)
-
-    def moved_points(self) -> Iterator[int]:
-        """0-based points not fixed by the permutation."""
-        return (i for i, x in enumerate(self.images) if x != i)
 
     def one_based(self) -> list[int]:
         return [x + 1 for x in self.images]

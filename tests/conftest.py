@@ -237,7 +237,7 @@ class PermutationChain:
 
     def _extend(self, h: Permutation, level: int, queues: list) -> None:
         if level == len(self.base):
-            b = min(h.moved_points())
+            b = next(i for i, x in enumerate(h.images) if x != i)
             self.base.append(b)
             self.transversals.append({b: self._identity})
             self._level_gens.append([])

@@ -22,9 +22,9 @@ coset lemma instances come one at a time, in the order the batch checks
 them.  The focal subgroup gives P cap G^(k) by Higman's theorem, from
 conjugation in G^(k-1), whose terms are closed from pair commutators.  The
 normalizer test conjugates every generator by each element of G as a
-Permutation.  The subgroup predicates and random elements, and the single
-commutator ``comm`` on the view, are used only by tests, so they live here
-and not on ``PermGroup`` or ``IndexedGroup``.
+Permutation.  The membership and subgroup predicates, random elements and
+the single commutator ``comm`` on the view are used only by tests, so they
+live here and not on ``PermGroup`` or ``IndexedGroup``.
 """
 
 from __future__ import annotations
@@ -47,9 +47,14 @@ from nilcrit.words import DeltaValueSet
 TUPLE_BUDGET = 50_000_000
 
 
+def contains(G: PermGroup, p: Permutation) -> bool:
+    """p lies in G: the same degree, and p sifts to the identity through G's chain."""
+    return p.degree == G.degree and G.chain().contains(p)
+
+
 def is_subgroup_of(H: PermGroup, G: PermGroup) -> bool:
     """H <= G: the same degree, and every generator of H in G."""
-    return H.degree == G.degree and all(G.contains(h) for h in H.generators)
+    return H.degree == G.degree and all(contains(G, h) for h in H.generators)
 
 
 def equals(H: PermGroup, G: PermGroup) -> bool:
@@ -83,7 +88,7 @@ def normalizer_oracle(G: PermGroup, subgroups: Iterable[PermGroup],
 def is_normal(G: PermGroup, N: PermGroup) -> bool:
     if not is_subgroup_of(N, G):
         return False
-    return all(N.contains(n.conjugate(g)) for n in N.generators for g in G.generators)
+    return all(contains(N, n.conjugate(g)) for n in N.generators for g in G.generators)
 
 
 @dataclass

@@ -15,6 +15,7 @@ from nilcrit.group import normal_closure, subgroup_generated
 from nilcrit.perm import Permutation
 
 from conftest import PermutationChain, closure_oracle, perm
+from oracles import contains
 
 ALL_OF_S = {n: [Permutation(p) for p in itertools.permutations(range(n))] for n in range(1, 7)}
 
@@ -119,6 +120,6 @@ class TestOneChainPerClosure:
                 H = closure(seed)
                 assert len(builds) == 1
                 assert H.chain() is builds[0]
-                assert H.contains(H.generators[-1])
+                assert contains(H, H.generators[-1])
                 H.order()
                 assert len(builds) == 1

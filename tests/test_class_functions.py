@@ -1,11 +1,9 @@
 """Class functions once per conjugacy class: element orders, word-value levels, the criterion scan.
 
 Element order is constant on a class and word-value sets are unions of
-classes, so the indexed view takes orders from class representatives, the
-levels whose second argument ranges over all of G read r's conjugates off
-r's class (the deeper derived levels form them one by one, for the second
-arguments only), and the criterion scan forms each coprime product a*b on its own.
-The work-count tests pin that work without timing anything; the random-group
+classes, so the indexed view takes orders from class representatives, and
+the criterion scan forms each coprime product a*b on its own.  The
+work-count tests pin that work without timing anything; the random-group
 test checks the results against the raw images.
 """
 
@@ -16,7 +14,7 @@ from hypothesis import example, given, settings
 
 import nilcrit.indexed
 from nilcrit.criterion import coprime_product_criterion
-from nilcrit.indexed import IndexedGroup, indexed_view
+from nilcrit.indexed import indexed_view
 from nilcrit.perm import MAX_DEGREE, image_order
 from nilcrit.words import delta_values, gamma_values
 
@@ -64,19 +62,6 @@ def test_the_criterion_scan_forms_one_product_per_pair(name):
         for k in (1, 2, 3):
             pairs += coprime_product_criterion(G, k, kind).pairs_checked
     assert iv.index.lookups == pairs
-
-
-@pytest.mark.parametrize("name", WORK_GROUPS)
-def test_levels_over_all_of_g_call_no_conjugates(monkeypatch, name):
-    G = scale_group(name)
-    calls = count_calls(monkeypatch, IndexedGroup, "conjugates", IndexedGroup.conjugates)
-    for k in (1, 2, 3):
-        gamma_values(G, k)
-    # delta's first level, whose predecessor is all of G, reads r's class;
-    # the deeper levels form each r^b on image bytes, for the b of the level
-    for k in (1, 2, 3):
-        delta_values(G, k)
-    assert calls[0] == 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,7 +9,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nilcrit.errors import (
     HypothesisNotSatisfied,
@@ -53,9 +53,10 @@ from nilcrit.structure import (
     _sylow_indices,
 )
 from nilcrit.words import delta_values
-from conftest import (p_prime_core_oracle, perm, product_set, regular_elementary_abelian,
-                      small_symmetric_subgroups)
+from conftest import (closure_oracle, p_prime_core_oracle, perm, product_set,
+                      regular_elementary_abelian, small_symmetric_subgroups)
 from oracles import (
+    contains,
     coset_intersection_instances,
     elements_of,
     focal_subgroup_oracle,
@@ -360,7 +361,7 @@ def coset_intersection_oracle(G, N, P, X):
     X = indexed_view(G).perms(sorted(X))
     n_elems = indexed_view(G).perms(sorted(N))
     lhs = product_set(X, n_elems) & product_set(elements_of(P), n_elems)
-    rhs = product_set([x for x in X if P.contains(x)], n_elems)
+    rhs = product_set([x for x in X if contains(P, x)], n_elems)
     return lhs == rhs, len(lhs) + len(rhs), min(lhs ^ rhs, default=None)
 
 
@@ -712,7 +713,7 @@ def focal_generation_oracle(G: PermGroup, depth: int, p: int) -> LemmaReport:
     """Values sifted through P's chain one by one; the target built as a group."""
     P = sylow_subgroup(G, p)
     values = indexed_view(G).perms(sorted(delta_values(G, depth).indices))
-    inside = [v for v in values if P.contains(v)]
+    inside = [v for v in values if contains(P, v)]
     generated = subgroup_generated(G.degree, inside)
     target = group_from_elements(
         G.degree, set(elements_of(P)) & set(elements_of(derived_term(G, depth))))
@@ -737,12 +738,47 @@ def fitting_membership_oracle(G: PermGroup, p: int) -> LemmaReport:
         if not all(commutator(o, x).is_identity() for o in core.generators):
             continue
         qualifying += 1
-        if not F.contains(x):
+        if not contains(F, x):
             witness = {"element": x, "order": x.order(), "fitting_order": F.order()}
             break
     return LemmaReport("fitting_membership", G.name,
                        {"p": p, "fitting_order": F.order(), "core_order": core.order()},
                        witness is None, witness, checked=qualifying)
+
+
+def is_nilpotent_set(elements: set[Permutation]) -> bool:
+    """A group is nilpotent when each Sylow subgroup is normal: it has |H|_p p-elements for every p."""
+    orders = [x.order() for x in elements]
+    return all(sum(p_part(n, p) == n for n in orders) == p_part(len(elements), p)
+               for p in prime_factors(len(elements)))
+
+
+def is_metanilpotent_oracle(G: PermGroup) -> bool:
+    """Whether G's nilpotent residual is nilpotent, on sets of Permutations.
+
+    Each lower central term [T, G] is the normal closure of the [x, s], x in T
+    and s a generator of G: the [x, s] are closed under conjugation by G's
+    generators, then under products, one generator at a time.
+    """
+    term = set(elements_of(G))
+    while True:
+        conjugates = {commutator(x, s) for x in term for s in G.generators}
+        frontier = list(conjugates)
+        while frontier:
+            c = frontier.pop()
+            for s in G.generators:
+                if (d := c.conjugate(s)) not in conjugates:
+                    conjugates.add(d)
+                    frontier.append(d)
+        gens: list[Permutation] = []
+        step = {Permutation.identity(G.degree)}
+        for c in conjugates:
+            if c not in step:
+                gens.append(c)
+                step = closure_oracle(G.degree, gens)
+        if len(step) == len(term):
+            return is_nilpotent_set(term)
+        term = step
 
 
 def invariant_subgroup_family_oracle(G: PermGroup) -> list[PermGroup]:
@@ -778,7 +814,7 @@ def coprime_action_oracle(G: PermGroup, k: int, values_of=delta_values) -> Lemma
         for x in value_list:
             if gcd(N.order(), x.order()) != 1:
                 continue
-            if not all(N.contains(n.conjugate(x)) for n in N.generators):
+            if not all(contains(N, n.conjugate(x)) for n in N.generators):
                 continue
             pairs += 1
             for y in elements_of(N):
@@ -880,7 +916,7 @@ class TestIndexSetsAgainstPermutationOracles:
         def refuse(*args, **kwargs):
             raise AssertionError("a value was sifted through a chain")
 
-        monkeypatch.setattr(PermGroup, "contains", refuse)
+        monkeypatch.setattr(StabilizerChain, "contains", refuse)
         assert check_focal_generation(G, 1, 2) == want
 
     def test_fitting_membership_forms_no_commutator_per_element(self, monkeypatch):
@@ -900,6 +936,27 @@ class TestIndexSetsAgainstPermutationOracles:
                     check_coprime_action(G, k)
             else:
                 assert check_coprime_action(G, k) == want, k
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_symmetric_subgroups(6))
+    @example(PermGroup(4, (perm("(1 2)", 4), perm("(1 2 3 4)", 4))))  # S4: not metanilpotent
+    @example(PermGroup(6, (perm("(1 2 3)", 6), perm("(1 2)", 6), perm("(4 5 6)", 6))))  # S3 x C3
+    def test_coprime_action_and_fitting_membership_on_random_groups(self, G):
+        for k in (1, 2, 3):
+            try:
+                want = coprime_action_oracle(G, k)
+            except HypothesisNotSatisfied:
+                with pytest.raises(HypothesisNotSatisfied):
+                    check_coprime_action(G, k)
+            else:
+                assert check_coprime_action(G, k) == want, k
+        metanilpotent = is_metanilpotent_oracle(G)
+        for p in prime_factors(G.order()):
+            if metanilpotent:
+                assert check_fitting_membership(G, p) == fitting_membership_oracle(G, p), p
+            else:
+                with pytest.raises(NotMetanilpotent):
+                    check_fitting_membership(G, p)
 
     def test_coprime_action_failure_reports_the_oracle_witness(self, monkeypatch):
         # without the identity among the values, the first replayed step fails

