@@ -1,8 +1,9 @@
 """Class functions once per conjugacy class: element orders, word-value levels, the criterion scan.
 
 Element order is constant on a class and word-value sets are unions of
-classes, so the indexed view takes orders from class representatives, and
-the criterion scan forms each coprime product a*b on its own.  The
+classes, so the indexed view takes orders from class representatives, the
+levels whose second argument ranges over all of G read r's conjugates off
+r's class, and the criterion scan forms each coprime product a*b on its own.  The
 work-count tests pin that work without timing anything; the random-group
 test checks the results against the raw images.
 """
@@ -62,6 +63,23 @@ def test_the_criterion_scan_forms_one_product_per_pair(name):
         for k in (1, 2, 3):
             pairs += coprime_product_criterion(G, k, kind).pairs_checked
     assert iv.index.lookups == pairs
+
+
+@pytest.mark.parametrize("name", WORK_GROUPS)
+def test_levels_over_all_of_g_call_no_conjugates(name):
+    G = scale_group(name)
+    iv = indexed_view(G)
+    iv.classes()  # the class tables, built before the levels
+    iv.index = CountingIndex(iv.index)
+    for k in (1, 2, 3):
+        gamma_values(G, k)
+    # delta's first level, whose predecessor is all of G, reads r's class too
+    delta_values(G, 1)
+    # each class of a level L costs one product r^-1 * y per member y of the
+    # class: |L| lookups to grow L, and no conjugate r^b is formed at all
+    gamma = G.memo(("word_levels", "gamma"), lambda: None)["levels"]
+    assert iv.index.lookups <= sum(len(level) for level in gamma) + iv.size
+    assert iv.index.lookups < len(iv.class_labels()[1]) * iv.size
 
 
 @settings(max_examples=40, deadline=None)
