@@ -8,7 +8,11 @@ It is built from bytes alone: G's chain enumerates the image bytes, which
 are sorted, and their pads are formed in one pass (``pad_tables``).  No
 Permutation is made per element: ``element(i)`` wraps one on demand, for
 subgroup generators and witnesses.  The inverse list is filled on first
-use, by the few scans that read it.
+use, by the scans that read most of it: ``conj`` and ``normalizing`` here,
+the tower's commutator table and the coprime-action check.  The word-value
+levels and the Sylow scan read none of it: they form the inverse table of
+each element they reach, so the criterion, focal and probe commands never
+fill it.
 
 Conjugation has one path: x^g = g^-1 x g is formed on the image bytes of
 g^-1, x and g, two translates and one lookup.  Each generator s of G keeps

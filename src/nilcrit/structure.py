@@ -11,8 +11,11 @@ the term it descends from, so a series that stalls repeats that term
 itself, and the lower central series takes gamma_2(G) from
 ``derived_subgroup``.  The subgroups are index sets on G's indexed
 view, the only enumeration, each wrapped with its order and no chain.  A Sylow
-subgroup, of G or of a subgroup's index list, grows by p-elements that
-conjugate its generators, on image bytes, into its index set.  Its
+subgroup, of G or of a subgroup's index list, grows by p-elements y that
+normalize it.  The normalizer is a group, so y normalizes P exactly when
+y^-1 does: each generator g is conjugated by y^-1, y g y^-1 formed from
+the image bytes of y and g and y's own inverse table, and looked up in P's
+index set, so G's inverse list is not read.  Its
 conjugates are one orbit under the conjugation tables of G's generators, one
 per right coset of its normalizer, each an index tuple with known generators.
 A Sylow basis is chosen from them in one pass over the primes, keeping at
@@ -175,13 +178,17 @@ def _sylow_indices(iv: IndexedGroup, p: int, domain: range | list[int]) -> tuple
     outside P; such an element always exists while |P| is short of the full
     p-part, and the extension stays a p-group because the new element
     normalizes P.  The scan runs in index order, which is canonical element
-    order as on M's own view.  y lies in N_M(P) when z^y = y^-1 z y, formed
-    on the image bytes of y^-1, z and y, lies in P's index set for each kept
-    generator z; only the y the scan reaches are tested, and a y in P is
-    passed over untested, as its p-part lies in P.  The p-part of y,
-    y^(|y| / p-part of |y|), is a power walk on y's image bytes.
+    order as on M's own view.  N_M(P) is a group, so y lies in it exactly
+    when y^-1 does: g^(y^-1) = y g y^-1 is formed on the image bytes of y
+    and g and y's inverse table, and looked up in P's index set, for each
+    kept generator g.  Only the y the scan reaches are tested, and each
+    forms its own inverse table, so G's inverse list is not read.  Most
+    growth steps stop early, so a y in P is skipped where the scan reaches
+    it rather than filtered out of the p-elements once per step.  The
+    p-part of y, y^(|y| / p-part of |y|), is a power walk on y's image
+    bytes.
     """
-    key, images, pads, inverse, order_of = iv.index, iv.images, iv.pads, iv.inverse, iv.order_of
+    key, images, pads, order_of = iv.index, iv.images, iv.pads, iv.order_of
     target = p_part(len(domain), p)
     p_elements = [i for i in domain if order_of[i] % p == 0]
     members, gens = frozenset([iv.identity_index]), []
@@ -189,9 +196,12 @@ def _sylow_indices(iv: IndexedGroup, p: int, domain: range | list[int]) -> tuple
         for y in p_elements:
             if y in members:  # its p-part, a power of y, lies in P too
                 continue
-            inv_y, pad_y = images[inverse[y]], pads[y]
-            if all(key[inv_y.translate(pads[g]).translate(pad_y)] in members for g in gens):
-                n, z = order_of[y], images[y]
+            y_images, inv_y = images[y], inverse_table(images[y])
+            for g in gens:
+                if key[y_images.translate(pads[g]).translate(inv_y)] not in members:
+                    break
+            else:
+                n, z, pad_y = order_of[y], y_images, pads[y]
                 for _ in range(n // p_part(n, p) - 1):
                     z = z.translate(pad_y)
                 z = key[z]

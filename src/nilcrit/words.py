@@ -7,18 +7,21 @@ the argument blocks are independent.  The tuple brute force that checks this
 lives with the tests' oracles.
 
 Every level is a normal subset of G, since [a, b]^g = [a^g, b^g].  So a level
-is computed from class representatives only: with L the current level and B
-the normal subset the second argument ranges over (L for the derived word, G
-for the left-normed one), the next level is the union of the conjugacy
-classes of the commutators [r, b] = r^-1 * r^b, r a class representative in
-L and b in B.  This is the whole level because [r^h, b] = [r, b^(h^-1)]^h
-and b^(h^-1) lies in B again.  Each representative costs one product
-r^-1 * y per distinct conjugate y = r^b, so a level costs at most |L|
-products instead of the |L| |B| of all pairs.  When B is all of G (every
-left-normed level, and the derived word's first), the conjugates of r are
-its class, read off the view's class member lists.  A deeper derived level
-forms each conjugate r^b = b^-1 r b on image bytes, for the b in B only, so
-it costs |B| conjugations per representative and no table of |G| entries.
+is computed from conjugacy classes.  When the second argument ranges over
+all of G (every left-normed level, and the derived word's first), the next
+level is the union of the classes of [r, g] = r^-1 * r^g, r a class
+representative of the current level L and g in G: [r^h, g] = [r, g^(h^-1)]^h,
+and the conjugates r^g are r's class, read off the view's class member
+lists, so a level costs |L| products.  A deeper derived level is the union,
+over pairs of classes C and D of L, of S_CD = {[a, b] : a in C, b in D}.
+S_CD is a normal subset, so it is the union of the classes of [r_C, x] for
+x in D, and equally of those of [y, r_D] for y in C; and S_DC = S_CD^-1,
+since [b, a] = [a, b]^-1.  So each unordered pair {C, D} costs
+min(|C|, |D|) commutators, formed with x in the smaller class, and the
+classes of the other order are the inverses of the classes hit.  A
+commutator [r, x] = r^-1 x^-1 r x is three translates of image bytes,
+with x's inverse table as x^-1's pad, so no table of |G| entries and no
+inverse list of G is read.
 
 Also here: the tower construction that writes a soluble group as a product of
 nilpotent system normalizers and extracts from it a commutator-closed
@@ -72,40 +75,46 @@ def _value_levels(G: PermGroup, kind: str, i: int) -> frozenset[int]:
 
     Level i holds the values of depth i for "delta" and of depth i+1 for
     "gamma"; past the level where the sets stop shrinking, the stable set is
-    returned.  Levels are computed up to i and no further.  Each next level
-    is the union of the classes of [r, b], r a class representative of the
-    current level and b in B (the current level for "delta", G for "gamma").
-    When B is all of G, the conjugates r^b are r's class; otherwise each
-    r^b = b^-1 r b is formed on the image bytes of b^-1, r and b, for the b
-    in B only.
+    returned.  Levels are computed up to i and no further.  When the second
+    argument ranges over all of G (every "gamma" level, and the first
+    "delta" level), the next level is the union of the classes of
+    r^-1 * y, r a class representative of the current level and y in r's
+    class.  Otherwise it is the union of S_CD = {[a, b] : a in C, b in D}
+    over pairs of classes C, D of the current level: in (size, label)
+    order, S_CD is read as the classes of [r_C, x] for x in D, for each D
+    up to and including C, and S_DC = S_CD^-1 as the inverses of the
+    classes hit.  Each [r_C, x] is formed on the image bytes of r_C^-1 and
+    r_C, and of x and its inverse table, and each distinct one is looked up
+    once.
     """
     iv = indexed_view(G)
     state = G.memo(("word_levels", kind),
                    lambda: {"levels": [frozenset(range(iv.size))], "stable": False})
     levels: list[frozenset[int]] = state["levels"]
-    labels, reps = iv.class_labels()
-    key, images, pads = iv.index, iv.images, iv.pads
     while not state["stable"] and len(levels) <= i:
+        (labels, reps), classes = iv.class_labels(), iv.classes()
+        key, images, pads, n = iv.index, iv.images, iv.pads, G.degree
         prev = levels[-1]
-        whole = kind == "gamma" or len(prev) == iv.size
-        if whole:
-            classes = iv.classes()
-        else:
-            # r^b = b^-1 r b on image bytes: b^-1's images through the pads of r and b
-            inverse = iv.inverse
-            conjugators = [(images[inverse[b]], pads[b]) for b in prev]
+        in_prev = {labels[a] for a in prev}
         hit = set()
-        for c in {labels[a] for a in prev}:
-            r = reps[c]
-            if whole:
-                conj_r = classes[c]
-            else:
-                pad_r = pads[r]
-                conj_r = {key[inv_b.translate(pad_r).translate(pad_b)]
-                          for inv_b, pad_b in conjugators}
-            inv_r = inverse_table(images[r])[:G.degree]
-            # [r, b] = r^-1 * r^b, one product per distinct conjugate r^b
-            hit.update(labels[key[inv_r.translate(pads[y])]] for y in conj_r)
+        if kind == "gamma" or len(prev) == iv.size:
+            for c in in_prev:
+                # [r, g] = r^-1 * r^g, one product per member r^g of r's class
+                inv_r = inverse_table(images[reps[c]])[:n]
+                hit.update(labels[key[inv_r.translate(pads[y])]] for y in classes[c])
+        else:
+            order = sorted(in_prev, key=lambda c: (len(classes[c]), c))
+            rep_tables = [(inverse_table(images[reps[c]])[:n], pads[reps[c]]) for c in order]
+            found = set()
+            for j, d in enumerate(order):
+                # [r_C, x] = r_C^-1 x^-1 r_C x for x in D and each class C from D on
+                xs = [(inverse_table(images[x]), pads[x]) for x in classes[d]]
+                for inv_r, pad_r in rep_tables[j:]:
+                    found.update([inv_r.translate(inv_x).translate(pad_r).translate(pad_x)
+                                  for inv_x, pad_x in xs])
+            hit.update(labels[key[b]] for b in found)
+            # S_DC = S_CD^-1: the inverses of a class form one class
+            hit.update([labels[key[inverse_table(images[reps[c]])[:n]]] for c in hit])
         nxt = frozenset(x for x in range(iv.size) if labels[x] in hit)
         if nxt == prev:
             state["stable"] = True
@@ -115,12 +124,15 @@ def _value_levels(G: PermGroup, kind: str, i: int) -> frozenset[int]:
 
 
 def delta_values(G: PermGroup, k: int) -> DeltaValueSet:
-    """Values of the depth-k derived word, level by level from class representatives.
+    """Values of the depth-k derived word, level by level from conjugacy classes.
 
-    The depth-(i+1) values are the union of the classes of [r, b], r a class
-    representative of the depth-i values and b a depth-i value.  Value sets
-    are normal subsets and [r^h, b] = [r, b^(h^-1)]^h with b^(h^-1) again a
-    depth-i value, so these classes hold every [a, b] with a, b of depth i.
+    The depth-1 values are the union of the classes of [r, g], r a class
+    representative of G and g in G.  Past depth 1, with C and D classes of
+    the depth-i values, the depth-(i+1) values are the union of the normal
+    subsets S_CD = {[a, b] : a in C, b in D}: each is the union of the
+    classes of [r_C, x] for x in D, and S_DC = S_CD^-1.  So the commutators
+    are formed with x in the smaller class of each unordered pair, and the
+    inverses of the classes hit give the other order.
     """
     if k < 0:
         raise ValueError("depth must be nonnegative")

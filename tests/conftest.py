@@ -23,11 +23,18 @@ from nilcrit.group import PermGroup, subgroup_generated
 from nilcrit.indexed import indexed_view
 
 SCALE_CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
+# S4^3 and S4 wr S3, of orders 13,824 and 82,944, written by corpus/make_stretch.py
+STRETCH_CORPUS = Path(__file__).resolve().parent / "corpus"
 
 
 def scale_group(name: str) -> PermGroup:
     """A group of the scale corpus, loaded from its descriptor file."""
     return load_group(str(SCALE_CORPUS / f"{name}.grp"))
+
+
+def stretch_group(name: str) -> PermGroup:
+    """A group of the stretch corpus, loaded from its descriptor file."""
+    return load_group(str(STRETCH_CORPUS / f"{name}.grp"))
 
 
 def regular_cyclic(n: int) -> PermGroup:

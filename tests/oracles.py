@@ -9,7 +9,11 @@ that labelling, from plain Permutation products: the right coset of g is
 elements, so a coset's number agrees with the library's labelling without
 sharing its code.  The tuple brute force evaluates the derived word on
 every argument tuple through a commutator table of single ``comm`` lookups,
-so it shares neither the word levels' class walk nor the view's rows.  The
+so it shares neither the word levels' class walk nor the view's rows; the
+former class-representative walk, which formed every conjugate r^b, is
+kept to check the levels on groups too large for all pairs.  The former
+Sylow scan, which read y^-1 from G's inverse list, checks the scan that
+forms each y's inverse table.  The
 normal-subgroup lattice is the former closure join: a chain per class
 closure, closed under pairwise joins of chains by their generators.  The
 word evaluators and the closure predicates form ``Permutation`` commutators
@@ -40,7 +44,7 @@ from nilcrit.group import DEFAULT_ENUM_CAP, PermGroup, subgroup_generated, trivi
 from nilcrit.indexed import IndexedGroup, indexed_view
 from nilcrit.lemmas import COSET_DEPTHS, normal_subgroups, p_power_value_closure
 from nilcrit.perm import MAX_DEGREE, Permutation, commutator, wrap_images
-from nilcrit.primes import prime_factors
+from nilcrit.primes import p_part, prime_factors
 from nilcrit.structure import sylow_subgroup
 from nilcrit.words import DeltaValueSet
 
@@ -235,6 +239,65 @@ def delta_values_bruteforce(G: PermGroup, k: int) -> DeltaValueSet:
 
         idxs = {word(t) for t in itertools.product(rng, repeat=2 ** k)}
     return DeltaValueSet("delta", k, frozenset(idxs))
+
+
+def class_rep_levels_oracle(G: PermGroup, kind: str, upto: int) -> list[frozenset[int]]:
+    """Value levels 0..upto on G's view by the former class-representative walk.
+
+    Level i+1 is the union of the classes of [r, b] = r^-1 * r^b, r a class
+    representative of level i and b in level i ("delta") or in G ("gamma"),
+    one product per distinct conjugate r^b.  When b ranges over G, the
+    conjugates are r's class; otherwise every r^b is formed, one per b.
+    "gamma" level i holds the values of depth i+1.  Nothing is kept on G.
+    """
+    iv = indexed_view(G)
+    labels, reps = iv.class_labels()
+    key, images, pads, inverse = iv.index, iv.images, iv.pads, iv.inverse
+    levels = [frozenset(range(iv.size))]
+    while len(levels) <= upto:
+        prev = levels[-1]
+        whole = kind == "gamma" or len(prev) == iv.size
+        conjugators = [] if whole else [(images[inverse[b]], pads[b]) for b in prev]
+        hit = set()
+        for c in {labels[a] for a in prev}:
+            r = reps[c]
+            conj_r = iv.classes()[c] if whole else {
+                key[inv_b.translate(pads[r]).translate(pad_b)] for inv_b, pad_b in conjugators}
+            inv_r = images[inverse[r]]
+            hit.update(labels[key[inv_r.translate(pads[y])]] for y in conj_r)
+        levels.append(frozenset(x for x in range(iv.size) if labels[x] in hit))
+    return levels
+
+
+def sylow_scan_oracle(iv: IndexedGroup, p: int,
+                      domain: range | list[int]) -> tuple[frozenset[int], list[int]]:
+    """``(members, generators)`` of a Sylow p-subgroup of the subgroup with index list domain.
+
+    The former normalizer scan: P grows from the trivial group by the p-part
+    of the first p-element y, in domain order, outside P with z^y = y^-1 z y
+    in P for each kept generator z, y^-1 read from G's inverse list.
+    """
+    key, images, pads, inverse, order_of = iv.index, iv.images, iv.pads, iv.inverse, iv.order_of
+    target = p_part(len(domain), p)
+    p_elements = [i for i in domain if order_of[i] % p == 0]
+    members, gens = frozenset([iv.identity_index]), []
+    while len(members) < target:
+        for y in p_elements:
+            if y in members:
+                continue
+            inv_y, pad_y = images[inverse[y]], pads[y]
+            if all(key[inv_y.translate(pads[g]).translate(pad_y)] in members for g in gens):
+                n, z = order_of[y], images[y]
+                for _ in range(n // p_part(n, p) - 1):
+                    z = z.translate(pad_y)
+                z = key[z]
+                if z not in members:
+                    break
+        else:
+            raise AssertionError("Sylow growth stalled")
+        gens.append(z)
+        members = iv.closure(gens)
+    return members, gens
 
 
 def group_from_elements(degree: int, elements: Iterable[Permutation]) -> PermGroup:

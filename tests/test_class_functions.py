@@ -3,9 +3,10 @@
 Element order is constant on a class and word-value sets are unions of
 classes, so the indexed view takes orders from class representatives, the
 levels whose second argument ranges over all of G read r's conjugates off
-r's class, and the criterion scan forms each coprime product a*b on its own.  The
-work-count tests pin that work without timing anything; the random-group
-test checks the results against the raw images.
+r's class, a deeper delta level forms [r_C, x] for x in the smaller class of
+each pair of classes, and the criterion scan forms each coprime product a*b
+on its own.  The work-count tests pin that work without timing anything;
+the random-group test checks the results against the raw images.
 """
 
 from __future__ import annotations
@@ -80,6 +81,24 @@ def test_levels_over_all_of_g_call_no_conjugates(name):
     gamma = G.memo(("word_levels", "gamma"), lambda: None)["levels"]
     assert iv.index.lookups <= sum(len(level) for level in gamma) + iv.size
     assert iv.index.lookups < len(iv.class_labels()[1]) * iv.size
+
+
+@pytest.mark.parametrize("name", ("S4wrC2", "S4xS4"))
+def test_deeper_delta_levels_cost_one_product_per_pair_of_class_members(name):
+    G = scale_group(name)
+    iv = indexed_view(G)
+    labels, classes = iv.class_labels()[0], iv.classes()  # built before the levels
+    delta_values(G, 1)
+    iv.index = CountingIndex(iv.index)
+    for k in (2, 3):
+        sizes = sorted(len(classes[c]) for c in {labels[x] for x in delta_values(G, k - 1).indices})
+        before = iv.index.lookups
+        level = delta_values(G, k).indices
+        # [r_C, x] for x in the smaller class of each unordered pair {C, D} of
+        # level k-1's classes, one lookup per distinct commutator, then one
+        # per class hit for its inverse class
+        pairs = sum(min(a, b) for i, a in enumerate(sizes) for b in sizes[i:])
+        assert 0 < iv.index.lookups - before <= pairs + len({labels[x] for x in level}), k
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,6 +16,7 @@ from nilcrit.corpus import (
 from nilcrit.errors import InvalidPermutation, OrderMismatch, ParseError, TagMismatch
 from nilcrit.structure import is_nilpotent, is_soluble
 
+from conftest import stretch_group
 from oracles import elements_of
 
 EXPECTED_ORDERS = {
@@ -171,3 +172,12 @@ class TestRoundTrip:
     def test_unknown_name_is_a_parse_error(self):
         with pytest.raises(ParseError):
             load_group("NoSuchGroup")
+
+
+class TestStretchCorpus:
+    @pytest.mark.parametrize("name, order", [("S4cubed", 24 ** 3), ("S4wrS3", 24 ** 3 * 6)])
+    def test_loads_with_its_stated_order(self, name, order):
+        # loading re-verifies the order: and tags: lines against the group
+        G = stretch_group(name)
+        assert (G.name, G.degree, G.order()) == (name, 12, order)
+        assert is_soluble(G)

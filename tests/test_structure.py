@@ -16,10 +16,12 @@ from nilcrit.group import PermGroup, normal_closure, subgroup_generated
 from nilcrit.indexed import indexed_view
 from nilcrit.perm import Permutation
 from nilcrit.primes import p_part, prime_factors
+from nilcrit.lemmas import normal_subgroups
 from nilcrit.structure import (
     _commutators,
     _distinct_conjugates,
     _permutable,
+    _sylow_indices,
     derived_series,
     derived_subgroup,
     derived_term,
@@ -39,15 +41,21 @@ from nilcrit.structure import (
 from nilcrit.words import generator_tower
 
 from conftest import (
+    SCALE_CORPUS,
     conjugated,
     derived_subgroup_oracle,
     lower_central_step_oracle,
     p_prime_core_oracle,
     perm,
     product_set,
+    scale_group,
     small_symmetric_subgroups,
+    stretch_group,
 )
-from oracles import contains, elements_of, equals, group_from_elements, is_subgroup_of, quotient
+from oracles import (contains, elements_of, equals, group_from_elements, is_subgroup_of, quotient,
+                     sylow_scan_oracle)
+
+SCALE_NAMES = sorted(path.stem for path in SCALE_CORPUS.glob("*.grp"))
 
 
 def cyclic(n: int) -> PermGroup:
@@ -233,6 +241,28 @@ class TestIndexedScansAgainstPermutationScans:
             scanned = iv.subgroup(iv.normalizing([P]))
             assert set(elements_of(scanned)) == normalizer_scan_oracle(G, P)
             assert set(elements_of(p_core(G, p))) == p_core_scan_oracle(G, P)
+
+
+def check_sylow_scan_against_oracle(G: PermGroup, domains) -> None:
+    iv = indexed_view(G)
+    for domain in domains:
+        for p in prime_factors(len(domain)):
+            assert _sylow_indices(iv, p, domain) == sylow_scan_oracle(iv, p, domain), (p, domain)
+
+
+class TestSylowScan:
+    """The scan that tests y^-1 matches the former scan, members and generators alike."""
+
+    @pytest.mark.parametrize("name", builtin_names() + SCALE_NAMES)
+    def test_on_g_and_on_every_normal_subgroup(self, name):
+        G = load_group(name) if name in builtin_names() else scale_group(name)
+        # the normal subgroups' index lists are the coprime-action family's domains
+        check_sylow_scan_against_oracle(
+            G, [range(G.order())] + [sorted(M) for M in normal_subgroups(G)])
+
+    def test_on_s4_cubed(self):
+        G = stretch_group("S4cubed")
+        check_sylow_scan_against_oracle(G, [range(G.order())])
 
 
 class TestCores:

@@ -7,6 +7,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from nilcrit.corpus import builtin_names, filter_names, load_group
 from nilcrit.criterion import coprime_product_criterion
@@ -17,8 +18,9 @@ from nilcrit.perm import Permutation, commutator
 from nilcrit.structure import derived_series, derived_term, is_soluble, lower_central_term
 from nilcrit.words import delta_values, gamma_values, generator_tower
 
-from conftest import CountingIndex, perm
+from conftest import CountingIndex, perm, small_symmetric_subgroups, stretch_group
 from oracles import (
+    class_rep_levels_oracle,
     comm,
     delta_values_bruteforce,
     elements_of,
@@ -69,14 +71,36 @@ def check_levels_against_pairwise(G: PermGroup) -> None:
         assert values(G, gamma_values(G, k).indices) == gamma[k - 1], ("gamma", k)
 
 
+def check_levels_against_class_representatives(G: PermGroup) -> None:
+    delta = class_rep_levels_oracle(G, "delta", 3)
+    for k in range(4):
+        assert delta_values(G, k).indices == delta[k], ("delta", k)
+    gamma = class_rep_levels_oracle(G, "gamma", 2)
+    for k in (1, 2, 3):
+        assert gamma_values(G, k).indices == gamma[k - 1], ("gamma", k)
+
+
 class TestLevelsFromClassRepresentatives:
     @pytest.mark.parametrize("name", builtin_names())
     def test_builtin_levels_match_pairwise_oracle(self, corpus, name):
         check_levels_against_pairwise(corpus[name])
 
-    @pytest.mark.parametrize("name", ["AGammaL1_8", "AGL1_16", "C2wrS4", "PGL2_7"])
+    # S4xS4, S3wrC3 and S6 have many classes of unequal sizes, and S6 is insoluble
+    @pytest.mark.parametrize("name", ["AGammaL1_8", "AGL1_16", "C2wrS4", "PGL2_7",
+                                      "S4xS4", "S3wrC3", "S6"])
     def test_scale_levels_match_pairwise_oracle(self, name):
         check_levels_against_pairwise(load_group(str(CORPUS / f"{name}.grp")))
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_symmetric_subgroups(7))
+    def test_random_levels_match_both_oracles(self, G):
+        check_levels_against_class_representatives(G)
+        if G.order() <= 120:  # all pairs of the 5040 elements of S7 are too many
+            check_levels_against_pairwise(G)
+
+    def test_s4_cubed_levels_match_class_representative_oracle(self):
+        # order 13,824: all pairs at level 0 would be 191 million commutators
+        check_levels_against_class_representatives(stretch_group("S4cubed"))
 
     @pytest.mark.usefixtures("stall_deadline")
     def test_s4wrc2_levels_and_criterion_form_few_products(self):

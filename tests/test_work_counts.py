@@ -7,13 +7,16 @@ runs more permutability tests.  A change that lowers a count lowers its
 limit here; one that raises a count must say why.  No subcommand builds a
 table of all |G| conjugates of an element other than a generator of G, or a
 spanning tree of G: the view keeps one conjugate table per generator, and
-every other conjugate is formed on image bytes.  The groups are read from
-``bench/corpus``, read only.
+every other conjugate is formed on image bytes.  The criterion scans, the
+focal check and the probe never fill G's inverse list: the word levels and
+the Sylow scan form the inverse table of each element they reach.  The
+groups are read from ``bench/corpus``, read only.
 """
 
 from __future__ import annotations
 
 import sys
+from functools import cached_property
 
 import pytest
 
@@ -151,3 +154,40 @@ def test_the_table_counters_are_in_place(table_calls, capsys):
     # no spanning tree and no table of one element's |G| conjugates is kept on the view
     assert not any(hasattr(IndexedGroup, name)
                    for name in ("conjugates", "times", "_spanning_tree", "_generator_tables"))
+
+
+# label -> argv after the group, for the commands that read no inverse list
+READ_NO_INVERSE_LIST = {label: argv for label, argv in READ_NO_CONJUGATE_TABLE.items()
+                        if label.split()[0] in ("criterion", "focal", "probe")}
+
+
+@pytest.fixture
+def inverse_fills(monkeypatch) -> list[IndexedGroup]:
+    """The views whose inverse list is filled, one entry per fill."""
+    filled: list[IndexedGroup] = []
+    inverse = IndexedGroup.__dict__["inverse"]
+    assert isinstance(inverse, cached_property)
+
+    def counted(self):
+        if "inverse" not in self.__dict__:
+            filled.append(self)
+        return inverse.__get__(self, IndexedGroup)
+
+    monkeypatch.setattr(IndexedGroup, "inverse", property(counted))
+    return filled
+
+
+@pytest.mark.parametrize("group", SCALE_GROUPS)
+@pytest.mark.parametrize("label", list(READ_NO_INVERSE_LIST))
+def test_fills_no_inverse_list(label, group, inverse_fills, capsys):
+    argv = [label.split()[0], str(SCALE_CORPUS / f"{group}.grp"), *READ_NO_INVERSE_LIST[label]]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert inverse_fills == []
+
+
+def test_the_inverse_counter_is_in_place(inverse_fills, capsys):
+    # the tower's commutator table reads the inverse list, once per view
+    assert main(["tower", str(SCALE_CORPUS / "S4xS4.grp")]) == 0
+    capsys.readouterr()
+    assert len(inverse_fills) == 1
